@@ -42,7 +42,8 @@ print("\nframe matrix at t=0:\n", epidemic.frame_matrix(drift, 0.0, 0.0, 0.0))
 
 closed = epidemic.frame_evolve(drift, 0.0, 0.0, w0, 0.0, 0.5, dt=1e-3)
 reference = numkit.ode_evolve(
-    lambda t: epidemic.frame_matrix(drift, 0.0, 0.0, t), w0, 0.0, 0.5, 1e-3
+    lambda ts: np.array([epidemic.frame_matrix(drift, 0.0, 0.0, t) for t in ts]),
+    w0, 0.0, 0.5, 1e-3,
 ).final
 print("frame weights (0.5):", closed)
 print("vs time-ordered RK :", np.abs(closed - reference).max())

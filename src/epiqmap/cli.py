@@ -91,15 +91,35 @@ def _require(condition, message):
         raise ScenarioError(message)
 
 
+def _finite_number(value):
+    """value as a float if it is a finite JSON number (not a bool), else None."""
+    if type(value) not in (int, float):  # bool is a subclass of int
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    # false exactly for inf and NaN
+    return number if -sys.float_info.max <= number <= sys.float_info.max else None
+
+
 def _rate_spec(value, where):
-    if isinstance(value, (int, float)):
-        return float(value)
+    number = _finite_number(value)
+    if number is not None:
+        return number
     if isinstance(value, list):
+        rows_ok = all(
+            isinstance(row, list) and all(_finite_number(v) is not None for v in row)
+            for row in value
+        )
+        _require(rows_ok, "%s: rate table entries must be finite numbers" % where)
         try:
             return epidemic.Rate(value)
         except ValueError as exc:
             raise ScenarioError("%s: %s" % (where, exc)) from exc
-    raise ScenarioError("%s: expected number or [[t, value], ...] table" % where)
+    raise ScenarioError(
+        "%s: expected a finite number or [[t, value], ...] table" % where
+    )
 
 
 def _parse_generator2(spec, where):
@@ -254,8 +274,7 @@ def parse_scenario(config):
             for i, row in enumerate(rows)
         ]
         _require(all(len(row) == n for row in grid), "generator.matrix must be square")
-        rates = [[epidemic.as_rate(v) for v in row] for row in grid]
-        params["matrix"] = lambda t: np.array([[r(t) for r in row] for row in rates])
+        params["matrix"] = epidemic.RateMatrix(grid).matrix
         state = np.asarray(raw_state, dtype=float)
         _require(state.shape == (n,), "initial_state must have %d entries" % n)
     elif model == "coupled4":
@@ -298,8 +317,12 @@ def load_scenario(path):
 # simulation
 # ---------------------------------------------------------------------------
 
-def _segmented_evolution(matrix_fn, state, scenario, apply_event, dtype=float):
-    """Integrate dt-wise between events; boundary samples are post-event."""
+def _segmented_evolution(generator, state, scenario, apply_event, dtype=float):
+    """Integrate dt-wise between events; boundary samples are post-event.
+
+    generator is what numkit.ode_evolve takes: a constant matrix or a
+    generator-protocol callable.
+    """
     times = [np.array([scenario.t0])]
     states = [np.asarray(state, dtype=dtype)[None, :]]
     current = np.asarray(state, dtype=dtype)
@@ -309,7 +332,7 @@ def _segmented_evolution(matrix_fn, state, scenario, apply_event, dtype=float):
     segments = list(zip(boundaries, scenario.events + [None]))
     for boundary, event in segments:
         if boundary > cursor:
-            traj = numkit.ode_evolve(matrix_fn, current, cursor, boundary, scenario.dt)
+            traj = numkit.ode_evolve(generator, current, cursor, boundary, scenario.dt)
             times.append(traj.times[1:])
             states.append(traj.states[1:])
             current = traj.final.copy()
@@ -402,7 +425,7 @@ def _simulate(scenario):
         params = scenario.params["hamiltonian"]
         h = quantum.build_hamiltonian(params)
         times, states = _segmented_evolution(
-            lambda t: -1j * h, scenario.initial_state, scenario, _apply_quantum_event,
+            -1j * h, scenario.initial_state, scenario, _apply_quantum_event,
             dtype=complex,
         )
         probs = np.abs(states) ** 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .epidemic import Generator2, Rate, as_rate
+from .epidemic import Generator2, RateMatrix, as_rate
 from .errors import ComplexSpectrumError
 
 _DENOM_FLOOR = 1e-10
@@ -36,34 +36,21 @@ ALLOWED_TRANSITIONS = (
 
 @dataclass(frozen=True)
 class Generator4:
-    """Time-dependent 4x4 rate matrix with a record of how it was built."""
+    """Time-dependent 4x4 rate matrix with a record of how it was built.
+
+    evaluate follows the generator protocol: a scalar time gives the
+    (4, 4) matrix, a 1-d array of n times the (n, 4, 4) stack, built in
+    one vectorized pass.
+    """
 
     form: str
     basis: str
-    entries: np.ndarray  # 4x4 object array of Rate
+    evaluate: object  # t -> (4, 4) or (n, 4, 4), as described above
+    is_constant: bool
     params: dict = field(default_factory=dict)
 
     def matrix(self, t):
-        m = np.array([[rate(t) for rate in row] for row in self.entries], dtype=float)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator entries not finite at t = %r" % (t,))
-        return m
-
-    @property
-    def is_constant(self):
-        return all(rate.is_constant for rate in self.entries.ravel())
-
-
-def _zero_rate():
-    return Rate(0.0)
-
-
-def _entries_from_grid(grid):
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = as_rate(grid[i][j])
-    return out
+        return self.evaluate(t)
 
 
 def build_traffic_generator(gen_a, gen_b, cross):
@@ -75,14 +62,14 @@ def build_traffic_generator(gen_a, gen_b, cross):
     if not (isinstance(gen_a, Generator2) and isinstance(gen_b, Generator2)):
         raise TypeError("gen_a and gen_b must be Generator2")
     c14, c23, c32, c41 = [as_rate(c) for c in cross]
-    grid = [
-        [gen_a.s11, gen_a.s12, _zero_rate(), c14],
-        [gen_a.s21, gen_a.s22, c23, _zero_rate()],
-        [_zero_rate(), c32, gen_b.s11, gen_b.s12],
-        [c41, _zero_rate(), gen_b.s21, gen_b.s22],
-    ]
+    rates = RateMatrix([
+        [gen_a.s11, gen_a.s12, 0.0, c14],
+        [gen_a.s21, gen_a.s22, c23, 0.0],
+        [0.0, c32, gen_b.s11, gen_b.s12],
+        [c41, 0.0, gen_b.s21, gen_b.s22],
+    ])
     return Generator4(
-        form="traffic", basis="traffic", entries=_entries_from_grid(grid),
+        form="traffic", basis="traffic", evaluate=rates.matrix, is_constant=rates.is_constant,
         params={"gen_a": gen_a, "gen_b": gen_b, "cross": (c14, c23, c32, c41)},
     )
 
@@ -94,7 +81,7 @@ def symmetric_traffic_generator(gen, coupling):
     s = as_rate(coupling)
     out = build_traffic_generator(gen, gen, (s, s, s, s))
     return Generator4(
-        form="symmetric", basis="traffic", entries=out.entries,
+        form="symmetric", basis="traffic", evaluate=out.evaluate, is_constant=out.is_constant,
         params={"gen": gen, "coupling": s},
     )
 
@@ -103,24 +90,16 @@ def kron_sum_generator(gen_a, gen_b):
     """Kronecker sum S_A (x) I + I (x) S_B of two non-interacting machines."""
     if not (isinstance(gen_a, Generator2) and isinstance(gen_b, Generator2)):
         raise TypeError("gen_a and gen_b must be Generator2")
+    eye = np.eye(2)
 
-    def entry(i, j):
-        ia, ja = i // 2, j // 2
-        ib, jb = i % 2, j % 2
-        def rate(t, ia=ia, ja=ja, ib=ib, jb=jb):
-            val = 0.0
-            if ib == jb:
-                val += gen_a.matrix(t)[ia, ja]
-            if ia == ja:
-                val += gen_b.matrix(t)[ib, jb]
-            return val
-        if gen_a.is_constant and gen_b.is_constant:
-            return Rate(rate(0.0))
-        return Rate(rate)
+    def evaluate(t):
+        # the leading 0.0 maps the -0.0 of a negative rate times a zero of
+        # the identity to +0.0, so each entry is bitwise 0.0 + S_A + S_B
+        return 0.0 + np.kron(gen_a.matrix(t), eye) + np.kron(eye, gen_b.matrix(t))
 
-    grid = [[entry(i, j) for j in range(4)] for i in range(4)]
     return Generator4(
-        form="kron_sum", basis="product", entries=_entries_from_grid(grid),
+        form="kron_sum", basis="product", evaluate=evaluate,
+        is_constant=gen_a.is_constant and gen_b.is_constant,
         params={"gen_a": gen_a, "gen_b": gen_b},
     )
 
@@ -149,28 +128,24 @@ def interaction_generator(level_rates, couplings, frame_a, frame_b):
             raise ValueError("unsupported transition %r" % (key,))
         coupling_rates[tuple(key)] = as_rate(value)
     index = {name: k for k, name in enumerate(PRODUCT_STATES)}
+    grid = [[diag[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    for (src, dst), rate in coupling_rates.items():
+        grid[index[dst]][index[src]] = rate
+    eigenbasis = RateMatrix(grid)
     basis_change = np.kron(frame_a, frame_b)
 
-    def eigenbasis_matrix(t):
-        m = np.diag([r(t) for r in diag])
-        for (src, dst), rate in coupling_rates.items():
-            m[index[dst], index[src]] = rate(t)
-        return m
+    def evaluate(t):
+        return basis_change @ eigenbasis.matrix(t) @ basis_change.T
 
-    def physical_entry(i, j):
-        def rate(t, i=i, j=j):
-            return (basis_change @ eigenbasis_matrix(t) @ basis_change.T)[i, j]
-        return Rate(rate)
-
-    grid = [[physical_entry(i, j) for j in range(4)] for i in range(4)]
     return Generator4(
-        form="interaction", basis="product", entries=_entries_from_grid(grid),
+        form="interaction", basis="product", evaluate=evaluate,
+        is_constant=eigenbasis.is_constant,
         params={
             "level_rates": diag,
             "couplings": coupling_rates,
             "frame_a": frame_a,
             "frame_b": frame_b,
-            "eigenbasis_matrix": eigenbasis_matrix,
+            "eigenbasis_matrix": eigenbasis.matrix,
         },
     )
 

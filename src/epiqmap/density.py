@@ -79,9 +79,7 @@ def evolve_sqrt(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR, check=True):
     traj = evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor)
     p_end = traj.final ** 2
     if check:
-        ref = numkit.ode_evolve(
-            lambda tau: _rate_matrix(generator, tau), p0, t0, t, dt
-        ).final
+        ref = numkit.ode_evolve(getattr(generator, "matrix", generator), p0, t0, t, dt).final
         gap = np.abs(p_end - ref).max()
         if gap > 1e-6:
             raise RuntimeError(

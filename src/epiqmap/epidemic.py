@@ -9,12 +9,16 @@ occupancy ratios, projective and weak measurement, eigenmode evolution,
 and the eigenframe ("projector representation") dynamics with
 eigenvector-derivative connection terms.
 
+Rate matrices of any size up to 16 are RateMatrix grids; their
+``matrix(t)`` takes a scalar time or a 1-d array of times (the
+generator protocol), and ``numkit.ode_evolve`` integrates them.
+
 States are plain numpy vectors of probabilities.  Rates may leave the
 probability simplex for a generic S; nothing here clamps, and
 ``simplex_violation`` quantifies any negativity.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +40,8 @@ class Rate:
     Tables are sequences of (time, value) rows with strictly increasing
     times; values are held constant beyond the table range.  Integrals
     are exact for constants and tables (trapezoid on the nodes) and use
-    composite Simpson for general callables.
+    composite Simpson for general callables.  Called with a 1-d array of
+    times, a callable is evaluated one time at a time.
     """
 
     def __init__(self, spec):
@@ -60,6 +65,16 @@ class Rate:
         return self._value is not None
 
     def __call__(self, t):
+        """The rate at a scalar time (a float) or at each time of a 1-d array."""
+        if not _is_time_array(t):
+            return self._at(t)
+        if self._value is not None:
+            return np.full(np.shape(t), self._value)
+        if self._table is not None:
+            return np.interp(t, self._table[:, 0], self._table[:, 1])
+        return np.array([float(self._callable(tau)) for tau in t])
+
+    def _at(self, t):
         if self._value is not None:
             return self._value
         if self._table is not None:
@@ -92,18 +107,80 @@ def as_rate(spec):
     return spec if isinstance(spec, Rate) else Rate(spec)
 
 
+def _is_time_array(t):
+    # checked without np.ndim, which is slow on Python floats: scalar
+    # evaluation sits on the per-sample paths (spectral frames, ensembles)
+    return isinstance(t, (np.ndarray, list, tuple)) and np.ndim(t) > 0
+
+
+class RateMatrix:
+    """A square grid of Rates, evaluated under the generator protocol.
+
+    matrix(t) takes a scalar time, giving a (d, d) array, or a 1-d array
+    of n times, giving an (n, d, d) stack.  Constant entries are stored
+    once, and a fully constant stack is a read-only broadcast of them;
+    each time-dependent entry is evaluated at all n times in one call.
+    Non-finite entries raise ValueError.
+    """
+
+    def __init__(self, grid):
+        rates = [[as_rate(v) for v in row] for row in grid]
+        d = len(rates)
+        if d == 0 or any(len(row) != d for row in rates):
+            raise ValueError("rate grid must be square")
+        self._base = np.array(
+            [[0.0 if r._value is None else r._value for r in row] for row in rates]
+        )
+        self._base_finite = bool(np.isfinite(self._base).all())
+        self._varying = [
+            (i, j, r) for i, row in enumerate(rates) for j, r in enumerate(row)
+            if not r.is_constant
+        ]
+
+    @property
+    def is_constant(self):
+        return not self._varying
+
+    def matrix(self, t):
+        if not _is_time_array(t):
+            m = self._base.copy()
+            for i, j, rate in self._varying:
+                m[i, j] = rate._at(t)
+        else:
+            t = np.asarray(t, dtype=float)
+            if t.ndim != 1:
+                raise ValueError("t must be a scalar or a 1-d array of times")
+            if self._varying:
+                m = np.empty(t.shape + self._base.shape)
+                m[:] = self._base
+                for i, j, rate in self._varying:
+                    m[:, i, j] = rate(t)
+            else:
+                m = np.broadcast_to(self._base, t.shape + self._base.shape)
+        if not (np.isfinite(m).all() if self._varying else self._base_finite):
+            raise ValueError("generator entries not finite at t = %r" % (t,))
+        return m
+
+
 @dataclass(frozen=True)
 class Generator2:
-    """Rate matrix of the 2-level machine; entries are Rate-coercible."""
+    """Rate matrix of the 2-level machine; entries are Rate-coercible.
+
+    matrix(t) follows the generator protocol of RateMatrix.
+    """
 
     s11: Rate
     s12: Rate
     s21: Rate
     s22: Rate
+    _rates: RateMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("s11", "s12", "s21", "s22"):
             object.__setattr__(self, name, as_rate(getattr(self, name)))
+        object.__setattr__(
+            self, "_rates", RateMatrix([[self.s11, self.s12], [self.s21, self.s22]])
+        )
 
     @classmethod
     def constant(cls, s11, s12, s21, s22):
@@ -111,15 +188,10 @@ class Generator2:
 
     @property
     def is_constant(self):
-        return all(r.is_constant for r in (self.s11, self.s12, self.s21, self.s22))
+        return self._rates.is_constant
 
     def matrix(self, t):
-        m = np.array(
-            [[self.s11(t), self.s12(t)], [self.s21(t), self.s22(t)]], dtype=float
-        )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator entries not finite at t = %r" % (t,))
-        return m
+        return self._rates.matrix(t)
 
     def integrated(self, t0, t):
         """Entrywise time integrals over [t0, t] as a 2x2 array."""
@@ -215,10 +287,6 @@ def ensemble_reconstruct(weights, generator, t):
     return weights[0] * frame.v1 + weights[1] * frame.v2
 
 
-def integrate_generator(generator, t0, t):
-    return generator.integrated(t0, t)
-
-
 # ---------------------------------------------------------------------------
 # closed-form propagation
 # ---------------------------------------------------------------------------
@@ -261,7 +329,7 @@ def propagate_closed_form(generator, p0, t0, t):
     discrepancy otherwise.
     """
     p0 = np.asarray(p0, dtype=float)
-    g = integrate_generator(generator, t0, t)
+    g = generator.integrated(t0, t)
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite integrated rates")
     return _expm2_closed(g) @ p0
@@ -275,7 +343,7 @@ def occupancy_ratio(generator, p0, t0, t):
     exponential prefactor cancels out of.
     """
     p0 = np.asarray(p0, dtype=float)
-    g = integrate_generator(generator, t0, t)
+    g = generator.integrated(t0, t)
     delta = g[0, 0] - g[1, 1]
     c, s = _cosh_sinhc(delta * delta + 4.0 * g[0, 1] * g[1, 0])
     num = (delta * p0[0] + 2.0 * g[0, 1] * p0[1]) * s + p0[0] * c
@@ -430,21 +498,3 @@ def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3, h=1e-6):
         raise ValueError("non-finite eigenframe quadrature")
     g = np.trapezoid(samples, grid, axis=0)
     return _expm2_closed(g) @ w0
-
-
-# ---------------------------------------------------------------------------
-# N-level propagation
-# ---------------------------------------------------------------------------
-
-def propagate_n(generator, p0, t0, t, dt):
-    """Endpoint of dp/dt = S(t) p for an N-level machine (N <= 16)."""
-    p0 = np.asarray(p0, dtype=float)
-    matrix = generator if callable(generator) else np.asarray(generator, dtype=float)
-    probe = matrix(t0) if callable(generator) else matrix
-    if probe.shape != (len(p0), len(p0)):
-        raise ValueError(
-            "generator shape %r does not match state length %d" % (probe.shape, len(p0))
-        )
-    if len(p0) > numkit.MAX_DIM:
-        raise ValueError("dimension %d exceeds %d" % (len(p0), numkit.MAX_DIM))
-    return numkit.ode_evolve(matrix, p0, t0, t, dt).final

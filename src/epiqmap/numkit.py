@@ -15,6 +15,9 @@ from .errors import NonFiniteStateError
 
 MAX_DIM = 16
 
+# RK4 steps per stage_values call: bounds the stage-value memory of a run
+STAGE_BLOCK = 128
+
 _SERIES_FLOOR = 1e-18
 
 
@@ -135,12 +138,17 @@ def eig(m, residual_tol=1e-10):
     return values, vectors
 
 
-def rk4_path(f, y0, t0, t1, dt):
-    """Classical fixed-step RK4 on dy/dt = f(t, y) with dense output.
+def rk4_path(f, y0, t0, t1, dt, stage_values=None):
+    """Classical fixed-step RK4 on dy/dt = f(s, y) with dense output.
 
     The span is divided into uniform steps of size at most dt (the step
     is shrunk slightly so the final sample lands exactly on t1).
-    Backward integration (t1 < t0) is supported.
+    Backward integration (t1 < t0) is supported.  Step i has the stage
+    times times[i], times[i] + h/2 (twice) and times[i] + h.  By default
+    s is the stage time itself.  With stage_values, a callable mapping a
+    1-d array of stage times to one value per time, s is that value:
+    stage_values is called once per block of at most STAGE_BLOCK steps,
+    so work that depends on time alone is done in one vectorized call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -150,34 +158,66 @@ def rk4_path(f, y0, t0, t1, dt):
         return Trajectory(np.array([t0]), y[None, :].copy())
     n_steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
     h = span / n_steps
+    half, sixth = 0.5 * h, h / 6.0
     times = t0 + h * np.arange(n_steps + 1)
     times[-1] = t1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
-    for i in range(n_steps):
-        t = times[i]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y.view(float))):
-            raise NonFiniteStateError(times[i + 1])
-        states[i + 1] = y
+    for start in range(0, n_steps, STAGE_BLOCK):
+        t = times[start:min(start + STAGE_BLOCK, n_steps)]
+        m = len(t)
+        stages = np.concatenate((t, t + half, t + h))
+        if stage_values is not None:
+            stages = stage_values(stages)
+        for j in range(m):
+            mid = stages[m + j]
+            k1 = f(stages[j], y)
+            k2 = f(mid, y + half * k1)
+            k3 = f(mid, y + half * k2)
+            k4 = f(stages[2 * m + j], y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y.view(float)).all():
+                raise NonFiniteStateError(times[start + j + 1])
+            states[start + j + 1] = y
     return Trajectory(times, states)
+
+
+def _linear_rhs(g, y):
+    return g @ y
 
 
 def ode_evolve(generator, y0, t0, t1, dt):
     """Integrate the linear system dy/dt = G(t) y.
 
-    generator may be a constant matrix or a callable t -> matrix.
+    generator is a constant (d, d) matrix or a callable following the
+    generator protocol: given a 1-d array of n times it returns the
+    (n, d, d) stack of G at those times.  The callable is evaluated once
+    per block of RK4 stage times (see rk4_path); a constant matrix is
+    broadcast over the stages, never copied.
     """
+    y0 = np.asarray(y0)
+    if y0.ndim != 1:
+        raise ValueError("state must be a 1-d vector, got shape %r" % (y0.shape,))
+    d = len(y0)
     if callable(generator):
-        g = generator
+        def stage_matrices(ts):
+            g = np.asarray(generator(ts))
+            if g.shape != (len(ts), d, d):
+                raise ValueError(
+                    "generator returned shape %r for %d times; expected (%d, %d, %d)"
+                    % (g.shape, len(ts), len(ts), d, d)
+                )
+            return g
     else:
         g_const = np.asarray(generator)
-        g = lambda t: g_const
-    return rk4_path(lambda t, y: g(t) @ y, y0, t0, t1, dt)
+        if g_const.shape != (d, d):
+            raise ValueError(
+                "generator shape %r does not match state length %d" % (g_const.shape, d)
+            )
+
+        def stage_matrices(ts):
+            return np.broadcast_to(g_const, (len(ts), d, d))
+    return rk4_path(_linear_rhs, y0, t0, t1, dt, stage_matrices)
 
 
 def numeric_derivative(f, t, h):

@@ -101,19 +101,23 @@ def build_hamiltonian(params):
 def evolve_schrodinger(hamiltonian, psi0, t0, t, dt):
     """Trajectory of d psi/dt = -i H(t) psi (hbar = 1), fixed-step RK4.
 
-    hamiltonian may be a constant complex matrix, a callable t -> matrix,
-    or a QubitPairHamiltonian.
+    hamiltonian may be a constant complex matrix, a QubitPairHamiltonian,
+    or a callable following the generator protocol of numkit.ode_evolve
+    (a 1-d array of n times -> the (n, d, d) stack of H).
     """
     if isinstance(hamiltonian, QubitPairHamiltonian):
-        h_const = build_hamiltonian(hamiltonian)
-        h = lambda tau: h_const
-    elif callable(hamiltonian):
-        h = hamiltonian
+        hamiltonian = build_hamiltonian(hamiltonian)
+    if callable(hamiltonian):
+        stage_hamiltonians = hamiltonian
     else:
         h_const = np.asarray(hamiltonian, dtype=complex)
-        h = lambda tau: h_const
+
+        def stage_hamiltonians(ts):
+            return np.broadcast_to(h_const, (len(ts),) + h_const.shape)
     psi0 = np.asarray(psi0, dtype=complex)
-    return numkit.rk4_path(lambda tau, psi: -1j * (h(tau) @ psi), psi0, t0, t, dt)
+    return numkit.rk4_path(
+        lambda h, psi: -1j * (h @ psi), psi0, t0, t, dt, stage_hamiltonians
+    )
 
 
 def wave_from_polar(probabilities, phases):

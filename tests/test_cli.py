@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -220,6 +221,17 @@ class TestValidation:
         cfg = write_config(tmp_path, epidemic2_config())
         assert cli.main(["map", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "rate", [True, float("nan"), [[0.0, 0.1], [1.0, float("inf")]]],
+        ids=["true", "nan", "table_with_infinity"],
+    )
+    def test_rate_must_be_finite_number_or_table_exits_2(self, tmp_path, rate):
+        # json.dumps writes true, NaN and Infinity, which json.load accepts
+        cfg = write_config(tmp_path, epidemic2_config(
+            generator={"s11": 0.0, "s12": rate, "s21": 0.6, "s22": -0.2},
+        ))
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # rotational generator: complex spectrum, so ensemble weights fail
         cfg = write_config(tmp_path, epidemic2_config(
@@ -256,3 +268,45 @@ class TestNormalizationGuard:
             initial_state=[[0.6, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]
         ))
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+
+class TestPinnedOutput:
+    """series.csv digests pinned from the per-time generator evaluation.
+
+    Evaluating generators over blocks of stage times must not move a
+    single printed digit.
+    """
+
+    README_EXAMPLE = {
+        "schema": 1,
+        "model": "epidemic2",
+        "t0": 0.0, "t1": 5.0, "dt": 0.001,
+        "seed": 7,
+        "generator": {"s11": 0.0, "s12": [[0.0, 0.1], [5.0, 0.3]], "s21": 0.2, "s22": -0.1},
+        "initial_state": [0.7, 0.3],
+        "events": [{"time": 2.0, "type": "projective", "target": "sample"}],
+        "outputs": ["probabilities", "ensemble_weights", "ratio"],
+    }
+
+    KRON_SUM_TABLE = {
+        "schema": 1,
+        "model": "coupled4",
+        "t0": 0.0, "t1": 2.0, "dt": 0.01,
+        "generator": {
+            "form": "kron_sum",
+            "sa": {"s11": -0.2, "s12": [[0.0, 0.1], [1.0, 0.3], [2.0, 0.2]],
+                   "s21": 0.2, "s22": -0.1},
+            "sb": {"s11": -0.25, "s12": 0.15, "s21": 0.25, "s22": -0.15},
+        },
+        "initial_state": [0.1, 0.2, 0.3, 0.4],
+    }
+
+    @pytest.mark.parametrize("config, digest", [
+        (README_EXAMPLE, "9491abbba47393cd881288f4043c3bebb9b8a717e927fa86ace0d5f13aa99ed3"),
+        (KRON_SUM_TABLE, "c083837c76ad414d06be5267256739429f0971f2aa018e7375bcdbcf79194f8b"),
+    ], ids=["readme_epidemic2", "coupled4_kron_sum_table"])
+    def test_series_digest(self, tmp_path, config, digest):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == digest

@@ -115,19 +115,19 @@ class TestEnsembles:
 class TestIntegratedGenerator:
     def test_constant(self):
         gen = constant_gen(2.0, 0.0, 0.0, 0.0)
-        assert epidemic.integrate_generator(gen, 0.0, 1.5)[0, 0] == 3.0
+        assert gen.integrated(0.0, 1.5)[0, 0] == 3.0
 
     def test_empty_interval(self):
         gen = constant_gen(1.0, 2.0, 3.0, 4.0)
-        assert np.abs(epidemic.integrate_generator(gen, 2.0, 2.0)).max() == 0.0
+        assert np.abs(gen.integrated(2.0, 2.0)).max() == 0.0
 
     def test_piecewise_linear_ramp(self):
         gen = epidemic.Generator2(0.0, [[0.0, 0.0], [1.0, 1.0]], 0.0, 0.0)
-        assert epidemic.integrate_generator(gen, 0.0, 1.0)[0, 1] == pytest.approx(0.5)
+        assert gen.integrated(0.0, 1.0)[0, 1] == pytest.approx(0.5)
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            epidemic.integrate_generator(constant_gen(1, 0, 0, 0), 1.0, 0.0)
+            constant_gen(1, 0, 0, 0).integrated(1.0, 0.0)
 
 
 class TestClosedFormPropagator:
@@ -335,12 +335,17 @@ class TestFrameEvolve:
             lambda t: 0.1 - slope * t,
         )
 
+    @staticmethod
+    def _frame_matrices(gen):
+        """frame_matrix over a 1-d array of times, as ode_evolve takes it."""
+        return lambda ts: np.array([epidemic.frame_matrix(gen, 0.0, 0.0, t) for t in ts])
+
     def test_slowly_varying_vs_rk_oracle(self):
         gen = self._ramped(0.001)
         w0 = np.array([0.6, 0.4])
         closed = epidemic.frame_evolve(gen, 0.0, 0.0, w0, 0.0, 0.5, dt=1e-3)
         reference = numkit.ode_evolve(
-            lambda t: epidemic.frame_matrix(gen, 0.0, 0.0, t), w0, 0.0, 0.5, 1e-3
+            self._frame_matrices(gen), w0, 0.0, 0.5, 1e-3
         ).final
         assert np.abs(closed - reference).max() <= 1e-6
 
@@ -351,7 +356,7 @@ class TestFrameEvolve:
         w0 = np.array([0.6, 0.4])
         closed = epidemic.frame_evolve(gen, 0.0, 0.0, w0, 0.0, 1.0, dt=1e-3)
         reference = numkit.ode_evolve(
-            lambda t: epidemic.frame_matrix(gen, 0.0, 0.0, t), w0, 0.0, 1.0, 1e-3
+            self._frame_matrices(gen), w0, 0.0, 1.0, 1e-3
         ).final
         gap = np.abs(closed - reference).max()
         assert np.isfinite(gap)
@@ -368,13 +373,13 @@ class TestPropagateN:
     def test_matches_closed_form_for_two_levels(self):
         gen = constant_gen(0.0, 0.4, 0.6, -0.2)
         p0 = np.array([0.7, 0.3])
-        out = epidemic.propagate_n(gen.matrix(0.0), p0, 0.0, 1.0, 1e-3)
+        out = numkit.ode_evolve(gen.matrix(0.0), p0, 0.0, 1.0, 1e-3).final
         closed = epidemic.propagate_closed_form(gen, p0, 0.0, 1.0)
         assert np.abs(out - closed).max() <= 1e-8
 
     def test_zero_generator(self):
         p0 = np.array([0.2, 0.3, 0.5])
-        assert np.array_equal(epidemic.propagate_n(np.zeros((3, 3)), p0, 0.0, 4.0, 0.1), p0)
+        assert np.array_equal(numkit.ode_evolve(np.zeros((3, 3)), p0, 0.0, 4.0, 0.1).final, p0)
 
     def test_zero_column_sums_conserve_total(self):
         rng = np.random.default_rng(41)
@@ -385,7 +390,3 @@ class TestPropagateN:
         traj = numkit.ode_evolve(m, p0, 0.0, 10.0, 1e-2)
         totals = traj.states.sum(axis=1)
         assert np.abs(totals - 1.0).max() <= 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            epidemic.propagate_n(np.zeros((3, 3)), np.array([1.0, 0.0]), 0.0, 1.0, 0.1)

@@ -170,8 +170,51 @@ class TestOdeEvolve:
 
     def test_time_dependent_generator(self):
         # dy/dt = t y  ->  y(1) = y0 exp(1/2)
-        traj = numkit.ode_evolve(lambda t: np.array([[t]]), np.array([1.0]), 0.0, 1.0, 1e-3)
+        traj = numkit.ode_evolve(
+            lambda t: np.reshape(t, np.shape(t) + (1, 1)), np.array([1.0]), 0.0, 1.0, 1e-3
+        )
         assert abs(traj.final[0] - np.exp(0.5)) < 1e-10
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            numkit.ode_evolve(np.zeros((3, 3)), np.array([1.0, 0.0]), 0.0, 1.0, 0.1)
+
+    def test_callable_shape_checked(self):
+        # a scalar-only callable returns one matrix for a whole block of times
+        with pytest.raises(ValueError):
+            numkit.ode_evolve(lambda t: np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0, 1.0, 0.1)
+        # a stack of the right length but the wrong dimension
+        with pytest.raises(ValueError):
+            numkit.ode_evolve(
+                lambda t: np.zeros((len(t), 3, 3)), np.array([1.0, 0.0]), 0.0, 1.0, 0.1
+            )
+
+    def test_generator_called_once_per_stage_block(self):
+        calls = []
+
+        def generator(t):
+            calls.append(len(t))
+            return np.zeros((len(t), 1, 1))
+
+        n_steps = 2 * numkit.STAGE_BLOCK + 5
+        numkit.ode_evolve(generator, np.array([1.0]), 0.0, 1.0, 1.0 / n_steps)
+        blocks = [numkit.STAGE_BLOCK, numkit.STAGE_BLOCK, 5]
+        assert calls == [3 * b for b in blocks]
+
+    def test_stage_times_as_per_step(self):
+        # the stage times each step sees: t_i, t_i + h/2 (twice), t_i + h
+        seen = []
+
+        def rhs(t, y):
+            seen.append(t)
+            return np.zeros_like(y)
+
+        traj = numkit.rk4_path(rhs, np.array([1.0]), 0.1, 0.7, 0.003)
+        h = (0.7 - 0.1) / (len(traj) - 1)
+        expected = []
+        for t in traj.times[:-1]:
+            expected += [t, t + 0.5 * h, t + 0.5 * h, t + h]
+        assert seen == expected
 
     def test_non_finite_reports_time(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as info:
