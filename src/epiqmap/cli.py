@@ -103,6 +103,17 @@ def _finite_number(value):
     return number if -sys.float_info.max <= number <= sys.float_info.max else None
 
 
+def _number_field(value, where):
+    number = _finite_number(value)
+    _require(number is not None, "%s must be a finite number" % where)
+    return number
+
+
+def _number_list(value, n, where):
+    _require(isinstance(value, list) and len(value) == n, "%s must list %d numbers" % (where, n))
+    return [_number_field(v, "%s[%d]" % (where, i)) for i, v in enumerate(value)]
+
+
 def _rate_spec(value, where):
     number = _finite_number(value)
     if number is not None:
@@ -132,21 +143,24 @@ def _parse_generator2(spec, where):
 
 
 def _complex_field(value, where):
-    if isinstance(value, (int, float)):
-        return complex(value)
+    number = _finite_number(value)
+    if number is not None:
+        return complex(number)
     if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ScenarioError("%s: expected number or [re, im] pair" % where)
+        re, im = (_finite_number(v) for v in value)
+        if re is not None and im is not None:
+            return complex(re, im)
+    raise ScenarioError("%s: expected a finite number or [re, im] pair of them" % where)
 
 
 def _parse_hamiltonian(spec):
     _require(isinstance(spec, dict), "hamiltonian must be an object")
     for key in ("ep", "ts_a", "ts_b", "ec"):
         _require(key in spec, "hamiltonian missing field %r" % key)
+    _require(isinstance(spec["ep"], list) and len(spec["ep"]) == 4,
+             "hamiltonian.ep must list four on-site energies")
     ep = [_complex_field(v, "hamiltonian.ep[%d]" % i) for i, v in enumerate(spec["ep"])]
-    _require(len(ep) == 4, "hamiltonian.ep must list four on-site energies")
-    ec = [float(v) for v in spec["ec"]]
-    _require(len(ec) == 4, "hamiltonian.ec must list four Coulomb energies")
+    ec = _number_list(spec["ec"], 4, "hamiltonian.ec")
     ts_a = _complex_field(spec["ts_a"], "hamiltonian.ts_a")
     ts_b = _complex_field(spec["ts_b"], "hamiltonian.ts_b")
     ts_a_21 = (
@@ -201,7 +215,7 @@ def _parse_events(raw, model, t0, t1):
         where = "events[%d]" % k
         _require(isinstance(entry, dict), "%s must be an object" % where)
         _require("time" in entry and "type" in entry, "%s needs time and type" % where)
-        t = float(entry["time"])
+        t = _number_field(entry["time"], "%s.time" % where)
         kind = entry["type"]
         _require(t0 <= t <= t1, "%s time %r outside [t0, t1]" % (where, t))
         _require(kind in allowed, "%s type %r not supported for model %s" % (where, kind, model))
@@ -224,10 +238,13 @@ def _parse_events(raw, model, t0, t1):
                      "%s population must be a positive integer" % where)
             _require(isinstance(tested, int) and 0 <= tested <= population,
                      "%s tested must be an integer in [0, population]" % where)
-            _require(isinstance(entry["p_test"], list) and len(entry["p_test"]) == 2,
-                     "%s p_test must list two probabilities" % where)
+            _number_list(entry["p_test"], 2, "%s.p_test" % where)
         elif kind == "aharonov_bohm":
-            _require("a_x" in entry and len(entry["a_x"]) == 4, "%s needs a_x with 4 sites" % where)
+            _require("a_x" in entry, "%s needs a_x with 4 sites" % where)
+            _number_list(entry["a_x"], 4, "%s.a_x" % where)
+            for field in ("dot_diameter", "e_over_hbar"):
+                if field in entry:
+                    _number_field(entry[field], "%s.%s" % (where, field))
         events.append(Event(t, kind, payload))
     times = [e.time for e in events]
     _require(times == sorted(times), "events must be sorted by time")
@@ -242,9 +259,13 @@ def parse_scenario(config):
     _require(model in MODELS, "model must be one of %s" % (MODELS,))
     for key in ("t0", "t1", "dt"):
         _require(key in config, "missing field %r" % key)
-    t0, t1, dt = float(config["t0"]), float(config["t1"]), float(config["dt"])
+    t0, t1, dt = (_number_field(config[key], key) for key in ("t0", "t1", "dt"))
     _require(t0 < t1, "t0 must be < t1")
     _require(dt > 0, "dt must be > 0")
+    try:
+        numkit.step_count(t0, t1, dt)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     _require("initial_state" in config, "missing field 'initial_state'")
 
     events, needs_seed = _parse_events(config.get("events", []), model, t0, t1)
@@ -261,8 +282,7 @@ def parse_scenario(config):
     raw_state = config["initial_state"]
     if model == "epidemic2":
         params["generator"] = _parse_generator2(config.get("generator"), "generator")
-        state = np.asarray(raw_state, dtype=float)
-        _require(state.shape == (2,), "initial_state must have 2 entries")
+        state = np.array(_number_list(raw_state, 2, "initial_state"))
     elif model == "epidemicN":
         spec = config.get("generator")
         _require(isinstance(spec, dict) and "matrix" in spec, "generator.matrix required")
@@ -275,15 +295,14 @@ def parse_scenario(config):
         ]
         _require(all(len(row) == n for row in grid), "generator.matrix must be square")
         params["matrix"] = epidemic.RateMatrix(grid).matrix
-        state = np.asarray(raw_state, dtype=float)
-        _require(state.shape == (n,), "initial_state must have %d entries" % n)
+        state = np.array(_number_list(raw_state, n, "initial_state"))
     elif model == "coupled4":
         params["generator"] = _parse_coupled(config.get("generator"))
-        state = np.asarray(raw_state, dtype=float)
-        _require(state.shape == (4,), "initial_state must have 4 entries")
+        state = np.array(_number_list(raw_state, 4, "initial_state"))
     else:  # quantum2q, mapping
         params["hamiltonian"] = _parse_hamiltonian(config.get("hamiltonian"))
-        _require(len(raw_state) == 4, "initial_state must have 4 amplitudes")
+        _require(isinstance(raw_state, list) and len(raw_state) == 4,
+                 "initial_state must have 4 amplitudes")
         state = np.array(
             [_complex_field(v, "initial_state[%d]" % i) for i, v in enumerate(raw_state)]
         )
@@ -379,7 +398,7 @@ def _apply_quantum_event(state, event, rng):
 
 
 def _negativity_check(states):
-    worst = float(max(epidemic.simplex_violation(p) for p in states))
+    worst = epidemic.simplex_violation(states)
     return {
         "name": "max_simplex_violation", "value": worst,
         "tolerance": None, "passed": None,

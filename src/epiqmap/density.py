@@ -24,6 +24,8 @@ EomResiduals = namedtuple("EomResiduals", ["transpose_form", "anticommutator"])
 
 
 def _rate_matrix(generator, t):
+    if isinstance(generator, np.ndarray) and generator.dtype == float:
+        return generator
     if hasattr(generator, "matrix"):
         return generator.matrix(t)
     if callable(generator):
@@ -33,7 +35,8 @@ def _rate_matrix(generator, t):
 
 def _check_floor(p, floor, t=None):
     p = np.asarray(p, dtype=float)
-    low = p.min()
+    # a Python min over the few entries costs a fraction of p.min()
+    low = min(p.ravel().tolist())
     if low < floor:
         raise FloorViolationError(
             "probability %.3e below floor %.3e" % (low, floor),
@@ -51,17 +54,20 @@ def sqrt_dynamics_generator(generator, p, t=0.0, floor=PROBABILITY_FLOOR):
     p = _check_floor(p, floor, t)
     s = _rate_matrix(generator, t)
     a = np.sqrt(p)
-    return 0.5 * s * (a[None, :] / a[:, None])
+    return 0.5 * s * (a / a[:, None])
 
 
 def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     """RK4 trajectory of the amplitudes a = sqrt(p) under H(t, p).
 
     The generator depends on the instantaneous state, so this is a
-    self-consistent (nonlinear) integration even for constant S.
+    self-consistent (nonlinear) integration even for constant S.  A
+    constant S is converted to a float array once, not on every call.
     """
     p0 = _check_floor(p0, floor, t0)
     a0 = np.sqrt(p0)
+    if not (hasattr(generator, "matrix") or callable(generator)):
+        generator = np.asarray(generator, dtype=float)
 
     def rhs(tau, a):
         return sqrt_dynamics_generator(generator, a * a, tau, floor) @ a

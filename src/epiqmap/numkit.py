@@ -2,9 +2,10 @@
 
 Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential, a deterministic
-eigendecomposition, a fixed-step RK4 integrator with dense output, and
-central finite differences.  All functions are pure; inputs are never
-mutated.
+eigendecomposition, a fixed-step RK4 integrator with dense output (a
+per-stage path for any right-hand side, an increment-matrix path for
+constant linear systems), and central finite differences.  All
+functions are pure; inputs are never mutated.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,11 @@ MAX_DIM = 16
 
 # RK4 steps per stage_values call: bounds the stage-value memory of a run
 STAGE_BLOCK = 128
+
+# the most steps one integration may take, checked before its sample
+# array is allocated (10 million complex rows of a 16-state vector are
+# 2.6 GB)
+MAX_STEPS = 10_000_000
 
 _SERIES_FLOOR = 1e-18
 
@@ -138,6 +144,35 @@ def eig(m, residual_tol=1e-10):
     return values, vectors
 
 
+def step_count(t0, t1, dt):
+    """Number of uniform steps of size at most dt from t0 to t1.
+
+    0 for an empty span.  Raises ValueError for dt <= 0 and for a span
+    that needs more than MAX_STEPS steps (or a non-finite one), so a run
+    can be refused before anything is allocated.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    span = abs(t1 - t0)
+    steps = np.ceil(span / dt - 1e-12)
+    if not steps <= MAX_STEPS:
+        raise ValueError(
+            "|t1 - t0| / dt = %r / %r needs more than %d steps" % (span, dt, MAX_STEPS)
+        )
+    return max(1, int(steps)) if span else 0
+
+
+def _sample_times(t0, t1, dt):
+    """(times, h): the uniform grid of step_count steps, ending exactly on t1."""
+    n_steps = step_count(t0, t1, dt)
+    if n_steps == 0:
+        return np.array([t0], dtype=float), 0.0
+    h = (t1 - t0) / n_steps
+    times = t0 + h * np.arange(n_steps + 1)
+    times[-1] = t1
+    return times, h
+
+
 def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     """Classical fixed-step RK4 on dy/dt = f(s, y) with dense output.
 
@@ -150,17 +185,10 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     stage_values is called once per block of at most STAGE_BLOCK steps,
     so work that depends on time alone is done in one vectorized call.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
-    span = t1 - t0
-    if span == 0:
-        return Trajectory(np.array([t0]), y[None, :].copy())
-    n_steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
-    h = span / n_steps
+    n_steps = len(times) - 1
     half, sixth = 0.5 * h, h / 6.0
-    times = t0 + h * np.arange(n_steps + 1)
-    times[-1] = t1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
     for start in range(0, n_steps, STAGE_BLOCK):
@@ -182,41 +210,84 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     return Trajectory(times, states)
 
 
+def rk4_step_matrix(g, h):
+    """The RK4 increment matrix D of dy/dt = G y for one step of size h.
+
+    One RK4 step is y + D @ y, with D = (h/6)(k1 + 2 k2 + 2 k3 + k4),
+    k1 = G, k2 = G + (h/2) G k1, k3 = G + (h/2) G k2, k4 = G + h G k3:
+    the stage path's arithmetic done once on matrices instead of on
+    every step's vectors.  g is one (d, d) matrix or an (n, d, d) stack.
+    Keep the step as an increment: I + D would store 1 + O(h) on its
+    diagonal and round it the same way on every step.
+    """
+    g = np.asarray(g)
+    half = 0.5 * h
+    k1 = g
+    k2 = g + half * (g @ k1)
+    k3 = g + half * (g @ k2)
+    k4 = g + h * (g @ k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _increment_path(g, y0, t0, t1, dt):
+    """RK4 of the constant system dy/dt = G y, one increment matrix per run.
+
+    Finiteness is checked once per block of STAGE_BLOCK steps; a
+    non-finite state raises NonFiniteStateError at its sample time,
+    as on the stage path.
+    """
+    times, h = _sample_times(t0, t1, dt)
+    dtype = complex if np.iscomplexobj(y0) or np.iscomplexobj(g) else float
+    # increment.dot(y) is increment @ y with less call overhead
+    increment = rk4_step_matrix(g, h).dot
+    states = np.empty((len(times), len(y0)), dtype=dtype)
+    states[0] = y0
+    y = states[0]
+    for start in range(1, len(times), STAGE_BLOCK):
+        stop = min(start + STAGE_BLOCK, len(times))
+        for i in range(start, stop):
+            y = y + increment(y)
+            states[i] = y
+        finite = np.isfinite(states[start:stop].view(float)).all(axis=1)
+        if not finite.all():
+            raise NonFiniteStateError(times[start + int(finite.argmin())])
+    return Trajectory(times, states)
+
+
 def _linear_rhs(g, y):
     return g @ y
 
 
 def ode_evolve(generator, y0, t0, t1, dt):
-    """Integrate the linear system dy/dt = G(t) y.
+    """Integrate the linear system dy/dt = G(t) y by fixed-step RK4.
 
     generator is a constant (d, d) matrix or a callable following the
     generator protocol: given a 1-d array of n times it returns the
     (n, d, d) stack of G at those times.  The callable is evaluated once
     per block of RK4 stage times (see rk4_path); a constant matrix is
-    broadcast over the stages, never copied.
+    folded into one increment matrix (see rk4_step_matrix) and each
+    step is y + D @ y.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1:
         raise ValueError("state must be a 1-d vector, got shape %r" % (y0.shape,))
     d = len(y0)
-    if callable(generator):
-        def stage_matrices(ts):
-            g = np.asarray(generator(ts))
-            if g.shape != (len(ts), d, d):
-                raise ValueError(
-                    "generator returned shape %r for %d times; expected (%d, %d, %d)"
-                    % (g.shape, len(ts), len(ts), d, d)
-                )
-            return g
-    else:
-        g_const = np.asarray(generator)
-        if g_const.shape != (d, d):
+    if not callable(generator):
+        g = np.asarray(generator)
+        if g.shape != (d, d):
             raise ValueError(
-                "generator shape %r does not match state length %d" % (g_const.shape, d)
+                "generator shape %r does not match state length %d" % (g.shape, d)
             )
+        return _increment_path(g, y0, t0, t1, dt)
 
-        def stage_matrices(ts):
-            return np.broadcast_to(g_const, (len(ts), d, d))
+    def stage_matrices(ts):
+        g = np.asarray(generator(ts))
+        if g.shape != (len(ts), d, d):
+            raise ValueError(
+                "generator returned shape %r for %d times; expected (%d, %d, %d)"
+                % (g.shape, len(ts), len(ts), d, d)
+            )
+        return g
     return rk4_path(_linear_rhs, y0, t0, t1, dt, stage_matrices)
 
 

@@ -103,21 +103,15 @@ def evolve_schrodinger(hamiltonian, psi0, t0, t, dt):
 
     hamiltonian may be a constant complex matrix, a QubitPairHamiltonian,
     or a callable following the generator protocol of numkit.ode_evolve
-    (a 1-d array of n times -> the (n, d, d) stack of H).
+    (a 1-d array of n times -> the (n, d, d) stack of H).  A constant H
+    is stepped by numkit.ode_evolve's increment matrix of -i H.
     """
     if isinstance(hamiltonian, QubitPairHamiltonian):
         hamiltonian = build_hamiltonian(hamiltonian)
-    if callable(hamiltonian):
-        stage_hamiltonians = hamiltonian
-    else:
-        h_const = np.asarray(hamiltonian, dtype=complex)
-
-        def stage_hamiltonians(ts):
-            return np.broadcast_to(h_const, (len(ts),) + h_const.shape)
     psi0 = np.asarray(psi0, dtype=complex)
-    return numkit.rk4_path(
-        lambda h, psi: -1j * (h @ psi), psi0, t0, t, dt, stage_hamiltonians
-    )
+    if not callable(hamiltonian):
+        return numkit.ode_evolve(-1j * np.asarray(hamiltonian, dtype=complex), psi0, t0, t, dt)
+    return numkit.rk4_path(lambda h, psi: -1j * (h @ psi), psi0, t0, t, dt, hamiltonian)
 
 
 def wave_from_polar(probabilities, phases):

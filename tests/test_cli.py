@@ -232,6 +232,33 @@ class TestValidation:
         ))
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config", [
+        epidemic2_config(t1=float("inf")),
+        epidemic2_config(dt=True),
+        epidemic2_config(t0="0"),
+        epidemic2_config(initial_state=["0.7", 0.3]),
+        epidemic2_config(events=[{"time": "0.5", "type": "projective", "target": 1}]),
+        quantum_config(hamiltonian=dict(quantum_config()["hamiltonian"], ec=["a", 0, 0, 0])),
+        quantum_config(hamiltonian=dict(quantum_config()["hamiltonian"],
+                                        ep=[float("nan"), 0.95, 1.05, 0.95])),
+        quantum_config(hamiltonian=dict(quantum_config()["hamiltonian"], ts_a=[0.1, True])),
+        quantum_config(initial_state=[[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, "x"]]),
+        epidemic2_config(events=[{"time": 0.5, "type": "weak", "population": 100,
+                                  "tested": 20, "p_test": ["0.9", 0.1]}]),
+        quantum_config(events=[{"time": 0.5, "type": "aharonov_bohm",
+                                "a_x": [0.1, 0.1, float("nan"), 0.1]}]),
+    ], ids=["t1_infinity", "dt_true", "t0_string", "state_string", "event_time_string",
+            "ec_string", "ep_nan", "ts_bool_part", "amplitude_string", "p_test_string",
+            "a_x_nan"])
+    def test_numeric_fields_must_be_finite_numbers_exits_2(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+    def test_step_budget_refused_at_parse_time(self):
+        # parse only: nothing is integrated or allocated
+        with pytest.raises(cli.ScenarioError, match="steps"):
+            cli.parse_scenario(epidemic2_config(dt=1e-300))
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # rotational generator: complex spectrum, so ensemble weights fail
         cfg = write_config(tmp_path, epidemic2_config(
@@ -260,6 +287,13 @@ class TestVerifyCommand:
         monkeypatch.setattr(acceptance, "CRITERIA", (("broken", broken, "stub"),))
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_negativity_check_is_worst_row():
+    states = np.array([[0.5, 0.5], [-1e-3, 1.0], [0.2, -4e-3], [1.0, 0.0]])
+    check = cli._negativity_check(states)
+    assert check["value"] == max(max(0.0, -row.min()) for row in states) == 4e-3
+    assert cli._negativity_check(np.abs(states))["value"] == 0.0
 
 
 class TestNormalizationGuard:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiqmap import numkit
 from epiqmap.errors import NonFiniteStateError
@@ -220,6 +222,122 @@ class TestOdeEvolve:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as info:
             numkit.ode_evolve(np.array([[1e8]]), np.array([1.0]), 0.0, 10.0, 0.1)
         assert info.value.time > 0
+
+
+def broadcast(g):
+    """g as a generator-protocol callable, so ode_evolve takes the stage path."""
+    return lambda ts: np.broadcast_to(g, (len(ts),) + g.shape)
+
+
+def random_system(seed, d, complex_valued):
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, size=(d, d))
+    y0 = rng.uniform(-1.0, 1.0, size=d)
+    if complex_valued:
+        g = g + 1j * rng.uniform(-1.0, 1.0, size=(d, d))
+        y0 = y0 + 1j * rng.uniform(-1.0, 1.0, size=d)
+    return g, y0
+
+
+class TestIncrementPath:
+    """A constant generator is stepped as y + D @ y with D = rk4_step_matrix(G, h)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(2, False), (4, False), (8, False), (16, False),
+                               (2, True), (4, True)]),
+        t0=st.floats(-5.0, 5.0),
+        span=st.floats(0.05, 2.0),
+        backward=st.booleans(),
+        dt=st.floats(0.01, 0.2),
+    )
+    def test_matches_stage_path(self, seed, shape, t0, span, backward, dt):
+        g, y0 = random_system(seed, *shape)
+        t1 = t0 - span if backward else t0 + span
+        const = numkit.ode_evolve(g, y0, t0, t1, dt)
+        stage = numkit.ode_evolve(broadcast(g), y0, t0, t1, dt)
+        assert np.array_equal(const.times, stage.times)
+        assert const.states.dtype == stage.states.dtype
+        scale = np.abs(stage.states).max()
+        assert np.abs(const.states - stage.states).max() <= 1e-12 * scale
+
+    def test_spans_off_the_step_grid(self):
+        # 0.7 / 0.3 is not a whole number of steps: the step shrinks to 0.7 / 3
+        g, y0 = random_system(5, 4, False)
+        const = numkit.ode_evolve(g, y0, 0.0, 0.7, 0.3)
+        stage = numkit.ode_evolve(broadcast(g), y0, 0.0, 0.7, 0.3)
+        assert len(const) == 4 and const.times[-1] == 0.7
+        assert np.abs(const.states - stage.states).max() <= 1e-14 * np.abs(stage.states).max()
+
+    def test_empty_span(self):
+        traj = numkit.ode_evolve(np.eye(2), np.array([1.0, 2.0]), 0.5, 0.5, 0.1)
+        assert np.array_equal(traj.times, [0.5]) and np.array_equal(traj.states, [[1.0, 2.0]])
+
+    def test_step_matrix_is_one_rk4_step(self):
+        g, y0 = random_system(3, 4, True)
+        h = 0.05
+        k1 = g @ y0
+        k2 = g @ (y0 + 0.5 * h * k1)
+        k3 = g @ (y0 + 0.5 * h * k2)
+        k4 = g @ (y0 + h * k3)
+        stage = y0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step = y0 + numkit.rk4_step_matrix(g, h) @ y0
+        assert np.abs(step - stage).max() <= 1e-14
+
+    def test_step_matrix_of_a_stack(self):
+        stack = np.random.default_rng(9).uniform(-1.0, 1.0, size=(5, 3, 3))
+        batched = numkit.rk4_step_matrix(stack, 0.1)
+        assert batched.shape == (5, 3, 3)
+        for g, d in zip(stack, batched):
+            assert np.abs(d - numkit.rk4_step_matrix(g, 0.1)).max() <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(rate=st.floats(200.0, 1000.0), dt=st.floats(0.01, 0.1), backward=st.booleans())
+    def test_non_finite_time_matches_stage_path(self, rate, dt, backward):
+        # y2 moves linearly from near the largest float and overflows after
+        # 10-500 steps; no stage value overflows before the state does
+        sign = -1.0 if backward else 1.0
+        g = np.array([[0.0, 0.0], [rate, 0.0]])
+        y0 = np.array([1e304, sign * 1.7e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as const:
+                numkit.ode_evolve(g, y0, 0.0, sign * 10.0, dt)
+            with pytest.raises(NonFiniteStateError) as stage:
+                numkit.ode_evolve(broadcast(g), y0, 0.0, sign * 10.0, dt)
+        assert const.value.time == stage.value.time
+
+    def test_non_finite_initial_state_fails_at_first_step(self):
+        y0 = np.array([np.nan, 1.0])
+        with pytest.raises(NonFiniteStateError) as const:
+            numkit.ode_evolve(np.eye(2), y0, 0.0, 1.0, 0.1)
+        with pytest.raises(NonFiniteStateError) as stage:
+            numkit.ode_evolve(broadcast(np.eye(2)), y0, 0.0, 1.0, 0.1)
+        assert const.value.time == stage.value.time == 0.1
+
+
+class TestStepBudget:
+    def test_step_count(self):
+        assert numkit.step_count(0.0, 1.0, 0.25) == 4
+        assert numkit.step_count(1.0, 0.0, 0.3) == 4
+        assert numkit.step_count(2.0, 2.0, 0.1) == 0
+        assert numkit.step_count(0.0, 1.0, numkit.MAX_STEPS ** -1) == numkit.MAX_STEPS
+
+    @pytest.mark.parametrize("t1, dt", [
+        (1.0, 1e-300), (2.0, 1.0 / numkit.MAX_STEPS), (np.inf, 0.1), (np.nan, 0.1), (1.0, 0.0),
+    ])
+    def test_step_count_refuses(self, t1, dt):
+        with pytest.raises(ValueError):
+            numkit.step_count(0.0, t1, dt)
+
+    @pytest.mark.parametrize("generator", ["constant", "callable"])
+    def test_refused_before_stepping(self, monkeypatch, generator):
+        # a small budget, so a missing check would only allocate 101 rows
+        monkeypatch.setattr(numkit, "MAX_STEPS", 50)
+        g = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="more than 50 steps"):
+            numkit.ode_evolve(g if generator == "constant" else broadcast(g),
+                              np.ones(2), 0.0, 1.0, 0.01)
 
 
 class TestNumericDerivative:
