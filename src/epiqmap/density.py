@@ -2,13 +2,15 @@
 
 Writing a = sqrt(p) turns the linear master equation dp/dt = S p into a
 Schrodinger-like equation da/dt = H(t, p) a with the state-dependent
-generator H = (1/2) D(a)^-1 S D(a).  The transform is exact, so squaring
-the evolved amplitudes must reproduce the master-equation flow; that
-equivalence is used as a built-in consistency check.  The outer product
-rho = a a^T plays the role of a density matrix: it is symmetric, its
-diagonal carries the probabilities, and it obeys
-d rho/dt = H rho + rho H^T (the anticommutator form exactly when H is
-symmetric).
+generator H = (1/2) D(a)^-1 S D(a).  Since D(a) a = p, the flow needs
+only H a = (1/2) D(a)^-1 S p, so the amplitude trajectory never forms
+H; sqrt_dynamics_generator builds it where H itself is wanted.  The
+transform is exact, so squaring the evolved amplitudes must reproduce
+the master-equation flow; that equivalence is used as a built-in
+consistency check.  The outer product rho = a a^T plays the role of a
+density matrix: it is symmetric, its diagonal carries the
+probabilities, and it obeys d rho/dt = H rho + rho H^T (the
+anticommutator form exactly when H is symmetric).
 """
 
 from collections import namedtuple
@@ -24,8 +26,6 @@ EomResiduals = namedtuple("EomResiduals", ["transpose_form", "anticommutator"])
 
 
 def _rate_matrix(generator, t):
-    if isinstance(generator, np.ndarray) and generator.dtype == float:
-        return generator
     if hasattr(generator, "matrix"):
         return generator.matrix(t)
     if callable(generator):
@@ -61,16 +61,28 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     """RK4 trajectory of the amplitudes a = sqrt(p) under H(t, p).
 
     The generator depends on the instantaneous state, so this is a
-    self-consistent (nonlinear) integration even for constant S.  A
-    constant S is converted to a float array once, not on every call.
+    self-consistent (nonlinear) integration even for constant S.  The
+    right-hand side is H a = (1/2) (S p) / a: one matrix-vector product,
+    H itself is never formed.  A constant S is converted and halved once;
+    a time-dependent one is evaluated at each stage time, which is also
+    the time a FloorViolationError reports.
     """
     p0 = _check_floor(p0, floor, t0)
     a0 = np.sqrt(p0)
-    if not (hasattr(generator, "matrix") or callable(generator)):
-        generator = np.asarray(generator, dtype=float)
+    if hasattr(generator, "matrix") or callable(generator):
+        def half_rates(tau):
+            return 0.5 * _rate_matrix(generator, tau)
+    else:
+        half = 0.5 * np.asarray(generator, dtype=float)
+
+        def half_rates(tau):
+            return half
 
     def rhs(tau, a):
-        return sqrt_dynamics_generator(generator, a * a, tau, floor) @ a
+        p = a * a
+        if min(p.tolist()) < floor:
+            _check_floor(p, floor, tau)
+        return half_rates(tau) @ p / a
 
     return numkit.rk4_path(rhs, a0, t0, t, dt)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .errors import ComplexSpectrumError, DegenerateFrameError
+from .errors import ComplexSpectrumError, DegenerateFrameError, FloorViolationError
 
 S21_FLOOR = 1e-10
 _PREFACTOR_FLOOR = 1e-10
@@ -373,7 +373,7 @@ def measure_projective(p, outcome):
     """Collapse onto state 1 or 2; the caller chooses/samples the outcome."""
     p = np.asarray(p, dtype=float)
     if p.sum() <= 0:
-        raise ValueError("total probability must be positive to measure")
+        raise FloorViolationError("total probability must be positive to measure")
     if outcome == 1:
         return np.array([1.0, 0.0])
     if outcome == 2:
@@ -386,7 +386,7 @@ def sample_outcome(p, rng):
     p = np.asarray(p, dtype=float)
     total = p.sum()
     if total <= 0:
-        raise ValueError("total probability must be positive to sample")
+        raise FloorViolationError("total probability must be positive to sample")
     return 1 if rng.random() < p[0] / total else 2
 
 

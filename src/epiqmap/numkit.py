@@ -184,6 +184,12 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     1-d array of stage times to one value per time, s is that value:
     stage_values is called once per block of at most STAGE_BLOCK steps,
     so work that depends on time alone is done in one vectorized call.
+
+    NonFiniteStateError is raised, at the step's end time, as soon as
+    any stage derivative of the step overflows, even when the scaled
+    increment would have been finite.  So near the overflow edge this
+    path can stop one step before the increment path of a constant
+    system (see ode_evolve), whose state is still finite there.
     """
     times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()

@@ -141,22 +141,27 @@ def polar_split(trajectory, floor=PHASE_HOLD_FLOOR):
 
     Phases unwrap greedily: at each step the branch closest to the
     previous sample is chosen, so linear phase evolution continues past
-    +/- pi.  Where p_k < floor the phase is held and flagged.
+    +/- pi.  Where p_k < floor the phase is held and flagged.  Sample 0
+    keeps its raw phase and, held or not, is the first defining sample.
+
+    Whole-array form of that per-sample rule: a defining sample i takes
+    raw[i] + 2 pi K[i], where K[i] - K[j] = round((raw[j] - raw[i]) / 2 pi)
+    and j is the defining sample before it; a held sample copies the
+    phase of the last defining sample.
     """
     states = np.asarray(trajectory.states)
     probs = np.abs(states) ** 2
     raw = np.angle(states)
-    phases = np.empty_like(raw)
-    held = np.zeros(raw.shape, dtype=bool)
-    phases[0] = raw[0]
-    held[0] = probs[0] < floor
+    held = probs < floor
+    defining = ~held
+    rows = np.arange(len(raw))[:, None]
+    cols = np.arange(raw.shape[1])
+    # filling held rows with 0 makes sample 0 defining, held or not
+    last = np.maximum.accumulate(np.where(defining, rows, 0), axis=0)
+    before = np.concatenate((last[:1], last[:-1]))
     two_pi = 2.0 * np.pi
-    for i in range(1, len(raw)):
-        prev = phases[i - 1]
-        candidate = raw[i] + two_pi * np.round((prev - raw[i]) / two_pi)
-        low = probs[i] < floor
-        phases[i] = np.where(low, prev, candidate)
-        held[i] = low
+    turns = np.where(defining, np.round((raw[before, cols] - raw) / two_pi), 0.0)
+    phases = (raw + two_pi * np.cumsum(turns, axis=0))[last, cols]
     return PolarTrajectory(trajectory.times, probs, phases, held)
 
 

@@ -28,6 +28,9 @@ def epidemic2_config(**overrides):
     return config
 
 
+ZERO_RATES = {"s11": 0, "s12": 0, "s21": 0, "s22": 0}
+
+
 def quantum_config(**overrides):
     config = {
         "schema": 1,
@@ -266,6 +269,21 @@ class TestValidation:
             outputs=["probabilities", "ensemble_weights"],
         ))
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("config", [
+        epidemic2_config(generator=ZERO_RATES, initial_state=[0, 0], seed=3,
+                         events=[{"time": 0.5, "type": "projective", "target": "sample"}]),
+        epidemic2_config(generator=ZERO_RATES, initial_state=[0, 0],
+                         events=[{"time": 0.5, "type": "projective", "target": 1}]),
+        {"schema": 1, "model": "coupled4", "t0": 0.0, "t1": 1.0, "dt": 0.1, "seed": 3,
+         "generator": {"form": "kron_sum", "sa": ZERO_RATES, "sb": ZERO_RATES},
+         "initial_state": [0, 0, 0, 0],
+         "events": [{"time": 0.5, "type": "projective", "target": "sample_A"}]},
+    ], ids=["epidemic2_sample", "epidemic2_target_1", "coupled4_sample_A"])
+    def test_measuring_zero_probability_exits_3(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

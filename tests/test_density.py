@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epiqmap import density, numkit
+from epiqmap import density, epidemic, numkit
 from epiqmap.errors import FloorViolationError
 
 GENERIC_S4 = np.array(
@@ -68,6 +70,64 @@ class TestEvolveSqrt:
             density.evolve_sqrt(s, np.array([1e-10, 0.5, 0.3, 0.2]), 0.0, 2.0, 1e-3,
                                 floor=1e-12, check=False)
         assert info.value.time is not None
+
+
+def h_forming_rhs(generator, floor=density.PROBABILITY_FLOOR):
+    """Reference right-hand side: form H(t, a * a) explicitly, then H @ a."""
+    def rhs(tau, a):
+        return density.sqrt_dynamics_generator(generator, a * a, tau, floor) @ a
+    return rhs
+
+
+def random_master_rates(rng, d):
+    """Nonnegative off-diagonal rates with conserving columns: p stays interior."""
+    s = rng.uniform(0.0, 1.0, size=(d, d))
+    np.fill_diagonal(s, 0.0)
+    return s - np.diag(s.sum(axis=0))
+
+
+TABLE_GENERATOR = epidemic.Generator2(
+    -0.2, [[0.0, 0.1], [0.5, 0.4], [1.0, 0.2]], 0.2, [[0.0, -0.3], [1.0, 0.1]]
+)
+
+
+class TestSqrtRightHandSide:
+    """H a = (1/2) (S p) / a, without forming H."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4, 8]),
+           span=st.floats(0.1, 1.0), backward=st.booleans())
+    def test_matches_h_forming_rhs(self, seed, d, span, backward):
+        rng = np.random.default_rng(seed)
+        s = random_master_rates(rng, d)
+        p0 = rng.uniform(0.2, 1.0, size=d)
+        p0 /= p0.sum()
+        t1 = -0.1 * span if backward else span
+        traj = density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 0.01)
+        ref = numkit.rk4_path(h_forming_rhs(s), np.sqrt(p0), 0.0, t1, 0.01)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.abs(traj.states - ref.states).max() <= 1e-12 * np.abs(ref.states).max()
+
+    def test_time_dependent_table_squares_to_master_flow(self):
+        p0 = np.array([0.6, 0.4])
+        traj = density.evolve_sqrt_trajectory(TABLE_GENERATOR, p0, 0.0, 1.5, 1e-3)
+        flow = numkit.ode_evolve(TABLE_GENERATOR.matrix, p0, 0.0, 1.5, 1e-3)
+        assert np.array_equal(traj.times, flow.times)
+        assert np.abs(traj.states ** 2 - flow.states).max() <= 1e-8
+
+    @pytest.mark.parametrize("generator", [
+        np.diag([0.0, 0.0, -50.0, 0.0]),
+        lambda t: np.diag([0.0, 0.0, -50.0 * (1.0 + t), 0.0]),
+    ], ids=["constant", "callable"])
+    def test_floor_violation_time_and_component(self, generator):
+        p0 = np.array([0.5, 0.3, 1e-10, 0.2])
+        with pytest.raises(FloorViolationError) as new:
+            density.evolve_sqrt_trajectory(generator, p0, 0.0, 2.0, 1e-3)
+        with pytest.raises(FloorViolationError) as old:
+            numkit.rk4_path(h_forming_rhs(generator), np.sqrt(p0), 0.0, 2.0, 1e-3)
+        assert new.value.time == old.value.time
+        assert new.value.component == old.value.component == 2
+        assert 0.0 < new.value.time < 2.0
 
 
 class TestDensityMatrix:

@@ -307,6 +307,18 @@ class TestIncrementPath:
                 numkit.ode_evolve(broadcast(g), y0, 0.0, sign * 10.0, dt)
         assert const.value.time == stage.value.time
 
+    def test_stage_overflow_stops_the_stage_path_first(self):
+        # in the last step k4 = G (y + h k3) overflows to inf, so the stage
+        # path raises at t = 40, while y + D @ y is still about 3.0e307
+        g = np.diag([20.0, -20.0])
+        y0 = np.array([1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            const = numkit.ode_evolve(g, y0, 0.0, 40.0, 0.19921875)
+            with pytest.raises(NonFiniteStateError) as stage:
+                numkit.ode_evolve(broadcast(g), y0, 0.0, 40.0, 0.19921875)
+        assert stage.value.time == const.times[-1] == 40.0
+        assert np.isfinite(const.final).all() and const.final[0] > 1e307
+
     def test_non_finite_initial_state_fails_at_first_step(self):
         y0 = np.array([np.nan, 1.0])
         with pytest.raises(NonFiniteStateError) as const:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiqmap import numkit, quantum
 
@@ -112,6 +114,24 @@ class TestEvolveSchrodinger:
         assert np.all(np.diff(totals) < 0)
 
 
+def polar_split_loop(states, floor=quantum.PHASE_HOLD_FLOOR):
+    """Reference: the per-sample unwrapping rule, one Python step per sample."""
+    probs = np.abs(states) ** 2
+    raw = np.angle(states)
+    phases = np.empty_like(raw)
+    held = np.zeros(raw.shape, dtype=bool)
+    phases[0] = raw[0]
+    held[0] = probs[0] < floor
+    two_pi = 2.0 * np.pi
+    for i in range(1, len(raw)):
+        prev = phases[i - 1]
+        candidate = raw[i] + two_pi * np.round((prev - raw[i]) / two_pi)
+        low = probs[i] < floor
+        phases[i] = np.where(low, prev, candidate)
+        held[i] = low
+    return phases, held
+
+
 class TestPolarSplit:
     def test_basis_state(self):
         traj = numkit.Trajectory(np.array([0.0]), np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex))
@@ -143,6 +163,33 @@ class TestPolarSplit:
         polar = quantum.polar_split(numkit.Trajectory(np.arange(3.0), states))
         assert polar.held[1, 1]
         assert polar.phases[1, 1] == polar.phases[0, 1]
+
+    def test_matches_per_sample_loop_on_reference_trajectory(self):
+        psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
+        traj = quantum.evolve_schrodinger(hermitian_params(), psi0, 0.0, 50.0, 1e-3)
+        polar = quantum.polar_split(traj)
+        phases, held = polar_split_loop(traj.states)
+        assert len(traj) == 50001
+        assert np.abs(phases[-1]).max() > 10.0 * np.pi  # many turns unwrapped
+        assert np.array_equal(polar.phases, phases)
+        assert np.array_equal(polar.held, held)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           hold_rate=st.sampled_from([0.0, 0.2, 0.6, 0.95]))
+    def test_matches_per_sample_loop_with_held_runs(self, seed, n, hold_rate):
+        # phases step by up to +/- 3 rad, so most samples need a turn; held
+        # samples come in runs (sample 0 included) with p far below the floor
+        rng = np.random.default_rng(seed)
+        phase = np.cumsum(rng.uniform(-3.0, 3.0, size=(n, 3)), axis=0)
+        magnitude = rng.uniform(0.1, 1.0, size=(n, 3))
+        low = np.repeat(rng.random((n // 4 + 1, 3)) < hold_rate, 4, axis=0)[:n]
+        magnitude[low] = rng.choice([0.0, 1e-9, 1e-8], size=int(low.sum()))
+        states = magnitude * np.exp(1j * phase)
+        polar = quantum.polar_split(numkit.Trajectory(np.arange(float(n)), states))
+        phases, held = polar_split_loop(states)
+        assert np.array_equal(polar.held, held)
+        assert np.array_equal(polar.phases, phases)
 
     def test_wave_from_polar_rejects_negative(self):
         with pytest.raises(ValueError):
