@@ -40,7 +40,7 @@ print("embedding gap      :", np.abs(rebuilt - complex_traj.states).max())
 
 # the classical rate matrix at one instant: note the square-root ratios
 # of split components and the zero diagonal (no on-site loss here)
-s8 = mapping.build_s8(params, psi0)
+s8 = mapping.build_split_generator(params, psi0)
 print("\nS(0) first row     :", s8[0])
 print("S(0) diagonal      :", np.diag(s8))
 

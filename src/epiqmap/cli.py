@@ -5,7 +5,8 @@ piecewise-linear [[t, value], ...] tables.  Simulation output is one CSV
 of time series per scenario plus a JSON report and a sidecar metadata
 file; everything written is byte-deterministic for a fixed config and
 seed.  Exit codes: 0 success, 1 failed checks in verify mode, 2
-parse/validation error, 3 numeric failure.
+parse/validation error, 3 numeric failure.  Each model is one entry
+of MODELS, which holds everything that differs between models.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +29,6 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
-
-MODELS = ("epidemic2", "epidemicN", "coupled4", "quantum2q", "mapping")
-
-DEFAULT_OUTPUTS = {
-    "epidemic2": ["probabilities", "ensemble_weights", "ratio"],
-    "epidemicN": ["probabilities"],
-    "coupled4": ["probabilities"],
-    "quantum2q": ["probabilities"],
-    "mapping": ["residuals"],
-}
-
-ALLOWED_OUTPUTS = {
-    "epidemic2": {"probabilities", "ensemble_weights", "ratio"},
-    "epidemicN": {"probabilities"},
-    "coupled4": {"probabilities"},
-    "quantum2q": {"probabilities", "entropies"},
-    "mapping": {"residuals"},
-}
 
 
 class ScenarioError(ValueError):
@@ -66,7 +49,7 @@ class Scenario:
     t1: float
     dt: float
     seed: int
-    params: dict
+    source: object  # what the model's simulate runs: a generator or a Hamiltonian
     initial_state: np.ndarray
     events: list
     outputs: list
@@ -112,6 +95,13 @@ def _number_field(value, where):
 def _number_list(value, n, where):
     _require(isinstance(value, list) and len(value) == n, "%s must list %d numbers" % (where, n))
     return [_number_field(v, "%s[%d]" % (where, i)) for i, v in enumerate(value)]
+
+
+def _probabilities(raw, n):
+    """The initial state of a classical model: n nonnegative numbers."""
+    state = np.array(_number_list(raw, n, "initial_state"))
+    _require(np.all(state >= 0), "initial probabilities must be nonnegative")
+    return state
 
 
 def _rate_spec(value, where):
@@ -178,39 +168,72 @@ def _parse_hamiltonian(spec):
     )
 
 
-def _parse_coupled(spec):
+def _parse_epidemic2(config):
+    generator = _parse_generator2(config.get("generator"), "generator")
+    return generator, _probabilities(config["initial_state"], 2)
+
+
+def _parse_epidemic_n(config):
+    spec = config.get("generator")
+    _require(isinstance(spec, dict) and "matrix" in spec, "generator.matrix required")
+    rows = spec["matrix"]
+    _require(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
+             "generator.matrix must be a list of rows")
+    n = len(rows)
+    _require(2 <= n <= numkit.MAX_DIM, "matrix dimension must be in [2, 16]")
+    grid = [
+        [_rate_spec(v, "generator.matrix[%d][%d]" % (i, j)) for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    _require(all(len(row) == n for row in grid), "generator.matrix must be square")
+    return epidemic.RateMatrix(grid).matrix, _probabilities(config["initial_state"], n)
+
+
+def _parse_coupled4(config):
+    spec = config.get("generator")
     _require(isinstance(spec, dict), "generator must be an object")
     form = spec.get("form")
     if form == "traffic":
         cross = spec.get("cross")
         _require(isinstance(cross, list) and len(cross) == 4, "traffic form needs 4 cross rates")
-        return coupled.build_traffic_generator(
+        generator = coupled.build_traffic_generator(
             _parse_generator2(spec.get("sa"), "generator.sa"),
             _parse_generator2(spec.get("sb"), "generator.sb"),
             [_rate_spec(c, "generator.cross[%d]" % i) for i, c in enumerate(cross)],
         )
-    if form == "symmetric":
-        return coupled.symmetric_traffic_generator(
+    elif form == "symmetric":
+        generator = coupled.symmetric_traffic_generator(
             _parse_generator2(spec.get("s2"), "generator.s2"),
             _rate_spec(spec.get("coupling", 0.0), "generator.coupling"),
         )
-    if form == "kron_sum":
-        return coupled.kron_sum_generator(
+    elif form == "kron_sum":
+        generator = coupled.kron_sum_generator(
             _parse_generator2(spec.get("sa"), "generator.sa"),
             _parse_generator2(spec.get("sb"), "generator.sb"),
         )
-    raise ScenarioError("generator.form must be traffic, symmetric, or kron_sum")
+    else:
+        raise ScenarioError("generator.form must be traffic, symmetric, or kron_sum")
+    return generator, _probabilities(config["initial_state"], 4)
 
 
-def _parse_events(raw, model, t0, t1):
+def _parse_wave(config):
+    """A qubit-pair Hamiltonian and the four complex amplitudes it evolves."""
+    hamiltonian = _parse_hamiltonian(config.get("hamiltonian"))
+    raw = config["initial_state"]
+    _require(isinstance(raw, list) and len(raw) == 4, "initial_state must have 4 amplitudes")
+    state = np.array([_complex_field(v, "initial_state[%d]" % i) for i, v in enumerate(raw)])
+    if hamiltonian.is_hermitian:
+        norm = float((np.abs(state) ** 2).sum())
+        _require(abs(norm - 1.0) <= 1e-9,
+                 "initial_state norm %.12f must be 1 for a Hermitian run" % norm)
+    return hamiltonian, state
+
+
+def _parse_events(raw, name, t0, t1):
     _require(isinstance(raw, list), "events must be a list")
+    model = MODELS[name]
     events = []
     needs_seed = False
-    allowed = {
-        "epidemic2": {"projective", "weak"},
-        "coupled4": {"projective"},
-        "quantum2q": {"aharonov_bohm"},
-    }.get(model, set())
     for k, entry in enumerate(raw):
         where = "events[%d]" % k
         _require(isinstance(entry, dict), "%s must be an object" % where)
@@ -218,34 +241,30 @@ def _parse_events(raw, model, t0, t1):
         t = _number_field(entry["time"], "%s.time" % where)
         kind = entry["type"]
         _require(t0 <= t <= t1, "%s time %r outside [t0, t1]" % (where, t))
-        _require(kind in allowed, "%s type %r not supported for model %s" % (where, kind, model))
-        payload = dict(entry)
+        _require(isinstance(kind, str) and kind in model.events,
+                 "%s type %r not supported for model %s" % (where, kind, name))
         if kind == "projective":
             target = entry.get("target")
-            if model == "epidemic2":
-                _require(target in (1, 2, "sample"), "%s target must be 1, 2, or 'sample'" % where)
-                needs_seed |= target == "sample"
-            else:
-                ok = target in coupled.TRAFFIC_TARGETS or target in ("sample_A", "sample_B")
-                _require(ok, "%s target must be one of %s, sample_A, sample_B"
-                         % (where, "/".join(coupled.TRAFFIC_TARGETS)))
-                needs_seed |= target in ("sample_A", "sample_B")
+            choices = model.targets + model.sampled
+            _require(type(target) is not bool and target in choices,
+                     "%s target must be one of %s" % (where, ", ".join(map(repr, choices))))
+            needs_seed |= target in model.sampled
         elif kind == "weak":
-            for field in ("population", "tested", "p_test"):
-                _require(field in entry, "%s needs %r" % (where, field))
+            for key in ("population", "tested", "p_test"):
+                _require(key in entry, "%s needs %r" % (where, key))
             population, tested = entry["population"], entry["tested"]
-            _require(isinstance(population, int) and population > 0,
-                     "%s population must be a positive integer" % where)
-            _require(isinstance(tested, int) and 0 <= tested <= population,
+            _require(type(population) is int and 0 < population <= sys.float_info.max,
+                     "%s population must be a positive integer within float range" % where)
+            _require(type(tested) is int and 0 <= tested <= population,
                      "%s tested must be an integer in [0, population]" % where)
             _number_list(entry["p_test"], 2, "%s.p_test" % where)
         elif kind == "aharonov_bohm":
             _require("a_x" in entry, "%s needs a_x with 4 sites" % where)
             _number_list(entry["a_x"], 4, "%s.a_x" % where)
-            for field in ("dot_diameter", "e_over_hbar"):
-                if field in entry:
-                    _number_field(entry[field], "%s.%s" % (where, field))
-        events.append(Event(t, kind, payload))
+            for key in ("dot_diameter", "e_over_hbar"):
+                if key in entry:
+                    _number_field(entry[key], "%s.%s" % (where, key))
+        events.append(Event(t, kind, dict(entry)))
     times = [e.time for e in events]
     _require(times == sorted(times), "events must be sorted by time")
     return events, needs_seed
@@ -255,8 +274,10 @@ def parse_scenario(config):
     _require(isinstance(config, dict), "config must be a JSON object")
     _require(config.get("schema") == SCHEMA_VERSION,
              "config schema must be %d" % SCHEMA_VERSION)
-    model = config.get("model")
-    _require(model in MODELS, "model must be one of %s" % (MODELS,))
+    name = config.get("model")
+    _require(isinstance(name, str) and name in MODELS,
+             "model must be one of %s" % ", ".join(MODELS))
+    model = MODELS[name]
     for key in ("t0", "t1", "dt"):
         _require(key in config, "missing field %r" % key)
     t0, t1, dt = (_number_field(config[key], key) for key in ("t0", "t1", "dt"))
@@ -268,55 +289,23 @@ def parse_scenario(config):
         raise ScenarioError(str(exc)) from exc
     _require("initial_state" in config, "missing field 'initial_state'")
 
-    events, needs_seed = _parse_events(config.get("events", []), model, t0, t1)
+    events, needs_seed = _parse_events(config.get("events", []), name, t0, t1)
     seed = config.get("seed")
-    if needs_seed:
-        _require(isinstance(seed, int), "sampled measurement events require an integer seed")
+    _require(seed is None or (type(seed) is int and seed >= 0),
+             "seed must be a nonnegative integer")
+    _require(seed is not None or not needs_seed,
+             "sampled measurement events require an integer seed")
 
-    outputs = config.get("outputs", DEFAULT_OUTPUTS[model])
+    outputs = config.get("outputs", list(model.outputs))
     _require(isinstance(outputs, list) and outputs, "outputs must be a nonempty list")
-    unknown = set(outputs) - ALLOWED_OUTPUTS[model]
-    _require(not unknown, "outputs %s not available for %s" % (sorted(unknown), model))
+    _require(all(isinstance(out, str) for out in outputs), "outputs must be strings")
+    unknown = set(outputs) - set(model.outputs + model.optional)
+    _require(not unknown, "outputs %s not available for %s" % (sorted(unknown), name))
 
-    params = {}
-    raw_state = config["initial_state"]
-    if model == "epidemic2":
-        params["generator"] = _parse_generator2(config.get("generator"), "generator")
-        state = np.array(_number_list(raw_state, 2, "initial_state"))
-    elif model == "epidemicN":
-        spec = config.get("generator")
-        _require(isinstance(spec, dict) and "matrix" in spec, "generator.matrix required")
-        rows = spec["matrix"]
-        n = len(rows)
-        _require(2 <= n <= numkit.MAX_DIM, "matrix dimension must be in [2, 16]")
-        grid = [
-            [_rate_spec(v, "generator.matrix[%d][%d]" % (i, j)) for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-        _require(all(len(row) == n for row in grid), "generator.matrix must be square")
-        params["matrix"] = epidemic.RateMatrix(grid).matrix
-        state = np.array(_number_list(raw_state, n, "initial_state"))
-    elif model == "coupled4":
-        params["generator"] = _parse_coupled(config.get("generator"))
-        state = np.array(_number_list(raw_state, 4, "initial_state"))
-    else:  # quantum2q, mapping
-        params["hamiltonian"] = _parse_hamiltonian(config.get("hamiltonian"))
-        _require(isinstance(raw_state, list) and len(raw_state) == 4,
-                 "initial_state must have 4 amplitudes")
-        state = np.array(
-            [_complex_field(v, "initial_state[%d]" % i) for i, v in enumerate(raw_state)]
-        )
-        if params["hamiltonian"].is_hermitian:
-            norm = float((np.abs(state) ** 2).sum())
-            _require(abs(norm - 1.0) <= 1e-9,
-                     "initial_state norm %.12f must be 1 for a Hermitian run" % norm)
-    if model in ("epidemic2", "epidemicN", "coupled4"):
-        _require(np.all(state >= 0), "initial probabilities must be nonnegative")
-
+    source, state = model.parse(config)
     return Scenario(
-        model=model, t0=t0, t1=t1, dt=dt,
-        seed=seed if isinstance(seed, int) else None,
-        params=params, initial_state=state, events=events, outputs=outputs,
+        model=name, t0=t0, t1=t1, dt=dt, seed=seed,
+        source=source, initial_state=state, events=events, outputs=outputs,
         digest=config_digest(config), canonical=config,
     )
 
@@ -336,12 +325,14 @@ def load_scenario(path):
 # simulation
 # ---------------------------------------------------------------------------
 
-def _segmented_evolution(generator, state, scenario, apply_event, dtype=float):
+def _segmented_evolution(generator, state, scenario, dtype=float):
     """Integrate dt-wise between events; boundary samples are post-event.
 
     generator is what numkit.ode_evolve takes: a constant matrix or a
-    generator-protocol callable.
+    generator-protocol callable.  Each event is applied by its model's
+    function for that event kind.
     """
+    apply_event = MODELS[scenario.model].events
     times = [np.array([scenario.t0])]
     states = [np.asarray(state, dtype=dtype)[None, :]]
     current = np.asarray(state, dtype=dtype)
@@ -357,28 +348,26 @@ def _segmented_evolution(generator, state, scenario, apply_event, dtype=float):
             current = traj.final.copy()
             cursor = boundary
         if event is not None:
-            current = apply_event(current, event, rng)
+            current = apply_event[event.kind](current, event, rng)
             states[-1] = states[-1].copy()
             states[-1][-1] = current
     return np.concatenate(times), np.concatenate(states)
 
 
-def _apply_epidemic2_event(state, event, rng):
-    if event.kind == "projective":
-        target = event.payload["target"]
-        outcome = epidemic.sample_outcome(state, rng) if target == "sample" else target
-        return epidemic.measure_projective(state, outcome)
-    return epidemic.measure_weak(
-        state,
-        int(event.payload["population"]),
-        int(event.payload["tested"]),
-        np.asarray(event.payload["p_test"], dtype=float),
-    )
-
-
-def _apply_coupled_event(state, event, rng):
+def _project_epidemic2(state, event, rng):
     target = event.payload["target"]
-    if target in ("sample_A", "sample_B"):
+    outcome = epidemic.sample_outcome(state, rng) if target == "sample" else target
+    return epidemic.measure_projective(state, outcome)
+
+
+def _weigh_epidemic2(state, event, rng):
+    payload = event.payload
+    return epidemic.measure_weak(state, payload["population"], payload["tested"], payload["p_test"])
+
+
+def _project_coupled4(state, event, rng):
+    target = event.payload["target"]
+    if target.startswith("sample_"):
         side = target[-1]
         pair = state[:2] if side == "A" else state[2:]
         outcome = epidemic.sample_outcome(pair, rng)
@@ -386,7 +375,7 @@ def _apply_coupled_event(state, event, rng):
     return coupled.measure_subsystem(state, target)
 
 
-def _apply_quantum_event(state, event, rng):
+def _aharonov_bohm(state, event, rng):
     potential = mapping.SitePotential(
         *(float(a) for a in event.payload["a_x"]),
         dot_diameter=float(event.payload.get("dot_diameter", 1.0)),
@@ -397,92 +386,109 @@ def _apply_quantum_event(state, event, rng):
     return quantum.wave_from_polar(probs, phases)
 
 
+def _check(name, value, tolerance=None):
+    """One report check; without a tolerance it is a diagnostic and passes None."""
+    passed = None if tolerance is None else value <= tolerance
+    return {"name": name, "value": value, "tolerance": tolerance, "passed": passed}
+
+
 def _negativity_check(states):
-    worst = epidemic.simplex_violation(states)
-    return {
-        "name": "max_simplex_violation", "value": worst,
-        "tolerance": None, "passed": None,
-    }
+    return _check("max_simplex_violation", epidemic.simplex_violation(states))
 
 
-def _simulate(scenario):
-    """Returns (column names, column arrays, report checks dict)."""
-    model = scenario.model
+def _probability_columns(times, probs, names=None):
+    """The t column and one column per state, named p1, p2, ... by default."""
+    if names is None:
+        names = ["p%d" % (k + 1) for k in range(probs.shape[1])]
+    return [("t", times)] + [(name, probs[:, k]) for k, name in enumerate(names)]
+
+
+def _simulate_epidemic2(scenario):
+    gen = scenario.source
+    times, states = _segmented_evolution(gen.matrix, scenario.initial_state, scenario)
+    columns = _probability_columns(times, states)
+    if "ensemble_weights" in scenario.outputs:
+        weights = np.array([epidemic.ensemble_decompose(p, gen, t) for t, p in zip(times, states)])
+        columns += [("pI", weights[:, 0]), ("pII", weights[:, 1])]
+    if "ratio" in scenario.outputs:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            columns.append(("r12", states[:, 0] / states[:, 1]))
+    return columns, [_negativity_check(states)]
+
+
+def _simulate_epidemic_n(scenario):
+    times, states = _segmented_evolution(scenario.source, scenario.initial_state, scenario)
+    return _probability_columns(times, states), [_negativity_check(states)]
+
+
+def _simulate_coupled4(scenario):
+    gen = scenario.source
+    times, states = _segmented_evolution(gen.matrix, scenario.initial_state, scenario)
+    names = ("pA1", "pA2", "pB1", "pB2") if gen.basis == "traffic" else None
+    return _probability_columns(times, states, names), [_negativity_check(states)]
+
+
+def _simulate_quantum2q(scenario):
+    h = quantum.build_hamiltonian(scenario.source)
+    times, states = _segmented_evolution(-1j * h, scenario.initial_state, scenario, dtype=complex)
+    columns = _probability_columns(times, np.abs(states) ** 2, ("pI", "pII", "pIII", "pIV"))
     checks = []
-    if model == "epidemic2":
-        gen = scenario.params["generator"]
-        times, states = _segmented_evolution(
-            gen.matrix, scenario.initial_state, scenario, _apply_epidemic2_event
-        )
-        checks.append(_negativity_check(states))
-        columns = [("t", times), ("p1", states[:, 0]), ("p2", states[:, 1])]
-        if "ensemble_weights" in scenario.outputs:
-            weights = np.array(
-                [epidemic.ensemble_decompose(p, gen, t) for t, p in zip(times, states)]
-            )
-            columns += [("pI", weights[:, 0]), ("pII", weights[:, 1])]
-        if "ratio" in scenario.outputs:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                columns.append(("r12", states[:, 0] / states[:, 1]))
-    elif model == "epidemicN":
-        times, states = _segmented_evolution(
-            scenario.params["matrix"], scenario.initial_state, scenario, None
-        )
-        checks.append(_negativity_check(states))
-        columns = [("t", times)] + [
-            ("p%d" % (k + 1), states[:, k]) for k in range(states.shape[1])
-        ]
-    elif model == "coupled4":
-        gen = scenario.params["generator"]
-        times, states = _segmented_evolution(
-            gen.matrix, scenario.initial_state, scenario, _apply_coupled_event
-        )
-        checks.append(_negativity_check(states))
-        names = ("pA1", "pA2", "pB1", "pB2") if gen.basis == "traffic" else ("p1", "p2", "p3", "p4")
-        columns = [("t", times)] + [(names[k], states[:, k]) for k in range(4)]
-    elif model == "quantum2q":
-        params = scenario.params["hamiltonian"]
-        h = quantum.build_hamiltonian(params)
-        times, states = _segmented_evolution(
-            -1j * h, scenario.initial_state, scenario, _apply_quantum_event,
-            dtype=complex,
-        )
-        probs = np.abs(states) ** 2
-        columns = [("t", times)] + [
-            (name, probs[:, k]) for k, name in enumerate(("pI", "pII", "pIII", "pIV"))
-        ]
-        if "entropies" in scenario.outputs:
-            pairs = np.array([quantum.pure_entropy_pair(psi) for psi in states])
-            columns += [("SA", pairs[:, 0]), ("SB", pairs[:, 1])]
-            gap = float(np.abs(pairs[:, 0] - pairs[:, 1]).max())
-            checks.append({
-                "name": "entropy_symmetry_gap", "value": gap,
-                "tolerance": 1e-9, "passed": gap <= 1e-9,
-            })
-    else:  # mapping
-        report = mapping.verify_equivalence(
-            scenario.params["hamiltonian"], scenario.initial_state,
-            scenario.t0, scenario.t1, scenario.dt,
-        )
-        columns = [("t", report.residual_times), ("residual", report.residuals)]
-        checks.append({
-            "name": "mapping_residual", "value": report.max_residual,
-            "tolerance": 1e-6, "passed": report.max_residual <= 1e-6,
-        })
-        checks.append({
-            "name": "split_consistency_gap", "value": report.split_consistency_gap,
-            "tolerance": 1e-10, "passed": report.split_consistency_gap <= 1e-10,
-        })
-        checks.append({
-            "name": "excluded_samples", "value": float(len(report.excluded_times)),
-            "tolerance": None, "passed": None,
-        })
-        if report.hermitian:
-            checks.append({
-                "name": "total_probability_drift", "value": report.norm_drift,
-                "tolerance": 1e-9, "passed": report.norm_drift <= 1e-9,
-            })
+    if "entropies" in scenario.outputs:
+        pairs = np.array([quantum.pure_entropy_pair(psi) for psi in states])
+        columns += [("SA", pairs[:, 0]), ("SB", pairs[:, 1])]
+        gap = float(np.abs(pairs[:, 0] - pairs[:, 1]).max())
+        checks.append(_check("entropy_symmetry_gap", gap, 1e-9))
     return columns, checks
+
+
+def _simulate_mapping(scenario):
+    report = mapping.verify_equivalence(
+        scenario.source, scenario.initial_state, scenario.t0, scenario.t1, scenario.dt,
+    )
+    columns = [("t", report.residual_times), ("residual", report.residuals)]
+    checks = [
+        _check("mapping_residual", report.max_residual, 1e-6),
+        _check("split_consistency_gap", report.split_consistency_gap, 1e-10),
+        _check("excluded_samples", float(len(report.excluded_times))),
+    ]
+    if report.hermitian:
+        checks.append(_check("total_probability_drift", report.norm_drift, 1e-9))
+    return columns, checks
+
+
+@dataclass(frozen=True)
+class Model:
+    """How the CLI reads, runs and reports one model."""
+
+    parse: object  # config -> (source, initial_state)
+    simulate: object  # Scenario -> (columns, report checks)
+    outputs: tuple  # the outputs written when the config names none
+    optional: tuple = ()  # further outputs a config may ask for
+    events: dict = field(default_factory=dict)  # event kind -> apply(state, event, rng)
+    targets: tuple = ()  # fixed projective-measurement targets
+    sampled: tuple = ()  # projective targets drawn with the scenario seed
+
+
+MODELS = {
+    "epidemic2": Model(
+        _parse_epidemic2, _simulate_epidemic2,
+        outputs=("probabilities", "ensemble_weights", "ratio"),
+        events={"projective": _project_epidemic2, "weak": _weigh_epidemic2},
+        targets=(1, 2), sampled=("sample",),
+    ),
+    "epidemicN": Model(_parse_epidemic_n, _simulate_epidemic_n, outputs=("probabilities",)),
+    "coupled4": Model(
+        _parse_coupled4, _simulate_coupled4, outputs=("probabilities",),
+        events={"projective": _project_coupled4},
+        targets=coupled.TRAFFIC_TARGETS, sampled=("sample_A", "sample_B"),
+    ),
+    "quantum2q": Model(
+        _parse_wave, _simulate_quantum2q, outputs=("probabilities",),
+        optional=("entropies",), events={"aharonov_bohm": _aharonov_bohm},
+    ),
+    # the 2N classical image of the quantum pair, certified along its run
+    "mapping": Model(_parse_wave, _simulate_mapping, outputs=("residuals",)),
+}
 
 
 def emit_series(columns, path, digest):
@@ -505,11 +511,10 @@ def emit_series(columns, path, digest):
         fh.write("\n")
 
 
-def run_scenario(config_path, out_dir):
-    scenario = load_scenario(config_path)
+def run_scenario(scenario, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    columns, checks = _simulate(scenario)
+    columns, checks = MODELS[scenario.model].simulate(scenario)
     emit_series(columns, out / "series.csv", scenario.digest)
     report = {
         "schema": SCHEMA_VERSION,
@@ -566,11 +571,10 @@ def main(argv=None):
     try:
         if args.command == "verify":
             return cmd_verify(args.filter)
-        if args.command == "map":
-            scenario = load_scenario(args.config)
-            if scenario.model != "mapping":
-                raise ScenarioError("'map' requires a scenario with model 'mapping'")
-        return run_scenario(args.config, args.out_dir)
+        scenario = load_scenario(args.config)
+        if args.command == "map" and scenario.model != "mapping":
+            raise ScenarioError("'map' requires a scenario with model 'mapping'")
+        return run_scenario(scenario, args.out_dir)
     except ScenarioError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ class Generator4:
     basis: str
     evaluate: object  # t -> (4, 4) or (n, 4, 4), as described above
     is_constant: bool
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # symmetric form: gen and coupling
 
     def matrix(self, t):
         return self.evaluate(t)
@@ -70,7 +70,6 @@ def build_traffic_generator(gen_a, gen_b, cross):
     ])
     return Generator4(
         form="traffic", basis="traffic", evaluate=rates.matrix, is_constant=rates.is_constant,
-        params={"gen_a": gen_a, "gen_b": gen_b, "cross": (c14, c23, c32, c41)},
     )
 
 
@@ -100,7 +99,6 @@ def kron_sum_generator(gen_a, gen_b):
     return Generator4(
         form="kron_sum", basis="product", evaluate=evaluate,
         is_constant=gen_a.is_constant and gen_b.is_constant,
-        params={"gen_a": gen_a, "gen_b": gen_b},
     )
 
 
@@ -140,13 +138,6 @@ def interaction_generator(level_rates, couplings, frame_a, frame_b):
     return Generator4(
         form="interaction", basis="product", evaluate=evaluate,
         is_constant=eigenbasis.is_constant,
-        params={
-            "level_rates": diag,
-            "couplings": coupling_rates,
-            "frame_a": frame_a,
-            "frame_b": frame_b,
-            "eigenbasis_matrix": eigenbasis.matrix,
-        },
     )
 
 

@@ -10,7 +10,8 @@ the master-equation flow; that equivalence is used as a built-in
 consistency check.  The outer product rho = a a^T plays the role of a
 density matrix: it is symmetric, its diagonal carries the
 probabilities, and it obeys d rho/dt = H rho + rho H^T (the
-anticommutator form exactly when H is symmetric).
+anticommutator form exactly when H is symmetric).  A generator S is a
+constant rate matrix or an object with a matrix(t) method.
 """
 
 from collections import namedtuple
@@ -28,8 +29,6 @@ EomResiduals = namedtuple("EomResiduals", ["transpose_form", "anticommutator"])
 def _rate_matrix(generator, t):
     if hasattr(generator, "matrix"):
         return generator.matrix(t)
-    if callable(generator):
-        return np.asarray(generator(t), dtype=float)
     return np.asarray(generator, dtype=float)
 
 
@@ -69,9 +68,9 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     """
     p0 = _check_floor(p0, floor, t0)
     a0 = np.sqrt(p0)
-    if hasattr(generator, "matrix") or callable(generator):
+    if hasattr(generator, "matrix"):
         def half_rates(tau):
-            return 0.5 * _rate_matrix(generator, tau)
+            return 0.5 * generator.matrix(tau)
     else:
         half = 0.5 * np.asarray(generator, dtype=float)
 

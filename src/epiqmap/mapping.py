@@ -27,7 +27,6 @@ from .errors import FloorViolationError
 from .quantum import QubitPairHamiltonian, build_hamiltonian, evolve_schrodinger, polar_split
 
 SPLIT_FLOOR = 1e-12
-TAN2_OVERFLOW = np.inf
 
 # samples per certificate chunk: bounds the (chunk, 2N, 2N) stack of S
 CERTIFICATE_CHUNK = 256
@@ -60,7 +59,7 @@ def phase_from_split(x, floor=SPLIT_FLOOR):
     re = x[..., 0::2]
     im = x[..., 1::2]
     p = re + im
-    tan2 = np.full(re.shape, TAN2_OVERFLOW)
+    tan2 = np.full(re.shape, np.inf)
     ok = re >= floor
     tan2[ok] = im[ok] / re[ok]
     return p, tan2
@@ -145,14 +144,6 @@ def build_split_generator(hamiltonian, psi, floor=SPLIT_FLOOR):
     a = real_form_generator(h)
     y = amplitudes_from_wave(psi)
     return _split_generator_from_amplitudes(a, y, floor)
-
-
-def build_s8(hamiltonian, psi, floor=SPLIT_FLOOR):
-    """The 8x8 classical rate matrix of a two-qubit wave state."""
-    s = build_split_generator(hamiltonian, psi, floor)
-    if s.shape != (8, 8):
-        raise ValueError("expected a 4-level quantum state")
-    return s
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,13 @@ def epidemic2_config(**overrides):
 
 ZERO_RATES = {"s11": 0, "s12": 0, "s21": 0, "s22": 0}
 
+EPIDEMIC_N = {
+    "schema": 1, "model": "epidemicN",
+    "t0": 0.0, "t1": 2.0, "dt": 0.01,
+    "generator": {"matrix": [[0.0, 0.2, 0.0], [0.0, -0.2, 0.1], [0.0, 0.0, -0.1]]},
+    "initial_state": [0.2, 0.5, 0.3],
+}
+
 
 def quantum_config(**overrides):
     config = {
@@ -129,12 +136,7 @@ class TestSimulate:
         assert sorted([float(jump[1]), float(jump[2])]) == [0.0, 1.0]
 
     def test_epidemic_n_model(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema": 1, "model": "epidemicN",
-            "t0": 0.0, "t1": 2.0, "dt": 0.01,
-            "generator": {"matrix": [[0.0, 0.2, 0.0], [0.0, -0.2, 0.1], [0.0, 0.0, -0.1]]},
-            "initial_state": [0.2, 0.5, 0.3],
-        })
+        cfg = write_config(tmp_path, EPIDEMIC_N)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
         rows = read_rows(out / "series.csv")
@@ -257,6 +259,27 @@ class TestValidation:
         cfg = write_config(tmp_path, config)
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config", [
+        {**EPIDEMIC_N, "generator": {"matrix": 5}},
+        {**EPIDEMIC_N, "generator": {"matrix": [5, 6]}},
+        epidemic2_config(outputs=[["x"]]),
+        epidemic2_config(events=[{"time": 0.5, "type": []}]),
+        epidemic2_config(events=[{"time": 0.5, "type": "weak", "population": True,
+                                  "tested": 0, "p_test": [0.9, 0.1]}]),
+        epidemic2_config(events=[{"time": 0.5, "type": "weak", "population": 10**400,
+                                  "tested": 1, "p_test": [0.9, 0.1]}]),
+        epidemic2_config(events=[{"time": 0.5, "type": "weak", "population": 100,
+                                  "tested": True, "p_test": [0.9, 0.1]}]),
+        epidemic2_config(events=[{"time": 0.5, "type": "projective", "target": True}]),
+        epidemic2_config(seed=True),
+        epidemic2_config(seed=-1),
+    ], ids=["matrix_number", "matrix_rows_numbers", "outputs_unhashable", "event_type_list",
+            "population_true", "population_beyond_float", "tested_true", "target_true",
+            "seed_true", "seed_negative"])
+    def test_malformed_structure_exits_2(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
     def test_step_budget_refused_at_parse_time(self):
         # parse only: nothing is integrated or allocated
         with pytest.raises(cli.ScenarioError, match="steps"):
@@ -325,8 +348,8 @@ class TestNormalizationGuard:
 class TestPinnedOutput:
     """series.csv digests pinned from the per-time generator evaluation.
 
-    Evaluating generators over blocks of stage times must not move a
-    single printed digit.
+    Evaluating generators over blocks of stage times, or dispatching
+    models through cli.MODELS, must not move a single printed digit.
     """
 
     README_EXAMPLE = {
@@ -353,10 +376,52 @@ class TestPinnedOutput:
         "initial_state": [0.1, 0.2, 0.3, 0.4],
     }
 
+    EPIDEMIC_N_TABLE = {
+        "schema": 1,
+        "model": "epidemicN",
+        "t0": 0.0, "t1": 2.0, "dt": 0.01,
+        "generator": {"matrix": [
+            [-0.3, [[0.0, 0.1], [1.0, 0.3], [2.0, 0.2]], 0.05, 0.0],
+            [0.2, -0.35, 0.1, [[0.0, 0.05], [2.0, 0.15]]],
+            [0.1, 0.15, -0.25, 0.1],
+            [0.0, 0.1, 0.1, -0.3],
+        ]},
+        "initial_state": [0.1, 0.2, 0.3, 0.4],
+    }
+
+    TRAFFIC_SAMPLED = {
+        "schema": 1,
+        "model": "coupled4",
+        "t0": 0.0, "t1": 1.0, "dt": 0.01,
+        "seed": 11,
+        "generator": {
+            "form": "traffic",
+            "sa": {"s11": 0.0, "s12": 0.4, "s21": 0.3, "s22": -0.1},
+            "sb": {"s11": -0.2, "s12": 0.3, "s21": 0.5, "s22": 0.0},
+            "cross": [0.3, [[0.0, 0.25], [1.0, 0.1]], 0.35, 0.2],
+        },
+        "initial_state": [0.6, 0.4, 0.5, 0.5],
+        "events": [{"time": 0.5, "type": "projective", "target": "sample_A"}],
+    }
+
+    WEAK_EVENT = {
+        "schema": 1,
+        "model": "epidemic2",
+        "t0": 0.0, "t1": 1.0, "dt": 0.01,
+        "generator": {"s11": 0.0, "s12": [[0.0, 0.4], [1.0, 0.2]], "s21": 0.6, "s22": -0.2},
+        "initial_state": [0.7, 0.3],
+        "events": [{"time": 0.5, "type": "weak", "population": 100, "tested": 20,
+                    "p_test": [0.9, 0.1]}],
+    }
+
     @pytest.mark.parametrize("config, digest", [
         (README_EXAMPLE, "9491abbba47393cd881288f4043c3bebb9b8a717e927fa86ace0d5f13aa99ed3"),
         (KRON_SUM_TABLE, "c083837c76ad414d06be5267256739429f0971f2aa018e7375bcdbcf79194f8b"),
-    ], ids=["readme_epidemic2", "coupled4_kron_sum_table"])
+        (EPIDEMIC_N_TABLE, "abc54ca1ad3d0b2ac2010c3f65a4a5fc39f6beaa5db1d053ce094a571e6622db"),
+        (TRAFFIC_SAMPLED, "7ab2ee59bfe3c1153e67d6792c4b77ceb192019353802874f9c1329cd6c6651a"),
+        (WEAK_EVENT, "a37ed53d3f52a56bb73bfb39a2496449f4085fc56c715aa1a2fb9e7f086c7acb"),
+    ], ids=["readme_epidemic2", "coupled4_kron_sum_table", "epidemicN_4x4_table",
+            "coupled4_traffic_sample_A", "epidemic2_weak"])
     def test_series_digest(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "out"

@@ -1,9 +1,10 @@
 """The exit-code contract of ``cli.main`` on mutated scenario configs.
 
 Every config must end in 0 (ok), 1 (failed checks), 2 (bad config) or
-3 (numeric failure), whatever its fields hold; nothing may escape as a
-traceback.  Spans are short and runs that would take many steps are
-refused by the step budget, so each example runs in milliseconds.
+3 (numeric failure), whatever its fields hold and whatever shape its
+objects and lists take; nothing may escape as a traceback.  Spans are
+short and runs that would take many steps are refused by the step
+budget, so each example runs in milliseconds.
 """
 
 import json
@@ -20,6 +21,9 @@ from epiqmap import cli
 BAD_VALUES = [True, False, None, "1", [], {}, float("nan"), float("inf"), float("-inf"),
               1e308, -1e308, 0, -1]
 NUMBERS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(BAD_VALUES))
+
+# what an object, a list or a string may be replaced with
+NODES = [5, "x", [], {}, [[0]]]
 
 # (t1, dt) with t0 = 0: ordinary half the time, else tiny (refused by the
 # step budget, or over a tiny span) or huge
@@ -74,26 +78,36 @@ def events(model):
     }), max_size=2 if model in EVENT_TYPES else 1)
 
 
-def numeric_fields(config):
-    """(container, key) of every number in config, nested lists and dicts included.
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    The schema version is left out: a wrong one only exercises one check.
+
+def is_structure(value):
+    """An object, a list, or a string such as a model name or an event type."""
+    return isinstance(value, (dict, list, str))
+
+
+def fields(node, wanted):
+    """(container, key) of every value inside node that wanted() accepts.
+
+    Nested lists and dicts are searched too.  The schema version is left
+    out: a wrong one only exercises one check.
     """
-    fields = []
-    items = config.items() if isinstance(config, dict) else enumerate(config)
+    found = []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
         if key == "schema":
             continue
+        if wanted(value):
+            found.append((node, key))
         if isinstance(value, (dict, list)):
-            fields += numeric_fields(value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            fields.append((config, key))
-    return fields
+            found += fields(value, wanted)
+    return found
 
 
 @st.composite
 def scenarios(draw):
-    model = draw(st.sampled_from(cli.MODELS))
+    model = draw(st.sampled_from(list(cli.MODELS)))
     t1, dt = draw(SPANS)
     config = {"schema": 1, "model": model, "t0": 0.0, "t1": t1, "dt": dt, "seed": 7,
               "initial_state": json.loads(json.dumps(STATES[model]))}
@@ -102,7 +116,7 @@ def scenarios(draw):
     else:
         config["hamiltonian"] = json.loads(json.dumps(HAMILTONIAN))
     if model in OUTPUTS and draw(st.booleans()):
-        config["outputs"] = OUTPUTS[model]
+        config["outputs"] = list(OUTPUTS[model])
     state = draw(st.sampled_from(["keep", "zero", "negative"]))
     if state != "keep" and model in GENERATORS:
         fill = 0.0 if state == "zero" else -0.5
@@ -114,11 +128,18 @@ def scenarios(draw):
         event["time"] *= t1
     config["events"] = sorted(drawn, key=lambda event: event["time"])
     # then overwrite a few numeric fields (rates, times, states, event fields)
-    fields = numeric_fields(config)
+    numbers = fields(config, is_number)
     for _ in range(draw(st.integers(0, 2))):
-        container, key = draw(st.sampled_from(fields))
+        container, key = draw(st.sampled_from(numbers))
         container[key] = draw(NUMBERS)
-    return config
+    # and replace a few objects, lists or strings, the config itself included
+    holder = {"config": config}
+    for _ in range(draw(st.integers(0, 2))):
+        nodes = fields(holder, is_structure)
+        if nodes:  # a number in place of the config leaves none
+            container, key = draw(st.sampled_from(nodes))
+            container[key] = json.loads(json.dumps(draw(st.sampled_from(NODES))))
+    return holder["config"]
 
 
 # rates and states of +-1e308 overflow on purpose

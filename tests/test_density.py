@@ -64,6 +64,18 @@ class TestEvolveSqrt:
             oracle = numkit.mat_exp(GENERIC_S4 * t) @ GENERIC_P
             assert np.abs(a * a - oracle).max() <= 1e-8
 
+    @pytest.mark.parametrize("generator, p0", [
+        (GENERIC_S4, GENERIC_P),
+        (epidemic.Generator2(-0.2, [[0.0, 0.1], [1.0, 0.3]], 0.2, -0.3), np.array([0.6, 0.4])),
+        (epidemic.RateMatrix([[lambda t: -0.1 - 0.05 * t, 0.2],
+                              [0.1, lambda t: -0.2 + 0.1 * t]]), np.array([0.6, 0.4])),
+    ], ids=["constant", "generator2_table", "rate_matrix_callable"])
+    def test_master_equation_check_takes_every_generator_form(self, generator, p0):
+        # check=True compares against numkit.ode_evolve of the same generator
+        out = density.evolve_sqrt(generator, p0, 0.0, 1.0, 1e-3, check=True)
+        ref = numkit.ode_evolve(getattr(generator, "matrix", generator), p0, 0.0, 1.0, 1e-3)
+        assert np.abs(out - ref.final).max() <= 1e-6
+
     def test_floor_violation_reports_time(self):
         s = np.diag([-50.0, 0.0, 0.0, 0.0])
         with pytest.raises(FloorViolationError) as info:
@@ -89,6 +101,14 @@ def random_master_rates(rng, d):
 TABLE_GENERATOR = epidemic.Generator2(
     -0.2, [[0.0, 0.1], [0.5, 0.4], [1.0, 0.2]], 0.2, [[0.0, -0.3], [1.0, 0.1]]
 )
+
+
+def callable_rates(diagonal):
+    """A RateMatrix whose diagonal entries are the given functions of time."""
+    n = len(diagonal)
+    return epidemic.RateMatrix(
+        [[diagonal[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+    )
 
 
 class TestSqrtRightHandSide:
@@ -117,7 +137,7 @@ class TestSqrtRightHandSide:
 
     @pytest.mark.parametrize("generator", [
         np.diag([0.0, 0.0, -50.0, 0.0]),
-        lambda t: np.diag([0.0, 0.0, -50.0 * (1.0 + t), 0.0]),
+        callable_rates([0.0, 0.0, lambda t: -50.0 * (1.0 + t), 0.0]),
     ], ids=["constant", "callable"])
     def test_floor_violation_time_and_component(self, generator):
         p0 = np.array([0.5, 0.3, 1e-10, 0.2])

@@ -29,7 +29,7 @@ def _epidemic_n_generator():
         "generator": {"matrix": [[-0.3, RAMP, 0.1], [0.2, -0.25, RAMP], [RAMP, 0.05, -0.4]]},
         "initial_state": [0.2, 0.5, 0.3],
     }
-    return cli.parse_scenario(config).params["matrix"]
+    return cli.parse_scenario(config).source
 
 
 def _forms():

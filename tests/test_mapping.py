@@ -121,6 +121,8 @@ class TestRealFormGenerator:
 
 
 class TestBuildS8:
+    """The 8x8 split generator S of a two-qubit wave state."""
+
     def test_truly_stationary_state_is_a_fixed_point(self):
         h = quantum.build_hamiltonian(hermitian_params())
         values, vectors = numkit.eig(h)
@@ -129,7 +131,7 @@ class TestBuildS8:
         # split component vanishes
         shifted = h - values[1].real * np.eye(4)
         psi = vectors[:, 1] * np.exp(1j * 0.7)
-        s8 = mapping.build_s8(shifted, psi)
+        s8 = mapping.build_split_generator(shifted, psi)
         x = mapping.split_state(np.abs(psi) ** 2, np.angle(psi))
         assert np.abs(s8 @ x).max() <= 1e-8
 
@@ -143,7 +145,7 @@ class TestBuildS8:
         dt = traj.times[1] - traj.times[0]
         for i in range(1, len(states) - 1, 100):
             dx = (x[i + 1] - x[i - 1]) / (2.0 * dt)
-            s8 = mapping.build_s8(h, states[i])
+            s8 = mapping.build_split_generator(h, states[i])
             assert np.abs(dx - s8 @ x[i]).max() <= 1e-6
 
     def test_block_diagonal_when_hoppings_vanish(self):
@@ -153,7 +155,7 @@ class TestBuildS8:
             ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
         )
         psi = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        s8 = mapping.build_s8(params, psi)
+        s8 = mapping.build_split_generator(params, psi)
         for i in range(4):
             for j in range(4):
                 block = s8[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
@@ -171,14 +173,14 @@ class TestBuildS8:
             ec_11=0.0, ec_12=0.0, ec_21=0.0, ec_22=0.0,
         )
         psi = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        s8 = mapping.build_s8(params, psi)
+        s8 = mapping.build_split_generator(params, psi)
         assert np.allclose(np.diag(s8), -0.4)
 
     def test_floor_violation_for_real_state(self):
         h = quantum.build_hamiltonian(hermitian_params())
         psi = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)  # all phases zero
         with pytest.raises(FloorViolationError):
-            mapping.build_s8(h, psi)
+            mapping.build_split_generator(h, psi)
 
 
 class TestAharonovBohm:
