@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkit
 from .epidemic import Generator2, RateMatrix, as_rate
-from .errors import ComplexSpectrumError
+from .errors import ComplexSpectrumError, FloorViolationError
 
 _DENOM_FLOOR = 1e-10
 
@@ -223,6 +223,14 @@ _AFTER_STATES = {
     "2B": (None, (0.0, 1.0)),
 }
 
+# the product-basis components (1A1B, 1A2B, 2A1B, 2A2B) that agree with each outcome
+_PRODUCT_OUTCOMES = {
+    "1A": np.array([1.0, 1.0, 0.0, 0.0]),
+    "2A": np.array([0.0, 0.0, 1.0, 1.0]),
+    "1B": np.array([1.0, 0.0, 1.0, 0.0]),
+    "2B": np.array([0.0, 1.0, 0.0, 1.0]),
+}
+
 
 def projector(target):
     """The printed diagonal projector for one measurement target.
@@ -235,15 +243,29 @@ def projector(target):
     return np.diag(_PROJECTOR_DIAGS[target])
 
 
-def measure_subsystem(p, target):
-    """Collapse one subsystem of a traffic-basis state.
+def measure_subsystem(p, target, basis="traffic"):
+    """Collapse one subsystem of a 4-state vector on the outcome target.
 
-    The measured pair of components is replaced by (1, 0) or (0, 1);
-    the other subsystem's components pass through untouched.
+    Traffic basis: the measured pair of components is replaced by (1, 0)
+    or (0, 1); the other subsystem's components pass through untouched.
+    Product basis: the joint distribution is conditioned on the outcome,
+    keeping the total, so 1A maps p to (p1, p2, 0, 0) * total / (p1 + p2)
+    and 1B maps it to (p1, 0, p3, 0) * total / (p1 + p3); an outcome of
+    zero probability raises FloorViolationError.
     """
     if target not in _AFTER_STATES:
         raise ValueError("unknown measurement target %r" % (target,))
     p = np.asarray(p, dtype=float)
+    if basis == "product":
+        kept = p * _PRODUCT_OUTCOMES[target]
+        weight = kept.sum()
+        if not weight > 0:
+            raise FloorViolationError(
+                "outcome %s has probability %r; it cannot be measured" % (target, weight)
+            )
+        return kept * p.sum() / weight
+    if basis != "traffic":
+        raise ValueError("basis must be 'traffic' or 'product'")
     out = p.copy()
     part_a, part_b = _AFTER_STATES[target]
     if part_a is not None:
@@ -251,6 +273,16 @@ def measure_subsystem(p, target):
     if part_b is not None:
         out[2], out[3] = part_b
     return out
+
+
+def subsystem_marginals(p, basis="traffic"):
+    """The occupancies (p_A, p_B) of each subsystem of a 4-state vector."""
+    p = np.asarray(p, dtype=float)
+    if basis == "product":
+        return marginals_from_product(p)
+    if basis != "traffic":
+        raise ValueError("basis must be 'traffic' or 'product'")
+    return p[:2], p[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,10 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     right-hand side is H a = (1/2) (S p) / a: one matrix-vector product,
     H itself is never formed.  A constant S is converted and halved once;
     a time-dependent one is evaluated at each stage time, which is also
-    the time a FloorViolationError reports.
+    the time a FloorViolationError reports.  That error is also raised
+    when a stage amplitude is negative: a probability passed through 0
+    inside one step (backward runs can do that) without any stage
+    landing below the floor.
     """
     p0 = _check_floor(p0, floor, t0)
     a0 = np.sqrt(p0)
@@ -77,10 +80,19 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
         def half_rates(tau):
             return half
 
+    # an amplitude at or above this has p = a * a above the floor, so one
+    # screen catches both a low probability and a negative amplitude
+    screen = np.sqrt(floor) * (1.0 + 1e-12)
+
     def rhs(tau, a):
         p = a * a
-        if min(p.tolist()) < floor:
+        if min(a.tolist()) < screen:
             _check_floor(p, floor, tau)
+            if min(a.tolist()) < 0:
+                raise FloorViolationError(
+                    "amplitude crossed zero: a probability passed through 0",
+                    time=tau, component=int((a < 0).argmax()),
+                )
         return half_rates(tau) @ p / a
 
     return numkit.rk4_path(rhs, a0, t0, t, dt)
@@ -142,32 +154,25 @@ def reduced_density(rho, subsystem, ordering="a_slow"):
     ordering='a_slow' treats the 4-dimensional index as (A, B) with A
     varying slowest, the layout (1A1B, 1A2B, 2A1B, 2A2B); 'b_slow' swaps
     the roles of the two subsystems for states stored the other way.
+    An (n, 4, 4) stack gives the (n, 2, 2) stack of reduced densities.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 density matrix")
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ValueError("expected a 4x4 density matrix or a stack of them")
     if ordering == "b_slow":
         subsystem = {"A": "B", "B": "A"}[subsystem]
     if subsystem == "A":
-        out = np.array(
-            [
-                [rho[0, 0] + rho[1, 1], rho[0, 2] + rho[1, 3]],
-                [rho[2, 0] + rho[3, 1], rho[2, 2] + rho[3, 3]],
-            ]
-        )
+        # out[i, j] = rho[2i, 2j] + rho[2i + 1, 2j + 1]
+        out = rho[..., ::2, ::2] + rho[..., 1::2, 1::2]
     elif subsystem == "B":
-        out = np.array(
-            [
-                [rho[0, 0] + rho[2, 2], rho[0, 1] + rho[2, 3]],
-                [rho[1, 0] + rho[3, 2], rho[1, 1] + rho[3, 3]],
-            ]
-        )
+        # out[i, j] = rho[i, j] + rho[i + 2, j + 2]
+        out = rho[..., :2, :2] + rho[..., 2:, 2:]
     else:
         raise ValueError("subsystem must be 'A' or 'B'")
-    trace = np.trace(rho)
-    if abs(trace) <= 0:
+    trace = rho.trace(axis1=-2, axis2=-1)
+    if (trace == 0).any():
         raise ZeroDivisionError("density matrix has zero trace")
-    return out / trace
+    return out / trace[..., None, None]
 
 
 def von_neumann_entropy(rho2):
@@ -175,14 +180,16 @@ def von_neumann_entropy(rho2):
 
     Eigenvalues are clipped at zero; anything below -1e-8 is rejected as
     not positive semidefinite.  The sign convention makes the value
-    nonnegative, 0 for pure states and ln 2 at maximal mixing.
+    nonnegative, 0 for pure states and ln 2 at maximal mixing.  An
+    (n, 2, 2) stack gives the (n,) entropies.
     """
     rho2 = np.asarray(rho2)
-    if rho2.shape != (2, 2):
-        raise ValueError("expected a 2x2 density matrix")
-    lams = np.linalg.eigvalsh(0.5 * (rho2 + np.conj(rho2.T)))
+    if rho2.shape[-2:] != (2, 2) or rho2.ndim not in (2, 3):
+        raise ValueError("expected a 2x2 density matrix or a stack of them")
+    lams = np.linalg.eigvalsh(0.5 * (rho2 + np.conj(rho2.swapaxes(-1, -2))))
     if lams.min() < -1e-8:
         raise ValueError("density matrix has significantly negative eigenvalue %.3e" % lams.min())
-    lams = np.clip(lams.real, 0.0, None)
-    positive = lams[lams > 0]
-    return float(-(positive * np.log(positive)).sum())
+    lams = np.maximum(lams, 0.0)
+    # a zero eigenvalue adds 0 * log(0 + 1) = 0; any other, lam * log(lam)
+    entropy = -(lams * np.log(lams + (lams == 0))).sum(axis=-1)
+    return float(entropy) if rho2.ndim == 2 else entropy

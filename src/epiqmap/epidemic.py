@@ -217,7 +217,9 @@ class SpectralFrame2:
     vectors keep the closed form's scale (components summing to one)
     rather than unit norm; n1, n2 are their squared Euclidean norms.
     numeric_fallback marks frames where the closed form was singular and
-    a numeric eigendecomposition was used instead.
+    a numeric eigendecomposition was used instead.  The frame of n times
+    stacks every field: e1, e2, n1, n2 and numeric_fallback have shape
+    (n,), v1 and v2 shape (n, 2).
     """
 
     e1: float
@@ -229,62 +231,84 @@ class SpectralFrame2:
     numeric_fallback: bool = False
 
 
+def _any(mask):
+    """Whether any entry of a boolean array, or a (NumPy) boolean scalar, is set."""
+    return mask.any() if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _stack_last(*columns):
+    """Equal-shape arrays (or scalars) stacked along a new last axis, C-contiguous."""
+    return np.array(columns).T.copy()
+
+
 def spectral_frame(generator, t):
+    """The spectral frame of generator at a scalar time or a 1-d array of times.
+
+    The closed form is evaluated elementwise over the times, on NumPy
+    scalars for a scalar time; only the samples where it is singular go,
+    as one stack, through numkit.eig.  A discriminant below zero at any
+    time raises ComplexSpectrumError.
+    """
     m = generator.matrix(t)
-    s11, s12 = m[0]
-    s21, s22 = m[1]
+    entries = m.reshape(m.shape[:-2] + (4,))
+    s11, s12, s21, s22 = entries.T
     disc = (s11 - s22) ** 2 + 4.0 * s12 * s21
-    if disc < 0:
-        raise ComplexSpectrumError(disc)
+    negative = disc < 0
+    if _any(negative):
+        raise ComplexSpectrumError(disc[negative][0])
     root = np.sqrt(disc)
     e1 = 0.5 * (-root + s11 + s22)
     e2 = 0.5 * (root + s11 + s22)
-    scale = max(1.0, np.abs(m).max())
+    floor = _PREFACTOR_FLOOR * np.abs(entries).max(axis=-1, initial=1.0)
     a1 = -root + s11 - s22
     a2 = root + s11 - s22
     b = 2.0 * s21
-    closed_form = (
-        abs(s21) >= S21_FLOOR
-        and abs(a1 + b) >= _PREFACTOR_FLOOR * scale
-        and abs(a2 + b) >= _PREFACTOR_FLOOR * scale
-    )
-    if closed_form:
-        v1 = np.array([a1, b]) / (a1 + b)
-        v2 = np.array([a2, b]) / (a2 + b)
-        fallback = False
-    else:
-        values, vectors = numkit.eig(m)
-        v1, v2 = vectors[:, 0].real.copy(), vectors[:, 1].real.copy()
+    d1, d2 = a1 + b, a2 + b
+    fallback = (abs(s21) < S21_FLOOR) | (abs(d1) < floor) | (abs(d2) < floor)
+    numeric = _any(fallback)
+    if numeric:
+        # the singular samples' closed form is replaced below
+        d1, d2 = np.where(fallback, 1.0, d1), np.where(fallback, 1.0, d2)
+    # vectors[..., 0, :] is v1 and vectors[..., 1, :] is v2
+    vectors = _stack_last(a1 / d1, b / d1, a2 / d2, b / d2).reshape(m.shape)
+    if numeric:
+        _, columns = numkit.eig(m[fallback])
+        rows = np.swapaxes(columns.real, 1, 2).copy()
         # keep the closed form's components-sum-to-one scale when possible
-        for v in (v1, v2):
-            total = v.sum()
-            if abs(total) > 1e-8:
-                v /= total
-        fallback = True
-    return SpectralFrame2(
-        e1=e1, e2=e2, v1=v1, v2=v2,
-        n1=float(v1 @ v1), n2=float(v2 @ v2),
-        numeric_fallback=fallback,
-    )
+        total = rows.sum(axis=2, keepdims=True)
+        np.divide(rows, total, out=rows, where=np.abs(total) > 1e-8)
+        vectors[fallback] = rows
+    norms = np.vecdot(vectors, vectors)
+    n1, n2 = norms[..., 0], norms[..., 1]
+    if m.ndim == 2:
+        n1, n2, fallback = float(n1), float(n2), bool(fallback)
+    return SpectralFrame2(e1, e2, vectors[..., 0, :], vectors[..., 1, :], n1, n2, fallback)
 
 
-def ensemble_decompose(p, generator, t):
+def ensemble_decompose(p, generator, t, return_frame=False):
     """Weights of the two eigen-ensembles, as the 2-vector (pI, pII).
 
     Computed by projection onto the frame vectors scaled by their squared
     norms; the decompose/reconstruct roundtrip is exact whenever the two
-    frame vectors are orthogonal (symmetric coupling s12 = s21).
+    frame vectors are orthogonal (symmetric coupling s12 = s21).  With a
+    1-d array of n times, p is an (n, 2) stack of states and the weights
+    are (n, 2).  With return_frame, the frame is returned too.
     """
     frame = spectral_frame(generator, t)
     p = np.asarray(p, dtype=float)
-    if frame.n1 < 1e-14 or frame.n2 < 1e-14:
+    if _any(frame.n1 < 1e-14) or _any(frame.n2 < 1e-14):
         raise DegenerateFrameError("eigen-ensemble norms vanished")
-    return np.array([frame.v1 @ p / frame.n1, frame.v2 @ p / frame.n2])
+    weights = _stack_last(
+        np.vecdot(frame.v1, p) / frame.n1, np.vecdot(frame.v2, p) / frame.n2
+    )
+    return (weights, frame) if return_frame else weights
 
 
 def ensemble_reconstruct(weights, generator, t):
+    """The state with the given ensemble weights; stacks like ensemble_decompose."""
     frame = spectral_frame(generator, t)
-    return weights[0] * frame.v1 + weights[1] * frame.v2
+    weights = np.asarray(weights, dtype=float)
+    return weights[..., :1] * frame.v1 + weights[..., 1:] * frame.v2
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +439,8 @@ def eigenmode_evolve_const(generator, w0, t0, t):
 
     Each weight grows exponentially at its norm-scaled rate e_i / n_i,
     so log(pI/pII) is affine in time with slope e1/n1 - e2/n2 (the
-    Rabi-like occupancy-transfer law).
+    Rabi-like occupancy-transfer law).  A 1-d array of n times t gives
+    the (n, 2) weights at those times.
     """
     if not generator.is_constant:
         raise ValueError("eigenmode evolution requires a constant generator")
@@ -424,7 +449,7 @@ def eigenmode_evolve_const(generator, w0, t0, t):
         raise DegenerateFrameError("degenerate frame")
     w0 = np.asarray(w0, dtype=float)
     rates = np.array([frame.e1 / frame.n1, frame.e2 / frame.n2])
-    return w0 * np.exp(rates * (t - t0))
+    return w0 * np.exp(rates * (np.asarray(t, dtype=float) - t0)[..., None])
 
 
 def rabi_rate(generator, t=0.0):

@@ -58,13 +58,16 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_square(m, max_dim=MAX_DIM):
+def _check_square(m, max_dim=MAX_DIM, stacked=False):
+    """m as an array if it is one finite square matrix (or, stacked, an (n, d, d) stack)."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (m.shape,))
-    if m.shape[0] > max_dim:
-        raise ValueError("dimension %d exceeds supported maximum %d" % (m.shape[0], max_dim))
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+        raise ValueError(
+            "expected a square matrix%s, got shape %r" % (" stack" if stacked else "", m.shape)
+        )
+    if m.shape[-1] > max_dim:
+        raise ValueError("dimension %d exceeds supported maximum %d" % (m.shape[-1], max_dim))
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -96,52 +99,120 @@ def mat_exp(m):
     return result
 
 
-def _fix_vector_sign(v):
-    # deterministic orientation: first component of nonnegligible size
-    # is made positive real
-    idx = np.argmax(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
-    pivot = v[idx]
-    if pivot == 0:
-        return v
-    if np.iscomplexobj(v):
-        return v * (np.conj(pivot) / abs(pivot))
-    return v if pivot > 0 else -v
+def _orient(values, vectors):
+    """Order, normalize and orient the eigenpairs of each sample of a stack.
+
+    Eigenvalues ascend by real part (ties: imaginary part); eigenvectors
+    become unit columns whose first component of nonnegligible size is
+    positive real.  The arithmetic stays in the dtype the solver returned.
+    """
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    samples = np.arange(len(values))[:, None]
+    values = values[samples, order]
+    # columns[k, j] is column j of sample k: contiguous, like one matrix's
+    # vectors[:, order], so each norm sums its components in the same order
+    columns = vectors.swapaxes(1, 2)[samples, order]
+    columns /= np.linalg.norm(columns, axis=2, keepdims=True)
+    size = np.abs(columns)
+    large = size > 1e-12 * np.maximum(1.0, size.max(axis=2, keepdims=True))
+    pivot = columns[samples, np.arange(columns.shape[1]), large.argmax(axis=2)][:, :, None]
+    if np.iscomplexobj(columns):
+        # hypot is abs() of one complex number; np.abs of a complex array
+        # can round differently
+        columns *= np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    else:
+        columns *= np.where(pivot < 0, -1.0, 1.0)
+    return values, columns.swapaxes(1, 2)
+
+
+def _real_split(samples, values, vectors, real):
+    """A part split into its samples where real holds, as real arrays, and the rest."""
+    if not real.any():
+        return [(samples, values, vectors)]
+    if real.all():
+        return [(samples, values.real, vectors.real)]
+    return [
+        (samples[real], values[real].real, vectors[real].real),
+        (samples[~real], values[~real], vectors[~real]),
+    ]
+
+
+def _eig_parts(m):
+    """(samples, values, vectors) parts covering the stack m, one dtype each.
+
+    Each sample takes eigh when it is Hermitian to 1e-14 and eig
+    otherwise.  A general sample of a real stack is real when its own
+    eigenvalues are exactly real, or when, once oriented, their
+    imaginary parts are below 1e-14 and its vectors' below 1e-12.
+    """
+    hermitian = (np.abs(m - np.conj(m.swapaxes(1, 2))) <= 1e-14).all(axis=(1, 2))
+    parts = []
+    for solver, take in ((np.linalg.eigh, hermitian), (np.linalg.eig, ~hermitian)):
+        samples = np.flatnonzero(take)
+        if not len(samples):
+            continue
+        values, vectors = solver(m if len(samples) == len(m) else m[samples])
+        if np.iscomplexobj(m) or not np.iscomplexobj(values):
+            parts.append((samples, *_orient(values, vectors)))
+            continue
+        # eig returns real arrays only when the whole stack's spectrum is
+        # real, so a sample's own dtype is decided here
+        exact = (values.imag == 0).all(axis=1)
+        for samples, values, vectors in _real_split(samples, values, vectors, exact):
+            values, vectors = _orient(values, vectors)
+            if not np.iscomplexobj(values):
+                parts.append((samples, values, vectors))
+                continue
+            near = (
+                (np.abs(values.imag) < 1e-14).all(axis=1)
+                & (np.abs(vectors.imag) < 1e-12).all(axis=(1, 2))
+            )
+            parts += _real_split(samples, values, vectors, near)
+    return parts
 
 
 def eig(m, residual_tol=1e-10):
     """Eigendecomposition with deterministic ordering and orientation.
 
+    m is one (d, d) matrix, d <= 8, or an (n, d, d) stack of them.
     Returns (values, vectors) with eigenvalues sorted ascending by real
     part (ties: ascending imaginary part), eigenvectors as unit-norm
     columns whose first nonzero component is positive real.  Raises if
     any eigenpair residual exceeds residual_tol * ||m||_inf.
+
+    A stack gives (n, d) values and (n, d, d) vectors, and sample k is
+    exactly eig(m[k]): each sample is tested for being Hermitian on its
+    own and solved by eigh if it is, by eig if not.  One matrix is
+    solved as a stack of one.  Values are real unless m is complex or a
+    non-Hermitian sample has eigenvalues off the real axis; vectors are
+    real unless m is complex or such a sample's vectors are.  In a stack
+    the values (vectors) are real only when every sample's are; real
+    samples of a complex stack carry zero imaginary parts.
     """
-    m = _check_square(m, max_dim=8)
-    hermitian = np.allclose(m, np.conj(m.T), rtol=0.0, atol=1e-14)
-    if hermitian:
-        values, vectors = np.linalg.eigh(m)
+    m = np.asarray(m)
+    single = m.ndim == 2
+    m = _check_square(m[None] if single else m, max_dim=8, stacked=True)
+    parts = _eig_parts(m)
+    if len(parts) == 1:
+        _, values, vectors = parts[0]
     else:
-        values, vectors = np.linalg.eig(m)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    for j in range(vectors.shape[1]):
-        vectors[:, j] = _fix_vector_sign(vectors[:, j])
-    if not hermitian and np.all(np.abs(values.imag) < 1e-14) and not np.iscomplexobj(m):
-        if np.all(np.abs(vectors.imag) < 1e-12):
-            values = values.real
-            vectors = vectors.real
-    scale = max(np.linalg.norm(m, np.inf), 1e-300)
-    residual = max(
-        np.abs(m @ vectors[:, j] - values[j] * vectors[:, j]).max()
-        for j in range(vectors.shape[1])
-    )
-    if residual > residual_tol * scale:
+        values = np.empty(m.shape[:2], np.result_type(float, *(w for _, w, _ in parts)))
+        vectors = np.empty(m.shape, np.result_type(float, *(v for _, _, v in parts)))
+        for samples, w, v in parts:
+            values[samples] = w
+            vectors[samples] = v
+    scale = np.maximum(np.abs(m).sum(axis=2).max(axis=1), 1e-300)
+    defect = m @ vectors
+    defect -= vectors * values[:, None, :]
+    residual = np.abs(defect).max(axis=(1, 2))
+    bad = residual > residual_tol * scale
+    if bad.any():
+        k = bad.argmax()
         raise np.linalg.LinAlgError(
-            "eigendecomposition residual %.3e exceeds %.3e" % (residual, residual_tol * scale)
+            "eigendecomposition residual %.3e exceeds %.3e"
+            % (residual[k], residual_tol * scale[k])
         )
-    return values, vectors
+    return (values[0], vectors[0]) if single else (values, vectors)
 
 
 def step_count(t0, t1, dt):

@@ -166,12 +166,15 @@ def polar_split(trajectory, floor=PHASE_HOLD_FLOOR):
 
 
 def pure_entropy_pair(psi, ordering="a_slow"):
-    """Subsystem entropies (S_A, S_B) of a pure 4-component state."""
+    """Subsystem entropies (S_A, S_B) of a pure 4-component state.
+
+    An (n, 4) stack of states gives the pair as two (n,) arrays.
+    """
     psi = np.asarray(psi, dtype=complex)
-    norm_sq = float(np.vdot(psi, psi).real)
-    if norm_sq <= 0:
+    norm_sq = np.vecdot(psi, psi).real
+    if (norm_sq <= 0).any():
         raise ValueError("state has zero norm")
-    rho = np.outer(psi, np.conj(psi)) / norm_sq
+    rho = psi[..., :, None] * np.conj(psi)[..., None, :] / norm_sq[..., None, None]
     s_a = von_neumann_entropy(reduced_density(rho, "A", ordering))
     s_b = von_neumann_entropy(reduced_density(rho, "B", ordering))
     return s_a, s_b

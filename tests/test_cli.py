@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from epiqmap import cli
+from epiqmap import cli, numkit
 
 
 def write_config(tmp_path, config, name="scenario.json"):
@@ -171,6 +171,23 @@ class TestSimulate:
 
 
 class TestEmitSeries:
+    @pytest.mark.parametrize("chunk", [cli.EMIT_CHUNK, 3])
+    def test_text_equals_csv_writer(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+        rng = np.random.default_rng(71)
+        values = rng.normal(size=(10, 3)) * 10.0 ** rng.integers(-300, 300, size=(10, 3))
+        values[1, 0], values[4, 1], values[7, 2] = np.nan, np.inf, -np.inf
+        values[2] = (0.0, -0.0, 5e-324)
+        columns = [("t", np.arange(10) / 7.0)] + [("c%d" % k, values[:, k]) for k in range(3)]
+        cli.emit_series(columns, tmp_path / "out.csv", digest="d")
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([name for name, _ in columns])
+            for row in zip(*(values for _, values in columns)):
+                writer.writerow(["%.17g" % v for v in row])
+        assert (tmp_path / "out.csv").read_bytes() == expected.read_bytes()
+
     def test_row_count(self, tmp_path):
         path = tmp_path / "tiny.csv"
         cli.emit_series(
@@ -309,6 +326,86 @@ class TestValidation:
         assert "numeric failure" in capsys.readouterr().err
 
 
+class TestFrameFallbacks:
+    def test_report_counts_numeric_frames(self, tmp_path):
+        cfg = write_config(tmp_path, TestPinnedOutput.FRAME_FALLBACK_TABLE)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert checks[-1] == {"name": "frame_fallbacks", "value": 101.0,
+                              "tolerance": None, "passed": None}
+
+    def test_closed_form_run_reports_zero(self, tmp_path):
+        cfg = write_config(tmp_path, epidemic2_config())
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert checks["frame_fallbacks"]["value"] == 0.0
+
+    def test_no_check_without_weights(self, tmp_path):
+        cfg = write_config(tmp_path, epidemic2_config(outputs=["probabilities"]))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        names = [c["name"] for c in json.loads((out / "report.json").read_text())["checks"]]
+        assert names == ["max_simplex_violation"]
+
+
+def kron_sum_config(**overrides):
+    config = {
+        "schema": 1, "model": "coupled4",
+        "t0": 0.0, "t1": 0.1, "dt": 0.05,
+        "generator": {
+            "form": "kron_sum",
+            "sa": {"s11": -0.2, "s12": 0.1, "s21": 0.2, "s22": -0.1},
+            "sb": {"s11": -0.25, "s12": 0.15, "s21": 0.25, "s22": -0.15},
+        },
+        "initial_state": [0.25, 0.25, 0.25, 0.25],
+    }
+    config.update(overrides)
+    return config
+
+
+class TestProductBasisEvents:
+    """Projective events on a product-basis (kron_sum) state condition the joint state."""
+
+    def run_event(self, tmp_path, target, **overrides):
+        cfg = write_config(tmp_path, kron_sum_config(
+            events=[{"time": 0.05, "type": "projective", "target": target}], **overrides
+        ))
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+        rows = read_rows(out / "series.csv") if code == 0 else None
+        return code, rows
+
+    def test_fixed_outcome_conditions_the_state(self, tmp_path):
+        code, rows = self.run_event(tmp_path, "1A")
+        assert code == 0
+        generator = cli.parse_scenario(kron_sum_config()).source
+        p = numkit.ode_evolve(generator.matrix, [0.25] * 4, 0.0, 0.05, 0.05).final
+        after = np.array([float(v) for v in rows[2][1:]])
+        assert float(rows[2][0]) == 0.05
+        expected = np.array([p[0], p[1], 0.0, 0.0]) * p.sum() / (p[0] + p[1])
+        assert np.abs(after - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_sampled_outcome_conditions_the_state(self, tmp_path, seed):
+        code, rows = self.run_event(tmp_path, "sample_B", seed=seed)
+        assert code == 0
+        after = np.array([float(v) for v in rows[2][1:]])
+        assert after[[0, 2]].sum() == 0.0 or after[[1, 3]].sum() == 0.0
+        assert after.sum() == pytest.approx(1.0, abs=1e-3)
+
+    def test_zero_probability_outcome_exits_3(self, tmp_path, capsys):
+        generator = kron_sum_config()["generator"]
+        # subsystem A frozen in state 2A: outcome 1A keeps probability 0
+        generator["sa"] = {"s11": 0.0, "s12": 0.0, "s21": 0.0, "s22": 0.0}
+        code, _ = self.run_event(
+            tmp_path, "1A", initial_state=[0.0, 0.0, 0.5, 0.5], generator=generator
+        )
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_filter_runs_matching_checks(self, capsys):
         assert cli.main(["verify", "--filter", "rabi"]) == 0
@@ -348,8 +445,9 @@ class TestNormalizationGuard:
 class TestPinnedOutput:
     """series.csv digests pinned from the per-time generator evaluation.
 
-    Evaluating generators over blocks of stage times, or dispatching
-    models through cli.MODELS, must not move a single printed digit.
+    Evaluating generators over blocks of stage times, dispatching models
+    through cli.MODELS, or computing ensemble weights and entropies over
+    whole stacks must not move a single printed digit.
     """
 
     README_EXAMPLE = {
@@ -414,14 +512,67 @@ class TestPinnedOutput:
                     "p_test": [0.9, 0.1]}],
     }
 
+    # s12 = -s22 at every time makes the closed-form frame singular, so
+    # every ensemble weight comes from the numkit.eig fallback
+    FRAME_FALLBACK_TABLE = {
+        "schema": 1,
+        "model": "epidemic2",
+        "t0": 0.0, "t1": 1.0, "dt": 0.01,
+        "generator": {
+            "s11": [[0.0, -0.2], [0.5, -0.3], [1.0, -0.1]],
+            "s12": [[0.0, 0.1], [0.5, 0.15], [1.0, 0.05]],
+            "s21": [[0.0, 0.2], [0.5, 0.3], [1.0, 0.1]],
+            "s22": [[0.0, -0.1], [0.5, -0.15], [1.0, -0.05]],
+        },
+        "initial_state": [0.6, 0.4],
+        "outputs": ["probabilities", "ensemble_weights"],
+    }
+
+    QUANTUM_ENTROPIES = {
+        "schema": 1,
+        "model": "quantum2q",
+        "t0": 0.0, "t1": 2.0, "dt": 0.01,
+        "hamiltonian": {
+            "ep": [1.05, 0.95, 1.02, 0.98],
+            "ts_a": [0.1, 0.02],
+            "ts_b": 0.12,
+            "ec": [0.05, 0.3, 0.15, 0.2],
+        },
+        "initial_state": [[0.6, 0.0], [0.0, 0.48], [0.64, 0.0], [0.0, 0.0]],
+        "outputs": ["probabilities", "entropies"],
+    }
+
+    # taken after product-basis measurement was introduced: before it,
+    # these events applied the traffic-basis collapse to a product state
+    KRON_SUM_EVENTS = {
+        "schema": 1,
+        "model": "coupled4",
+        "t0": 0.0, "t1": 2.0, "dt": 0.01,
+        "seed": 5,
+        "generator": {
+            "form": "kron_sum",
+            "sa": {"s11": -0.2, "s12": [[0.0, 0.1], [1.0, 0.3], [2.0, 0.2]],
+                   "s21": 0.2, "s22": -0.1},
+            "sb": {"s11": -0.25, "s12": 0.15, "s21": 0.25, "s22": -0.15},
+        },
+        "initial_state": [0.1, 0.2, 0.3, 0.4],
+        "events": [{"time": 0.5, "type": "projective", "target": "1A"},
+                   {"time": 1.0, "type": "projective", "target": "sample_B"}],
+    }
+
     @pytest.mark.parametrize("config, digest", [
         (README_EXAMPLE, "9491abbba47393cd881288f4043c3bebb9b8a717e927fa86ace0d5f13aa99ed3"),
         (KRON_SUM_TABLE, "c083837c76ad414d06be5267256739429f0971f2aa018e7375bcdbcf79194f8b"),
         (EPIDEMIC_N_TABLE, "abc54ca1ad3d0b2ac2010c3f65a4a5fc39f6beaa5db1d053ce094a571e6622db"),
         (TRAFFIC_SAMPLED, "7ab2ee59bfe3c1153e67d6792c4b77ceb192019353802874f9c1329cd6c6651a"),
         (WEAK_EVENT, "a37ed53d3f52a56bb73bfb39a2496449f4085fc56c715aa1a2fb9e7f086c7acb"),
+        (FRAME_FALLBACK_TABLE,
+         "3ada29e2b848f54bfac818e448c89cb503d99b79f3d0846d042d70adc9a8a6e4"),
+        (QUANTUM_ENTROPIES, "78933892046c873a995c9b26e93a4cbe58f83d5ad9178e7162234e4c8829c1c3"),
+        (KRON_SUM_EVENTS, "6064babc874c51e78f93dccd44397af8b39116a7ebd30f446a02411a7b4e6148"),
     ], ids=["readme_epidemic2", "coupled4_kron_sum_table", "epidemicN_4x4_table",
-            "coupled4_traffic_sample_A", "epidemic2_weak"])
+            "coupled4_traffic_sample_A", "epidemic2_weak", "epidemic2_frame_fallback",
+            "quantum2q_entropies", "coupled4_kron_sum_events"])
     def test_series_digest(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "out"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiqmap import coupled, epidemic, numkit
+from epiqmap.errors import FloorViolationError
 
 
 def gen2(s11, s12, s21, s22):
@@ -135,6 +138,83 @@ class TestMeasurement:
         free_end = numkit.ode_evolve(g4.matrix, at_1, 1.0, 2.0, 1e-3).final
         measured_end = numkit.ode_evolve(g4.matrix, measured, 1.0, 2.0, 1e-3).final
         assert np.abs(measured_end[2:] - free_end[2:]).max() > 1e-6
+
+
+# one generator of each form, for the basis it works in
+FORMS = {
+    "traffic": coupled.build_traffic_generator(
+        gen2(0.0, 0.4, 0.3, -0.1), gen2(-0.2, 0.3, 0.5, 0.0), (0.3, 0.25, 0.35, 0.2)
+    ),
+    "symmetric": coupled.symmetric_traffic_generator(gen2(-0.3, 0.2, 0.1, -0.2), 0.1),
+    "kron_sum": coupled.kron_sum_generator(gen2(-0.2, 0.1, 0.2, -0.1), gen2(-0.25, 0.15, 0.25, -0.15)),
+    "interaction": coupled.interaction_generator(
+        (-0.1, -0.2, -0.3, -0.4), {("1A1B", "1A2B"): 0.1}, np.eye(2), np.eye(2)
+    ),
+}
+
+occupancy = st.floats(1e-3, 1.0)
+
+
+def simplex_pair(a, b):
+    return np.array([a, b]) / (a + b)
+
+
+class TestProductBasisMeasurement:
+    P = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def test_outcomes_condition_the_joint_distribution(self):
+        expected = {
+            "1A": np.array([0.1, 0.2, 0.0, 0.0]) / 0.3,
+            "2A": np.array([0.0, 0.0, 0.3, 0.4]) / 0.7,
+            "1B": np.array([0.1, 0.0, 0.3, 0.0]) / 0.4,
+            "2B": np.array([0.0, 0.2, 0.0, 0.4]) / 0.6,
+        }
+        for target, after in expected.items():
+            measured = coupled.measure_subsystem(self.P, target, "product")
+            assert np.abs(measured - after).max() <= 1e-15
+            assert measured.sum() == pytest.approx(self.P.sum(), abs=1e-15)
+
+    def test_total_is_kept(self):
+        measured = coupled.measure_subsystem(2.0 * self.P, "1B", "product")
+        assert measured.sum() == pytest.approx(2.0, abs=1e-15)
+
+    def test_zero_probability_outcome_raises(self):
+        with pytest.raises(FloorViolationError):
+            coupled.measure_subsystem(np.array([0.0, 0.0, 0.5, 0.5]), "1A", "product")
+
+    def test_unknown_basis(self):
+        with pytest.raises(ValueError):
+            coupled.measure_subsystem(self.P, "1A", "joint")
+        with pytest.raises(ValueError):
+            coupled.subsystem_marginals(self.P, "joint")
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.tuples(occupancy, occupancy), b=st.tuples(occupancy, occupancy),
+           target=st.sampled_from(coupled.TRAFFIC_TARGETS))
+    def test_product_measurement_is_the_traffic_collapse(self, a, b, target):
+        p_a, p_b = simplex_pair(*a), simplex_pair(*b)
+        traffic = coupled.measure_subsystem(np.concatenate((p_a, p_b)), target)
+        product = coupled.measure_subsystem(
+            coupled.product_from_marginals(p_a, p_b), target, "product"
+        )
+        assert np.abs(coupled.product_from_marginals(traffic[:2], traffic[2:]) - product).max() <= 4e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(form=st.sampled_from(sorted(FORMS)), target=st.sampled_from(coupled.TRAFFIC_TARGETS),
+           a=st.tuples(occupancy, occupancy), b=st.tuples(occupancy, occupancy))
+    def test_unmeasured_marginal_is_unchanged(self, form, target, a, b):
+        basis = FORMS[form].basis
+        p_a, p_b = simplex_pair(*a), simplex_pair(*b)
+        if basis == "product":
+            state = coupled.product_from_marginals(p_a, p_b)
+        else:
+            state = np.concatenate((p_a, p_b))
+        other = 1 if target.endswith("A") else 0
+        before = coupled.subsystem_marginals(state, basis)[other]
+        after = coupled.subsystem_marginals(coupled.measure_subsystem(state, target, basis), basis)
+        assert np.abs(after[other] - before).max() <= 4e-15
+        # the measured subsystem is left in the outcome's state
+        assert after[1 - other][int(target[0]) - 1] == pytest.approx(1.0, abs=4e-15)
 
 
 class TestKronSum:

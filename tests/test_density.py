@@ -123,10 +123,34 @@ class TestSqrtRightHandSide:
         p0 = rng.uniform(0.2, 1.0, size=d)
         p0 /= p0.sum()
         t1 = -0.1 * span if backward else span
+        reference, lowest = h_forming_rhs(s), []
+
+        def recorded(tau, a):
+            lowest.append(a.min())
+            return reference(tau, a)
+
+        ref = numkit.rk4_path(recorded, np.sqrt(p0), 0.0, t1, 0.01)
+        if min(lowest) < 0:
+            # a backward run drove a probability through 0 inside a step:
+            # the reference runs on with a negative amplitude, the flow refuses
+            with pytest.raises(FloorViolationError):
+                density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 0.01)
+            return
         traj = density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 0.01)
-        ref = numkit.rk4_path(h_forming_rhs(s), np.sqrt(p0), 0.0, t1, 0.01)
         assert np.array_equal(traj.times, ref.times)
         assert np.abs(traj.states - ref.states).max() <= 1e-12 * np.abs(ref.states).max()
+
+    def test_probability_through_zero_raises(self):
+        # a backward run in which amplitude 0 goes from 0.066 to -0.043 in the
+        # step from t = -0.08 to -0.09, every stage probability above the floor
+        rng = np.random.default_rng(45938)
+        s = random_master_rates(rng, 8)
+        p0 = rng.uniform(0.2, 1.0, size=8)
+        p0 /= p0.sum()
+        with pytest.raises(FloorViolationError) as info:
+            density.evolve_sqrt_trajectory(s, p0, 0.0, -0.1, 0.01)
+        assert info.value.component == 0
+        assert -0.1 < info.value.time < 0.0
 
     def test_time_dependent_table_squares_to_master_flow(self):
         p0 = np.array([0.6, 0.4])
@@ -230,6 +254,22 @@ class TestReducedDensity:
     def test_zero_trace(self):
         with pytest.raises(ZeroDivisionError):
             density.reduced_density(np.zeros((4, 4)), "A")
+        with pytest.raises(ZeroDivisionError):
+            density.reduced_density(np.array([np.eye(4), np.zeros((4, 4))]), "A")
+
+    def test_stack_is_the_per_matrix_stack(self):
+        rng = np.random.default_rng(61)
+        rhos = rng.normal(size=(9, 4, 4)) + 1j * rng.normal(size=(9, 4, 4))
+        for subsystem in ("A", "B"):
+            for ordering in ("a_slow", "b_slow"):
+                stacked = density.reduced_density(rhos, subsystem, ordering)
+                loop = [density.reduced_density(rho, subsystem, ordering) for rho in rhos]
+                assert stacked.tobytes() == np.array(loop).tobytes()
+
+    def test_rejects_wrong_shapes(self):
+        for shape in ((2, 2), (3, 3, 4), (2, 3, 4, 4)):
+            with pytest.raises(ValueError):
+                density.reduced_density(np.ones(shape), "A")
 
 
 class TestEntropy:
@@ -260,6 +300,16 @@ class TestEntropy:
     def test_rejects_significant_negativity(self):
         with pytest.raises(ValueError):
             density.von_neumann_entropy(np.diag([1.1, -0.1]))
+        with pytest.raises(ValueError):
+            density.von_neumann_entropy(np.array([np.eye(2) / 2.0, np.diag([1.1, -0.1])]))
+
+    def test_stack_is_the_per_matrix_stack(self):
+        rng = np.random.default_rng(67)
+        lams = rng.uniform(0.0, 1.0, size=9)
+        lams[:3] = (0.0, 1.0, 0.5)
+        rhos = np.array([np.diag([lam, 1.0 - lam]) for lam in lams])
+        stacked = density.von_neumann_entropy(rhos)
+        assert stacked.tobytes() == np.array([density.von_neumann_entropy(r) for r in rhos]).tobytes()
 
     def test_classical_pair_entropies_recorded_without_relation(self):
         # the classical construction does not promise S_A == S_B; both

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiqmap import epidemic, numkit
 from epiqmap.acceptance import _random_frame_generator
-from epiqmap.errors import ComplexSpectrumError
+from epiqmap.errors import ComplexSpectrumError, DegenerateFrameError
 
 
 def constant_gen(s11, s12, s21, s22):
@@ -110,6 +114,122 @@ class TestEnsembles:
             w = epidemic.ensemble_decompose(p, gen, 0.0)
             back = epidemic.ensemble_reconstruct(w, gen, 0.0)
             assert np.abs(back - p).max() <= 1e-12
+
+
+def table(rng, lo, hi):
+    """A piecewise-linear rate table over [0, 1] with seeded values in [lo, hi]."""
+    return [[t, v] for t, v in zip((0.0, 0.5, 1.0), rng.uniform(lo, hi, 3))]
+
+
+def stack_generator(kind, seed):
+    """A table-rate generator whose frames are closed-form, numeric or both.
+
+    closed:   s12 and s21 positive, so the spectrum is real;
+    fallback: every rate is f(t) times (-0.2, 0.1, 0.2, -0.1), so s12 = -s22
+              makes the closed form singular at every time;
+    mixed:    s12 = s21 runs from -0.3 to 0.3, so t = 0.5 (s21 = 0) falls back.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "closed":
+        return epidemic.Generator2(
+            table(rng, -1.0, 1.0), table(rng, 0.1, 1.0), table(rng, 0.1, 1.0), table(rng, -1.0, 1.0)
+        )
+    if kind == "fallback":
+        f = table(rng, 0.5, 1.5)
+        return epidemic.Generator2(*([[t, s * v] for t, v in f] for s in (-0.2, 0.1, 0.2, -0.1)))
+    crossing = [[0.0, -0.3], [1.0, 0.3]]
+    return epidemic.Generator2(rng.uniform(-1.0, 0.0), crossing, crossing, rng.uniform(-1.0, 0.0))
+
+
+def assert_bitwise(stacked, looped):
+    looped = np.array(looped)
+    assert stacked.dtype == looped.dtype and stacked.shape == looped.shape
+    assert stacked.tobytes() == looped.tobytes()
+
+
+FRAME_FIELDS = [f.name for f in dataclasses.fields(epidemic.SpectralFrame2)]
+
+stack_times = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+
+
+class TestStackedFrames:
+    """A 1-d array of times gives, bit for bit, the stack of per-time results."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["closed", "fallback", "mixed"]),
+           seed=st.integers(0, 2**32 - 1), times=stack_times)
+    def test_spectral_frame_is_the_per_time_stack(self, kind, seed, times):
+        gen = stack_generator(kind, seed)
+        times = np.array(times + [0.5])
+        frame = epidemic.spectral_frame(gen, times)
+        loop = [epidemic.spectral_frame(gen, t) for t in times]
+        for name in FRAME_FIELDS:
+            assert_bitwise(getattr(frame, name), [getattr(f, name) for f in loop])
+        if kind == "fallback":
+            assert frame.numeric_fallback.all()
+        elif kind == "mixed":
+            assert frame.numeric_fallback[-1] and not frame.numeric_fallback[times != 0.5].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["closed", "fallback", "mixed"]),
+           seed=st.integers(0, 2**32 - 1), times=stack_times)
+    def test_ensembles_are_the_per_time_stack(self, kind, seed, times):
+        gen = stack_generator(kind, seed)
+        times = np.array(times + [0.5])
+        p = np.random.default_rng(seed).uniform(0.0, 1.0, size=(len(times), 2))
+        weights = epidemic.ensemble_decompose(p, gen, times)
+        assert_bitwise(weights, [epidemic.ensemble_decompose(q, gen, t) for q, t in zip(p, times)])
+        back = epidemic.ensemble_reconstruct(weights, gen, times)
+        assert_bitwise(
+            back, [epidemic.ensemble_reconstruct(w, gen, t) for w, t in zip(weights, times)]
+        )
+
+    def test_return_frame_gives_the_frame_used(self):
+        gen = stack_generator("mixed", 3)
+        times = np.linspace(0.0, 1.0, 11)
+        p = np.full((11, 2), 0.5)
+        weights, frame = epidemic.ensemble_decompose(p, gen, times, return_frame=True)
+        assert_bitwise(weights, epidemic.ensemble_decompose(p, gen, times))
+        assert frame.numeric_fallback.sum() == 1
+
+    def test_scalar_time_keeps_scalar_fields(self):
+        frame = epidemic.spectral_frame(stack_generator("fallback", 5), 0.25)
+        assert type(frame.n1) is float and type(frame.numeric_fallback) is bool
+        assert type(frame.e1) is np.float64 and frame.v1.shape == (2,)
+
+    def test_complex_spectrum_raises_like_the_loop(self):
+        gen = epidemic.Generator2(0.0, 1.0, [[0.0, 0.5], [1.0, -0.5]], 0.0)
+        times = np.array([0.1, 0.7, 0.9])
+        with pytest.raises(ComplexSpectrumError) as looped:
+            for t in times:
+                epidemic.spectral_frame(gen, t)
+        for call in (epidemic.spectral_frame, epidemic.ensemble_reconstruct):
+            args = (gen, times) if call is epidemic.spectral_frame else (np.ones((3, 2)), gen, times)
+            with pytest.raises(ComplexSpectrumError) as stacked:
+                call(*args)
+            assert stacked.value.discriminant == looped.value.discriminant
+
+    def test_vanishing_norms_raise_like_the_loop(self, monkeypatch):
+        gen = constant_gen(1.0, 0.3, 0.3, 0.2)
+        real = epidemic.spectral_frame
+
+        def vanishing(generator, t):
+            return dataclasses.replace(real(generator, t), n2=real(generator, t).n2 * 0.0)
+
+        monkeypatch.setattr(epidemic, "spectral_frame", vanishing)
+        with pytest.raises(DegenerateFrameError):
+            epidemic.ensemble_decompose([0.5, 0.5], gen, 0.0)
+        with pytest.raises(DegenerateFrameError):
+            epidemic.ensemble_decompose(np.full((3, 2), 0.5), gen, np.zeros(3))
+
+    def test_eigenmode_evolution_over_times(self):
+        gen = constant_gen(1.0, 0.3, 0.4, 0.2)
+        times = np.linspace(0.0, 2.0, 7)
+        w0 = np.array([0.7, 0.4])
+        assert_bitwise(
+            epidemic.eigenmode_evolve_const(gen, w0, 0.0, times),
+            [epidemic.eigenmode_evolve_const(gen, w0, 0.0, t) for t in times],
+        )
 
 
 class TestIntegratedGenerator:

@@ -132,6 +132,61 @@ class TestEig:
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             numkit.eig(np.eye(9))
+        with pytest.raises(ValueError):
+            numkit.eig(np.zeros((3, 9, 9)))
+
+
+def mixed_stack(seed, d, n, complex_valued):
+    """n seeded d x d matrices of mixed kinds: Hermitian, general, real-spectrum."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for kind in rng.integers(0, 4, n):
+        m = rng.uniform(-1.0, 1.0, (d, d))
+        if complex_valued:
+            m = m + 1j * rng.uniform(-1.0, 1.0, (d, d))
+        if kind == 0:
+            m = m + np.conj(m.T)  # Hermitian: eigh
+        elif kind == 1:
+            m = np.triu(m)  # real spectrum when m is real
+        elif kind == 2:
+            m = np.diag(rng.uniform(-1.0, 1.0, d)) + 1e-15 * m  # Hermitian within 1e-14
+        stack.append(m)
+    return np.array(stack)
+
+
+class TestStackedEig:
+    """eig of an (n, d, d) stack is, bit for bit, the stack of per-matrix results."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4]),
+           n=st.integers(1, 12), complex_valued=st.booleans())
+    def test_stack_is_the_per_matrix_stack(self, seed, d, n, complex_valued):
+        stack = mixed_stack(seed, d, n, complex_valued)
+        values, vectors = numkit.eig(stack)
+        loop = [numkit.eig(m) for m in stack]
+        for stacked, looped in ((values, [w for w, _ in loop]), (vectors, [v for _, v in loop])):
+            # the stack is real only when every matrix's result is
+            dtype = np.result_type(*looped)
+            assert stacked.dtype == dtype
+            assert stacked.tobytes() == np.array(looped, dtype=dtype).tobytes()
+
+    def test_real_spectra_of_a_general_stack_stay_real(self):
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
+        triangular = np.array([[1.0, 2.0], [0.0, 3.0]])
+        values, vectors = numkit.eig(np.array([triangular, rotation]))
+        assert values.dtype == complex and np.all(values[0].imag == 0)
+        assert numkit.eig(triangular)[0].dtype == float
+        assert np.array_equal(values[0], numkit.eig(triangular)[0])
+
+    def test_stack_raises_like_the_loop(self):
+        with pytest.raises(ValueError):
+            numkit.eig(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+        with pytest.raises(ValueError):
+            numkit.eig(np.zeros((2, 2, 3)))
+
+    def test_empty_stack(self):
+        values, vectors = numkit.eig(np.zeros((0, 2, 2)))
+        assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
 
 
 class TestOdeEvolve:

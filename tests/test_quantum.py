@@ -232,3 +232,31 @@ class TestPureEntropyPair:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             quantum.pure_entropy_pair(np.zeros(4))
+
+
+class TestStackedEntropies:
+    """An (n, 4) stack of states gives, bit for bit, the per-state entropies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           ordering=st.sampled_from(["a_slow", "b_slow"]))
+    def test_stack_is_the_per_state_pair(self, seed, n, ordering):
+        rng = np.random.default_rng(seed)
+        random = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        product = (u[:, :, None] * v[:, None, :]).reshape(n, 4)
+        bell = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1j, 0.0], [0.0, 0.0, 0.0, 2.0]])
+        states = np.concatenate((random, product, bell))
+        s_a, s_b = quantum.pure_entropy_pair(states, ordering)
+        loop = np.array([quantum.pure_entropy_pair(psi, ordering) for psi in states])
+        assert s_a.tobytes() == loop[:, 0].tobytes()
+        assert s_b.tobytes() == loop[:, 1].tobytes()
+
+    def test_scalar_state_gives_floats(self):
+        s_a, s_b = quantum.pure_entropy_pair(np.array([1.0, 0.0, 0.0, 1.0]))
+        assert type(s_a) is float and type(s_b) is float
+
+    def test_zero_state_in_a_stack_rejected(self):
+        with pytest.raises(ValueError):
+            quantum.pure_entropy_pair(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
