@@ -329,12 +329,20 @@ def load_scenario(path):
 # simulation
 # ---------------------------------------------------------------------------
 
+def _total_probability(state):
+    """sum p of a probability vector, sum |psi|^2 of a complex wave."""
+    return float((np.abs(state) ** 2).sum() if np.iscomplexobj(state) else state.sum())
+
+
 def _segmented_evolution(generator, state, scenario, dtype=float):
     """Integrate dt-wise between events; boundary samples are post-event.
 
     generator is what numkit.ode_evolve takes: a constant matrix or a
     generator-protocol callable.  Each event is applied by its model's
     function for that event kind, which also sees the scenario's source.
+    Returns (times, states, checks); a run with events gets the check
+    max_event_probability_jump, the largest change of total probability
+    across one event.
     """
     apply_event = MODELS[scenario.model].events
     times = [np.array([scenario.t0])]
@@ -344,6 +352,7 @@ def _segmented_evolution(generator, state, scenario, dtype=float):
     rng = np.random.default_rng(scenario.seed) if scenario.seed is not None else None
     boundaries = [e.time for e in scenario.events] + [scenario.t1]
     segments = list(zip(boundaries, scenario.events + [None]))
+    jumps = []
     for boundary, event in segments:
         if boundary > cursor:
             traj = numkit.ode_evolve(generator, current, cursor, boundary, scenario.dt)
@@ -352,10 +361,13 @@ def _segmented_evolution(generator, state, scenario, dtype=float):
             current = traj.final.copy()
             cursor = boundary
         if event is not None:
+            before = _total_probability(current)
             current = apply_event[event.kind](current, event, rng, scenario.source)
+            jumps.append(abs(_total_probability(current) - before))
             states[-1] = states[-1].copy()
             states[-1][-1] = current
-    return np.concatenate(times), np.concatenate(states)
+    checks = [_check("max_event_probability_jump", max(jumps))] if jumps else []
+    return np.concatenate(times), np.concatenate(states), checks
 
 
 def _project_epidemic2(state, event, rng, source):
@@ -408,7 +420,7 @@ def _probability_columns(times, probs, names=None):
 
 def _simulate_epidemic2(scenario):
     gen = scenario.source
-    times, states = _segmented_evolution(gen.matrix, scenario.initial_state, scenario)
+    times, states, event_checks = _segmented_evolution(gen.matrix, scenario.initial_state, scenario)
     columns = _probability_columns(times, states)
     checks = [_negativity_check(states)]
     if "ensemble_weights" in scenario.outputs:
@@ -419,31 +431,36 @@ def _simulate_epidemic2(scenario):
     if "ratio" in scenario.outputs:
         with np.errstate(divide="ignore", invalid="ignore"):
             columns.append(("r12", states[:, 0] / states[:, 1]))
-    return columns, checks
+    return columns, checks + event_checks
 
 
 def _simulate_epidemic_n(scenario):
-    times, states = _segmented_evolution(scenario.source, scenario.initial_state, scenario)
-    return _probability_columns(times, states), [_negativity_check(states)]
+    times, states, event_checks = _segmented_evolution(
+        scenario.source, scenario.initial_state, scenario
+    )
+    return _probability_columns(times, states), [_negativity_check(states)] + event_checks
 
 
 def _simulate_coupled4(scenario):
     gen = scenario.source
-    times, states = _segmented_evolution(gen.matrix, scenario.initial_state, scenario)
+    times, states, event_checks = _segmented_evolution(gen.matrix, scenario.initial_state, scenario)
     names = ("pA1", "pA2", "pB1", "pB2") if gen.basis == "traffic" else None
-    return _probability_columns(times, states, names), [_negativity_check(states)]
+    checks = [_negativity_check(states)] + event_checks
+    return _probability_columns(times, states, names), checks
 
 
 def _simulate_quantum2q(scenario):
     h = quantum.build_hamiltonian(scenario.source)
-    times, states = _segmented_evolution(-1j * h, scenario.initial_state, scenario, dtype=complex)
+    times, states, event_checks = _segmented_evolution(
+        -1j * h, scenario.initial_state, scenario, dtype=complex
+    )
     columns = _probability_columns(times, np.abs(states) ** 2, ("pI", "pII", "pIII", "pIV"))
     checks = []
     if "entropies" in scenario.outputs:
         s_a, s_b = quantum.pure_entropy_pair(states)
         columns += [("SA", s_a), ("SB", s_b)]
         checks.append(_check("entropy_symmetry_gap", float(np.abs(s_a - s_b).max()), 1e-9))
-    return columns, checks
+    return columns, checks + event_checks
 
 
 def _simulate_mapping(scenario):

@@ -71,29 +71,31 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     """
     p0 = _check_floor(p0, floor, t0)
     a0 = np.sqrt(p0)
-    if hasattr(generator, "matrix"):
-        def half_rates(tau):
-            return 0.5 * generator.matrix(tau)
-    else:
-        half = 0.5 * np.asarray(generator, dtype=float)
-
-        def half_rates(tau):
-            return half
-
     # an amplitude at or above this has p = a * a above the floor, so one
     # screen catches both a low probability and a negative amplitude
     screen = np.sqrt(floor) * (1.0 + 1e-12)
 
-    def rhs(tau, a):
-        p = a * a
-        if min(a.tolist()) < screen:
-            _check_floor(p, floor, tau)
-            if min(a.tolist()) < 0:
-                raise FloorViolationError(
-                    "amplitude crossed zero: a probability passed through 0",
-                    time=tau, component=int((a < 0).argmax()),
-                )
-        return half_rates(tau) @ p / a
+    def check_stage(tau, a):
+        _check_floor(a * a, floor, tau)
+        if min(a.tolist()) < 0:
+            raise FloorViolationError(
+                "amplitude crossed zero: a probability passed through 0",
+                time=tau, component=int((a < 0).argmax()),
+            )
+
+    if hasattr(generator, "matrix"):
+        def rhs(tau, a):
+            if min(a.tolist()) < screen:
+                check_stage(tau, a)
+            return (0.5 * generator.matrix(tau)).dot(a * a) / a
+    else:
+        # half.dot(p) is half @ p with less call overhead
+        half_rates = (0.5 * np.asarray(generator, dtype=float)).dot
+
+        def rhs(tau, a):
+            if min(a.tolist()) < screen:
+                check_stage(tau, a)
+            return half_rates(a * a) / a
 
     return numkit.rk4_path(rhs, a0, t0, t, dt)
 

@@ -242,17 +242,25 @@ def _stack_last(*columns):
 
 
 def spectral_frame(generator, t):
-    """The spectral frame of generator at a scalar time or a 1-d array of times.
+    """The spectral frame of generator at a scalar time or a 1-d array of times."""
+    return matrix_frame(generator.matrix(t))
 
-    The closed form is evaluated elementwise over the times, on NumPy
-    scalars for a scalar time; only the samples where it is singular go,
-    as one stack, through numkit.eig.  A discriminant below zero at any
-    time raises ComplexSpectrumError.
+
+def matrix_frame(m):
+    """The spectral frame of a 2x2 rate matrix or of an (n, 2, 2) stack of them.
+
+    The closed form is evaluated elementwise over the stack, on NumPy
+    scalars for one matrix; only the samples where it is singular go,
+    as one stack, through numkit.eig.  A discriminant below zero in any
+    sample raises ComplexSpectrumError.
     """
-    m = generator.matrix(t)
+    m = np.asarray(m, dtype=float)
     entries = m.reshape(m.shape[:-2] + (4,))
     s11, s12, s21, s22 = entries.T
-    disc = (s11 - s22) ** 2 + 4.0 * s12 * s21
+    # delta * delta, not delta ** 2: a NumPy scalar's ** 2 calls libm pow,
+    # which can round differently from the array path's square
+    delta = s11 - s22
+    disc = delta * delta + 4.0 * s12 * s21
     negative = disc < 0
     if _any(negative):
         raise ComplexSpectrumError(disc[negative][0])
@@ -458,10 +466,11 @@ def rabi_rate(generator, t=0.0):
     return frame.e1 / frame.n1 - frame.e2 / frame.n2
 
 
-def _frame_vector(generator, which):
+def _frame_vectors(generator):
+    """t -> the frame vectors (v1, v2) stacked along the second-to-last axis."""
     def f(t):
         frame = spectral_frame(generator, t)
-        return frame.v1 if which == 1 else frame.v2
+        return np.stack((frame.v1, frame.v2), axis=-2)
     return f
 
 
@@ -476,8 +485,7 @@ def constant_occupancy_residual(generator, t, h):
     that must vanish.
     """
     frame = spectral_frame(generator, t)
-    d1 = numkit.numeric_derivative(_frame_vector(generator, 1), t, h)
-    d2 = numkit.numeric_derivative(_frame_vector(generator, 2), t, h)
+    d1, d2 = numkit.numeric_derivative(_frame_vectors(generator), t, h)
     c11 = frame.v1 @ d1
     c12 = frame.v1 @ d2
     c21 = frame.v2 @ d1
@@ -490,18 +498,17 @@ def frame_matrix(generator, e12, e21, t, h=1e-6):
 
     Diagonal: eigenvalue minus the same-vector connection <v_i|dv_i/dt>;
     off-diagonal: the cross couplings minus the cross connections.
+    Follows the generator protocol: a scalar time gives the 2x2 matrix,
+    a 1-d array of n times the (n, 2, 2) stack.
     """
     frame = spectral_frame(generator, t)
-    d1 = numkit.numeric_derivative(_frame_vector(generator, 1), t, h)
-    d2 = numkit.numeric_derivative(_frame_vector(generator, 2), t, h)
-    e12 = as_rate(e12)
-    e21 = as_rate(e21)
-    return np.array(
-        [
-            [frame.e1 - frame.v1 @ d1, e21(t) - frame.v1 @ d2],
-            [e12(t) - frame.v2 @ d1, frame.e2 - frame.v2 @ d2],
-        ]
-    )
+    # derivatives[..., i, :] is dv_{i+1}/dt
+    derivatives = numkit.numeric_derivative(_frame_vectors(generator), t, h)
+    d1, d2 = derivatives[..., 0, :], derivatives[..., 1, :]
+    return _stack_last(
+        frame.e1 - np.vecdot(frame.v1, d1), as_rate(e21)(t) - np.vecdot(frame.v1, d2),
+        as_rate(e12)(t) - np.vecdot(frame.v2, d1), frame.e2 - np.vecdot(frame.v2, d2),
+    ).reshape(np.shape(t) + (2, 2))
 
 
 def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3, h=1e-6):
@@ -518,7 +525,7 @@ def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3, h=1e-6):
         raise ValueError("t must be >= t0")
     n = max(1, int(np.ceil((t - t0) / dt - 1e-12)))
     grid = np.linspace(t0, t, n + 1)
-    samples = np.array([frame_matrix(generator, e12, e21, tau, h) for tau in grid])
+    samples = frame_matrix(generator, e12, e21, grid, h)
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite eigenframe quadrature")
     g = np.trapezoid(samples, grid, axis=0)

@@ -10,7 +10,7 @@ class ComplexSpectrumError(ValueError):
     def __init__(self, discriminant, message=None):
         self.discriminant = discriminant
         if message is None:
-            message = "complex spectrum: discriminant = %r" % (discriminant,)
+            message = "complex spectrum: discriminant = %r" % (float(discriminant),)
         super().__init__(message)
 
 
@@ -33,5 +33,5 @@ class NonFiniteStateError(RuntimeError):
     def __init__(self, time, message=None):
         self.time = time
         if message is None:
-            message = "non-finite state encountered at t = %r" % (time,)
+            message = "non-finite state encountered at t = %r" % (float(time),)
         super().__init__(message)

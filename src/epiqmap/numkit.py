@@ -244,6 +244,29 @@ def _sample_times(t0, t1, dt):
     return times, h
 
 
+def _rk4_block(f, y, stages, h, rows, times=None):
+    """RK4 steps from y through one block, storing each new state in rows.
+
+    stages lists the block's m first, m middle and m last stage values.
+    With times (the rows' sample times), each state is checked as it is
+    made, and the first non-finite one raises NonFiniteStateError at its
+    time.  Returns the last state.
+    """
+    m = len(rows)
+    half, sixth = 0.5 * h, h / 6.0
+    for j in range(m):
+        mid = stages[m + j]
+        k1 = f(stages[j], y)
+        k2 = f(mid, y + half * k1)
+        k3 = f(mid, y + half * k2)
+        k4 = f(stages[2 * m + j], y + h * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if times is not None and not np.isfinite(y.view(float)).all():
+            raise NonFiniteStateError(times[j])
+        rows[j] = y
+    return y
+
+
 def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     """Classical fixed-step RK4 on dy/dt = f(s, y) with dense output.
 
@@ -251,10 +274,19 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     is shrunk slightly so the final sample lands exactly on t1).
     Backward integration (t1 < t0) is supported.  Step i has the stage
     times times[i], times[i] + h/2 (twice) and times[i] + h.  By default
-    s is the stage time itself.  With stage_values, a callable mapping a
-    1-d array of stage times to one value per time, s is that value:
-    stage_values is called once per block of at most STAGE_BLOCK steps,
-    so work that depends on time alone is done in one vectorized call.
+    s is the stage time itself, as a Python float.  With stage_values, a
+    callable mapping a 1-d array of stage times to one value per time, s
+    is that value: stage_values is called once per block of at most
+    STAGE_BLOCK steps, so work that depends on time alone is done in one
+    vectorized call.
+
+    Finiteness is checked once per block, on its stored states, with
+    floating-point warnings off.  A block that ends up with a non-finite
+    state, or in which f raises (say on a non-finite input), is stepped
+    again from its first state, checking every step with the caller's
+    warning settings.  So a run raises exactly what a check after every
+    step would: NonFiniteStateError at the first non-finite sample, or
+    the error f raised on a finite state.
 
     NonFiniteStateError is raised, at the step's end time, as soon as
     any stage derivative of the step overflows, even when the scaled
@@ -265,25 +297,25 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     n_steps = len(times) - 1
-    half, sixth = 0.5 * h, h / 6.0
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
     for start in range(0, n_steps, STAGE_BLOCK):
         t = times[start:min(start + STAGE_BLOCK, n_steps)]
-        m = len(t)
-        stages = np.concatenate((t, t + half, t + h))
-        if stage_values is not None:
-            stages = stage_values(stages)
-        for j in range(m):
-            mid = stages[m + j]
-            k1 = f(stages[j], y)
-            k2 = f(mid, y + half * k1)
-            k3 = f(mid, y + half * k2)
-            k4 = f(stages[2 * m + j], y + h * k3)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y.view(float)).all():
-                raise NonFiniteStateError(times[start + j + 1])
-            states[start + j + 1] = y
+        stages = np.concatenate((t, t + 0.5 * h, t + h))
+        # Python floats and a list of rows index faster than NumPy arrays
+        stages = stages.tolist() if stage_values is None else list(stage_values(stages))
+        rows = states[start + 1:start + 1 + len(t)]
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                last = _rk4_block(f, y, stages, h, rows)
+            finite = np.isfinite(rows.view(float)).all()
+        except Exception:
+            # whatever f raised is raised again, unless the checked
+            # replay stops first at a non-finite state
+            finite = False
+        if not finite:
+            last = _rk4_block(f, y, stages, h, rows, times[start + 1:])
+        y = last
     return Trajectory(times, states)
 
 
@@ -331,10 +363,6 @@ def _increment_path(g, y0, t0, t1, dt):
     return Trajectory(times, states)
 
 
-def _linear_rhs(g, y):
-    return g @ y
-
-
 def ode_evolve(generator, y0, t0, t1, dt):
     """Integrate the linear system dy/dt = G(t) y by fixed-step RK4.
 
@@ -365,7 +393,8 @@ def ode_evolve(generator, y0, t0, t1, dt):
                 % (g.shape, len(ts), len(ts), d, d)
             )
         return g
-    return rk4_path(_linear_rhs, y0, t0, t1, dt, stage_matrices)
+    # g.dot(y) is g @ y with less call overhead
+    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices)
 
 
 def numeric_derivative(f, t, h):

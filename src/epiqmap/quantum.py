@@ -111,7 +111,7 @@ def evolve_schrodinger(hamiltonian, psi0, t0, t, dt):
     psi0 = np.asarray(psi0, dtype=complex)
     if not callable(hamiltonian):
         return numkit.ode_evolve(-1j * np.asarray(hamiltonian, dtype=complex), psi0, t0, t, dt)
-    return numkit.rk4_path(lambda h, psi: -1j * (h @ psi), psi0, t0, t, dt, hamiltonian)
+    return numkit.rk4_path(lambda h, psi: -1j * h.dot(psi), psi0, t0, t, dt, hamiltonian)
 
 
 def wave_from_polar(probabilities, phases):

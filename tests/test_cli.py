@@ -310,6 +310,20 @@ class TestValidation:
         ))
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("config, message", [
+        # k2 = S (p + h/2 k1) overflows in the first step
+        (epidemic2_config(generator={k: 1e300 for k in ("s11", "s12", "s21", "s22")}),
+         "numeric failure: non-finite state encountered at t = 0.01\n"),
+        (epidemic2_config(generator={"s11": 0.0, "s12": -1.0, "s21": 1.0, "s22": 0.0},
+                          outputs=["probabilities", "ensemble_weights"]),
+         "numeric failure: complex spectrum: discriminant = -4.0\n"),
+    ], ids=["non_finite_state", "complex_spectrum"])
+    def test_numeric_failure_message_prints_plain_numbers(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("config", [
         epidemic2_config(generator=ZERO_RATES, initial_state=[0, 0], seed=3,
                          events=[{"time": 0.5, "type": "projective", "target": "sample"}]),
@@ -404,6 +418,48 @@ class TestProductBasisEvents:
         )
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+class TestEventJumpCheck:
+    """Runs with events report the largest change of total probability across one."""
+
+    def checks(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["checks"]
+
+    def test_projective_event_on_a_lossy_generator(self, tmp_path):
+        config = epidemic2_config(
+            generator={"s11": -0.5, "s12": 0.0, "s21": 0.0, "s22": 0.0},
+            events=[{"time": 0.5, "type": "projective", "target": 1}],
+        )
+        checks = self.checks(tmp_path, config)
+        generator = cli.parse_scenario(config).source
+        before = numkit.ode_evolve(generator.matrix, [0.7, 0.3], 0.0, 0.5, 0.01).final
+        assert checks[-1] == {"name": "max_event_probability_jump",
+                              "value": abs(1.0 - float(before.sum())),
+                              "tolerance": None, "passed": None}
+        assert checks[-1]["value"] > 0.1
+
+    def test_product_basis_event_keeps_the_total(self, tmp_path):
+        config = kron_sum_config(events=[{"time": 0.05, "type": "projective", "target": "1A"}])
+        check = self.checks(tmp_path, config)[-1]
+        assert check["name"] == "max_event_probability_jump"
+        assert check["value"] <= 1e-15
+
+    def test_aharonov_bohm_event_keeps_the_norm(self, tmp_path):
+        config = quantum_config(events=[
+            {"time": 0.5, "type": "aharonov_bohm", "a_x": [0.3, -0.2, 0.7, 0.1]}
+        ])
+        check = self.checks(tmp_path, config)[-1]
+        assert check["name"] == "max_event_probability_jump"
+        # |sqrt(p) exp(i theta)|^2 rounds each of the four p by a few ulps
+        assert check["value"] <= 1e-14
+
+    def test_no_check_without_events(self, tmp_path):
+        names = [c["name"] for c in self.checks(tmp_path, kron_sum_config())]
+        assert "max_event_probability_jump" not in names
 
 
 class TestVerifyCommand:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiqmap import epidemic, numkit
@@ -184,6 +184,15 @@ class TestStackedFrames:
             back, [epidemic.ensemble_reconstruct(w, gen, t) for w, t in zip(weights, times)]
         )
 
+    def test_scalar_discriminant_squares_like_the_stack(self):
+        # s11 - s22 = 0.37499999999999994, whose ** 2 as a NumPy scalar
+        # (libm pow) is one ulp off the square the stacked path takes
+        gen = constant_gen(0.836, 0.01, 0.02, 0.461)
+        frame = epidemic.spectral_frame(gen, np.zeros(1))
+        scalar = epidemic.spectral_frame(gen, 0.0)
+        for name in FRAME_FIELDS:
+            assert_bitwise(getattr(frame, name), [getattr(scalar, name)])
+
     def test_return_frame_gives_the_frame_used(self):
         gen = stack_generator("mixed", 3)
         times = np.linspace(0.0, 1.0, 11)
@@ -284,6 +293,21 @@ class TestClosedFormPropagator:
             closed = epidemic.propagate_closed_form(gen, p0, 0.0, 1.3)
             oracle = numkit.mat_exp(m * 1.3) @ p0
             assert np.abs(closed - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           t=st.floats(0.0, 2.0),
+           p0=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_real_spectrum_property_vs_mat_exp(self, entries, t, p0):
+        s11, s12, s21, s22 = entries
+        assume((s11 - s22) ** 2 + 4.0 * s12 * s21 >= 0.0)
+        closed = epidemic.propagate_closed_form(constant_gen(*entries), p0, 0.0, t)
+        propagator = numkit.mat_exp(np.array([[s11, s12], [s21, s22]]) * t)
+        # mat_exp's documented relative error, below 1e-12 in the inf-norm,
+        # dominates: cosh, sinh and exp of the closed form are good to a few
+        # ulps (about 14 ulps of this scale were seen over 3000 draws)
+        scale = np.abs(propagator).sum(axis=1).max() * max(p0)
+        assert np.abs(closed - propagator @ p0).max() <= 1e-12 * scale
 
     def test_time_dependent_gap_is_reported(self):
         # commuting family: zero gap; non-commuting: the gap is real
@@ -481,6 +505,35 @@ class TestFrameEvolve:
         gap = np.abs(closed - reference).max()
         assert np.isfinite(gap)
         assert 1e-6 < gap < 1e-3
+
+    @staticmethod
+    def _per_time_frame_matrix(gen, e12, e21, t, h=1e-6):
+        """frame_matrix at one time as five scalar frames and @ products."""
+        def vector(name):
+            return lambda s: getattr(epidemic.spectral_frame(gen, s), name)
+
+        frame = epidemic.spectral_frame(gen, t)
+        d1 = numkit.numeric_derivative(vector("v1"), t, h)
+        d2 = numkit.numeric_derivative(vector("v2"), t, h)
+        e12, e21 = epidemic.as_rate(e12), epidemic.as_rate(e21)
+        return np.array([[frame.e1 - frame.v1 @ d1, e21(t) - frame.v1 @ d2],
+                         [e12(t) - frame.v2 @ d1, frame.e2 - frame.v2 @ d2]])
+
+    @pytest.mark.parametrize("gen", [
+        _ramped(0.01),
+        epidemic.Generator2(0.3, [[0.0, 0.2], [0.4, 0.5], [1.0, 0.1]], 0.4, -0.2),
+        # s21 = 0: every frame comes from numkit.eig
+        epidemic.Generator2(lambda t: 0.5 + 0.1 * t, 0.2, 0.0, -0.1),
+    ], ids=["ramped", "table", "fallback"])
+    def test_stacked_frame_matrix_is_the_per_time_stack(self, gen):
+        grid = np.linspace(0.0, 1.0, 201)
+        stacked = epidemic.frame_matrix(gen, 0.0, 0.0, grid)
+        assert stacked.shape == (201, 2, 2)
+        assert stacked.tobytes() == self._frame_matrices(gen)(grid).tobytes()
+        e12, e21 = [[0.0, 0.1], [1.0, 0.3]], lambda t: 0.05 * t
+        stacked = epidemic.frame_matrix(gen, e12, e21, grid)
+        per_time = [self._per_time_frame_matrix(gen, e12, e21, t) for t in grid]
+        assert stacked.tobytes() == np.array(per_time).tobytes()
 
     def test_cross_couplings_enter_off_diagonal(self):
         gen = constant_gen(1.0, 0.5, 0.5, 0.2)

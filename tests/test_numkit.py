@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqmap import numkit
+from epiqmap import density, epidemic, numkit, quantum
 from epiqmap.errors import NonFiniteStateError
 
 
@@ -381,6 +381,178 @@ class TestIncrementPath:
         with pytest.raises(NonFiniteStateError) as stage:
             numkit.ode_evolve(broadcast(np.eye(2)), y0, 0.0, 1.0, 0.1)
         assert const.value.time == stage.value.time == 0.1
+
+
+def per_step_rk4_path(f, y0, t0, t1, dt, stage_values=None):
+    """The stage path as it was before the per-block finiteness check.
+
+    Each stage value is one NumPy index and every step's state is
+    checked as it is made: the reference the lean path must equal bit
+    for bit, error for error.
+    """
+    times, h = numkit._sample_times(t0, t1, dt)
+    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
+    n_steps = len(times) - 1
+    half, sixth = 0.5 * h, h / 6.0
+    states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
+    states[0] = y
+    for start in range(0, n_steps, numkit.STAGE_BLOCK):
+        t = times[start:min(start + numkit.STAGE_BLOCK, n_steps)]
+        m = len(t)
+        stages = np.concatenate((t, t + half, t + h))
+        if stage_values is not None:
+            stages = stage_values(stages)
+        for j in range(m):
+            mid = stages[m + j]
+            k1 = f(stages[j], y)
+            k2 = f(mid, y + half * k1)
+            k3 = f(mid, y + half * k2)
+            k4 = f(stages[2 * m + j], y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y.view(float)).all():
+                raise NonFiniteStateError(times[start + j + 1])
+            states[start + j + 1] = y
+    return numkit.Trajectory(times, states)
+
+
+def matmul_rhs(g, y):
+    return g @ y
+
+
+def half_rates_rhs(generator):
+    """The sqrt flow's right-hand side with @ and a per-stage rates closure.
+
+    Without the floor screen, which changes no value on these flows.
+    """
+    if hasattr(generator, "matrix"):
+        def half_rates(tau):
+            return 0.5 * generator.matrix(tau)
+    else:
+        half = 0.5 * np.asarray(generator, dtype=float)
+
+        def half_rates(tau):
+            return half
+
+    def rhs(tau, a):
+        return half_rates(tau) @ (a * a) / a
+    return rhs
+
+
+def time_dependent(g, b):
+    """G(t) = g + sin(t) b under the generator protocol."""
+    return lambda ts: g + np.sin(ts)[:, None, None] * b
+
+
+def spike_times(k, h):
+    """An interval holding the middle stage time of step k (from t = 0) alone."""
+    return (k - 0.75) * h, (k - 0.25) * h
+
+
+class TestLeanStagePath:
+    """The block-checked stage path equals the per-step loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(2, False), (4, False), (8, False), (16, False),
+                               (2, True), (4, True)]),
+        varying=st.booleans(),
+        t0=st.floats(-5.0, 5.0),
+        n_steps=st.integers(1, 2 * numkit.STAGE_BLOCK + 60),
+        dt=st.floats(0.001, 0.02),
+        backward=st.booleans(),
+    )
+    def test_callable_generator_equals_per_step_loop(
+        self, seed, shape, varying, t0, n_steps, dt, backward
+    ):
+        g, y0 = random_system(seed, *shape)
+        b, _ = random_system(seed + 1, *shape)
+        generator = time_dependent(g, b) if varying else broadcast(g)
+        t1 = t0 - n_steps * dt if backward else t0 + n_steps * dt
+        lean = numkit.ode_evolve(generator, y0, t0, t1, dt)
+        reference = per_step_rk4_path(matmul_rhs, y0, t0, t1, dt, generator)
+        assert lean.times.tobytes() == reference.times.tobytes()
+        assert lean.states.dtype == reference.states.dtype
+        assert lean.states.tobytes() == reference.states.tobytes()
+
+    @pytest.mark.parametrize("generator, p0", [
+        (np.array([[-0.3, 0.2, 0.1], [0.2, -0.4, 0.3], [0.1, 0.2, -0.4]]),
+         np.array([0.5, 0.3, 0.2])),
+        (epidemic.Generator2(-0.2, [[0.0, 0.1], [0.5, 0.4], [1.0, 0.2]], 0.2,
+                             [[0.0, -0.3], [1.0, 0.1]]), np.array([0.6, 0.4])),
+    ], ids=["constant", "generator2_table"])
+    @pytest.mark.parametrize("t1", [0.7003, -0.41])
+    def test_sqrt_flow_equals_per_step_loop(self, generator, p0, t1):
+        lean = density.evolve_sqrt_trajectory(generator, p0, 0.0, t1, 1e-3)
+        reference = per_step_rk4_path(half_rates_rhs(generator), np.sqrt(p0), 0.0, t1, 1e-3)
+        assert lean.states.tobytes() == reference.states.tobytes()
+
+    def test_callable_hamiltonian_equals_per_step_loop(self):
+        h = quantum.build_hamiltonian(quantum.QubitPairHamiltonian.hermitian(
+            1.05, 0.95, 1.02, 0.98, 0.1, 0.12, 0.05, 0.1, 0.15, 0.2
+        ))
+        hamiltonian = time_dependent(h, 0.1 * np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex))
+        psi0 = np.array([0.5, 0.5j, -0.5, 0.5])
+        lean = quantum.evolve_schrodinger(hamiltonian, psi0, 0.0, 0.5003, 1e-3)
+        reference = per_step_rk4_path(
+            lambda g, psi: -1j * (g @ psi), psi0, 0.0, 0.5003, 1e-3, hamiltonian
+        )
+        assert lean.states.tobytes() == reference.states.tobytes()
+
+    # step k = 1 opens the run; 128 closes the first block and 129 opens
+    # the second; 200 is inside it
+    @pytest.mark.parametrize("k", [1, 128, 129, 200])
+    def test_overflow_time_and_message(self, k):
+        # G = 1e308 I at the middle stage time of step k: 2 k2 overflows there
+        h = 0.01
+        lo, hi = spike_times(k, h)
+
+        def generator(ts):
+            scale = np.where((ts > lo) & (ts < hi), 1e308, 0.1)
+            return scale[:, None, None] * np.eye(2)
+
+        y0 = np.array([1.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as lean:
+                numkit.ode_evolve(generator, y0, 0.0, 3.0, h)
+            with pytest.raises(NonFiniteStateError) as reference:
+                per_step_rk4_path(matmul_rhs, y0, 0.0, 3.0, h, generator)
+        assert lean.value.time == reference.value.time == numkit._sample_times(0.0, 3.0, h)[0][k]
+        assert str(lean.value) == str(reference.value)
+
+    @pytest.mark.parametrize("k", [1, 128, 129, 200])
+    def test_rhs_raising_on_non_finite_input(self, k):
+        # the stage derivative is 1e308 at the middle stage time of step k,
+        # so the state of step k is inf while every stage input was finite;
+        # the block's next step hands rhs an inf state, and rhs raises
+        h = 0.01
+        lo, hi = spike_times(k, h)
+
+        def rhs(t, y):
+            if not np.isfinite(y).all():
+                raise ValueError("non-finite input")
+            return np.full_like(y, 1e308 if lo < t < hi else 1.0)
+
+        y0 = np.array([1.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as lean:
+                numkit.rk4_path(rhs, y0, 0.0, 3.0, h)
+            with pytest.raises(NonFiniteStateError) as reference:
+                per_step_rk4_path(rhs, y0, 0.0, 3.0, h)
+        assert lean.value.time == reference.value.time
+        assert str(lean.value) == str(reference.value)
+
+    def test_rhs_error_on_a_finite_state_is_raised_unchanged(self):
+        def rhs(t, y):
+            if t > 1.5:
+                raise ZeroDivisionError("rates undefined at t = %.17g" % t)
+            return -y
+
+        with pytest.raises(ZeroDivisionError) as lean:
+            numkit.rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01)
+        with pytest.raises(ZeroDivisionError) as reference:
+            per_step_rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01)
+        assert str(lean.value) == str(reference.value)
 
 
 class TestStepBudget:
