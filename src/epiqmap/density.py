@@ -161,16 +161,16 @@ def reduced_density(rho, subsystem, ordering="a_slow"):
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError("expected a 4x4 density matrix or a stack of them")
-    if ordering == "b_slow":
-        subsystem = {"A": "B", "B": "A"}[subsystem]
-    if subsystem == "A":
+    if subsystem not in ("A", "B"):
+        raise ValueError("subsystem must be 'A' or 'B'")
+    if ordering not in ("a_slow", "b_slow"):
+        raise ValueError("ordering must be 'a_slow' or 'b_slow'")
+    if (subsystem == "A") == (ordering == "a_slow"):
         # out[i, j] = rho[2i, 2j] + rho[2i + 1, 2j + 1]
         out = rho[..., ::2, ::2] + rho[..., 1::2, 1::2]
-    elif subsystem == "B":
+    else:
         # out[i, j] = rho[i, j] + rho[i + 2, j + 2]
         out = rho[..., :2, :2] + rho[..., 2:, 2:]
-    else:
-        raise ValueError("subsystem must be 'A' or 'B'")
     trace = rho.trace(axis1=-2, axis2=-1)
     if (trace == 0).any():
         raise ZeroDivisionError("density matrix has zero trace")

@@ -40,8 +40,9 @@ class Rate:
     Tables are sequences of (time, value) rows with strictly increasing
     times; values are held constant beyond the table range.  Integrals
     are exact for constants and tables (trapezoid on the nodes) and use
-    composite Simpson for general callables.  Called with a 1-d array of
-    times, a callable is evaluated one time at a time.
+    composite Simpson for general callables, on at most numkit.MAX_STEPS
+    nodes.  Called with an array of times, a callable is evaluated one
+    time at a time.
     """
 
     def __init__(self, spec):
@@ -65,21 +66,19 @@ class Rate:
         return self._value is not None
 
     def __call__(self, t):
-        """The rate at a scalar time (a float) or at each time of a 1-d array."""
-        if not _is_time_array(t):
-            return self._at(t)
-        if self._value is not None:
-            return np.full(np.shape(t), self._value)
-        if self._table is not None:
-            return np.interp(t, self._table[:, 0], self._table[:, 1])
-        return np.array([float(self._callable(tau)) for tau in t])
+        """The rate at each time of an array, or at a scalar time (a float).
 
-    def _at(self, t):
+        The times are evaluated as one flat array, a scalar as an array of one.
+        """
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
         if self._value is not None:
-            return self._value
-        if self._table is not None:
-            return float(np.interp(t, self._table[:, 0], self._table[:, 1]))
-        return float(self._callable(t))
+            values = np.full(flat.shape, self._value)
+        elif self._table is not None:
+            values = np.interp(flat, self._table[:, 0], self._table[:, 1])
+        else:
+            values = np.array([float(self._callable(tau)) for tau in flat])
+        return values.reshape(times.shape) if times.ndim else float(values[0])
 
     def integral(self, t0, t1):
         if t1 == t0:
@@ -94,10 +93,13 @@ class Rate:
             vals = np.interp(grid, nodes, self._table[:, 1])
             area = np.trapezoid(vals, grid)
             return area if t1 > t0 else -area
-        n = max(8, int(np.ceil(abs(t1 - t0) / 1e-3)))
-        if n % 2:
-            n += 1
-        grid = np.linspace(t0, t1, n + 1)
+        # an even number of steps of at most 1e-3; nan for a non-finite span
+        n = float(max(np.ceil(abs(t1 - t0) / 1e-3), 8))
+        n += n % 2
+        if not n < numkit.MAX_STEPS:
+            raise ValueError("Simpson integral over [%r, %r] needs more than %d nodes"
+                             % (t0, t1, numkit.MAX_STEPS))
+        grid = np.linspace(t0, t1, int(n) + 1)
         vals = np.array([self._callable(t) for t in grid])
         h = (t1 - t0) / n
         return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
@@ -107,19 +109,14 @@ def as_rate(spec):
     return spec if isinstance(spec, Rate) else Rate(spec)
 
 
-def _is_time_array(t):
-    # checked without np.ndim, which is slow on Python floats: scalar
-    # evaluation sits on the per-sample paths (spectral frames, ensembles)
-    return isinstance(t, (np.ndarray, list, tuple)) and np.ndim(t) > 0
-
-
 class RateMatrix:
     """A square grid of Rates, evaluated under the generator protocol.
 
-    matrix(t) takes a scalar time, giving a (d, d) array, or a 1-d array
-    of n times, giving an (n, d, d) stack.  Constant entries are stored
-    once, and a fully constant stack is a read-only broadcast of them;
-    each time-dependent entry is evaluated at all n times in one call.
+    matrix(t) takes a 1-d array of n times, giving an (n, d, d) stack, or
+    a scalar time, evaluated as a stack of one and giving its (d, d)
+    matrix.  Constant entries are stored once, and a fully constant stack
+    of several times is a read-only broadcast of them; each
+    time-dependent entry is evaluated at all n times in one call.
     Non-finite entries raise ValueError.
     """
 
@@ -142,24 +139,24 @@ class RateMatrix:
         return not self._varying
 
     def matrix(self, t):
-        if not _is_time_array(t):
-            m = self._base.copy()
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError("t must be a scalar or a 1-d array of times")
+        flat = times.reshape(-1)
+        if self._varying:
+            m = np.empty(flat.shape + self._base.shape)
+            m[:] = self._base
             for i, j, rate in self._varying:
-                m[i, j] = rate._at(t)
+                m[:, i, j] = rate(flat)
+        elif len(flat) == 1:
+            # a writable stack of one, which a scalar time unpacks as it is;
+            # np.broadcast_to plus a copy costs several times more
+            m = self._base[None].copy()
         else:
-            t = np.asarray(t, dtype=float)
-            if t.ndim != 1:
-                raise ValueError("t must be a scalar or a 1-d array of times")
-            if self._varying:
-                m = np.empty(t.shape + self._base.shape)
-                m[:] = self._base
-                for i, j, rate in self._varying:
-                    m[:, i, j] = rate(t)
-            else:
-                m = np.broadcast_to(self._base, t.shape + self._base.shape)
+            m = np.broadcast_to(self._base, flat.shape + self._base.shape)
         if not (np.isfinite(m).all() if self._varying else self._base_finite):
             raise ValueError("generator entries not finite at t = %r" % (t,))
-        return m
+        return m if times.ndim else m[0]
 
 
 @dataclass(frozen=True)
@@ -231,11 +228,6 @@ class SpectralFrame2:
     numeric_fallback: bool = False
 
 
-def _any(mask):
-    """Whether any entry of a boolean array, or a (NumPy) boolean scalar, is set."""
-    return mask.any() if getattr(mask, "ndim", 0) else bool(mask)
-
-
 def _stack_last(*columns):
     """Equal-shape arrays (or scalars) stacked along a new last axis, C-contiguous."""
     return np.array(columns).T.copy()
@@ -247,22 +239,21 @@ def spectral_frame(generator, t):
 
 
 def matrix_frame(m):
-    """The spectral frame of a 2x2 rate matrix or of an (n, 2, 2) stack of them.
+    """The spectral frame of an (n, 2, 2) stack of rate matrices or of one.
 
-    The closed form is evaluated elementwise over the stack, on NumPy
-    scalars for one matrix; only the samples where it is singular go,
-    as one stack, through numkit.eig.  A discriminant below zero in any
-    sample raises ComplexSpectrumError.
+    One 2x2 matrix is framed as a stack of one.  The closed form is
+    evaluated elementwise over the stack; only the samples where it is
+    singular go, as one stack, through numkit.eig.  A discriminant below
+    zero in any sample raises ComplexSpectrumError.
     """
     m = np.asarray(m, dtype=float)
-    entries = m.reshape(m.shape[:-2] + (4,))
+    stack = m.reshape(-1, 2, 2)
+    entries = stack.reshape(-1, 4)
     s11, s12, s21, s22 = entries.T
-    # delta * delta, not delta ** 2: a NumPy scalar's ** 2 calls libm pow,
-    # which can round differently from the array path's square
     delta = s11 - s22
     disc = delta * delta + 4.0 * s12 * s21
     negative = disc < 0
-    if _any(negative):
+    if negative.any():
         raise ComplexSpectrumError(disc[negative][0])
     root = np.sqrt(disc)
     e1 = 0.5 * (-root + s11 + s22)
@@ -273,24 +264,24 @@ def matrix_frame(m):
     b = 2.0 * s21
     d1, d2 = a1 + b, a2 + b
     fallback = (abs(s21) < S21_FLOOR) | (abs(d1) < floor) | (abs(d2) < floor)
-    numeric = _any(fallback)
+    numeric = fallback.any()
     if numeric:
         # the singular samples' closed form is replaced below
         d1, d2 = np.where(fallback, 1.0, d1), np.where(fallback, 1.0, d2)
-    # vectors[..., 0, :] is v1 and vectors[..., 1, :] is v2
-    vectors = _stack_last(a1 / d1, b / d1, a2 / d2, b / d2).reshape(m.shape)
+    # vectors[:, 0] is v1 and vectors[:, 1] is v2
+    vectors = _stack_last(a1 / d1, b / d1, a2 / d2, b / d2).reshape(stack.shape)
     if numeric:
-        _, columns = numkit.eig(m[fallback])
+        _, columns = numkit.eig(stack[fallback])
         rows = np.swapaxes(columns.real, 1, 2).copy()
         # keep the closed form's components-sum-to-one scale when possible
         total = rows.sum(axis=2, keepdims=True)
         np.divide(rows, total, out=rows, where=np.abs(total) > 1e-8)
         vectors[fallback] = rows
     norms = np.vecdot(vectors, vectors)
-    n1, n2 = norms[..., 0], norms[..., 1]
     if m.ndim == 2:
-        n1, n2, fallback = float(n1), float(n2), bool(fallback)
-    return SpectralFrame2(e1, e2, vectors[..., 0, :], vectors[..., 1, :], n1, n2, fallback)
+        return SpectralFrame2(e1[0], e2[0], vectors[0, 0], vectors[0, 1],
+                              float(norms[0, 0]), float(norms[0, 1]), bool(fallback[0]))
+    return SpectralFrame2(e1, e2, vectors[:, 0], vectors[:, 1], norms[:, 0], norms[:, 1], fallback)
 
 
 def ensemble_decompose(p, generator, t, return_frame=False):
@@ -304,7 +295,7 @@ def ensemble_decompose(p, generator, t, return_frame=False):
     """
     frame = spectral_frame(generator, t)
     p = np.asarray(p, dtype=float)
-    if _any(frame.n1 < 1e-14) or _any(frame.n2 < 1e-14):
+    if np.any(frame.n1 < 1e-14) or np.any(frame.n2 < 1e-14):
         raise DegenerateFrameError("eigen-ensemble norms vanished")
     weights = _stack_last(
         np.vecdot(frame.v1, p) / frame.n1, np.vecdot(frame.v2, p) / frame.n2
@@ -478,19 +469,14 @@ def constant_occupancy_residual(generator, t, h):
     """Consistency defect of a constant-ensemble-weights ansatz at time t.
 
     Returns |<v1|v2'> <v2|v1'> - (e1 - <v1|v1'>)(e2 - <v2|v2'>)|, the
-    cross-multiplied difference of the two closed-ratio expressions, with
-    the eigenvector time derivatives taken by central differences.  For
+    cross-multiplied difference of the two closed-ratio expressions, from
+    the connection terms of frame_matrix with zero cross couplings.  For
     a time-independent generator all derivative terms vanish and the
     value reduces to |e1 * e2|.  This is a diagnostic, not a quantity
     that must vanish.
     """
-    frame = spectral_frame(generator, t)
-    d1, d2 = numkit.numeric_derivative(_frame_vectors(generator), t, h)
-    c11 = frame.v1 @ d1
-    c12 = frame.v1 @ d2
-    c21 = frame.v2 @ d1
-    c22 = frame.v2 @ d2
-    return float(abs(c12 * c21 - (frame.e1 - c11) * (frame.e2 - c22)))
+    f = frame_matrix(generator, 0.0, 0.0, t, h)
+    return float(abs(f[0, 1] * f[1, 0] - f[0, 0] * f[1, 1]))
 
 
 def frame_matrix(generator, e12, e21, t, h=1e-6):
@@ -516,15 +502,16 @@ def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3, h=1e-6):
 
     The four generator entries are integrated over [t0, t] by composite
     trapezoid on the dt grid and exponentiated through the same
-    sinh/cosh closed form as the probability propagator.
+    sinh/cosh closed form as the probability propagator.  The grid is
+    sized by numkit.step_count, so dt <= 0 or a grid of more than
+    numkit.MAX_STEPS steps raises ValueError.
     """
     w0 = np.asarray(w0, dtype=float)
     if t == t0:
         return w0.copy()
     if t < t0:
         raise ValueError("t must be >= t0")
-    n = max(1, int(np.ceil((t - t0) / dt - 1e-12)))
-    grid = np.linspace(t0, t, n + 1)
+    grid = np.linspace(t0, t, numkit.step_count(t0, t, dt) + 1)
     samples = frame_matrix(generator, e12, e21, grid, h)
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite eigenframe quadrature")

@@ -251,6 +251,17 @@ class TestReducedDensity:
         flipped = density.reduced_density(rho, "A", ordering="b_slow")
         assert np.abs(flipped - density.reduced_density(rho, "B")).max() < 1e-15
 
+    @pytest.mark.parametrize("ordering", ["a_slow", "b_slow"])
+    def test_rejects_unknown_subsystem(self, ordering):
+        with pytest.raises(ValueError, match="subsystem"):
+            density.reduced_density(np.eye(4), "C", ordering)
+
+    @pytest.mark.parametrize("subsystem", ["A", "B"])
+    def test_rejects_unknown_ordering(self, subsystem):
+        for ordering in ("bogus", "A_SLOW", None):
+            with pytest.raises(ValueError, match="ordering"):
+                density.reduced_density(np.eye(4), subsystem, ordering)
+
     def test_zero_trace(self):
         with pytest.raises(ZeroDivisionError):
             density.reduced_density(np.zeros((4, 4)), "A")

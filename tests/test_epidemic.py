@@ -241,6 +241,70 @@ class TestStackedFrames:
         )
 
 
+class TestEnsembleRoundtripProperty:
+    """Under symmetric coupling s12 = s21 the two frame vectors are orthogonal,
+    so reconstructing decomposed weights returns the state."""
+
+    @staticmethod
+    def _symmetric_generator(kind, rng):
+        sign = rng.choice([-1.0, 1.0])
+        if kind == "constant":
+            s11, s22 = rng.uniform(-1.0, 1.0, 2)
+            s = sign * rng.uniform(0.05, 1.0)
+            return constant_gen(s11, s, s, s22)
+        coupling = [[t, sign * v] for t, v in table(rng, 0.05, 1.0)]
+        return epidemic.Generator2(table(rng, -1.0, 1.0), coupling, coupling, table(rng, -1.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["constant", "table"]), seed=st.integers(0, 2**32 - 1),
+           times=stack_times)
+    def test_roundtrip_under_symmetric_coupling(self, kind, seed, times):
+        rng = np.random.default_rng(seed)
+        gen = self._symmetric_generator(kind, rng)
+        times = np.array(times)
+        # healthy frames: the closed form holds at every time
+        assume(not epidemic.spectral_frame(gen, times).numeric_fallback.any())
+        p = rng.uniform(0.0, 1.0, size=(len(times), 2))
+        weights = epidemic.ensemble_decompose(p, gen, times)
+        assert np.abs(epidemic.ensemble_reconstruct(weights, gen, times) - p).max() <= 1e-12
+        weights = epidemic.ensemble_decompose(p[0], gen, times[0])
+        assert np.abs(epidemic.ensemble_reconstruct(weights, gen, times[0]) - p[0]).max() <= 1e-12
+
+
+class TestStepBudget:
+    """Quadrature grids are checked against numkit.MAX_STEPS before they exist."""
+
+    GEN = constant_gen(1.0, 0.5, 0.5, 0.2)
+
+    def test_frame_evolve_refuses_a_grid_over_budget(self, monkeypatch):
+        monkeypatch.setattr(numkit, "MAX_STEPS", 50)
+        with pytest.raises(ValueError, match="more than 50 steps"):
+            epidemic.frame_evolve(self.GEN, 0.0, 0.0, [0.6, 0.4], 0.0, 1.0, dt=0.01)
+        w = epidemic.frame_evolve(self.GEN, 0.0, 0.0, [0.6, 0.4], 0.0, 0.5, dt=0.01)
+        assert np.isfinite(w).all()
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_frame_evolve_refuses_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            epidemic.frame_evolve(self.GEN, 0.0, 0.0, [0.6, 0.4], 0.0, 1.0, dt=dt)
+
+    def test_callable_integral_refuses_a_grid_over_budget(self, monkeypatch):
+        monkeypatch.setattr(numkit, "MAX_STEPS", 100)
+        calls = []
+        rate = epidemic.Rate(lambda t: calls.append(t) or 1.0)
+        with pytest.raises(ValueError, match="more than 100 nodes"):
+            rate.integral(0.0, 1.0)
+        with pytest.raises(ValueError, match="more than 100 nodes"):
+            rate.integral(1.0, 0.0)
+        assert not calls
+        assert rate.integral(0.0, 0.05) == pytest.approx(0.05, abs=1e-15)
+
+    @pytest.mark.parametrize("t1", [np.inf, np.nan])
+    def test_callable_integral_refuses_a_non_finite_span(self, t1):
+        with pytest.raises(ValueError, match="nodes"):
+            epidemic.Rate(lambda t: 1.0).integral(0.0, t1)
+
+
 class TestIntegratedGenerator:
     def test_constant(self):
         gen = constant_gen(2.0, 0.0, 0.0, 0.0)

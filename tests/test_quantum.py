@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epiqmap import numkit, quantum
 
@@ -232,6 +233,24 @@ class TestPureEntropyPair:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             quantum.pure_entropy_pair(np.zeros(4))
+
+    def test_rejects_unknown_ordering(self):
+        with pytest.raises(ValueError, match="ordering"):
+            quantum.pure_entropy_pair(np.array([1.0, 0.0, 0.0, 1.0]), ordering="nonsense")
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(4), st.just(2)),
+                        elements=st.floats(-1.0, 1.0)),
+           ordering=st.sampled_from(["a_slow", "b_slow"]))
+    def test_subsystem_entropies_agree(self, parts, ordering):
+        # S_A = S_B for every pure state, one at a time and as a stack
+        states = parts[..., 0] + 1j * parts[..., 1]
+        states = states[np.linalg.norm(states, axis=1) > 1e-3]
+        assume(len(states))
+        s_a, s_b = quantum.pure_entropy_pair(states, ordering)
+        assert np.abs(s_a - s_b).max() <= 1e-9
+        s_a, s_b = quantum.pure_entropy_pair(states[0], ordering)
+        assert abs(s_a - s_b) <= 1e-9
 
 
 class TestStackedEntropies:
