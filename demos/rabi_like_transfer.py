@@ -14,15 +14,12 @@ w0 = np.array([0.7, 0.3])
 # ---------------------------------------------------------------------------
 times = np.linspace(0.0, 2.0, 9)
 print("    t      pI         pII        log(pI/pII)")
-for t in times:
-    w = epidemic.eigenmode_evolve_const(gen, w0, 0.0, t)
+for t, w in zip(times, epidemic.eigenmode_evolve_const(gen, w0, 0.0, times)):
     print("%6.2f  %9.5f  %9.5f  %12.8f" % (t, w[0], w[1], np.log(w[0] / w[1])))
 
 slope_samples = np.linspace(0.0, 1.0, 100)
-logs = [
-    np.log(np.divide(*epidemic.eigenmode_evolve_const(gen, w0, 0.0, t)))
-    for t in slope_samples
-]
+weights = epidemic.eigenmode_evolve_const(gen, w0, 0.0, slope_samples)
+logs = np.log(weights[:, 0] / weights[:, 1])
 fitted = np.polyfit(slope_samples, logs, 1)[0]
 print("\nfitted slope       :", fitted)
 print("e1/n1 - e2/n2      :", epidemic.rabi_rate(gen))
@@ -42,7 +39,7 @@ print("\nframe matrix at t=0:\n", epidemic.frame_matrix(drift, 0.0, 0.0, 0.0))
 
 closed = epidemic.frame_evolve(drift, 0.0, 0.0, w0, 0.0, 0.5, dt=1e-3)
 reference = numkit.ode_evolve(
-    lambda ts: np.array([epidemic.frame_matrix(drift, 0.0, 0.0, t) for t in ts]),
+    lambda ts: epidemic.frame_matrix(drift, 0.0, 0.0, ts),
     w0, 0.0, 0.5, 1e-3,
 ).final
 print("frame weights (0.5):", closed)

@@ -7,10 +7,12 @@ file; everything written is byte-deterministic for a fixed config and
 seed.  Exit codes: 0 success, 1 failed checks in verify mode, 2
 parse/validation error, 3 numeric failure.  Each model is one entry
 of MODELS, which holds everything that differs between models.
+The quantum, mapping and acceptance modules are imported inside the
+functions that use them, so a classical run never loads them: one
+invocation is mostly start-up.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance, coupled, epidemic, mapping, numkit, quantum
+from . import __version__, coupled, epidemic, numkit
 from .errors import (
     ComplexSpectrumError,
     DegenerateFrameError,
@@ -148,6 +150,8 @@ def _complex_field(value, where):
 
 
 def _parse_hamiltonian(spec):
+    from . import quantum
+
     _require(isinstance(spec, dict), "hamiltonian must be an object")
     for key in ("ep", "ts_a", "ts_b", "ec"):
         _require(key in spec, "hamiltonian missing field %r" % key)
@@ -391,6 +395,8 @@ def _project_coupled4(state, event, rng, generator):
 
 
 def _aharonov_bohm(state, event, rng, source):
+    from . import mapping, quantum
+
     potential = mapping.SitePotential(
         *(float(a) for a in event.payload["a_x"]),
         dot_diameter=float(event.payload.get("dot_diameter", 1.0)),
@@ -450,6 +456,8 @@ def _simulate_coupled4(scenario):
 
 
 def _simulate_quantum2q(scenario):
+    from . import quantum
+
     h = quantum.build_hamiltonian(scenario.source)
     times, states, event_checks = _segmented_evolution(
         -1j * h, scenario.initial_state, scenario, dtype=complex
@@ -464,6 +472,8 @@ def _simulate_quantum2q(scenario):
 
 
 def _simulate_mapping(scenario):
+    from . import mapping
+
     report = mapping.verify_equivalence(
         scenario.source, scenario.initial_state, scenario.t0, scenario.t1, scenario.dt,
     )
@@ -517,15 +527,16 @@ MODELS = {
 def emit_series(columns, path, digest):
     """Write a CSV (17 significant digits) plus its sidecar metadata.
 
-    The header goes through csv.writer; the body is formatted with one
-    %-operation per EMIT_CHUNK rows, giving the same text csv.writer
-    writes for these unquoted numbers.
+    The header is the column names joined by commas and the body is
+    formatted with one %-operation per EMIT_CHUNK rows; every column name
+    is a plain identifier and every cell an unquoted number, so the text
+    is what csv.writer writes (rows ended by "\\r\\n").
     """
     names = [name for name, _ in columns]
     arrays = [np.asarray(values) for _, values in columns]
     rows = int(arrays[0].shape[0]) if arrays else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(names)
+        fh.write(",".join(names) + "\r\n")
         if rows and names:
             data = np.column_stack(arrays)
             line = ",".join(["%.17g"] * len(names)) + "\r\n"
@@ -568,6 +579,8 @@ def run_scenario(scenario, out_dir):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(name_filter):
+    from . import acceptance
+
     start = time.perf_counter()
     results = acceptance.run_criteria(name_filter)
     if not results:

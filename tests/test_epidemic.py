@@ -545,7 +545,7 @@ class TestFrameEvolve:
 
     @staticmethod
     def _frame_matrices(gen):
-        """frame_matrix over a 1-d array of times, as ode_evolve takes it."""
+        """frame_matrix over a 1-d array of times, one time at a time."""
         return lambda ts: np.array([epidemic.frame_matrix(gen, 0.0, 0.0, t) for t in ts])
 
     def test_slowly_varying_vs_rk_oracle(self):
@@ -553,7 +553,7 @@ class TestFrameEvolve:
         w0 = np.array([0.6, 0.4])
         closed = epidemic.frame_evolve(gen, 0.0, 0.0, w0, 0.0, 0.5, dt=1e-3)
         reference = numkit.ode_evolve(
-            self._frame_matrices(gen), w0, 0.0, 0.5, 1e-3
+            lambda ts: epidemic.frame_matrix(gen, 0.0, 0.0, ts), w0, 0.0, 0.5, 1e-3
         ).final
         assert np.abs(closed - reference).max() <= 1e-6
 
@@ -564,7 +564,7 @@ class TestFrameEvolve:
         w0 = np.array([0.6, 0.4])
         closed = epidemic.frame_evolve(gen, 0.0, 0.0, w0, 0.0, 1.0, dt=1e-3)
         reference = numkit.ode_evolve(
-            self._frame_matrices(gen), w0, 0.0, 1.0, 1e-3
+            lambda ts: epidemic.frame_matrix(gen, 0.0, 0.0, ts), w0, 0.0, 1.0, 1e-3
         ).final
         gap = np.abs(closed - reference).max()
         assert np.isfinite(gap)
