@@ -5,7 +5,7 @@ import numpy as np
 
 from epiqmap import coupled, epidemic, numkit
 
-base = epidemic.Generator2.constant(0.2, 0.3, 0.3, 0.2)
+base = epidemic.Generator2(0.2, 0.3, 0.3, 0.2)
 
 # ---------------------------------------------------------------------------
 # Symmetric coupling: one shared cross rate ties the two machines.
@@ -24,8 +24,8 @@ for k, mode in enumerate(coupled.coupled_eigenvectors(pair, 0.0), start=1):
 # the cross couplings feed the collapsed A back into B.
 # ---------------------------------------------------------------------------
 crossed = coupled.build_traffic_generator(
-    epidemic.Generator2.constant(0.0, 0.4, 0.3, -0.1),
-    epidemic.Generator2.constant(-0.2, 0.3, 0.5, 0.0),
+    epidemic.Generator2(0.0, 0.4, 0.3, -0.1),
+    epidemic.Generator2(-0.2, 0.3, 0.5, 0.0),
     (0.3, 0.25, 0.35, 0.2),
 )
 p0 = np.array([0.6, 0.4, 0.5, 0.5])
@@ -48,8 +48,8 @@ print("\nP(1A) + P(2A) diagonal:", np.diag(pa1 + pa2), "(not the identity)")
 # Non-interacting pair in the product basis: the Kronecker-sum flow
 # keeps a product state exactly factorized.
 # ---------------------------------------------------------------------------
-sa = epidemic.Generator2.constant(0.0, 0.4, 0.6, -0.2)
-sb = epidemic.Generator2.constant(0.1, 0.3, 0.2, -0.4)
+sa = epidemic.Generator2(0.0, 0.4, 0.6, -0.2)
+sb = epidemic.Generator2(0.1, 0.3, 0.2, -0.4)
 joint = coupled.kron_sum_generator(sa, sb)
 product0 = coupled.product_from_marginals([0.3, 0.7], [0.6, 0.4])
 traj = numkit.ode_evolve(joint.matrix, product0, 0.0, 5.0, 1e-2)

@@ -5,7 +5,7 @@ import numpy as np
 
 from epiqmap import epidemic, numkit
 
-gen = epidemic.Generator2.constant(1.0, 0.5, 0.5, 0.2)
+gen = epidemic.Generator2(1.0, 0.5, 0.5, 0.2)
 w0 = np.array([0.7, 0.3])
 
 # ---------------------------------------------------------------------------

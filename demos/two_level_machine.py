@@ -9,7 +9,7 @@ from epiqmap import epidemic, numkit
 # A two-state machine with constant rates.  Nothing forces the rates to
 # conserve probability; the dynamics is simply dp/dt = S p.
 # ---------------------------------------------------------------------------
-gen = epidemic.Generator2.constant(1.0, 0.3, 0.5, 0.2)
+gen = epidemic.Generator2(1.0, 0.3, 0.5, 0.2)
 p0 = np.array([0.7, 0.3])
 
 frame = epidemic.spectral_frame(gen, 0.0)
@@ -25,7 +25,7 @@ print("residual |S v - E v|:",
 
 # the state decomposes into two statistical ensembles riding the
 # eigenvectors; with symmetric coupling the decomposition is exact
-sym = epidemic.Generator2.constant(1.0, 0.4, 0.4, 0.2)
+sym = epidemic.Generator2(1.0, 0.4, 0.4, 0.2)
 weights = epidemic.ensemble_decompose(p0, sym, 0.0)
 rebuilt = epidemic.ensemble_reconstruct(weights, sym, 0.0)
 print("\nensemble weights   :", weights)

@@ -49,7 +49,7 @@ class CheckResult:
 
 def _random_frame_generator(rng, symmetric=False):
     """A seeded 2x2 generator with a healthy closed-form spectral frame."""
-    return epidemic.Generator2.constant(*_random_frame_matrix(rng, symmetric).ravel())
+    return epidemic.Generator2(*_random_frame_matrix(rng, symmetric).ravel())
 
 
 def _random_frame_matrices(rng, n, symmetric=False):
@@ -86,7 +86,7 @@ def check_propagator_closed_form():
         reference = reference + np.einsum("nij,nj->ni", increments, reference)
     worst = 0.0
     for k in range(100):
-        gen = epidemic.Generator2.constant(*mats[k].ravel())
+        gen = epidemic.Generator2(*mats[k].ravel())
         closed = epidemic.propagate_closed_form(gen, p0[k], 0.0, 1.0)
         worst = max(worst, float(np.abs(closed - reference[k]).max()))
     return [SubCheck("closed form vs RK4, 100 seeded generators", worst, 1e-8)]
@@ -114,7 +114,7 @@ def check_spectral_fidelity():
         if min(abs(2 * (s - s21)), abs(2 * (s + s21))) < 1e-2:
             continue
         gen4 = coupled.symmetric_traffic_generator(
-            epidemic.Generator2.constant(s11, s12, s21, s22), s
+            epidemic.Generator2(s11, s12, s21, s22), s
         )
         m4 = gen4.matrix(0.0)
         for mode in coupled.coupled_eigenvectors(gen4, 0.0):
@@ -125,7 +125,7 @@ def check_spectral_fidelity():
     symmetric = epidemic.matrix_frame(_random_frame_matrices(rng, 200, symmetric=True))
     worst_orth = max(0.0, float(np.abs(np.vecdot(symmetric.v1, symmetric.v2)).max()))
     witness = epidemic.spectral_frame(
-        epidemic.Generator2.constant(0.5, 0.2, 0.8, -0.3), 0.0
+        epidemic.Generator2(0.5, 0.2, 0.8, -0.3), 0.0
     )
     witness_overlap = abs(float(witness.v1 @ witness.v2))
     return [
@@ -278,7 +278,7 @@ def check_mapping_certificate():
     for h, psi in ((h2, psi2), (h4, _reference_psi0())):
         complex_traj = quantum.evolve_schrodinger(h, psi, 0.0, 5.0, 1e-3)
         real_traj = mapping.evolve_real_form(h, psi, 0.0, 5.0, 1e-3)
-        rebuilt = real_traj.states[:, 0::2] + 1j * real_traj.states[:, 1::2]
+        rebuilt = mapping.wave_from_amplitudes(real_traj.states)
         worst_embed = max(worst_embed, float(np.abs(rebuilt - complex_traj.states).max()))
     dims_ok = (
         mapping.real_form_generator(h2).shape == (4, 4)
@@ -355,8 +355,8 @@ def check_measurement_semantics():
     weak = epidemic.measure_weak(np.array([0.5, 0.5]), 100, 20, np.array([1.0, 0.0]))
     weak_gap = float(np.abs(weak - np.array([0.6, 0.4])).max())
     gen4 = coupled.build_traffic_generator(
-        epidemic.Generator2.constant(0.0, 0.4, 0.3, -0.1),
-        epidemic.Generator2.constant(-0.2, 0.3, 0.5, 0.0),
+        epidemic.Generator2(0.0, 0.4, 0.3, -0.1),
+        epidemic.Generator2(-0.2, 0.3, 0.5, 0.0),
         (0.3, 0.25, 0.35, 0.2),
     )
     p0 = np.array([0.6, 0.4, 0.5, 0.5])

@@ -11,7 +11,10 @@ consistency check.  The outer product rho = a a^T plays the role of a
 density matrix: it is symmetric, its diagonal carries the
 probabilities, and it obeys d rho/dt = H rho + rho H^T (the
 anticommutator form exactly when H is symmetric).  A generator S is a
-constant rate matrix or an object with a matrix(t) method.
+constant rate matrix or an object with a matrix(t) method.  Every
+probability must stay at or above PROBABILITY_FLOOR, where the
+transform is still regular.  Bipartite 4x4 densities use the package's
+basis layout (1A1B, 1A2B, 2A1B, 2A2B), subsystem A varying slowest.
 """
 
 from collections import namedtuple
@@ -32,31 +35,31 @@ def _rate_matrix(generator, t):
     return np.asarray(generator, dtype=float)
 
 
-def _check_floor(p, floor, t=None):
+def _check_floor(p, t=None):
     p = np.asarray(p, dtype=float)
     # a Python min over the few entries costs a fraction of p.min()
     low = min(p.ravel().tolist())
-    if low < floor:
+    if low < PROBABILITY_FLOOR:
         raise FloorViolationError(
-            "probability %.3e below floor %.3e" % (low, floor),
+            "probability %.3e below floor %.3e" % (low, PROBABILITY_FLOOR),
             time=t, component=int(p.argmin()),
         )
     return p
 
 
-def sqrt_dynamics_generator(generator, p, t=0.0, floor=PROBABILITY_FLOOR):
+def sqrt_dynamics_generator(generator, p, t=0.0):
     """The amplitude-space generator H with entries (1/2) sqrt(pj/pi) s_ij.
 
-    Requires every probability above the working floor: the transform is
+    Requires every probability above PROBABILITY_FLOOR: the transform is
     singular at extinction.
     """
-    p = _check_floor(p, floor, t)
+    p = _check_floor(p, t)
     s = _rate_matrix(generator, t)
     a = np.sqrt(p)
     return 0.5 * s * (a / a[:, None])
 
 
-def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
+def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
     """RK4 trajectory of the amplitudes a = sqrt(p) under H(t, p).
 
     The generator depends on the instantaneous state, so this is a
@@ -69,14 +72,14 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     inside one step (backward runs can do that) without any stage
     landing below the floor.
     """
-    p0 = _check_floor(p0, floor, t0)
+    p0 = _check_floor(p0, t0)
     a0 = np.sqrt(p0)
     # an amplitude at or above this has p = a * a above the floor, so one
     # screen catches both a low probability and a negative amplitude
-    screen = np.sqrt(floor) * (1.0 + 1e-12)
+    screen = np.sqrt(PROBABILITY_FLOOR) * (1.0 + 1e-12)
 
     def check_stage(tau, a):
-        _check_floor(a * a, floor, tau)
+        _check_floor(a * a, tau)
         if min(a.tolist()) < 0:
             raise FloorViolationError(
                 "amplitude crossed zero: a probability passed through 0",
@@ -100,23 +103,20 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR):
     return numkit.rk4_path(rhs, a0, t0, t, dt)
 
 
-def evolve_sqrt(generator, p0, t0, t, dt, floor=PROBABILITY_FLOOR, check=True):
+def evolve_sqrt(generator, p0, t0, t, dt):
     """Evolve probabilities through the amplitude equation; returns p(t).
 
-    With check=True the squared endpoint is compared against the direct
-    master-equation flow and a discrepancy beyond 1e-6 raises, flagging
-    a step-size problem; the transform itself is exact.
+    The squared endpoint is compared against the direct master-equation
+    flow and a discrepancy beyond 1e-6 raises, flagging a step-size
+    problem; the transform itself is exact.
     """
-    traj = evolve_sqrt_trajectory(generator, p0, t0, t, dt, floor)
-    p_end = traj.final ** 2
-    if check:
-        ref = numkit.ode_evolve(getattr(generator, "matrix", generator), p0, t0, t, dt).final
-        gap = np.abs(p_end - ref).max()
-        if gap > 1e-6:
-            raise RuntimeError(
-                "sqrt-transform flow deviates from master equation by %.3e; "
-                "reduce dt" % gap
-            )
+    p_end = evolve_sqrt_trajectory(generator, p0, t0, t, dt).final ** 2
+    ref = numkit.ode_evolve(getattr(generator, "matrix", generator), p0, t0, t, dt).final
+    gap = np.abs(p_end - ref).max()
+    if gap > 1e-6:
+        raise RuntimeError(
+            "sqrt-transform flow deviates from master equation by %.3e; reduce dt" % gap
+        )
     return p_end
 
 
@@ -128,44 +128,41 @@ def density_from_state(a):
     return np.outer(a, a)
 
 
-def density_eom_residual(generator, p, h, dt=None, floor=PROBABILITY_FLOOR):
+def density_eom_residual(generator, p, h):
     """Finite-difference check of the density equation of motion at t = 0.
 
     Evolves the amplitudes to +/- h around the given state (constant
-    generator), forms drho/dt by central differences, and compares it
+    generator, RK4 steps of h/16), forms drho/dt by central differences,
+    and compares it
     against H rho + rho H^T and against the literal anticommutator
     H rho + rho H.  Both residuals (max-norm) are returned; only the
     transpose form is exact for asymmetric H.
     """
-    if dt is None:
-        dt = h / 16.0
-    p = _check_floor(p, floor)
-    fwd = evolve_sqrt_trajectory(generator, p, 0.0, h, dt, floor).final
-    bwd = evolve_sqrt_trajectory(generator, p, 0.0, -h, dt, floor).final
+    dt = h / 16.0
+    p = _check_floor(p)
+    fwd = evolve_sqrt_trajectory(generator, p, 0.0, h, dt).final
+    bwd = evolve_sqrt_trajectory(generator, p, 0.0, -h, dt).final
     drho = (density_from_state(fwd) - density_from_state(bwd)) / (2.0 * h)
-    ham = sqrt_dynamics_generator(generator, p, 0.0, floor)
+    ham = sqrt_dynamics_generator(generator, p, 0.0)
     rho = density_from_state(np.sqrt(p))
     transpose_form = np.abs(drho - (ham @ rho + rho @ ham.T)).max()
     anticommutator = np.abs(drho - (ham @ rho + rho @ ham)).max()
     return EomResiduals(float(transpose_form), float(anticommutator))
 
 
-def reduced_density(rho, subsystem, ordering="a_slow"):
+def reduced_density(rho, subsystem):
     """Normalized 2x2 reduced density of a 4x4 bipartite density matrix.
 
-    ordering='a_slow' treats the 4-dimensional index as (A, B) with A
-    varying slowest, the layout (1A1B, 1A2B, 2A1B, 2A2B); 'b_slow' swaps
-    the roles of the two subsystems for states stored the other way.
-    An (n, 4, 4) stack gives the (n, 2, 2) stack of reduced densities.
+    The 4-dimensional index is (A, B) with A varying slowest, the layout
+    (1A1B, 1A2B, 2A1B, 2A2B).  An (n, 4, 4) stack gives the (n, 2, 2)
+    stack of reduced densities.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError("expected a 4x4 density matrix or a stack of them")
     if subsystem not in ("A", "B"):
         raise ValueError("subsystem must be 'A' or 'B'")
-    if ordering not in ("a_slow", "b_slow"):
-        raise ValueError("ordering must be 'a_slow' or 'b_slow'")
-    if (subsystem == "A") == (ordering == "a_slow"):
+    if subsystem == "A":
         # out[i, j] = rho[2i, 2j] + rho[2i + 1, 2j + 1]
         out = rho[..., ::2, ::2] + rho[..., 1::2, 1::2]
     else:

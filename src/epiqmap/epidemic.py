@@ -38,11 +38,11 @@ class Rate:
     """A scalar rate of time: constant, piecewise-linear table, or callable.
 
     Tables are sequences of (time, value) rows with strictly increasing
-    times; values are held constant beyond the table range.  Integrals
-    are exact for constants and tables (trapezoid on the nodes) and use
-    composite Simpson for general callables, on at most numkit.MAX_STEPS
-    nodes.  Called with an array of times, a callable is evaluated one
-    time at a time.
+    times and finite slopes between rows; values are held constant beyond
+    the table range.  Integrals are exact for constants and tables
+    (trapezoid on the nodes) and use composite Simpson for general
+    callables, on at most numkit.MAX_STEPS nodes.  Called with an array
+    of times, a callable is evaluated one time at a time.
     """
 
     def __init__(self, spec):
@@ -59,6 +59,10 @@ class Rate:
                 raise ValueError("rate table must be [[t, value], ...] with >= 2 rows")
             if np.any(np.diff(table[:, 0]) <= 0):
                 raise ValueError("rate table times must be strictly increasing")
+            with np.errstate(over="ignore", invalid="ignore"):
+                slopes = np.diff(table[:, 1]) / np.diff(table[:, 0])
+            if not np.isfinite(slopes).all():
+                raise ValueError("rate table slopes must be finite")
             self._table = table
 
     @property
@@ -155,7 +159,8 @@ class RateMatrix:
         else:
             m = np.broadcast_to(self._base, flat.shape + self._base.shape)
         if not (np.isfinite(m).all() if self._varying else self._base_finite):
-            raise ValueError("generator entries not finite at t = %r" % (t,))
+            first = np.isfinite(m).all(axis=(1, 2)).argmin()
+            raise ValueError("generator entries not finite at t = %r" % float(flat[first]))
         return m if times.ndim else m[0]
 
 
@@ -178,10 +183,6 @@ class Generator2:
         object.__setattr__(
             self, "_rates", RateMatrix([[self.s11, self.s12], [self.s21, self.s22]])
         )
-
-    @classmethod
-    def constant(cls, s11, s12, s21, s22):
-        return cls(float(s11), float(s12), float(s21), float(s22))
 
     @property
     def is_constant(self):
@@ -295,8 +296,9 @@ def ensemble_decompose(p, generator, t, return_frame=False):
     """
     frame = spectral_frame(generator, t)
     p = np.asarray(p, dtype=float)
-    if np.any(frame.n1 < 1e-14) or np.any(frame.n2 < 1e-14):
-        raise DegenerateFrameError("eigen-ensemble norms vanished")
+    # a nan norm fails these comparisons too
+    if not (np.all(frame.n1 >= 1e-14) and np.all(frame.n2 >= 1e-14)):
+        raise DegenerateFrameError("eigen-ensemble norms vanished or are not finite")
     weights = _stack_last(
         np.vecdot(frame.v1, p) / frame.n1, np.vecdot(frame.v2, p) / frame.n2
     )
@@ -444,8 +446,8 @@ def eigenmode_evolve_const(generator, w0, t0, t):
     if not generator.is_constant:
         raise ValueError("eigenmode evolution requires a constant generator")
     frame = spectral_frame(generator, t0)
-    if frame.n1 < 1e-14 or frame.n2 < 1e-14:
-        raise DegenerateFrameError("degenerate frame")
+    if not (frame.n1 >= 1e-14 and frame.n2 >= 1e-14):
+        raise DegenerateFrameError("eigen-ensemble norms vanished or are not finite")
     w0 = np.asarray(w0, dtype=float)
     rates = np.array([frame.e1 / frame.n1, frame.e2 / frame.n2])
     return w0 * np.exp(rates * (np.asarray(t, dtype=float) - t0)[..., None])
@@ -497,7 +499,7 @@ def frame_matrix(generator, e12, e21, t, h=1e-6):
     ).reshape(np.shape(t) + (2, 2))
 
 
-def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3, h=1e-6):
+def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3):
     """Propagate ensemble weights in the (possibly rotating) eigenframe.
 
     The four generator entries are integrated over [t0, t] by composite
@@ -512,7 +514,7 @@ def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3, h=1e-6):
     if t < t0:
         raise ValueError("t must be >= t0")
     grid = np.linspace(t0, t, numkit.step_count(t0, t, dt) + 1)
-    samples = frame_matrix(generator, e12, e21, grid, h)
+    samples = frame_matrix(generator, e12, e21, grid)
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite eigenframe quadrature")
     g = np.trapezoid(samples, grid, axis=0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import numkit
 from .errors import FloorViolationError
-from .quantum import QubitPairHamiltonian, build_hamiltonian, evolve_schrodinger, polar_split
+from .quantum import QubitPairHamiltonian, evolve_schrodinger, hamiltonian_matrix, polar_split
 
 SPLIT_FLOOR = 1e-12
 
@@ -46,21 +46,21 @@ def split_state(probabilities, phases):
     return out
 
 
-def phase_from_split(x, floor=SPLIT_FLOOR):
+def phase_from_split(x):
     """Recover occupancies and squared phase tangents from a split state.
 
     Returns (p, tan2) with p_k = x_{2k-1} + x_{2k} and
     tan2_k = x_{2k}/x_{2k-1}, taken along the last axis of x, so a
     stack of split states gives a stack of results.  Only |Theta| mod pi
     survives the split, so no sign information is returned.  Where the
-    real slot is below the floor the tangent is reported as +inf.
+    real slot is below SPLIT_FLOOR the tangent is reported as +inf.
     """
     x = np.asarray(x, dtype=float)
     re = x[..., 0::2]
     im = x[..., 1::2]
     p = re + im
     tan2 = np.full(re.shape, np.inf)
-    ok = re >= floor
+    ok = re >= SPLIT_FLOOR
     tan2[ok] = im[ok] / re[ok]
     return p, tan2
 
@@ -92,9 +92,9 @@ def amplitudes_from_wave(psi):
 
 
 def wave_from_amplitudes(y):
-    """Inverse of amplitudes_from_wave."""
+    """Inverse of amplitudes_from_wave, along the last axis."""
     y = np.asarray(y, dtype=float)
-    return y[0::2] + 1j * y[1::2]
+    return y[..., 0::2] + 1j * y[..., 1::2]
 
 
 def real_form_generator(h):
@@ -112,25 +112,19 @@ def real_form_generator(h):
     return np.kron(h.imag, np.eye(2)) + np.kron(h.real, _ROTATION)
 
 
-def _hamiltonian_matrix(hamiltonian):
-    if isinstance(hamiltonian, QubitPairHamiltonian):
-        return build_hamiltonian(hamiltonian)
-    return np.asarray(hamiltonian, dtype=complex)
-
-
-def _split_generator_from_amplitudes(a, y, floor):
+def _split_generator_from_amplitudes(a, y):
     """S = 2 D(y) A D(y)^-1 for an amplitude vector y or an (n, 2N) stack."""
     x = y * y
-    if x.min() < floor:
+    if x.min() < SPLIT_FLOOR:
         raise FloorViolationError(
             "split component %.3e below floor %.3e (phase at a multiple of pi/2)"
-            % (x.min(), floor),
+            % (x.min(), SPLIT_FLOOR),
             component=int(x.argmin()) % x.shape[-1],
         )
     return 2.0 * a * (y[..., :, None] / y[..., None, :])
 
 
-def build_split_generator(hamiltonian, psi, floor=SPLIT_FLOOR):
+def build_split_generator(hamiltonian, psi):
     """Rate matrix S with dx/dt = S x along the wave's split image.
 
     Derived by conjugating the real-form generator with the signed
@@ -138,12 +132,10 @@ def build_split_generator(hamiltonian, psi, floor=SPLIT_FLOOR):
     (sqrt(p) cos, sqrt(p) sin) vector of psi.  Entry (j, m) is therefore
     2 A_jm sqrt(x_j / x_m) up to the signs of y, which is singular
     whenever a split component vanishes (a phase crossing a multiple of
-    pi/2); below the floor this raises rather than extrapolating.
+    pi/2); below SPLIT_FLOOR this raises rather than extrapolating.
     """
-    h = _hamiltonian_matrix(hamiltonian)
-    a = real_form_generator(h)
-    y = amplitudes_from_wave(psi)
-    return _split_generator_from_amplitudes(a, y, floor)
+    a = real_form_generator(hamiltonian_matrix(hamiltonian))
+    return _split_generator_from_amplitudes(a, amplitudes_from_wave(psi))
 
 
 @dataclass(frozen=True)
@@ -206,9 +198,9 @@ class MappingReport:
     residuals: np.ndarray = field(repr=False, default=None)
 
 
-def verify_equivalence(hamiltonian, psi0, t0, t1, dt, floor=SPLIT_FLOOR):
+def verify_equivalence(hamiltonian, psi0, t0, t1, dt):
     """Run the quantum evolution and certify its classical 2N image."""
-    h = _hamiltonian_matrix(hamiltonian)
+    h = hamiltonian_matrix(hamiltonian)
     if isinstance(hamiltonian, QubitPairHamiltonian):
         hermitian = hamiltonian.is_hermitian
     else:
@@ -229,12 +221,12 @@ def verify_equivalence(hamiltonian, psi0, t0, t1, dt, floor=SPLIT_FLOOR):
     monotonicity_defect = float(max(0.0, increments.max())) if len(increments) else 0.0
 
     # five-point central differences need two neighbors on each side;
-    # samples with a split component below the floor are excluded
+    # samples with a split component below SPLIT_FLOOR are excluded
     times = traj.times
     h_step = times[1] - times[0] if len(times) > 1 else 0.0
     a_form = real_form_generator(h)
     interior = np.arange(2, len(times) - 2)
-    low = x[interior].min(axis=1) < floor
+    low = x[interior].min(axis=1) < SPLIT_FLOOR
     excluded = times[interior[low]]
     checked = interior[~low]
     residuals = np.empty(len(checked))
@@ -242,11 +234,11 @@ def verify_equivalence(hamiltonian, psi0, t0, t1, dt, floor=SPLIT_FLOOR):
     for start in range(0, len(checked), CERTIFICATE_CHUNK):
         i = checked[start:start + CERTIFICATE_CHUNK]
         dx = (-x[i + 2] + 8.0 * x[i + 1] - 8.0 * x[i - 1] + x[i - 2]) / (12.0 * h_step)
-        s_matrix = _split_generator_from_amplitudes(a_form, amplitudes_from_wave(states[i]), floor)
+        s_matrix = _split_generator_from_amplitudes(a_form, amplitudes_from_wave(states[i]))
         s_x = np.einsum("nij,nj->ni", s_matrix, x[i])
         residuals[start:start + len(i)] = np.abs(dx - s_x).max(axis=1)
         tan2_true = np.tan(polar.phases[i]) ** 2
-        _, tan2_rec = phase_from_split(x[i], floor)
+        _, tan2_rec = phase_from_split(x[i])
         gap = np.abs(tan2_true - tan2_rec) / (1.0 + np.abs(tan2_rec))
         phase_gap = max(phase_gap, float(gap.max()))
     return MappingReport(
@@ -272,7 +264,6 @@ def evolve_real_form(hamiltonian, psi0, t0, t1, dt):
     reconstructing psi from the result must reproduce the complex
     integration to integrator accuracy.
     """
-    h = _hamiltonian_matrix(hamiltonian)
-    a = real_form_generator(h)
+    a = real_form_generator(hamiltonian_matrix(hamiltonian))
     y0 = amplitudes_from_wave(np.asarray(psi0, dtype=complex))
     return numkit.ode_evolve(a, y0, t0, t1, dt)

@@ -171,14 +171,14 @@ def _eig_parts(m):
     return parts
 
 
-def eig(m, residual_tol=1e-10):
+def eig(m):
     """Eigendecomposition with deterministic ordering and orientation.
 
     m is one (d, d) matrix, d <= 8, or an (n, d, d) stack of them.
     Returns (values, vectors) with eigenvalues sorted ascending by real
     part (ties: ascending imaginary part), eigenvectors as unit-norm
     columns whose first nonzero component is positive real.  Raises if
-    any eigenpair residual exceeds residual_tol * ||m||_inf.
+    any eigenpair residual exceeds 1e-10 * ||m||_inf.
 
     A stack gives (n, d) values and (n, d, d) vectors, and sample k is
     exactly eig(m[k]): each sample is tested for being Hermitian on its
@@ -205,12 +205,12 @@ def eig(m, residual_tol=1e-10):
     defect = m @ vectors
     defect -= vectors * values[:, None, :]
     residual = np.abs(defect).max(axis=(1, 2))
-    bad = residual > residual_tol * scale
+    bad = residual > 1e-10 * scale
     if bad.any():
         k = bad.argmax()
         raise np.linalg.LinAlgError(
             "eigendecomposition residual %.3e exceeds %.3e"
-            % (residual[k], residual_tol * scale[k])
+            % (residual[k], 1e-10 * scale[k])
         )
     return (values[0], vectors[0]) if single else (values, vectors)
 

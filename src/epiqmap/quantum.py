@@ -98,20 +98,21 @@ def build_hamiltonian(params):
     return h
 
 
-def evolve_schrodinger(hamiltonian, psi0, t0, t, dt):
-    """Trajectory of d psi/dt = -i H(t) psi (hbar = 1), fixed-step RK4.
-
-    hamiltonian may be a constant complex matrix, a QubitPairHamiltonian,
-    or a callable following the generator protocol of numkit.ode_evolve
-    (a 1-d array of n times -> the (n, d, d) stack of H).  A constant H
-    is stepped by numkit.ode_evolve's increment matrix of -i H.
-    """
+def hamiltonian_matrix(hamiltonian):
+    """The complex matrix of a QubitPairHamiltonian, or of a matrix."""
     if isinstance(hamiltonian, QubitPairHamiltonian):
-        hamiltonian = build_hamiltonian(hamiltonian)
+        return build_hamiltonian(hamiltonian)
+    return np.asarray(hamiltonian, dtype=complex)
+
+
+def evolve_schrodinger(hamiltonian, psi0, t0, t, dt):
+    """Trajectory of d psi/dt = -i H psi (hbar = 1), fixed-step RK4.
+
+    hamiltonian is a constant complex matrix or a QubitPairHamiltonian;
+    it is stepped by numkit.ode_evolve's increment matrix of -i H.
+    """
     psi0 = np.asarray(psi0, dtype=complex)
-    if not callable(hamiltonian):
-        return numkit.ode_evolve(-1j * np.asarray(hamiltonian, dtype=complex), psi0, t0, t, dt)
-    return numkit.rk4_path(lambda h, psi: -1j * h.dot(psi), psi0, t0, t, dt, hamiltonian)
+    return numkit.ode_evolve(-1j * hamiltonian_matrix(hamiltonian), psi0, t0, t, dt)
 
 
 def wave_from_polar(probabilities, phases):
@@ -126,8 +127,8 @@ def wave_from_polar(probabilities, phases):
 class PolarTrajectory:
     """Probabilities and unwrapped phases along a wave trajectory.
 
-    held marks samples where the occupancy fell below the floor and the
-    phase was carried over from the last defined value.
+    held marks samples where the occupancy fell below PHASE_HOLD_FLOOR
+    and the phase was carried over from the last defined value.
     """
 
     times: np.ndarray
@@ -136,13 +137,14 @@ class PolarTrajectory:
     held: np.ndarray
 
 
-def polar_split(trajectory, floor=PHASE_HOLD_FLOOR):
+def polar_split(trajectory):
     """Split complex amplitudes into probabilities and continuous phases.
 
     Phases unwrap greedily: at each step the branch closest to the
     previous sample is chosen, so linear phase evolution continues past
-    +/- pi.  Where p_k < floor the phase is held and flagged.  Sample 0
-    keeps its raw phase and, held or not, is the first defining sample.
+    +/- pi.  Where p_k < PHASE_HOLD_FLOOR the phase is held and flagged.
+    Sample 0 keeps its raw phase and, held or not, is the first defining
+    sample.
 
     Whole-array form of that per-sample rule: a defining sample i takes
     raw[i] + 2 pi K[i], where K[i] - K[j] = round((raw[j] - raw[i]) / 2 pi)
@@ -152,7 +154,7 @@ def polar_split(trajectory, floor=PHASE_HOLD_FLOOR):
     states = np.asarray(trajectory.states)
     probs = np.abs(states) ** 2
     raw = np.angle(states)
-    held = probs < floor
+    held = probs < PHASE_HOLD_FLOOR
     defining = ~held
     rows = np.arange(len(raw))[:, None]
     cols = np.arange(raw.shape[1])
@@ -165,18 +167,19 @@ def polar_split(trajectory, floor=PHASE_HOLD_FLOOR):
     return PolarTrajectory(trajectory.times, probs, phases, held)
 
 
-def pure_entropy_pair(psi, ordering="a_slow"):
+def pure_entropy_pair(psi):
     """Subsystem entropies (S_A, S_B) of a pure 4-component state.
 
-    An (n, 4) stack of states gives the pair as two (n,) arrays.
+    The state is on the basis (1A1B, 1A2B, 2A1B, 2A2B).  An (n, 4) stack
+    of states gives the pair as two (n,) arrays.
     """
     psi = np.asarray(psi, dtype=complex)
     norm_sq = np.vecdot(psi, psi).real
     if (norm_sq <= 0).any():
         raise ValueError("state has zero norm")
     rho = psi[..., :, None] * np.conj(psi)[..., None, :] / norm_sq[..., None, None]
-    s_a = von_neumann_entropy(reduced_density(rho, "A", ordering))
-    s_b = von_neumann_entropy(reduced_density(rho, "B", ordering))
+    s_a = von_neumann_entropy(reduced_density(rho, "A"))
+    s_b = von_neumann_entropy(reduced_density(rho, "B"))
     return s_a, s_b
 
 

@@ -244,8 +244,9 @@ class TestValidation:
         assert cli.main(["map", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "rate", [True, float("nan"), [[0.0, 0.1], [1.0, float("inf")]]],
-        ids=["true", "nan", "table_with_infinity"],
+        "rate", [True, float("nan"), [[0.0, 0.1], [1.0, float("inf")]],
+                 [[0.0, -1e308], [1.0, 1e308]]],
+        ids=["true", "nan", "table_with_infinity", "table_slope_overflows"],
     )
     def test_rate_must_be_finite_number_or_table_exits_2(self, tmp_path, rate):
         # json.dumps writes true, NaN and Infinity, which json.load accepts
@@ -317,7 +318,11 @@ class TestValidation:
         (epidemic2_config(generator={"s11": 0.0, "s12": -1.0, "s21": 1.0, "s22": 0.0},
                           outputs=["probabilities", "ensemble_weights"]),
          "numeric failure: complex spectrum: discriminant = -4.0\n"),
-    ], ids=["non_finite_state", "complex_spectrum"])
+        # (s11 - s22)^2 overflows, so the frame norms are nan
+        (epidemic2_config(generator={"s11": 1e155, "s12": 0.4, "s21": 0.6, "s22": -1e155},
+                          t1=1e-160, dt=1e-160),
+         "numeric failure: eigen-ensemble norms vanished or are not finite\n"),
+    ], ids=["non_finite_state", "complex_spectrum", "overflowed_frame"])
     def test_numeric_failure_message_prints_plain_numbers(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path, config)
         with np.errstate(over="ignore", invalid="ignore"):

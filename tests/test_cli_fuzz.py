@@ -17,10 +17,14 @@ from hypothesis import strategies as st
 
 from epiqmap import cli
 
-# what a numeric field may hold: in-range numbers and every kind of bad value
+# what a numeric field may hold: in-range numbers and every kind of bad
+# value, including finite ones whose squares overflow
 BAD_VALUES = [True, False, None, "1", [], {}, float("nan"), float("inf"), float("-inf"),
-              1e308, -1e308, 0, -1]
+              1e308, -1e308, 1e155, -1e155, 0, -1]
 NUMBERS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(BAD_VALUES))
+
+# a rate may also be a two-row table, whose slope can overflow
+RATE_TABLES = st.tuples(NUMBERS, NUMBERS).map(lambda ab: [[0, ab[0]], [1, ab[1]]])
 
 # what an object, a list or a string may be replaced with
 NODES = [5, "x", [], {}, [[0]]]
@@ -127,7 +131,11 @@ def scenarios(draw):
     for event in drawn:
         event["time"] *= t1
     config["events"] = sorted(drawn, key=lambda event: event["time"])
-    # then overwrite a few numeric fields (rates, times, states, event fields)
+    # then turn a rate into a table (every number of a generator is a rate)
+    if model in GENERATORS and draw(st.booleans()):
+        container, key = draw(st.sampled_from(fields(config["generator"], is_number)))
+        container[key] = draw(RATE_TABLES)
+    # and overwrite a few numeric fields (rates, times, states, event fields)
     numbers = fields(config, is_number)
     for _ in range(draw(st.integers(0, 2))):
         container, key = draw(st.sampled_from(numbers))

@@ -8,7 +8,7 @@ from epiqmap.errors import FloorViolationError
 
 
 def gen2(s11, s12, s21, s22):
-    return epidemic.Generator2.constant(s11, s12, s21, s22)
+    return epidemic.Generator2(s11, s12, s21, s22)
 
 
 class TestTrafficGenerator:

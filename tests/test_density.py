@@ -54,7 +54,7 @@ class TestEvolveSqrt:
         assert np.abs(out - expected).max() < 1e-10
 
     def test_generic_rates_vs_master_equation(self):
-        out = density.evolve_sqrt(GENERIC_S4, GENERIC_P, 0.0, 1.0, 1e-4, check=False)
+        out = density.evolve_sqrt(GENERIC_S4, GENERIC_P, 0.0, 1.0, 1e-4)
         oracle = numkit.mat_exp(GENERIC_S4) @ GENERIC_P
         assert np.abs(out - oracle).max() <= 1e-8
 
@@ -71,23 +71,22 @@ class TestEvolveSqrt:
                               [0.1, lambda t: -0.2 + 0.1 * t]]), np.array([0.6, 0.4])),
     ], ids=["constant", "generator2_table", "rate_matrix_callable"])
     def test_master_equation_check_takes_every_generator_form(self, generator, p0):
-        # check=True compares against numkit.ode_evolve of the same generator
-        out = density.evolve_sqrt(generator, p0, 0.0, 1.0, 1e-3, check=True)
+        # the built-in check compares against numkit.ode_evolve of the same generator
+        out = density.evolve_sqrt(generator, p0, 0.0, 1.0, 1e-3)
         ref = numkit.ode_evolve(getattr(generator, "matrix", generator), p0, 0.0, 1.0, 1e-3)
         assert np.abs(out - ref.final).max() <= 1e-6
 
     def test_floor_violation_reports_time(self):
         s = np.diag([-50.0, 0.0, 0.0, 0.0])
         with pytest.raises(FloorViolationError) as info:
-            density.evolve_sqrt(s, np.array([1e-10, 0.5, 0.3, 0.2]), 0.0, 2.0, 1e-3,
-                                floor=1e-12, check=False)
+            density.evolve_sqrt(s, np.array([1e-10, 0.5, 0.3, 0.2]), 0.0, 2.0, 1e-3)
         assert info.value.time is not None
 
 
-def h_forming_rhs(generator, floor=density.PROBABILITY_FLOOR):
+def h_forming_rhs(generator):
     """Reference right-hand side: form H(t, a * a) explicitly, then H @ a."""
     def rhs(tau, a):
-        return density.sqrt_dynamics_generator(generator, a * a, tau, floor) @ a
+        return density.sqrt_dynamics_generator(generator, a * a, tau) @ a
     return rhs
 
 
@@ -244,23 +243,9 @@ class TestReducedDensity:
         out = density.reduced_density(rho, "A")
         assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
 
-    def test_ordering_switch_swaps_subsystems(self):
-        u = np.array([0.8, 0.6])
-        v = np.array([0.6, 0.8])
-        rho = density.density_from_state(np.kron(u, v))
-        flipped = density.reduced_density(rho, "A", ordering="b_slow")
-        assert np.abs(flipped - density.reduced_density(rho, "B")).max() < 1e-15
-
-    @pytest.mark.parametrize("ordering", ["a_slow", "b_slow"])
-    def test_rejects_unknown_subsystem(self, ordering):
+    def test_rejects_unknown_subsystem(self):
         with pytest.raises(ValueError, match="subsystem"):
-            density.reduced_density(np.eye(4), "C", ordering)
-
-    @pytest.mark.parametrize("subsystem", ["A", "B"])
-    def test_rejects_unknown_ordering(self, subsystem):
-        for ordering in ("bogus", "A_SLOW", None):
-            with pytest.raises(ValueError, match="ordering"):
-                density.reduced_density(np.eye(4), subsystem, ordering)
+            density.reduced_density(np.eye(4), "C")
 
     def test_zero_trace(self):
         with pytest.raises(ZeroDivisionError):
@@ -272,10 +257,9 @@ class TestReducedDensity:
         rng = np.random.default_rng(61)
         rhos = rng.normal(size=(9, 4, 4)) + 1j * rng.normal(size=(9, 4, 4))
         for subsystem in ("A", "B"):
-            for ordering in ("a_slow", "b_slow"):
-                stacked = density.reduced_density(rhos, subsystem, ordering)
-                loop = [density.reduced_density(rho, subsystem, ordering) for rho in rhos]
-                assert stacked.tobytes() == np.array(loop).tobytes()
+            stacked = density.reduced_density(rhos, subsystem)
+            loop = [density.reduced_density(rho, subsystem) for rho in rhos]
+            assert stacked.tobytes() == np.array(loop).tobytes()
 
     def test_rejects_wrong_shapes(self):
         for shape in ((2, 2), (3, 3, 4), (2, 3, 4, 4)):

@@ -11,7 +11,7 @@ from epiqmap.errors import ComplexSpectrumError, DegenerateFrameError
 
 
 def constant_gen(s11, s12, s21, s22):
-    return epidemic.Generator2.constant(s11, s12, s21, s22)
+    return epidemic.Generator2(s11, s12, s21, s22)
 
 
 class TestRate:

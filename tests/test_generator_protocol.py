@@ -33,7 +33,7 @@ def _epidemic_n_generator():
 
 
 def _forms():
-    const = epidemic.Generator2.constant(-0.2, 0.15, 0.25, -0.35)
+    const = epidemic.Generator2(-0.2, 0.15, 0.25, -0.35)
     table = epidemic.Generator2(-0.2, RAMP, 0.25, [[0.0, -0.1], [1.0, -0.4]])
     return {
         "generator2_constant": const.matrix,
@@ -81,7 +81,7 @@ def test_scalar_forms_give_one_matrix(name):
 
 
 def test_constant_stack_is_broadcast_not_copied():
-    gen = epidemic.Generator2.constant(-0.2, 0.15, 0.25, -0.35)
+    gen = epidemic.Generator2(-0.2, 0.15, 0.25, -0.35)
     stack = gen.matrix(TIMES)
     assert stack.strides[0] == 0
     assert not stack.flags.writeable
@@ -90,12 +90,14 @@ def test_constant_stack_is_broadcast_not_copied():
 def test_non_finite_entries_raise():
     gen = epidemic.Generator2(lambda t: np.inf if t > 0.5 else 0.0, 0.0, 0.0, 0.0)
     assert np.isfinite(gen.matrix(TIMES[:5])).all()
-    with pytest.raises(ValueError):
+    # the message names the first offending time, not the whole array
+    first = float(TIMES[TIMES > 0.5][0])
+    with pytest.raises(ValueError, match=r"^generator entries not finite at t = %r$" % first):
         gen.matrix(TIMES)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"at t = 0\.7$"):
         gen.matrix(0.7)
     with pytest.raises(ValueError):
-        epidemic.Generator2.constant(np.nan, 0.0, 0.0, 0.0).matrix(TIMES)
+        epidemic.Generator2(np.nan, 0.0, 0.0, 0.0).matrix(TIMES)
 
 
 def test_rejects_multidimensional_times():

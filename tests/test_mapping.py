@@ -293,13 +293,14 @@ class TestVerifyEquivalence:
         assert report.max_residual <= 1e-12
         assert report.norm_drift <= 1e-12
 
-    def test_batched_certificate_matches_per_sample_reference(self):
-        # the 2-level phases cross multiples of pi/2, so the high floor
+    def test_batched_certificate_matches_per_sample_reference(self, monkeypatch):
+        # the 2-level phases cross multiples of pi/2, so a high floor
         # excludes runs of samples around each crossing
         h = np.array([[1.0, 0.05], [0.05, -0.7]], dtype=complex)
         psi0 = quantum.wave_from_polar([0.6, 0.4], [0.2, -1.1])
         floor = 1e-3
-        report = mapping.verify_equivalence(h, psi0, 0.0, 3.0, 1e-3, floor=floor)
+        monkeypatch.setattr(mapping, "SPLIT_FLOOR", floor)
+        report = mapping.verify_equivalence(h, psi0, 0.0, 3.0, 1e-3)
         traj = quantum.evolve_schrodinger(h, psi0, 0.0, 3.0, 1e-3)
         times, states = traj.times, traj.states
         x = np.empty((len(states), 4))
@@ -314,10 +315,10 @@ class TestVerifyEquivalence:
                 excluded.append(times[i])
                 continue
             dx = (-x[i + 2] + 8.0 * x[i + 1] - 8.0 * x[i - 1] + x[i - 2]) / (12.0 * step)
-            s_matrix = mapping.build_split_generator(h, states[i], floor)
+            s_matrix = mapping.build_split_generator(h, states[i])
             residual_times.append(times[i])
             residuals.append(np.abs(dx - s_matrix @ x[i]).max())
-            tan2 = mapping.phase_from_split(x[i], floor)[1]
+            tan2 = mapping.phase_from_split(x[i])[1]
             gap = np.abs(np.tan(phases[i]) ** 2 - tan2) / (1.0 + tan2)
             phase_gap = max(phase_gap, gap.max())
         # several chunks, with excluded samples inside them
@@ -332,10 +333,10 @@ class TestVerifyEquivalence:
     def test_stacked_split_helpers(self):
         y = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 8))
         a = mapping.real_form_generator(quantum.build_hamiltonian(hermitian_params()))
-        stacked = mapping._split_generator_from_amplitudes(a, y, mapping.SPLIT_FLOOR)
+        stacked = mapping._split_generator_from_amplitudes(a, y)
         p, tan2 = mapping.phase_from_split(y * y)
         for k in range(5):
-            one = mapping._split_generator_from_amplitudes(a, y[k], mapping.SPLIT_FLOOR)
+            one = mapping._split_generator_from_amplitudes(a, y[k])
             assert np.array_equal(stacked[k], one)
             assert np.array_equal(p[k], mapping.phase_from_split(y[k] * y[k])[0])
             assert np.array_equal(tan2[k], mapping.phase_from_split(y[k] * y[k])[1])
@@ -343,10 +344,18 @@ class TestVerifyEquivalence:
         assert np.array_equal(mapping.amplitudes_from_wave(psi), y)
         with pytest.raises(FloorViolationError) as info:
             y[3, 6] = 0.0
-            mapping._split_generator_from_amplitudes(a, y, mapping.SPLIT_FLOOR)
+            mapping._split_generator_from_amplitudes(a, y)
         assert info.value.component == 6
 
     def test_amplitude_wave_roundtrip(self):
         y = mapping.amplitude_vector([0.4, 0.3, 0.2, 0.1], [0.1, 0.7, -0.2, 2.5])
         psi = mapping.wave_from_amplitudes(y)
         assert np.abs(mapping.amplitudes_from_wave(psi) - y).max() < 1e-15
+
+    def test_amplitude_wave_roundtrip_of_a_stack(self):
+        rng = np.random.default_rng(17)
+        psi = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        y = mapping.amplitudes_from_wave(psi)
+        assert np.array_equal(mapping.wave_from_amplitudes(y), psi)
+        for k in range(5):
+            assert np.array_equal(mapping.wave_from_amplitudes(y[k]), psi[k])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqmap import density, epidemic, numkit, quantum
+from epiqmap import density, epidemic, numkit
 from epiqmap.errors import NonFiniteStateError
 
 
@@ -485,18 +485,6 @@ class TestLeanStagePath:
     def test_sqrt_flow_equals_per_step_loop(self, generator, p0, t1):
         lean = density.evolve_sqrt_trajectory(generator, p0, 0.0, t1, 1e-3)
         reference = per_step_rk4_path(half_rates_rhs(generator), np.sqrt(p0), 0.0, t1, 1e-3)
-        assert lean.states.tobytes() == reference.states.tobytes()
-
-    def test_callable_hamiltonian_equals_per_step_loop(self):
-        h = quantum.build_hamiltonian(quantum.QubitPairHamiltonian.hermitian(
-            1.05, 0.95, 1.02, 0.98, 0.1, 0.12, 0.05, 0.1, 0.15, 0.2
-        ))
-        hamiltonian = time_dependent(h, 0.1 * np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex))
-        psi0 = np.array([0.5, 0.5j, -0.5, 0.5])
-        lean = quantum.evolve_schrodinger(hamiltonian, psi0, 0.0, 0.5003, 1e-3)
-        reference = per_step_rk4_path(
-            lambda g, psi: -1j * (g @ psi), psi0, 0.0, 0.5003, 1e-3, hamiltonian
-        )
         assert lean.states.tobytes() == reference.states.tobytes()
 
     # step k = 1 opens the run; 128 closes the first block and 129 opens

@@ -234,22 +234,17 @@ class TestPureEntropyPair:
         with pytest.raises(ValueError):
             quantum.pure_entropy_pair(np.zeros(4))
 
-    def test_rejects_unknown_ordering(self):
-        with pytest.raises(ValueError, match="ordering"):
-            quantum.pure_entropy_pair(np.array([1.0, 0.0, 0.0, 1.0]), ordering="nonsense")
-
     @settings(max_examples=100, deadline=None)
     @given(parts=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(4), st.just(2)),
-                        elements=st.floats(-1.0, 1.0)),
-           ordering=st.sampled_from(["a_slow", "b_slow"]))
-    def test_subsystem_entropies_agree(self, parts, ordering):
+                        elements=st.floats(-1.0, 1.0)))
+    def test_subsystem_entropies_agree(self, parts):
         # S_A = S_B for every pure state, one at a time and as a stack
         states = parts[..., 0] + 1j * parts[..., 1]
         states = states[np.linalg.norm(states, axis=1) > 1e-3]
         assume(len(states))
-        s_a, s_b = quantum.pure_entropy_pair(states, ordering)
+        s_a, s_b = quantum.pure_entropy_pair(states)
         assert np.abs(s_a - s_b).max() <= 1e-9
-        s_a, s_b = quantum.pure_entropy_pair(states[0], ordering)
+        s_a, s_b = quantum.pure_entropy_pair(states[0])
         assert abs(s_a - s_b) <= 1e-9
 
 
@@ -257,9 +252,8 @@ class TestStackedEntropies:
     """An (n, 4) stack of states gives, bit for bit, the per-state entropies."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
-           ordering=st.sampled_from(["a_slow", "b_slow"]))
-    def test_stack_is_the_per_state_pair(self, seed, n, ordering):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    def test_stack_is_the_per_state_pair(self, seed, n):
         rng = np.random.default_rng(seed)
         random = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
         u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
@@ -267,8 +261,8 @@ class TestStackedEntropies:
         product = (u[:, :, None] * v[:, None, :]).reshape(n, 4)
         bell = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1j, 0.0], [0.0, 0.0, 0.0, 2.0]])
         states = np.concatenate((random, product, bell))
-        s_a, s_b = quantum.pure_entropy_pair(states, ordering)
-        loop = np.array([quantum.pure_entropy_pair(psi, ordering) for psi in states])
+        s_a, s_b = quantum.pure_entropy_pair(states)
+        loop = np.array([quantum.pure_entropy_pair(psi) for psi in states])
         assert s_a.tobytes() == loop[:, 0].tobytes()
         assert s_b.tobytes() == loop[:, 1].tobytes()
 
