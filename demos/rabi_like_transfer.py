@@ -29,15 +29,17 @@ print("e1/n1 - e2/n2      :", epidemic.rabi_rate(gen))
 # dynamics picks up connection terms <v_i | dv_j/dt> plus optional
 # explicit cross couplings e12, e21 between the ensembles.
 # ---------------------------------------------------------------------------
+# Each drift is linear in t, as a two-row table reaching well past the
+# run and the frame derivative's central differences.
 drift = epidemic.Generator2(
-    lambda t: 0.8 + 0.001 * t,
-    lambda t: 0.3 - 0.001 * t,
-    lambda t: 0.5 + 0.001 * t,
-    lambda t: 0.1 - 0.001 * t,
+    [[-1.0, 0.799], [1.0, 0.801]],
+    [[-1.0, 0.301], [1.0, 0.299]],
+    [[-1.0, 0.499], [1.0, 0.501]],
+    [[-1.0, 0.101], [1.0, 0.099]],
 )
 print("\nframe matrix at t=0:\n", epidemic.frame_matrix(drift, 0.0, 0.0, 0.0))
 
-closed = epidemic.frame_evolve(drift, 0.0, 0.0, w0, 0.0, 0.5, dt=1e-3)
+closed = epidemic.frame_evolve(drift, 0.0, 0.0, w0, 0.0, 0.5)
 reference = numkit.ode_evolve(
     lambda ts: epidemic.frame_matrix(drift, 0.0, 0.0, ts),
     w0, 0.0, 0.5, 1e-3,
@@ -45,7 +47,7 @@ reference = numkit.ode_evolve(
 print("frame weights (0.5):", closed)
 print("vs time-ordered RK :", np.abs(closed - reference).max())
 
-coupled_w = epidemic.frame_evolve(drift, 0.05, 0.02, w0, 0.0, 0.5, dt=1e-3)
+coupled_w = epidemic.frame_evolve(drift, 0.05, 0.02, w0, 0.0, 0.5)
 print("with e12, e21 on   :", coupled_w)
 
 # ---------------------------------------------------------------------------

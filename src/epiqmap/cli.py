@@ -230,8 +230,9 @@ def _parse_wave(config):
     raw = config["initial_state"]
     _require(isinstance(raw, list) and len(raw) == 4, "initial_state must have 4 amplitudes")
     state = np.array([_complex_field(v, "initial_state[%d]" % i) for i, v in enumerate(raw)])
+    norm = float((np.abs(state) ** 2).sum())
+    _require(norm > 0, "initial_state must have a nonzero norm")
     if hamiltonian.is_hermitian:
-        norm = float((np.abs(state) ** 2).sum())
         _require(abs(norm - 1.0) <= 1e-9,
                  "initial_state norm %.12f must be 1 for a Hermitian run" % norm)
     return hamiltonian, state
@@ -338,20 +339,22 @@ def _total_probability(state):
     return float((np.abs(state) ** 2).sum() if np.iscomplexobj(state) else state.sum())
 
 
-def _segmented_evolution(generator, state, scenario, dtype=float):
+def _segmented_evolution(generator, state, scenario):
     """Integrate dt-wise between events; boundary samples are post-event.
 
     generator is what numkit.ode_evolve takes: a constant matrix or a
-    generator-protocol callable.  Each event is applied by its model's
-    function for that event kind, which also sees the scenario's source.
+    generator-protocol callable; state is the parsed float or complex
+    initial state, whose dtype the states keep.  Each event is applied
+    by its model's function for that event kind, which also sees the
+    scenario's source.
     Returns (times, states, checks); a run with events gets the check
     max_event_probability_jump, the largest change of total probability
     across one event.
     """
     apply_event = MODELS[scenario.model].events
     times = [np.array([scenario.t0])]
-    states = [np.asarray(state, dtype=dtype)[None, :]]
-    current = np.asarray(state, dtype=dtype)
+    states = [state[None, :]]
+    current = state
     cursor = scenario.t0
     rng = np.random.default_rng(scenario.seed) if scenario.seed is not None else None
     boundaries = [e.time for e in scenario.events] + [scenario.t1]
@@ -435,8 +438,7 @@ def _simulate_epidemic2(scenario):
         # samples whose frame came from numkit.eig, the closed form being singular
         checks.append(_check("frame_fallbacks", float(frame.numeric_fallback.sum())))
     if "ratio" in scenario.outputs:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            columns.append(("r12", states[:, 0] / states[:, 1]))
+        columns.append(("r12", states[:, 0] / states[:, 1]))
     return columns, checks + event_checks
 
 
@@ -459,9 +461,7 @@ def _simulate_quantum2q(scenario):
     from . import quantum
 
     h = quantum.build_hamiltonian(scenario.source)
-    times, states, event_checks = _segmented_evolution(
-        -1j * h, scenario.initial_state, scenario, dtype=complex
-    )
+    times, states, event_checks = _segmented_evolution(-1j * h, scenario.initial_state, scenario)
     columns = _probability_columns(times, np.abs(states) ** 2, ("pI", "pII", "pIII", "pIV"))
     checks = []
     if "entropies" in scenario.outputs:
@@ -478,9 +478,13 @@ def _simulate_mapping(scenario):
         scenario.source, scenario.initial_state, scenario.t0, scenario.t1, scenario.dt,
     )
     columns = [("t", report.residual_times), ("residual", report.residuals)]
+    residual = _check("mapping_residual", report.max_residual, 1e-6)
+    # a certificate that checked no sample certifies nothing
+    residual["passed"] = residual["passed"] and report.checked_samples > 0
     checks = [
-        _check("mapping_residual", report.max_residual, 1e-6),
+        residual,
         _check("split_consistency_gap", report.split_consistency_gap, 1e-10),
+        _check("checked_samples", float(report.checked_samples)),
         _check("excluded_samples", float(len(report.excluded_times))),
     ]
     if report.hermitian:
@@ -616,10 +620,13 @@ def main(argv=None):
     try:
         if args.command == "verify":
             return cmd_verify(args.filter)
-        scenario = load_scenario(args.config)
-        if args.command == "map" and scenario.model != "mapping":
-            raise ScenarioError("'map' requires a scenario with model 'mapping'")
-        return run_scenario(scenario, args.out_dir)
+        # a run reports its non-finite results itself: as nan/inf cells
+        # (r12) or as exit 3, so NumPy's warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scenario = load_scenario(args.config)
+            if args.command == "map" and scenario.model != "mapping":
+                raise ScenarioError("'map' requires a scenario with model 'mapping'")
+            return run_scenario(scenario, args.out_dir)
     except ScenarioError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -35,23 +35,17 @@ _TAYLOR_WINDOW = 1e-6
 # ---------------------------------------------------------------------------
 
 class Rate:
-    """A scalar rate of time: constant, piecewise-linear table, or callable.
+    """A scalar rate of time: a constant or a piecewise-linear table.
 
     Tables are sequences of (time, value) rows with strictly increasing
     times and finite slopes between rows; values are held constant beyond
-    the table range.  Integrals are exact for constants and tables
-    (trapezoid on the nodes) and use composite Simpson for general
-    callables, on at most numkit.MAX_STEPS nodes.  Called with an array
-    of times, a callable is evaluated one time at a time.
+    the table range.  Integrals are exact (trapezoid on the nodes).
     """
 
     def __init__(self, spec):
-        self._callable = None
         self._table = None
         self._value = None
-        if callable(spec):
-            self._callable = spec
-        elif np.isscalar(spec):
+        if np.isscalar(spec):
             self._value = float(spec)
         else:
             table = np.asarray(spec, dtype=float)
@@ -78,10 +72,8 @@ class Rate:
         flat = times.reshape(-1)
         if self._value is not None:
             values = np.full(flat.shape, self._value)
-        elif self._table is not None:
-            values = np.interp(flat, self._table[:, 0], self._table[:, 1])
         else:
-            values = np.array([float(self._callable(tau)) for tau in flat])
+            values = np.interp(flat, self._table[:, 0], self._table[:, 1])
         return values.reshape(times.shape) if times.ndim else float(values[0])
 
     def integral(self, t0, t1):
@@ -89,24 +81,13 @@ class Rate:
             return 0.0
         if self._value is not None:
             return self._value * (t1 - t0)
-        if self._table is not None:
-            lo, hi = min(t0, t1), max(t0, t1)
-            nodes = self._table[:, 0]
-            inner = nodes[(nodes > lo) & (nodes < hi)]
-            grid = np.concatenate(([lo], inner, [hi]))
-            vals = np.interp(grid, nodes, self._table[:, 1])
-            area = np.trapezoid(vals, grid)
-            return area if t1 > t0 else -area
-        # an even number of steps of at most 1e-3; nan for a non-finite span
-        n = float(max(np.ceil(abs(t1 - t0) / 1e-3), 8))
-        n += n % 2
-        if not n < numkit.MAX_STEPS:
-            raise ValueError("Simpson integral over [%r, %r] needs more than %d nodes"
-                             % (t0, t1, numkit.MAX_STEPS))
-        grid = np.linspace(t0, t1, int(n) + 1)
-        vals = np.array([self._callable(t) for t in grid])
-        h = (t1 - t0) / n
-        return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
+        lo, hi = min(t0, t1), max(t0, t1)
+        nodes = self._table[:, 0]
+        inner = nodes[(nodes > lo) & (nodes < hi)]
+        grid = np.concatenate(([lo], inner, [hi]))
+        vals = np.interp(grid, nodes, self._table[:, 1])
+        area = np.trapezoid(vals, grid)
+        return area if t1 > t0 else -area
 
 
 def as_rate(spec):
@@ -378,15 +359,15 @@ def occupancy_ratio(generator, p0, t0, t):
     return num / den
 
 
-def propagation_gap(generator, p0, t0, t, dt=1e-4):
-    """Max-norm gap between the closed form and the RK4 reference.
+def propagation_gap(generator, p0, t0, t):
+    """Max-norm gap between the closed form and the RK4 reference (dt 1e-4).
 
     Zero (to integrator accuracy) for commuting generator families; for
     non-commuting time dependence the gap is real and is reported rather
     than asserted away.
     """
     closed = propagate_closed_form(generator, p0, t0, t)
-    reference = numkit.ode_evolve(generator.matrix, p0, t0, t, dt).final
+    reference = numkit.ode_evolve(generator.matrix, p0, t0, t, 1e-4).final
     return float(np.abs(closed - reference).max())
 
 
@@ -453,9 +434,9 @@ def eigenmode_evolve_const(generator, w0, t0, t):
     return w0 * np.exp(rates * (np.asarray(t, dtype=float) - t0)[..., None])
 
 
-def rabi_rate(generator, t=0.0):
-    """Slope e1/n1 - e2/n2 of the log weight ratio."""
-    frame = spectral_frame(generator, t)
+def rabi_rate(generator):
+    """Slope e1/n1 - e2/n2 of the log weight ratio, at t = 0."""
+    frame = spectral_frame(generator, 0.0)
     return frame.e1 / frame.n1 - frame.e2 / frame.n2
 
 
@@ -499,21 +480,21 @@ def frame_matrix(generator, e12, e21, t, h=1e-6):
     ).reshape(np.shape(t) + (2, 2))
 
 
-def frame_evolve(generator, e12, e21, w0, t0, t, dt=1e-3):
+def frame_evolve(generator, e12, e21, w0, t0, t):
     """Propagate ensemble weights in the (possibly rotating) eigenframe.
 
     The four generator entries are integrated over [t0, t] by composite
-    trapezoid on the dt grid and exponentiated through the same
+    trapezoid on a grid of step 1e-3 and exponentiated through the same
     sinh/cosh closed form as the probability propagator.  The grid is
-    sized by numkit.step_count, so dt <= 0 or a grid of more than
-    numkit.MAX_STEPS steps raises ValueError.
+    sized by numkit.step_count, so a grid of more than numkit.MAX_STEPS
+    steps raises ValueError.
     """
     w0 = np.asarray(w0, dtype=float)
     if t == t0:
         return w0.copy()
     if t < t0:
         raise ValueError("t must be >= t0")
-    grid = np.linspace(t0, t, numkit.step_count(t0, t, dt) + 1)
+    grid = np.linspace(t0, t, numkit.step_count(t0, t, 1e-3) + 1)
     samples = frame_matrix(generator, e12, e21, grid)
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite eigenframe quadrature")

@@ -65,19 +65,6 @@ def phase_from_split(x):
     return p, tan2
 
 
-def amplitude_vector(probabilities, phases):
-    """Interleaved real amplitudes (sqrt(p) cos, sqrt(p) sin, ...)."""
-    p = np.asarray(probabilities, dtype=float)
-    theta = np.asarray(phases, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    root = np.sqrt(p)
-    out = np.empty(2 * len(p))
-    out[0::2] = root * np.cos(theta)
-    out[1::2] = root * np.sin(theta)
-    return out
-
-
 def amplitudes_from_wave(psi):
     """Interleaved (Re gamma, Im gamma) vector of a complex state.
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ class TestSimulate:
         assert checks["mapping_residual"]["value"] <= 1e-6
         assert checks["mapping_residual"]["passed"] is True
         assert checks["split_consistency_gap"]["passed"] is True
+        assert checks["checked_samples"]["value"] == report["samples"] > 0
+        assert checks["checked_samples"]["passed"] is None
+
+    def test_certificate_that_checked_no_sample_fails(self, tmp_path):
+        # no hopping: every amplitude stays on a multiple of pi/2, so each
+        # sample has a split component below the floor and is excluded
+        hamiltonian = {"ep": [1.05, 0.95, 1.05, 0.95], "ts_a": 0.0, "ts_b": 0.0,
+                       "ec": [0.05, 0.1, 0.15, 0.2]}
+        cfg = write_config(tmp_path, quantum_config(
+            model="mapping", outputs=["residuals"], hamiltonian=hamiltonian,
+            initial_state=[1, 0, 0, 0], t1=0.5, dt=0.05,
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["map", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert report["samples"] == checks["checked_samples"]["value"] == 0
+        assert checks["mapping_residual"]["value"] == 0.0
+        assert checks["mapping_residual"]["passed"] is False
 
     def test_config_roundtrip_revalidates_to_same_digest(self, tmp_path):
         cfg = write_config(tmp_path, epidemic2_config())
@@ -324,9 +344,12 @@ class TestValidation:
          "numeric failure: eigen-ensemble norms vanished or are not finite\n"),
     ], ids=["non_finite_state", "complex_spectrum", "overflowed_frame"])
     def test_numeric_failure_message_prints_plain_numbers(self, tmp_path, capsys, config, message):
+        # the message is the run's only output: NumPy warns nothing
         cfg = write_config(tmp_path, config)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("config", [
@@ -501,6 +524,22 @@ class TestNormalizationGuard:
             initial_state=[[0.6, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]
         ))
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+    # a non-Hermitian Hamiltonian (a lossy site), which skips the norm-1 check
+    LOSSY = {"ep": [[1.05, -0.1], 0.95, 1.05, 0.95], "ts_a": 0.1, "ts_b": 0.1,
+             "ec": [0.05, 0.1, 0.15, 0.2]}
+
+    @pytest.mark.parametrize("command, model, outputs", [
+        ("simulate", "quantum2q", ["probabilities", "entropies"]),
+        ("map", "mapping", ["residuals"]),
+    ], ids=["quantum2q_entropies", "mapping"])
+    def test_zero_norm_state_exits_2(self, tmp_path, capsys, command, model, outputs):
+        cfg = write_config(tmp_path, quantum_config(
+            model=model, outputs=outputs, hamiltonian=self.LOSSY,
+            initial_state=[0, 0, 0, 0], t1=0.5, dt=0.05,
+        ))
+        assert cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: initial_state must have a nonzero norm\n"
 
 
 class TestPinnedOutput:

@@ -1,14 +1,21 @@
-"""The exit-code contract of ``cli.main`` on mutated scenario configs.
+"""The output contract of ``cli.main`` on mutated scenario configs.
 
-Every config must end in 0 (ok), 1 (failed checks), 2 (bad config) or
-3 (numeric failure), whatever its fields hold and whatever shape its
-objects and lists take; nothing may escape as a traceback.  Spans are
-short and runs that would take many steps are refused by the step
-budget, so each example runs in milliseconds.
+Every config must end in 0 (ok), 2 (bad config) or 3 (numeric failure),
+whatever its fields hold and whatever shape its objects and lists take;
+nothing may escape as a traceback, and no run warns.  A run that exits
+0 writes one CSV row per reported sample, every cell finite but r12's;
+a run that exits 2 or 3 prints exactly one line to stderr, naming its
+kind of failure.  Spans are short and runs that would take many steps
+are refused by the step budget, so each example runs in milliseconds.
 """
 
+import contextlib
+import csv
+import io
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +29,9 @@ from epiqmap import cli
 BAD_VALUES = [True, False, None, "1", [], {}, float("nan"), float("inf"), float("-inf"),
               1e308, -1e308, 1e155, -1e155, 0, -1]
 NUMBERS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(BAD_VALUES))
+
+# an on-site energy may be an [re, im] pair, so non-Hermitian runs are reached
+ENERGY_PAIRS = st.tuples(st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)).map(list)
 
 # a rate may also be a two-row table, whose slope can overflow
 RATE_TABLES = st.tuples(NUMBERS, NUMBERS).map(lambda ab: [[0, ab[0]], [1, ab[1]]])
@@ -119,6 +129,8 @@ def scenarios(draw):
         config["generator"] = json.loads(json.dumps(GENERATORS[model]))
     else:
         config["hamiltonian"] = json.loads(json.dumps(HAMILTONIAN))
+        if draw(st.booleans()):
+            config["hamiltonian"]["ep"] = draw(st.lists(ENERGY_PAIRS, min_size=4, max_size=4))
     if model in OUTPUTS and draw(st.booleans()):
         config["outputs"] = list(OUTPUTS[model])
     state = draw(st.sampled_from(["keep", "zero", "negative"]))
@@ -150,13 +162,32 @@ def scenarios(draw):
     return holder["config"]
 
 
-# rates and states of +-1e308 overflow on purpose
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def check_outputs(out):
+    """One CSV row per reported sample, every cell finite except r12's."""
+    with open(out / "series.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    report = json.loads((out / "report.json").read_text())
+    assert len(rows) == report["samples"]
+    kept = [k for k, name in enumerate(header) if name != "r12"]
+    assert all(math.isfinite(float(row[k])) for row in rows for k in kept)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=scenarios(), command=st.sampled_from(["simulate", "map"]))
 def test_main_returns_a_contract_exit_code(config, command):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.json"
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
         path.write_text(json.dumps(config))
-        code = cli.main([command, "--config", str(path), "--out-dir", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2, 3)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
+        assert code in (0, 2, 3)
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert err.getvalue() == ""
+            check_outputs(out)
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(("config error: ", "output error: ", "numeric failure: "))

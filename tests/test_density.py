@@ -67,9 +67,9 @@ class TestEvolveSqrt:
     @pytest.mark.parametrize("generator, p0", [
         (GENERIC_S4, GENERIC_P),
         (epidemic.Generator2(-0.2, [[0.0, 0.1], [1.0, 0.3]], 0.2, -0.3), np.array([0.6, 0.4])),
-        (epidemic.RateMatrix([[lambda t: -0.1 - 0.05 * t, 0.2],
-                              [0.1, lambda t: -0.2 + 0.1 * t]]), np.array([0.6, 0.4])),
-    ], ids=["constant", "generator2_table", "rate_matrix_callable"])
+        (epidemic.RateMatrix([[[[0.0, -0.1], [1.0, -0.15]], 0.2],
+                              [0.1, [[0.0, -0.2], [1.0, -0.1]]]]), np.array([0.6, 0.4])),
+    ], ids=["constant", "generator2_table", "rate_matrix_table"])
     def test_master_equation_check_takes_every_generator_form(self, generator, p0):
         # the built-in check compares against numkit.ode_evolve of the same generator
         out = density.evolve_sqrt(generator, p0, 0.0, 1.0, 1e-3)
@@ -102,8 +102,8 @@ TABLE_GENERATOR = epidemic.Generator2(
 )
 
 
-def callable_rates(diagonal):
-    """A RateMatrix whose diagonal entries are the given functions of time."""
+def diagonal_rates(diagonal):
+    """A RateMatrix with the given diagonal entries (constants or tables)."""
     n = len(diagonal)
     return epidemic.RateMatrix(
         [[diagonal[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -160,8 +160,8 @@ class TestSqrtRightHandSide:
 
     @pytest.mark.parametrize("generator", [
         np.diag([0.0, 0.0, -50.0, 0.0]),
-        callable_rates([0.0, 0.0, lambda t: -50.0 * (1.0 + t), 0.0]),
-    ], ids=["constant", "callable"])
+        diagonal_rates([0.0, 0.0, [[0.0, -50.0], [2.0, -150.0]], 0.0]),
+    ], ids=["constant", "table"])
     def test_floor_violation_time_and_component(self, generator):
         p0 = np.array([0.5, 0.3, 1e-10, 0.2])
         with pytest.raises(FloorViolationError) as new:

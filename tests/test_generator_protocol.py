@@ -38,9 +38,6 @@ def _forms():
     return {
         "generator2_constant": const.matrix,
         "generator2_table": table.matrix,
-        "generator2_callable": epidemic.Generator2(
-            lambda t: -0.1 - 0.05 * t, 0.2, lambda t: 0.3 + 0.1 * t, -0.2
-        ).matrix,
         "traffic": coupled.build_traffic_generator(
             table, const, (RAMP, 0.1, 0.12, [[0.0, 0.05], [1.0, 0.2]])
         ).matrix,
@@ -88,16 +85,16 @@ def test_constant_stack_is_broadcast_not_copied():
 
 
 def test_non_finite_entries_raise():
-    gen = epidemic.Generator2(lambda t: np.inf if t > 0.5 else 0.0, 0.0, 0.0, 0.0)
-    assert np.isfinite(gen.matrix(TIMES[:5])).all()
-    # the message names the first offending time, not the whole array
-    first = float(TIMES[TIMES > 0.5][0])
-    with pytest.raises(ValueError, match=r"^generator entries not finite at t = %r$" % first):
-        gen.matrix(TIMES)
-    with pytest.raises(ValueError, match=r"at t = 0\.7$"):
-        gen.matrix(0.7)
-    with pytest.raises(ValueError):
-        epidemic.Generator2(np.nan, 0.0, 0.0, 0.0).matrix(TIMES)
+    # a constant inf or nan entry, beside constant or table entries; the
+    # message names the first offending time, not the whole array
+    first = float(TIMES[0])
+    for value in (np.inf, np.nan):
+        for gen in (epidemic.Generator2(value, 0.0, 0.0, 0.0),
+                    epidemic.Generator2(value, RAMP, 0.0, 0.0)):
+            with pytest.raises(ValueError, match=r"^generator entries not finite at t = %r$" % first):
+                gen.matrix(TIMES)
+            with pytest.raises(ValueError, match=r"at t = 0\.7$"):
+                gen.matrix(0.7)
 
 
 def test_rejects_multidimensional_times():

@@ -348,7 +348,11 @@ class TestVerifyEquivalence:
         assert info.value.component == 6
 
     def test_amplitude_wave_roundtrip(self):
-        y = mapping.amplitude_vector([0.4, 0.3, 0.2, 0.1], [0.1, 0.7, -0.2, 2.5])
+        # the interleaved real amplitudes (sqrt(p) cos, sqrt(p) sin, ...)
+        p, theta = np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.1, 0.7, -0.2, 2.5])
+        y = mapping.amplitudes_from_wave(quantum.wave_from_polar(p, theta))
+        expected = np.ravel(np.column_stack((np.cos(theta), np.sin(theta))) * np.sqrt(p)[:, None])
+        assert np.abs(y - expected).max() < 1e-15
         psi = mapping.wave_from_amplitudes(y)
         assert np.abs(mapping.amplitudes_from_wave(psi) - y).max() < 1e-15
 
