@@ -4,7 +4,9 @@ Scenarios are JSON files with a versioned schema; rates are constants or
 piecewise-linear [[t, value], ...] tables.  Simulation output is one CSV
 of time series per scenario plus a JSON report and a sidecar metadata
 file; everything written is byte-deterministic for a fixed config and
-seed.  Exit codes: 0 success, 1 failed checks in verify mode, 2
+seed.  Exit codes: 0 success, 1 failed checks (a failed acceptance
+criterion, or a report check of simulate or map with passed false,
+named on one stderr line after every output is written), 2
 parse/validation error, 3 numeric failure.  Each model is one entry
 of MODELS, which holds everything that differs between models.
 The quantum, mapping and acceptance modules are imported inside the
@@ -575,6 +577,10 @@ def run_scenario(scenario, out_dir):
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    failed = [c["name"] for c in checks if c["passed"] is False]
+    if failed:
+        print("failed checks: %s" % ", ".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 

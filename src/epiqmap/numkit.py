@@ -3,9 +3,10 @@
 Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential, a deterministic
 eigendecomposition, a fixed-step RK4 integrator with dense output (a
-per-stage path for any right-hand side, an increment-matrix path for
-constant linear systems), and central finite differences.  All
-functions are pure; inputs are never mutated.
+per-stage path for any right-hand side; a linear system steps by one
+increment matrix per step, folded from each block's stage matrices),
+and central finite differences.  All functions are pure; inputs are
+never mutated.
 """
 
 from dataclasses import dataclass
@@ -267,32 +268,53 @@ def _rk4_block(f, y, stages, h, rows, times=None):
     return y
 
 
+def _increment_block(f, y, g, h, rows):
+    """Linear RK4 steps y + f(D_j, y) through one block, storing each state in rows.
+
+    g is the block's (3m, d, d) stack of m first, m middle and m last
+    stage matrices.  D_j is rk4_step_matrix of step j's scaled stages
+    h G; a block whose stage matrices are all equal forms one D.
+    Returns the last state.
+    """
+    m = len(rows)
+    if (g == g[0]).all():
+        a = h * g[0]
+        increments = [rk4_step_matrix(a, a, a)] * m
+    else:
+        a = h * g
+        increments = rk4_step_matrix(a[:m], a[m:2 * m], a[2 * m:])
+    for j, d in enumerate(increments):
+        y = y + f(d, y)
+        rows[j] = y
+    return y
+
+
 def rk4_path(f, y0, t0, t1, dt, stage_values=None):
-    """Classical fixed-step RK4 on dy/dt = f(s, y) with dense output.
+    """Classical fixed-step RK4 with dense output.
 
     The span is divided into uniform steps of size at most dt (the step
     is shrunk slightly so the final sample lands exactly on t1).
     Backward integration (t1 < t0) is supported.  Step i has the stage
     times times[i], times[i] + h/2 (twice) and times[i] + h.  By default
-    s is the stage time itself, as a Python float.  With stage_values, a
-    callable mapping a 1-d array of stage times to one value per time, s
-    is that value: stage_values is called once per block of at most
-    STAGE_BLOCK steps, so work that depends on time alone is done in one
-    vectorized call.
+    f is the right-hand side of dy/dt = f(s, y), called with s the stage
+    time as a Python float.
 
-    Finiteness is checked once per block, on its stored states, with
-    floating-point warnings off.  A block that ends up with a non-finite
-    state, or in which f raises (say on a non-finite input), is stepped
-    again from its first state, checking every step with the caller's
-    warning settings.  So a run raises exactly what a check after every
-    step would: NonFiniteStateError at the first non-finite sample, or
-    the error f raised on a finite state.
+    With stage_values the system is linear, dy/dt = G(t) y:
+    stage_values maps a 1-d array of stage times to the (n, d, d) stack
+    of G at those times and is called once per block of at most
+    STAGE_BLOCK steps, whose stage matrices are folded into one
+    increment matrix D_j per step (see rk4_step_matrix).  Each step is
+    y + f(D_j, y), so f is ndarray.dot or the same product.
 
-    NonFiniteStateError is raised, at the step's end time, as soon as
-    any stage derivative of the step overflows, even when the scaled
-    increment would have been finite.  So near the overflow edge this
-    path can stop one step before the increment path of a constant
-    system (see ode_evolve), whose state is still finite there.
+    Finiteness is checked once per block, on its stored states.  On the
+    linear path the first non-finite state raises NonFiniteStateError
+    at its sample time.  Otherwise the block runs with floating-point
+    warnings off; a block that ends up with a non-finite state, or in
+    which f raises (say on a non-finite input), is stepped again from
+    its first state, checking every step with the caller's warning
+    settings.  So a run raises exactly what a check after every step
+    would: NonFiniteStateError at the first non-finite sample, or the
+    error f raised on a finite state.
     """
     times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
@@ -302,9 +324,15 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     for start in range(0, n_steps, STAGE_BLOCK):
         t = times[start:min(start + STAGE_BLOCK, n_steps)]
         stages = np.concatenate((t, t + 0.5 * h, t + h))
-        # Python floats and a list of rows index faster than NumPy arrays
-        stages = stages.tolist() if stage_values is None else list(stage_values(stages))
         rows = states[start + 1:start + 1 + len(t)]
+        if stage_values is not None:
+            y = _increment_block(f, y, stage_values(stages), h, rows)
+            finite = np.isfinite(rows.view(float)).all(axis=1)
+            if not finite.all():
+                raise NonFiniteStateError(times[start + 1 + int(finite.argmin())])
+            continue
+        # Python floats and a list of rows index faster than NumPy arrays
+        stages = stages.tolist()
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 last = _rk4_block(f, y, stages, h, rows)
@@ -319,59 +347,31 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     return Trajectory(times, states)
 
 
-def rk4_step_matrix(g, h):
-    """The RK4 increment matrix D of dy/dt = G y for one step of size h.
+def rk4_step_matrix(a1, a2, a3):
+    """The RK4 increment matrix D of dy/dt = G(t) y for one step of size h.
 
-    One RK4 step is y + D @ y, with D = (h/6)(k1 + 2 k2 + 2 k3 + k4),
-    k1 = G, k2 = G + (h/2) G k1, k3 = G + (h/2) G k2, k4 = G + h G k3:
-    the stage path's arithmetic done once on matrices instead of on
-    every step's vectors.  g is one (d, d) matrix or an (n, d, d) stack.
+    a1, a2 and a3 are the scaled stages h G(t), h G(t + h/2) and
+    h G(t + h), each one (d, d) matrix or an (n, d, d) stack.  One RK4
+    step is y + D @ y, with B1 = A1, B2 = A2 + A2 B1 / 2,
+    B3 = A2 + A2 B2 / 2, B4 = A3 + A3 B3, D = (B1 + 2 B2 + 2 B3 + B4) / 6.
+    Products of scaled matrices cannot overflow while h |G| is small.
     Keep the step as an increment: I + D would store 1 + O(h) on its
     diagonal and round it the same way on every step.
     """
-    g = np.asarray(g)
-    half = 0.5 * h
-    k1 = g
-    k2 = g + half * (g @ k1)
-    k3 = g + half * (g @ k2)
-    k4 = g + h * (g @ k3)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _increment_path(g, y0, t0, t1, dt):
-    """RK4 of the constant system dy/dt = G y, one increment matrix per run.
-
-    Finiteness is checked once per block of STAGE_BLOCK steps; a
-    non-finite state raises NonFiniteStateError at its sample time,
-    as on the stage path.
-    """
-    times, h = _sample_times(t0, t1, dt)
-    dtype = complex if np.iscomplexobj(y0) or np.iscomplexobj(g) else float
-    # increment.dot(y) is increment @ y with less call overhead
-    increment = rk4_step_matrix(g, h).dot
-    states = np.empty((len(times), len(y0)), dtype=dtype)
-    states[0] = y0
-    y = states[0]
-    for start in range(1, len(times), STAGE_BLOCK):
-        stop = min(start + STAGE_BLOCK, len(times))
-        for i in range(start, stop):
-            y = y + increment(y)
-            states[i] = y
-        finite = np.isfinite(states[start:stop].view(float)).all(axis=1)
-        if not finite.all():
-            raise NonFiniteStateError(times[start + int(finite.argmin())])
-    return Trajectory(times, states)
+    b2 = a2 + 0.5 * (a2 @ a1)
+    b3 = a2 + 0.5 * (a2 @ b2)
+    b4 = a3 + a3 @ b3
+    return (a1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
 
 
 def ode_evolve(generator, y0, t0, t1, dt):
     """Integrate the linear system dy/dt = G(t) y by fixed-step RK4.
 
-    generator is a constant (d, d) matrix or a callable following the
-    generator protocol: given a 1-d array of n times it returns the
-    (n, d, d) stack of G at those times.  The callable is evaluated once
-    per block of RK4 stage times (see rk4_path); a constant matrix is
-    folded into one increment matrix (see rk4_step_matrix) and each
-    step is y + D @ y.
+    generator is a callable following the generator protocol (given a
+    1-d array of n times it returns the (n, d, d) stack of G at those
+    times) or a constant (d, d) matrix, the generator whose every stage
+    is that matrix; a complex one makes the states complex.  It is
+    stepped by rk4_path's linear mode: y + D @ y per step.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1:
@@ -383,7 +383,10 @@ def ode_evolve(generator, y0, t0, t1, dt):
             raise ValueError(
                 "generator shape %r does not match state length %d" % (g.shape, d)
             )
-        return _increment_path(g, y0, t0, t1, dt)
+        y0 = y0.astype(np.result_type(y0, g), copy=False)
+
+        def generator(ts):
+            return np.broadcast_to(g, (len(ts), d, d))
 
     def stage_matrices(ts):
         g = np.asarray(generator(ts))
@@ -393,7 +396,7 @@ def ode_evolve(generator, y0, t0, t1, dt):
                 % (g.shape, len(ts), len(ts), d, d)
             )
         return g
-    # g.dot(y) is g @ y with less call overhead
+    # D.dot(y) is D @ y with less call overhead
     return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices)
 
 

@@ -1,11 +1,12 @@
 """The output contract of ``cli.main`` on mutated scenario configs.
 
-Every config must end in 0 (ok), 2 (bad config) or 3 (numeric failure),
-whatever its fields hold and whatever shape its objects and lists take;
-nothing may escape as a traceback, and no run warns.  A run that exits
-0 writes one CSV row per reported sample, every cell finite but r12's;
-a run that exits 2 or 3 prints exactly one line to stderr, naming its
-kind of failure.  Spans are short and runs that would take many steps
+Every config must end in 0 (ok), 1 (failed checks), 2 (bad config) or
+3 (numeric failure), whatever its fields hold and whatever shape its
+objects and lists take; nothing may escape as a traceback, and no run
+warns.  A run that exits 0 or 1 writes one CSV row per reported sample,
+every cell finite but r12's; one that exits 1 prints one stderr line
+naming the report checks that failed; a run that exits 2 or 3 prints
+exactly one line to stderr, naming its kind of failure.  Spans are short and runs that would take many steps
 are refused by the step budget, so each example runs in milliseconds.
 """
 
@@ -163,13 +164,17 @@ def scenarios(draw):
 
 
 def check_outputs(out):
-    """One CSV row per reported sample, every cell finite except r12's."""
+    """One CSV row per reported sample, every cell finite except r12's.
+
+    Returns the names of the report checks that failed.
+    """
     with open(out / "series.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     report = json.loads((out / "report.json").read_text())
     assert len(rows) == report["samples"]
     kept = [k for k, name in enumerate(header) if name != "r12"]
     assert all(math.isfinite(float(row[k])) for row in rows for k in kept)
+    return [c["name"] for c in report["checks"] if c["passed"] is False]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -182,11 +187,14 @@ def test_main_returns_a_contract_exit_code(config, command):
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
-        assert code in (0, 2, 3)
+        assert code in (0, 1, 2, 3)
         assert [str(w.message) for w in caught] == []
         if code == 0:
             assert err.getvalue() == ""
-            check_outputs(out)
+            assert check_outputs(out) == []
+        elif code == 1:
+            failed = check_outputs(out)
+            assert failed and err.getvalue() == "failed checks: %s\n" % ", ".join(failed)
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1

@@ -280,7 +280,7 @@ class TestOdeEvolve:
 
 
 def broadcast(g):
-    """g as a generator-protocol callable, so ode_evolve takes the stage path."""
+    """g as a generator-protocol callable."""
     return lambda ts: np.broadcast_to(g, (len(ts),) + g.shape)
 
 
@@ -294,8 +294,17 @@ def random_system(seed, d, complex_valued):
     return g, y0
 
 
+def stage_rk4_step(g1, g2, g3, y, h):
+    """One RK4 step of dy/dt = G y on vectors, stage matrices g1, g2, g3."""
+    k1 = g1 @ y
+    k2 = g2 @ (y + 0.5 * h * k1)
+    k3 = g2 @ (y + 0.5 * h * k2)
+    k4 = g3 @ (y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestIncrementPath:
-    """A constant generator is stepped as y + D @ y with D = rk4_step_matrix(G, h)."""
+    """Each step of a linear system is y + D @ y, D = rk4_step_matrix(h G1, h G2, h G3)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,7 +320,7 @@ class TestIncrementPath:
         g, y0 = random_system(seed, *shape)
         t1 = t0 - span if backward else t0 + span
         const = numkit.ode_evolve(g, y0, t0, t1, dt)
-        stage = numkit.ode_evolve(broadcast(g), y0, t0, t1, dt)
+        stage = per_step_rk4_path(matmul_rhs, y0, t0, t1, dt, broadcast(g))
         assert np.array_equal(const.times, stage.times)
         assert const.states.dtype == stage.states.dtype
         scale = np.abs(stage.states).max()
@@ -321,7 +330,7 @@ class TestIncrementPath:
         # 0.7 / 0.3 is not a whole number of steps: the step shrinks to 0.7 / 3
         g, y0 = random_system(5, 4, False)
         const = numkit.ode_evolve(g, y0, 0.0, 0.7, 0.3)
-        stage = numkit.ode_evolve(broadcast(g), y0, 0.0, 0.7, 0.3)
+        stage = per_step_rk4_path(matmul_rhs, y0, 0.0, 0.7, 0.3, broadcast(g))
         assert len(const) == 4 and const.times[-1] == 0.7
         assert np.abs(const.states - stage.states).max() <= 1e-14 * np.abs(stage.states).max()
 
@@ -329,23 +338,48 @@ class TestIncrementPath:
         traj = numkit.ode_evolve(np.eye(2), np.array([1.0, 2.0]), 0.5, 0.5, 0.1)
         assert np.array_equal(traj.times, [0.5]) and np.array_equal(traj.states, [[1.0, 2.0]])
 
+    def test_matrix_equals_callable_that_broadcasts_it(self):
+        g, y0 = random_system(8, 4, True)
+        n_steps = 2 * numkit.STAGE_BLOCK + 7
+        const = numkit.ode_evolve(g, y0, 0.0, n_steps * 0.01, 0.01)
+        called = numkit.ode_evolve(broadcast(g), y0, 0.0, n_steps * 0.01, 0.01)
+        assert const.times.tobytes() == called.times.tobytes()
+        assert const.states.dtype == called.states.dtype
+        assert const.states.tobytes() == called.states.tobytes()
+
+    def test_complex_matrix_makes_complex_states(self):
+        g, _ = random_system(2, 2, True)
+        traj = numkit.ode_evolve(g, np.array([1.0, 0.0]), 0.0, 1.0, 0.1)
+        assert traj.states.dtype == complex
+        assert np.abs(traj.states.imag).max() > 0
+
     def test_step_matrix_is_one_rk4_step(self):
-        g, y0 = random_system(3, 4, True)
+        g1, y0 = random_system(3, 4, True)
+        g2, g3 = random_system(4, 4, True)[0], random_system(5, 4, True)[0]
         h = 0.05
-        k1 = g @ y0
-        k2 = g @ (y0 + 0.5 * h * k1)
-        k3 = g @ (y0 + 0.5 * h * k2)
-        k4 = g @ (y0 + h * k3)
-        stage = y0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        step = y0 + numkit.rk4_step_matrix(g, h) @ y0
-        assert np.abs(step - stage).max() <= 1e-14
+        # one constant generator, then three distinct stage matrices
+        for stages in ((g1, g1, g1), (g1, g2, g3)):
+            step = y0 + numkit.rk4_step_matrix(*(h * g for g in stages)) @ y0
+            assert np.abs(step - stage_rk4_step(*stages, y0, h)).max() <= 1e-14
 
     def test_step_matrix_of_a_stack(self):
-        stack = np.random.default_rng(9).uniform(-1.0, 1.0, size=(5, 3, 3))
-        batched = numkit.rk4_step_matrix(stack, 0.1)
+        a1, a2, a3 = np.random.default_rng(9).uniform(-0.1, 0.1, size=(3, 5, 3, 3))
+        batched = numkit.rk4_step_matrix(a1, a2, a3)
         assert batched.shape == (5, 3, 3)
-        for g, d in zip(stack, batched):
-            assert np.abs(d - numkit.rk4_step_matrix(g, 0.1)).max() <= 1e-15
+        for k, d in enumerate(batched):
+            assert np.array_equal(d, numkit.rk4_step_matrix(a1[k], a2[k], a3[k]))
+
+    def test_constant_stretch_of_a_table_matches_per_step_reference(self):
+        # s12 is flat up to t = 1 and rises after it: the first blocks form
+        # one increment matrix, the block across t = 1 and those after it one
+        # per step
+        generator = epidemic.Generator2(-0.2, [[0.0, 0.1], [1.0, 0.1], [2.0, 0.4]], 0.2, -0.1)
+        p0 = np.array([0.6, 0.4])
+        traj = numkit.ode_evolve(generator.matrix, p0, 0.0, 2.0, 1e-3)
+        increment = per_step_increment_path(generator.matrix, p0, 0.0, 2.0, 1e-3)
+        stage = per_step_rk4_path(matmul_rhs, p0, 0.0, 2.0, 1e-3, generator.matrix)
+        assert traj.states.tobytes() == increment.states.tobytes()
+        assert np.abs(traj.states - stage.states).max() <= 1e-13 * np.abs(stage.states).max()
 
     @settings(max_examples=30, deadline=None)
     @given(rate=st.floats(200.0, 1000.0), dt=st.floats(0.01, 0.1), backward=st.booleans())
@@ -359,36 +393,24 @@ class TestIncrementPath:
             with pytest.raises(NonFiniteStateError) as const:
                 numkit.ode_evolve(g, y0, 0.0, sign * 10.0, dt)
             with pytest.raises(NonFiniteStateError) as stage:
-                numkit.ode_evolve(broadcast(g), y0, 0.0, sign * 10.0, dt)
+                per_step_rk4_path(matmul_rhs, y0, 0.0, sign * 10.0, dt, broadcast(g))
         assert const.value.time == stage.value.time
-
-    def test_stage_overflow_stops_the_stage_path_first(self):
-        # in the last step k4 = G (y + h k3) overflows to inf, so the stage
-        # path raises at t = 40, while y + D @ y is still about 3.0e307
-        g = np.diag([20.0, -20.0])
-        y0 = np.array([1.0, 1.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            const = numkit.ode_evolve(g, y0, 0.0, 40.0, 0.19921875)
-            with pytest.raises(NonFiniteStateError) as stage:
-                numkit.ode_evolve(broadcast(g), y0, 0.0, 40.0, 0.19921875)
-        assert stage.value.time == const.times[-1] == 40.0
-        assert np.isfinite(const.final).all() and const.final[0] > 1e307
 
     def test_non_finite_initial_state_fails_at_first_step(self):
         y0 = np.array([np.nan, 1.0])
         with pytest.raises(NonFiniteStateError) as const:
             numkit.ode_evolve(np.eye(2), y0, 0.0, 1.0, 0.1)
         with pytest.raises(NonFiniteStateError) as stage:
-            numkit.ode_evolve(broadcast(np.eye(2)), y0, 0.0, 1.0, 0.1)
+            per_step_rk4_path(matmul_rhs, y0, 0.0, 1.0, 0.1, broadcast(np.eye(2)))
         assert const.value.time == stage.value.time == 0.1
 
 
 def per_step_rk4_path(f, y0, t0, t1, dt, stage_values=None):
-    """The stage path as it was before the per-block finiteness check.
+    """Per-stage RK4, as rk4_path stepped before its per-block finiteness check.
 
     Each stage value is one NumPy index and every step's state is
-    checked as it is made: the reference the lean path must equal bit
-    for bit, error for error.
+    checked as it is made: the reference the sqrt flow must equal bit
+    for bit, and the linear path to rounding, error for error.
     """
     times, h = numkit._sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
@@ -412,6 +434,25 @@ def per_step_rk4_path(f, y0, t0, t1, dt, stage_values=None):
             if not np.isfinite(y.view(float)).all():
                 raise NonFiniteStateError(times[start + j + 1])
             states[start + j + 1] = y
+    return numkit.Trajectory(times, states)
+
+
+def per_step_increment_path(generator, y0, t0, t1, dt):
+    """ode_evolve as a per-step loop: y + rk4_step_matrix(h G(t), h G(t + h/2), h G(t + h)) @ y.
+
+    Each step evaluates its own three stage matrices and folds them into
+    its own increment, and every state is checked as it is made.
+    """
+    times, h = numkit._sample_times(t0, t1, dt)
+    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
+    states = np.empty((len(times), len(y)), dtype=y.dtype)
+    states[0] = y
+    for i, t in enumerate(times[:-1]):
+        a1, a2, a3 = h * generator(np.array([t, t + 0.5 * h, t + h]))
+        y = y + numkit.rk4_step_matrix(a1, a2, a3) @ y
+        if not np.isfinite(y.view(float)).all():
+            raise NonFiniteStateError(times[i + 1])
+        states[i + 1] = y
     return numkit.Trajectory(times, states)
 
 
@@ -449,7 +490,7 @@ def spike_times(k, h):
 
 
 class TestLeanStagePath:
-    """The block-checked stage path equals the per-step loop bit for bit."""
+    """The block-checked paths equal their per-step loops bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -470,10 +511,12 @@ class TestLeanStagePath:
         generator = time_dependent(g, b) if varying else broadcast(g)
         t1 = t0 - n_steps * dt if backward else t0 + n_steps * dt
         lean = numkit.ode_evolve(generator, y0, t0, t1, dt)
-        reference = per_step_rk4_path(matmul_rhs, y0, t0, t1, dt, generator)
+        reference = per_step_increment_path(generator, y0, t0, t1, dt)
         assert lean.times.tobytes() == reference.times.tobytes()
         assert lean.states.dtype == reference.states.dtype
         assert lean.states.tobytes() == reference.states.tobytes()
+        stage = per_step_rk4_path(matmul_rhs, y0, t0, t1, dt, generator)
+        assert np.abs(lean.states - stage.states).max() <= 1e-13 * np.abs(stage.states).max()
 
     @pytest.mark.parametrize("generator, p0", [
         (np.array([[-0.3, 0.2, 0.1], [0.2, -0.4, 0.3], [0.1, 0.2, -0.4]]),
@@ -491,7 +534,8 @@ class TestLeanStagePath:
     # the second; 200 is inside it
     @pytest.mark.parametrize("k", [1, 128, 129, 200])
     def test_overflow_time_and_message(self, k):
-        # G = 1e308 I at the middle stage time of step k: 2 k2 overflows there
+        # G = 1e308 I at the middle stage time of step k: 2 k2 overflows
+        # there, and so does the increment matrix folded from h G
         h = 0.01
         lo, hi = spike_times(k, h)
 
