@@ -3,9 +3,10 @@
 Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential, a deterministic
 eigendecomposition, a fixed-step RK4 integrator with dense output (a
-per-stage path for any right-hand side; a linear system steps by one
-increment matrix per step, folded from each block's stage matrices),
-and central finite differences.  All functions are pure; inputs are
+per-stage path for any right-hand side; a linear system composes the
+increment matrices of each block of steps, so a block takes about
+log2 of its length in array operations), and central finite
+differences.  All functions are pure; inputs are
 never mutated.
 """
 
@@ -269,24 +270,47 @@ def _rk4_block(f, y, stages, h, rows, times=None):
 
 
 def _increment_block(f, y, g, h, rows):
-    """Linear RK4 steps y + f(D_j, y) through one block, storing each state in rows.
+    """Linear RK4 steps from y through one block, storing each new state in rows.
 
     g is the block's (3m, d, d) stack of m first, m middle and m last
-    stage matrices.  D_j is rk4_step_matrix of step j's scaled stages
-    h G; a block whose stage matrices are all equal forms one D.
-    Returns the last state.
+    stage matrices, and D_j = rk4_step_matrix of step j's scaled stages
+    h G is its increment: one RK4 step is y + D_j @ y.  Increments
+    compose as (I + A)(I + B) = I + (A + B + A @ B), so the block takes
+    about log2(m) whole-array operations instead of m steps:
+
+    - all stage matrices equal (a constant generator): one increment E
+      = D; rows[0] = y + f(E, y), then, while n < m rows are filled,
+      rows[n:2n] = rows[:n] + f(rows[:n], E.T) and E <- E + E + E @ E,
+      the increment of 2n steps (the last pass fills only m - n rows);
+    - otherwise: a Hillis-Steele scan P[k:] = P[k:] + P[:-k] +
+      P[k:] @ P[:-k] for k = 1, 2, 4, ... < m over the stack P of the
+      D_j, after which P[j] is the increment of steps 0..j, and
+      rows = y + f(P, y), with P taken as one (m d, d) matrix.
+
+    Every product with a state goes through f.  Increments never add the
+    identity (see rk4_step_matrix).  Returns the last state.
     """
     m = len(rows)
     if (g == g[0]).all():
         a = h * g[0]
-        increments = [rk4_step_matrix(a, a, a)] * m
+        e = rk4_step_matrix(a, a, a)
+        rows[0] = y + f(e, y)
+        n = 1
+        while n < m:
+            c = min(n, m - n)
+            rows[n:n + c] = rows[:c] + f(rows[:c], e.T)
+            n += c
+            e = e + e + e @ e
     else:
         a = h * g
-        increments = rk4_step_matrix(a[:m], a[m:2 * m], a[2 * m:])
-    for j, d in enumerate(increments):
-        y = y + f(d, y)
-        rows[j] = y
-    return y
+        p = rk4_step_matrix(a[:m], a[m:2 * m], a[2 * m:])
+        k = 1
+        while k < m:
+            p[k:] = p[k:] + p[:-k] + p[k:] @ p[:-k]
+            k *= 2
+        # as one (m d, d) matrix: a 3-d dot is slower and rounds unlike @
+        rows[:] = y + f(p.reshape(-1, len(y)), y).reshape(m, -1)
+    return rows[-1]
 
 
 def rk4_path(f, y0, t0, t1, dt, stage_values=None):
@@ -302,19 +326,21 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     With stage_values the system is linear, dy/dt = G(t) y:
     stage_values maps a 1-d array of stage times to the (n, d, d) stack
     of G at those times and is called once per block of at most
-    STAGE_BLOCK steps, whose stage matrices are folded into one
-    increment matrix D_j per step (see rk4_step_matrix).  Each step is
-    y + f(D_j, y), so f is ndarray.dot or the same product.
+    STAGE_BLOCK steps, which is stepped in about log2(m) array
+    operations by composing its increment matrices (see
+    _increment_block).  f is ndarray.dot or the same product of a 2-d
+    array and a 1-d or 2-d one: f(D, y) applies an increment D to y and
+    f(Y, D.T) applies it to each row of Y.  Stage matrices that are
+    complex while the states are real raise ValueError.
 
-    Finiteness is checked once per block, on its stored states.  On the
-    linear path the first non-finite state raises NonFiniteStateError
-    at its sample time.  Otherwise the block runs with floating-point
-    warnings off; a block that ends up with a non-finite state, or in
-    which f raises (say on a non-finite input), is stepped again from
-    its first state, checking every step with the caller's warning
-    settings.  So a run raises exactly what a check after every step
-    would: NonFiniteStateError at the first non-finite sample, or the
-    error f raised on a finite state.
+    Each block runs with floating-point warnings off and is checked for
+    finiteness once, on its stored states.  A block that ends up with a
+    non-finite state, or in which f raises (say on a non-finite input),
+    is stepped again from its first state, stage by stage (in the linear
+    mode f(G, y) is the stage derivative), checking every step with the
+    caller's warning settings.  So a run raises exactly what a
+    per-stage check after every step would: NonFiniteStateError at the
+    first non-finite sample, or the error f raised on a finite state.
     """
     times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
@@ -325,17 +351,16 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
         t = times[start:min(start + STAGE_BLOCK, n_steps)]
         stages = np.concatenate((t, t + 0.5 * h, t + h))
         rows = states[start + 1:start + 1 + len(t)]
-        if stage_values is not None:
-            y = _increment_block(f, y, stage_values(stages), h, rows)
-            finite = np.isfinite(rows.view(float)).all(axis=1)
-            if not finite.all():
-                raise NonFiniteStateError(times[start + 1 + int(finite.argmin())])
-            continue
-        # Python floats and a list of rows index faster than NumPy arrays
-        stages = stages.tolist()
+        if stage_values is None:
+            # Python floats and a list of rows index faster than NumPy arrays
+            stages, block = stages.tolist(), _rk4_block
+        else:
+            stages, block = stage_values(stages), _increment_block
+            if np.iscomplexobj(stages) and not np.iscomplexobj(y):
+                raise ValueError("complex stage matrices need a complex state")
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                last = _rk4_block(f, y, stages, h, rows)
+                last = block(f, y, stages, h, rows)
             finite = np.isfinite(rows.view(float)).all()
         except Exception:
             # whatever f raised is raised again, unless the checked
@@ -370,8 +395,10 @@ def ode_evolve(generator, y0, t0, t1, dt):
     generator is a callable following the generator protocol (given a
     1-d array of n times it returns the (n, d, d) stack of G at those
     times) or a constant (d, d) matrix, the generator whose every stage
-    is that matrix; a complex one makes the states complex.  It is
-    stepped by rk4_path's linear mode: y + D @ y per step.
+    is that matrix; a complex one makes the states complex, while a
+    callable's complex matrices need a complex y0.  It is stepped by
+    rk4_path's linear mode, which composes the RK4 increment matrices D
+    (one step is y + D @ y) of each block of steps.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1:

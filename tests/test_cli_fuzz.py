@@ -8,6 +8,12 @@ every cell finite but r12's; one that exits 1 prints one stderr line
 naming the report checks that failed; a run that exits 2 or 3 prints
 exactly one line to stderr, naming its kind of failure.  Spans are short and runs that would take many steps
 are refused by the step budget, so each example runs in milliseconds.
+
+Most examples are one mutation away from a valid config: an extreme
+span, a zero or negative state, a wrong event, an in-range or extreme
+rate or rate table, a bad numeric value or a replaced structure.  So an
+extreme value usually meets an otherwise valid run and reaches the
+integrator, not only the parser.
 """
 
 import contextlib
@@ -25,25 +31,33 @@ from hypothesis import strategies as st
 
 from epiqmap import cli
 
-# what a numeric field may hold: in-range numbers and every kind of bad
-# value, including finite ones whose squares overflow
+# finite values whose squares, or whose differences, overflow
+EXTREMES = [1e308, -1e308, 1e155, -1e155]
+
+# what a numeric field may hold: in-range numbers and every kind of bad value
 BAD_VALUES = [True, False, None, "1", [], {}, float("nan"), float("inf"), float("-inf"),
-              1e308, -1e308, 1e155, -1e155, 0, -1]
+              *EXTREMES, 0, -1]
 NUMBERS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(BAD_VALUES))
+
+# what a rate may hold in a valid config: an in-range or an extreme number
+RATE_VALUES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(EXTREMES))
 
 # an on-site energy may be an [re, im] pair, so non-Hermitian runs are reached
 ENERGY_PAIRS = st.tuples(st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)).map(list)
 
-# a rate may also be a two-row table, whose slope can overflow
-RATE_TABLES = st.tuples(NUMBERS, NUMBERS).map(lambda ab: [[0, ab[0]], [1, ab[1]]])
+
+def rate_tables(values):
+    """Two-row tables over [0, 1]; with extreme values their slope can overflow."""
+    return st.tuples(values, values).map(lambda ab: [[0, ab[0]], [1, ab[1]]])
+
 
 # what an object, a list or a string may be replaced with
 NODES = [5, "x", [], {}, [[0]]]
 
-# (t1, dt) with t0 = 0: ordinary half the time, else tiny (refused by the
-# step budget, or over a tiny span) or huge
-SPANS = st.one_of(st.just((0.5, 0.05)), st.sampled_from(
-    [(0.5, 1e-300), (0.5, 1e-9), (1e-6, 1e-8), (0.5, 1e300), (0.5, 0.5)]))
+# (t1, dt) with t0 = 0: a valid run's span, and the ones a mutation puts
+# in its place: refused by the step budget, tiny, or one huge step
+SPAN = (0.5, 0.05)
+EXTREME_SPANS = [(0.5, 1e-300), (0.5, 1e-9), (1e-6, 1e-8), (0.5, 1e300), (0.5, 0.5)]
 
 RATES = {"s11": -0.2, "s12": 0.3, "s21": 0.2, "s22": -0.1}
 
@@ -70,27 +84,30 @@ OUTPUTS = {
     "quantum2q": ["probabilities", "entropies"],
 }
 
-# each model's event types and measurement targets, plus one wrong target;
-# models without events get every type, which parsing must refuse
+# each model's event types and measurement targets; a mutation adds one
+# with a wrong target, or any event to a model without events
 EVENT_TYPES = {"epidemic2": ["projective", "weak"], "coupled4": ["projective"],
                "quantum2q": ["aharonov_bohm"]}
-TARGETS = {"epidemic2": [1, 2, "sample", 3], "coupled4": ["sample_A", "sample_B", "1A", 1]}
+TARGETS = {"epidemic2": [1, 2, "sample"], "coupled4": ["sample_A", "sample_B", "1A"],
+           "quantum2q": [1]}
+WRONG_TARGETS = {"epidemic2": 3, "coupled4": 1}
+
+# how many mutations an example takes: most are one away from a valid
+# config, so a bad value meets an otherwise valid run
+MUTATIONS = st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2, 3])
 
 
-def events(model):
-    """Well-formed event lists; bad values come from the field overwrites.
-
-    Times are drawn as fractions of the span, so they fall inside it.
-    """
-    return st.lists(st.fixed_dictionaries({
+def event(types, targets):
+    """One event; its time is a fraction of the span, so it falls inside it."""
+    return st.fixed_dictionaries({
         "time": st.floats(0.0, 1.0),
-        "type": st.sampled_from(EVENT_TYPES.get(model, ["projective", "weak", "aharonov_bohm"])),
-        "target": st.sampled_from(TARGETS.get(model, [1])),
+        "type": st.sampled_from(types),
+        "target": st.sampled_from(targets),
         "population": st.just(100),
         "tested": st.sampled_from([0, 20, 100]),
         "p_test": st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
         "a_x": st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    }), max_size=2 if model in EVENT_TYPES else 1)
+    })
 
 
 def is_number(value):
@@ -120,46 +137,85 @@ def fields(node, wanted):
     return found
 
 
-@st.composite
-def scenarios(draw):
+def place_events(config, drawn):
+    for event in drawn:
+        event["time"] *= config["t1"]
+    config["events"] = sorted(config["events"] + drawn, key=lambda event: event["time"])
+
+
+def valid_config(draw):
+    """A config its model accepts, with a table rate and events drawn in."""
     model = draw(st.sampled_from(list(cli.MODELS)))
-    t1, dt = draw(SPANS)
-    config = {"schema": 1, "model": model, "t0": 0.0, "t1": t1, "dt": dt, "seed": 7,
-              "initial_state": json.loads(json.dumps(STATES[model]))}
+    config = {"schema": 1, "model": model, "t0": 0.0, "t1": SPAN[0], "dt": SPAN[1], "seed": 7,
+              "initial_state": json.loads(json.dumps(STATES[model])), "events": []}
     if model in GENERATORS:
         config["generator"] = json.loads(json.dumps(GENERATORS[model]))
+        if draw(st.booleans()):
+            container, key = draw(st.sampled_from(fields(config["generator"], is_number)))
+            container[key] = draw(rate_tables(st.floats(-2.0, 2.0)))
     else:
         config["hamiltonian"] = json.loads(json.dumps(HAMILTONIAN))
         if draw(st.booleans()):
             config["hamiltonian"]["ep"] = draw(st.lists(ENERGY_PAIRS, min_size=4, max_size=4))
     if model in OUTPUTS and draw(st.booleans()):
         config["outputs"] = list(OUTPUTS[model])
-    state = draw(st.sampled_from(["keep", "zero", "negative"]))
-    if state != "keep" and model in GENERATORS:
-        fill = 0.0 if state == "zero" else -0.5
+    if model in EVENT_TYPES:
+        place_events(config, draw(st.lists(event(EVENT_TYPES[model], TARGETS[model]),
+                                           max_size=2)))
+    return config
+
+
+# the kinds of mutation, in the order they are applied: the first five
+# need the fields of a valid config, the last two may remove them
+KINDS = ["span", "state", "event", "table", "rate", "number", "structure"]
+
+
+def mutate(draw, holder, model, kind):
+    """Make one change of the given kind to holder["config"], a model's config."""
+    config = holder["config"]
+    if kind == "span":
+        # the events keep their fractions of the span
+        t1, dt = draw(st.sampled_from(EXTREME_SPANS))
+        for entry in config["events"]:
+            entry["time"] *= t1 / config["t1"]
+        config["t1"], config["dt"] = t1, dt
+    elif kind == "state":
+        fill = draw(st.sampled_from([0.0, -0.5])) if model in GENERATORS else 0.0
         config["initial_state"] = [fill] * len(config["initial_state"])
-    elif state == "zero":
-        config["initial_state"] = [0.0] * 4
-    drawn = draw(events(model))
-    for event in drawn:
-        event["time"] *= t1
-    config["events"] = sorted(drawn, key=lambda event: event["time"])
-    # then turn a rate into a table (every number of a generator is a rate)
-    if model in GENERATORS and draw(st.booleans()):
-        container, key = draw(st.sampled_from(fields(config["generator"], is_number)))
-        container[key] = draw(RATE_TABLES)
-    # and overwrite a few numeric fields (rates, times, states, event fields)
-    numbers = fields(config, is_number)
-    for _ in range(draw(st.integers(0, 2))):
-        container, key = draw(st.sampled_from(numbers))
-        container[key] = draw(NUMBERS)
-    # and replace a few objects, lists or strings, the config itself included
-    holder = {"config": config}
-    for _ in range(draw(st.integers(0, 2))):
+    elif kind == "event":
+        if model in EVENT_TYPES:
+            wrong = event(EVENT_TYPES[model][:1], [WRONG_TARGETS.get(model, 1)])
+        else:
+            wrong = event(["projective", "weak", "aharonov_bohm"], [1])
+        place_events(config, [draw(wrong)])
+    elif kind in ("table", "rate"):
+        # every number of a generator or a Hamiltonian is a rate
+        rates = config.get("generator", config.get("hamiltonian"))
+        container, key = draw(st.sampled_from(fields(rates, is_number)))
+        container[key] = draw(rate_tables(RATE_VALUES) if kind == "table" else RATE_VALUES)
+    elif kind == "number":
+        # a rate, a time, a state entry or an event field
+        numbers = fields(holder, is_number)
+        if numbers:
+            container, key = draw(st.sampled_from(numbers))
+            container[key] = draw(NUMBERS)
+    else:
+        # an object, a list or a string, the config itself included
         nodes = fields(holder, is_structure)
         if nodes:  # a number in place of the config leaves none
             container, key = draw(st.sampled_from(nodes))
             container[key] = json.loads(json.dumps(draw(st.sampled_from(NODES))))
+
+
+@st.composite
+def scenarios(draw):
+    holder = {"config": valid_config(draw)}
+    model = holder["config"]["model"]
+    allowed = [kind for kind in KINDS if kind != "table" or model in GENERATORS]
+    n = draw(MUTATIONS)
+    kinds = draw(st.lists(st.sampled_from(allowed), min_size=n, max_size=n))
+    for kind in sorted(kinds, key=KINDS.index):
+        mutate(draw, holder, model, kind)
     return holder["config"]
 
 

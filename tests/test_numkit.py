@@ -353,6 +353,12 @@ class TestIncrementPath:
         assert traj.states.dtype == complex
         assert np.abs(traj.states.imag).max() > 0
 
+    def test_complex_generator_refuses_a_real_state(self):
+        # the real states could not hold the imaginary parts
+        with pytest.raises(ValueError, match="complex"):
+            numkit.ode_evolve(lambda ts: np.broadcast_to([[0, 1j], [1j, 0]], (len(ts), 2, 2)),
+                              [1.0, 0.0], 0, 1, 0.1)
+
     def test_step_matrix_is_one_rk4_step(self):
         g1, y0 = random_system(3, 4, True)
         g2, g3 = random_system(4, 4, True)[0], random_system(5, 4, True)[0]
@@ -376,9 +382,9 @@ class TestIncrementPath:
         generator = epidemic.Generator2(-0.2, [[0.0, 0.1], [1.0, 0.1], [2.0, 0.4]], 0.2, -0.1)
         p0 = np.array([0.6, 0.4])
         traj = numkit.ode_evolve(generator.matrix, p0, 0.0, 2.0, 1e-3)
-        increment = per_step_increment_path(generator.matrix, p0, 0.0, 2.0, 1e-3)
+        reference = block_increment_path(generator.matrix, p0, 0.0, 2.0, 1e-3)
         stage = per_step_rk4_path(matmul_rhs, p0, 0.0, 2.0, 1e-3, generator.matrix)
-        assert traj.states.tobytes() == increment.states.tobytes()
+        assert traj.states.tobytes() == reference.states.tobytes()
         assert np.abs(traj.states - stage.states).max() <= 1e-13 * np.abs(stage.states).max()
 
     @settings(max_examples=30, deadline=None)
@@ -395,6 +401,17 @@ class TestIncrementPath:
             with pytest.raises(NonFiniteStateError) as stage:
                 per_step_rk4_path(matmul_rhs, y0, 0.0, sign * 10.0, dt, broadcast(g))
         assert const.value.time == stage.value.time
+
+    def test_overflowed_doubling_is_replayed_step_by_step(self):
+        # each step multiplies y by about 1e14: the states stay finite up
+        # to t = 43, but the doubled increment of 32 steps overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as const:
+                numkit.ode_evolve([[7000.0]], [1e-300], 0, 60, 1)
+            with pytest.raises(NonFiniteStateError) as stage:
+                per_step_rk4_path(matmul_rhs, np.array([1e-300]), 0, 60, 1,
+                                  broadcast(np.array([[7000.0]])))
+        assert const.value.time == stage.value.time == 44.0
 
     def test_non_finite_initial_state_fails_at_first_step(self):
         y0 = np.array([np.nan, 1.0])
@@ -437,22 +454,46 @@ def per_step_rk4_path(f, y0, t0, t1, dt, stage_values=None):
     return numkit.Trajectory(times, states)
 
 
-def per_step_increment_path(generator, y0, t0, t1, dt):
-    """ode_evolve as a per-step loop: y + rk4_step_matrix(h G(t), h G(t + h/2), h G(t + h)) @ y.
+def block_increment_path(generator, y0, t0, t1, dt):
+    """ode_evolve as numkit._increment_block's docstring composes each block.
 
-    Each step evaluates its own three stage matrices and folds them into
-    its own increment, and every state is checked as it is made.
+    A block of m steps whose stage matrices are all equal fills its
+    states by doubling one increment E (the increment of n steps when n
+    states are filled); any other block scans its per-step increments
+    D_j, matrix by matrix, into the increment from its first state to
+    each of its states.  Nothing is checked for finiteness.
     """
     times, h = numkit._sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
-    states = np.empty((len(times), len(y)), dtype=y.dtype)
+    n_steps = len(times) - 1
+    states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
-    for i, t in enumerate(times[:-1]):
-        a1, a2, a3 = h * generator(np.array([t, t + 0.5 * h, t + h]))
-        y = y + numkit.rk4_step_matrix(a1, a2, a3) @ y
-        if not np.isfinite(y.view(float)).all():
-            raise NonFiniteStateError(times[i + 1])
-        states[i + 1] = y
+    for start in range(0, n_steps, numkit.STAGE_BLOCK):
+        t = times[start:min(start + numkit.STAGE_BLOCK, n_steps)]
+        m = len(t)
+        a = h * generator(np.concatenate((t, t + 0.5 * h, t + h)))
+        increments = numkit.rk4_step_matrix(a[:m], a[m:2 * m], a[2 * m:])
+        rows = states[start + 1:start + 1 + m]
+        if (a == a[0]).all():
+            e = increments[0]
+            rows[0] = y + e @ y
+            n = 1
+            while n < m:
+                rows[n:2 * n] = rows[:n][:m - n] + rows[:n][:m - n] @ e.T
+                e = e + e + e @ e
+                n *= 2
+        else:
+            # round k composes each increment with the one k steps earlier
+            k = 1
+            while k < m:
+                previous = increments.copy()
+                for j in range(k, m):
+                    increments[j] = (previous[j] + previous[j - k]
+                                     + previous[j] @ previous[j - k])
+                k *= 2
+            for j in range(m):
+                rows[j] = y + increments[j] @ y
+        y = rows[-1]
     return numkit.Trajectory(times, states)
 
 
@@ -511,7 +552,7 @@ class TestLeanStagePath:
         generator = time_dependent(g, b) if varying else broadcast(g)
         t1 = t0 - n_steps * dt if backward else t0 + n_steps * dt
         lean = numkit.ode_evolve(generator, y0, t0, t1, dt)
-        reference = per_step_increment_path(generator, y0, t0, t1, dt)
+        reference = block_increment_path(generator, y0, t0, t1, dt)
         assert lean.times.tobytes() == reference.times.tobytes()
         assert lean.states.dtype == reference.states.dtype
         assert lean.states.tobytes() == reference.states.tobytes()
