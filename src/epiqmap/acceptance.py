@@ -121,11 +121,9 @@ def check_spectral_fidelity():
             continue
         if min(abs(2 * (s - s21)), abs(2 * (s + s21))) < 1e-2:
             continue
-        gen4 = coupled.symmetric_traffic_generator(
-            epidemic.Generator2(s11, s12, s21, s22), s
-        )
-        m4 = gen4.matrix(0.0)
-        for mode in coupled.coupled_eigenvectors(gen4, 0.0):
+        gen = epidemic.Generator2(s11, s12, s21, s22)
+        m4 = coupled.symmetric_traffic_generator(gen, s).matrix(0.0)
+        for mode in coupled.coupled_eigenvectors(gen, s, 0.0):
             worst4 = max(
                 worst4, float(np.abs(m4 @ mode.vector - mode.value * mode.vector).max())
             )

@@ -10,7 +10,7 @@ Two bases are in play and both are supported with explicit conversion:
   non-interacting machines.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +36,15 @@ ALLOWED_TRANSITIONS = (
 
 @dataclass(frozen=True)
 class Generator4:
-    """Time-dependent 4x4 rate matrix with a record of how it was built.
+    """Time-dependent 4x4 rate matrix in the traffic or the product basis.
 
     evaluate follows the generator protocol: a scalar time gives the
     (4, 4) matrix, a 1-d array of n times the (n, 4, 4) stack, built in
     one vectorized pass.
     """
 
-    form: str
     basis: str
     evaluate: object  # t -> (4, 4) or (n, 4, 4), as described above
-    is_constant: bool
-    params: dict = field(default_factory=dict)  # symmetric form: gen and coupling
 
     def matrix(self, t):
         return self.evaluate(t)
@@ -61,28 +58,21 @@ def build_traffic_generator(gen_a, gen_b, cross):
     """
     if not (isinstance(gen_a, Generator2) and isinstance(gen_b, Generator2)):
         raise TypeError("gen_a and gen_b must be Generator2")
-    c14, c23, c32, c41 = [as_rate(c) for c in cross]
+    (a11, a12), (a21, a22) = gen_a.rates
+    (b11, b12), (b21, b22) = gen_b.rates
+    c14, c23, c32, c41 = cross
     rates = RateMatrix([
-        [gen_a.s11, gen_a.s12, 0.0, c14],
-        [gen_a.s21, gen_a.s22, c23, 0.0],
-        [0.0, c32, gen_b.s11, gen_b.s12],
-        [c41, 0.0, gen_b.s21, gen_b.s22],
+        [a11, a12, 0.0, c14],
+        [a21, a22, c23, 0.0],
+        [0.0, c32, b11, b12],
+        [c41, 0.0, b21, b22],
     ])
-    return Generator4(
-        form="traffic", basis="traffic", evaluate=rates.matrix, is_constant=rates.is_constant,
-    )
+    return Generator4("traffic", rates.matrix)
 
 
 def symmetric_traffic_generator(gen, coupling):
     """Two identical subsystems with one common cross-coupling rate."""
-    if not isinstance(gen, Generator2):
-        raise TypeError("gen must be Generator2")
-    s = as_rate(coupling)
-    out = build_traffic_generator(gen, gen, (s, s, s, s))
-    return Generator4(
-        form="symmetric", basis="traffic", evaluate=out.evaluate, is_constant=out.is_constant,
-        params={"gen": gen, "coupling": s},
-    )
+    return build_traffic_generator(gen, gen, (coupling,) * 4)
 
 
 def kron_sum_generator(gen_a, gen_b):
@@ -96,10 +86,7 @@ def kron_sum_generator(gen_a, gen_b):
         # the identity to +0.0, so each entry is bitwise 0.0 + S_A + S_B
         return 0.0 + np.kron(gen_a.matrix(t), eye) + np.kron(eye, gen_b.matrix(t))
 
-    return Generator4(
-        form="kron_sum", basis="product", evaluate=evaluate,
-        is_constant=gen_a.is_constant and gen_b.is_constant,
-    )
+    return Generator4("product", evaluate)
 
 
 def interaction_generator(level_rates, couplings, frame_a, frame_b):
@@ -135,10 +122,7 @@ def interaction_generator(level_rates, couplings, frame_a, frame_b):
     def evaluate(t):
         return basis_change @ eigenbasis.matrix(t) @ basis_change.T
 
-    return Generator4(
-        form="interaction", basis="product", evaluate=evaluate,
-        is_constant=eigenbasis.is_constant,
-    )
+    return Generator4("product", evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +144,18 @@ class CoupledMode:
     numeric_fallback: bool = False
 
 
-def coupled_eigenvectors(gen4, t):
-    """The four closed-form eigenvectors of a symmetric traffic generator.
+def coupled_eigenvectors(gen, coupling, t):
+    """The four closed-form eigenvectors of symmetric_traffic_generator(gen, coupling).
 
-    Vectors keep their unnormalized printed scale (last component 1,
-    second component -1 or 1).  Eigenvalues are recovered from the
-    vectors by Rayleigh quotient.  Falls back to a numeric
-    decomposition, flagged, when a closed-form denominator underflows.
+    gen is the Generator2 of both subsystems and coupling their common
+    cross rate, both taken at the scalar time t.  Vectors keep their
+    unnormalized printed scale (last component 1, second component -1
+    or 1).  Eigenvalues are recovered from the vectors by Rayleigh
+    quotient.  Falls back to a numeric decomposition, flagged, when a
+    closed-form denominator underflows.
     """
-    if gen4.form != "symmetric":
-        raise ValueError("closed-form modes require the symmetric constructor")
-    m = gen4.matrix(t)
-    gen = gen4.params["gen"]
-    s = gen4.params["coupling"](t)
-    g2 = gen.matrix(t)
-    s11, s12 = g2[0]
-    s21, s22 = g2[1]
+    m = symmetric_traffic_generator(gen, coupling).matrix(t)
+    (s11, s12, _, s), (s21, s22, _, _) = m[:2]
     delta = s11 - s22
     x_minus = 4.0 * (s - s12) * (s - s21) + delta * delta
     x_plus = 4.0 * (s + s12) * (s + s21) + delta * delta

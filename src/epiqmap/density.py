@@ -10,11 +10,11 @@ the master-equation flow; that equivalence is used as a built-in
 consistency check.  The outer product rho = a a^T plays the role of a
 density matrix: it is symmetric, its diagonal carries the
 probabilities, and it obeys d rho/dt = H rho + rho H^T (the
-anticommutator form exactly when H is symmetric).  A generator S is a
-constant rate matrix or an object with a matrix(t) method.  Every
-probability must stay at or above PROBABILITY_FLOOR, where the
-transform is still regular.  Bipartite 4x4 densities use the package's
-basis layout (1A1B, 1A2B, 2A1B, 2A2B), subsystem A varying slowest.
+anticommutator form exactly when H is symmetric).  The generator S is
+a constant (d, d) rate matrix.  Every probability must stay at or
+above PROBABILITY_FLOOR, where the transform is still regular.
+Bipartite 4x4 densities use the package's basis layout (1A1B, 1A2B,
+2A1B, 2A2B), subsystem A varying slowest.
 """
 
 from collections import namedtuple
@@ -27,12 +27,6 @@ from .errors import FloorViolationError
 PROBABILITY_FLOOR = 1e-12
 
 EomResiduals = namedtuple("EomResiduals", ["transpose_form", "anticommutator"])
-
-
-def _rate_matrix(generator, t):
-    if hasattr(generator, "matrix"):
-        return generator.matrix(t)
-    return np.asarray(generator, dtype=float)
 
 
 def _check_floor(p, t=None):
@@ -51,10 +45,10 @@ def sqrt_dynamics_generator(generator, p, t=0.0):
     """The amplitude-space generator H with entries (1/2) sqrt(pj/pi) s_ij.
 
     Requires every probability above PROBABILITY_FLOOR: the transform is
-    singular at extinction.
+    singular at extinction.  t is the time a FloorViolationError reports.
     """
     p = _check_floor(p, t)
-    s = _rate_matrix(generator, t)
+    s = np.asarray(generator, dtype=float)
     a = np.sqrt(p)
     return 0.5 * s * (a / a[:, None])
 
@@ -62,15 +56,15 @@ def sqrt_dynamics_generator(generator, p, t=0.0):
 def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
     """RK4 trajectory of the amplitudes a = sqrt(p) under H(t, p).
 
-    The generator depends on the instantaneous state, so this is a
-    self-consistent (nonlinear) integration even for constant S.  The
-    right-hand side is H a = (1/2) (S p) / a: one matrix-vector product,
-    H itself is never formed.  A constant S is converted and halved once;
-    a time-dependent one is evaluated at each stage time, which is also
-    the time a FloorViolationError reports.  That error is also raised
-    when a stage amplitude is negative: a probability passed through 0
-    inside one step (backward runs can do that) without any stage
-    landing below the floor.
+    H depends on the instantaneous state, so this is a self-consistent
+    (nonlinear) integration although S is constant.  S is converted and
+    halved once; an object that is not array-like (a Generator2, say)
+    raises TypeError.  The right-hand side is H a = (1/2) (S p) / a: one
+    matrix-vector product, H itself is never formed.  A
+    FloorViolationError reports the stage time at which a probability
+    fell below the floor.  It is also raised when a stage amplitude is
+    negative: a probability passed through 0 inside one step (backward
+    runs can do that) without any stage landing below the floor.
     """
     p0 = _check_floor(p0, t0)
     a0 = np.sqrt(p0)
@@ -86,19 +80,13 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
                 time=tau, component=int((a < 0).argmax()),
             )
 
-    if hasattr(generator, "matrix"):
-        def rhs(tau, a):
-            if min(a.tolist()) < screen:
-                check_stage(tau, a)
-            return (0.5 * generator.matrix(tau)).dot(a * a) / a
-    else:
-        # half.dot(p) is half @ p with less call overhead
-        half_rates = (0.5 * np.asarray(generator, dtype=float)).dot
+    # half.dot(p) is half @ p with less call overhead
+    half_rates = (0.5 * np.asarray(generator, dtype=float)).dot
 
-        def rhs(tau, a):
-            if min(a.tolist()) < screen:
-                check_stage(tau, a)
-            return half_rates(a * a) / a
+    def rhs(tau, a):
+        if min(a.tolist()) < screen:
+            check_stage(tau, a)
+        return half_rates(a * a) / a
 
     return numkit.rk4_path(rhs, a0, t0, t, dt)
 
@@ -111,7 +99,7 @@ def evolve_sqrt(generator, p0, t0, t, dt):
     problem; the transform itself is exact.
     """
     p_end = evolve_sqrt_trajectory(generator, p0, t0, t, dt).final ** 2
-    ref = numkit.ode_evolve(getattr(generator, "matrix", generator), p0, t0, t, dt).final
+    ref = numkit.ode_evolve(generator, p0, t0, t, dt).final
     gap = np.abs(p_end - ref).max()
     if gap > 1e-6:
         raise RuntimeError(

@@ -9,16 +9,17 @@ occupancy ratios, projective and weak measurement, eigenmode evolution,
 and the eigenframe ("projector representation") dynamics with
 eigenvector-derivative connection terms.
 
-Rate matrices of any size up to 16 are RateMatrix grids; their
-``matrix(t)`` takes a scalar time or a 1-d array of times (the
-generator protocol), and ``numkit.ode_evolve`` integrates them.
+Rate matrices of any size up to 16 are RateMatrix grids (Generator2 is
+the 2x2 one); their ``matrix(t)`` takes a scalar time or a 1-d array
+of times (the generator protocol), and ``numkit.ode_evolve``
+integrates them.
 
 States are plain numpy vectors of probabilities.  Rates may leave the
 probability simplex for a generic S; nothing here clamps, and
 ``simplex_violation`` quantifies any negativity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +103,11 @@ class RateMatrix:
     matrix.  Constant entries are stored once, and a fully constant stack
     of several times is a read-only broadcast of them; each
     time-dependent entry is evaluated at all n times in one call.
-    Non-finite entries raise ValueError.
+    Non-finite entries raise ValueError.  rates is the grid of Rates.
     """
 
     def __init__(self, grid):
-        rates = [[as_rate(v) for v in row] for row in grid]
+        self.rates = rates = [[as_rate(v) for v in row] for row in grid]
         d = len(rates)
         if d == 0 or any(len(row) != d for row in rates):
             raise ValueError("rate grid must be square")
@@ -144,44 +145,18 @@ class RateMatrix:
             raise ValueError("generator entries not finite at t = %r" % float(flat[first]))
         return m if times.ndim else m[0]
 
-
-@dataclass(frozen=True)
-class Generator2:
-    """Rate matrix of the 2-level machine; entries are Rate-coercible.
-
-    matrix(t) follows the generator protocol of RateMatrix.
-    """
-
-    s11: Rate
-    s12: Rate
-    s21: Rate
-    s22: Rate
-    _rates: RateMatrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("s11", "s12", "s21", "s22"):
-            object.__setattr__(self, name, as_rate(getattr(self, name)))
-        object.__setattr__(
-            self, "_rates", RateMatrix([[self.s11, self.s12], [self.s21, self.s22]])
-        )
-
-    @property
-    def is_constant(self):
-        return self._rates.is_constant
-
-    def matrix(self, t):
-        return self._rates.matrix(t)
-
     def integrated(self, t0, t):
-        """Entrywise time integrals over [t0, t] as a 2x2 array."""
+        """Entrywise time integrals over [t0, t] as a (d, d) array."""
         if t < t0:
             raise ValueError("t must be >= t0")
-        return np.array(
-            [
-                [self.s11.integral(t0, t), self.s12.integral(t0, t)],
-                [self.s21.integral(t0, t), self.s22.integral(t0, t)],
-            ]
-        )
+        return np.array([[r.integral(t0, t) for r in row] for row in self.rates])
+
+
+class Generator2(RateMatrix):
+    """Rate matrix of the 2-level machine; entries are Rate-coercible."""
+
+    def __init__(self, s11, s12, s21, s22):
+        super().__init__([[s11, s12], [s21, s22]])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +441,7 @@ def frame_matrix(generator, e12, e21, t, h=1e-6):
     """Eigenframe evolution matrix acting on the weights (pI, pII).
 
     Diagonal: eigenvalue minus the same-vector connection <v_i|dv_i/dt>;
-    off-diagonal: the cross couplings minus the cross connections.
+    off-diagonal: the cross couplings (numbers) minus the cross connections.
     Follows the generator protocol: a scalar time gives the 2x2 matrix,
     a 1-d array of n times the (n, 2, 2) stack.
     """
@@ -475,8 +450,8 @@ def frame_matrix(generator, e12, e21, t, h=1e-6):
     derivatives = numkit.numeric_derivative(_frame_vectors(generator), t, h)
     d1, d2 = derivatives[..., 0, :], derivatives[..., 1, :]
     return _stack_last(
-        frame.e1 - np.vecdot(frame.v1, d1), as_rate(e21)(t) - np.vecdot(frame.v1, d2),
-        as_rate(e12)(t) - np.vecdot(frame.v2, d1), frame.e2 - np.vecdot(frame.v2, d2),
+        frame.e1 - np.vecdot(frame.v1, d1), e21 - np.vecdot(frame.v1, d2),
+        e12 - np.vecdot(frame.v2, d1), frame.e2 - np.vecdot(frame.v2, d2),
     ).reshape(np.shape(t) + (2, 2))
 
 

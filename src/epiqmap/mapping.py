@@ -90,12 +90,15 @@ def real_form_generator(h):
     Acting on the interleaved real-amplitude vector, each 2x2 block
     (k, l) is [[Im H_kl, Re H_kl], [-Re H_kl, Im H_kl]]: real parts of H
     rotate within the (cos, sin) planes, imaginary parts scale them.
-    The embedding is exact for any complex H, Hermitian or not.
+    The embedding is exact for any complex H, Hermitian or not, of any
+    dimension N with 2N <= numkit.MAX_DIM.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
-    if h.shape != (n, n) or n not in (2, 4):
-        raise ValueError("supported quantum dimensions are 2 and 4, got %r" % (h.shape,))
+    if h.shape != (n, n) or 2 * n > numkit.MAX_DIM:
+        raise ValueError(
+            "expected a square H with 2N <= %d, got shape %r" % (numkit.MAX_DIM, h.shape)
+        )
     return np.kron(h.imag, np.eye(2)) + np.kron(h.real, _ROTATION)
 
 

@@ -341,9 +341,13 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     caller's warning settings.  So a run raises exactly what a
     per-stage check after every step would: NonFiniteStateError at the
     first non-finite sample, or the error f raised on a finite state.
+    A state of more than MAX_DIM components raises ValueError before
+    anything is allocated.
     """
     times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
+    if len(y) > MAX_DIM:
+        raise ValueError("dimension %d exceeds supported maximum %d" % (len(y), MAX_DIM))
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y

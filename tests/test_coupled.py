@@ -38,7 +38,6 @@ class TestTrafficGenerator:
         g4 = coupled.build_traffic_generator(
             gen2(0.1, 0.2, 0.3, 0.4), gen2(0.5, 0.6, 0.7, 0.8), (0.1, 0.2, 0.3, 0.4)
         )
-        assert g4.is_constant
         assert np.array_equal(g4.matrix(0.0), g4.matrix(5.0))
 
     def test_independent_cross_rates(self):
@@ -51,16 +50,29 @@ class TestTrafficGenerator:
 
 class TestCoupledEigenvectors:
     def test_residuals(self):
-        g4 = coupled.symmetric_traffic_generator(gen2(0.2, 0.3, 0.3, 0.2), 0.1)
-        m = g4.matrix(0.0)
-        for mode in coupled.coupled_eigenvectors(g4, 0.0):
+        base = gen2(0.2, 0.3, 0.3, 0.2)
+        m = coupled.symmetric_traffic_generator(base, 0.1).matrix(0.0)
+        for mode in coupled.coupled_eigenvectors(base, 0.1, 0.0):
             resid = np.abs(m @ mode.vector - mode.value * mode.vector).max()
             assert resid <= 1e-10
             assert not mode.numeric_fallback
 
+    def test_residuals_of_table_rates_at_a_later_time(self):
+        base = gen2(0.2, [[0.0, 0.1], [1.0, 0.5]], 0.3, 0.2)
+        coupling = [[0.0, 0.05], [1.0, 0.25]]
+        m = coupled.symmetric_traffic_generator(base, coupling).matrix(0.5)
+        modes = coupled.coupled_eigenvectors(base, coupling, 0.5)
+        for mode in modes:
+            resid = np.abs(m @ mode.vector - mode.value * mode.vector).max()
+            assert resid <= 1e-10
+            assert not mode.numeric_fallback
+        # s12 = 0.3 and s = 0.15 at t = 0.5, so the modes differ from t = 0
+        at_zero = coupled.coupled_eigenvectors(base, coupling, 0.0)
+        assert not np.array_equal(modes[0].vector, at_zero[0].vector)
+
     def test_component_sign_structure(self):
-        g4 = coupled.symmetric_traffic_generator(gen2(0.4, 0.25, 0.15, -0.1), 0.05)
-        v1, v2, v3, v4 = [m.vector for m in coupled.coupled_eigenvectors(g4, 0.0)]
+        modes = coupled.coupled_eigenvectors(gen2(0.4, 0.25, 0.15, -0.1), 0.05, 0.0)
+        v1, v2, v3, v4 = [m.vector for m in modes]
         for v in (v1, v2):
             assert v[0] == pytest.approx(-v[2], abs=1e-12)
             assert (v[1], v[3]) == (-1.0, 1.0)
@@ -69,14 +81,12 @@ class TestCoupledEigenvectors:
             assert (v[1], v[3]) == (1.0, 1.0)
 
     def test_sign_indefinite_tags(self):
-        g4 = coupled.symmetric_traffic_generator(gen2(0.2, 0.3, 0.3, 0.2), 0.1)
-        modes = coupled.coupled_eigenvectors(g4, 0.0)
+        modes = coupled.coupled_eigenvectors(gen2(0.2, 0.3, 0.3, 0.2), 0.1, 0.0)
         assert [m.sign_indefinite for m in modes] == [True, True, False, False]
 
     def test_zero_coupling_reduces_to_two_level_frame(self):
         base = gen2(1.0, 0.3, 0.4, 0.2)
-        g4 = coupled.symmetric_traffic_generator(base, 0.0)
-        modes = coupled.coupled_eigenvectors(g4, 0.0)
+        modes = coupled.coupled_eigenvectors(base, 0.0, 0.0)
         frame = epidemic.spectral_frame(base, 0.0)
         # stacked copies of the unnormalized 2-level eigenvectors: the
         # component ratio of (v3, v4) matches (v1, v2) of the frame
@@ -89,19 +99,12 @@ class TestCoupledEigenvectors:
 
     def test_denominator_underflow_falls_back(self):
         # coupling equal to s21 makes the minus-family denominator vanish
-        g4 = coupled.symmetric_traffic_generator(gen2(0.2, 0.3, 0.1, -0.2), 0.1)
-        modes = coupled.coupled_eigenvectors(g4, 0.0)
+        base = gen2(0.2, 0.3, 0.1, -0.2)
+        modes = coupled.coupled_eigenvectors(base, 0.1, 0.0)
         assert all(m.numeric_fallback for m in modes)
-        m = g4.matrix(0.0)
+        m = coupled.symmetric_traffic_generator(base, 0.1).matrix(0.0)
         for mode in modes:
             assert np.abs(m @ mode.vector - mode.value * mode.vector).max() <= 1e-9
-
-    def test_requires_symmetric_constructor(self):
-        g4 = coupled.build_traffic_generator(
-            gen2(0, 0.1, 0.1, 0), gen2(0, 0.1, 0.1, 0), (0.1, 0.1, 0.1, 0.1)
-        )
-        with pytest.raises(ValueError):
-            coupled.coupled_eigenvectors(g4, 0.0)
 
 
 class TestMeasurement:

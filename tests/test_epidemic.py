@@ -302,6 +302,16 @@ class TestIntegratedGenerator:
         with pytest.raises(ValueError):
             constant_gen(1, 0, 0, 0).integrated(1.0, 0.0)
 
+    def test_rate_matrix_of_any_size_integrates_entrywise(self):
+        ramp, kink = [[0.0, 0.0], [1.0, 1.0]], [[-1.0, 0.5], [0.3, -0.2], [2.0, 0.4]]
+        rates = epidemic.RateMatrix([[0.1, ramp, -0.3], [kink, 2.0, 0.0], [0.7, kink, ramp]])
+        for t0, t in ((0.0, 1.0), (-0.5, 1.7), (0.3, 0.3)):
+            expected = np.array([[r.integral(t0, t) for r in row] for row in rates.rates])
+            assert rates.integrated(t0, t).tobytes() == expected.tobytes()
+        assert rates.integrated(0.0, 1.0)[0, 1] == 0.5
+        with pytest.raises(ValueError):
+            rates.integrated(1.0, 0.0)
+
 
 class TestClosedFormPropagator:
     def test_identity_at_t0(self):
@@ -560,9 +570,8 @@ class TestFrameEvolve:
         frame = epidemic.spectral_frame(gen, t)
         d1 = numkit.numeric_derivative(vector("v1"), t, h)
         d2 = numkit.numeric_derivative(vector("v2"), t, h)
-        e12, e21 = epidemic.as_rate(e12), epidemic.as_rate(e21)
-        return np.array([[frame.e1 - frame.v1 @ d1, e21(t) - frame.v1 @ d2],
-                         [e12(t) - frame.v2 @ d1, frame.e2 - frame.v2 @ d2]])
+        return np.array([[frame.e1 - frame.v1 @ d1, e21 - frame.v1 @ d2],
+                         [e12 - frame.v2 @ d1, frame.e2 - frame.v2 @ d2]])
 
     @pytest.mark.parametrize("gen", [
         _ramped(0.01),
@@ -575,7 +584,7 @@ class TestFrameEvolve:
         stacked = epidemic.frame_matrix(gen, 0.0, 0.0, grid)
         assert stacked.shape == (201, 2, 2)
         assert stacked.tobytes() == self._frame_matrices(gen)(grid).tobytes()
-        e12, e21 = [[0.0, 0.1], [1.0, 0.3]], [[0.0, 0.0], [1.0, 0.05]]
+        e12, e21 = 0.2, 0.05
         stacked = epidemic.frame_matrix(gen, e12, e21, grid)
         per_time = [self._per_time_frame_matrix(gen, e12, e21, t) for t in grid]
         assert stacked.tobytes() == np.array(per_time).tobytes()
