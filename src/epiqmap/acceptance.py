@@ -7,7 +7,7 @@ same ensemble.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,6 +15,7 @@ invocation is mostly start-up.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -34,8 +35,10 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
-# CSV rows formatted per string operation: bounds the text and the float
-# objects held at once, and is as fast as formatting the whole body at once
+# CSV rows formatted per step of emit_series: bounds the text and the work
+# arrays held at once; a step formats its cells in whole-array operations
+# (_csv_chunks), or with one %-operation when most of them are not in
+# fixed notation
 EMIT_CHUNK = 256
 
 
@@ -464,12 +467,17 @@ def _simulate_quantum2q(scenario):
 
     h = quantum.build_hamiltonian(scenario.source)
     times, states, event_checks = _segmented_evolution(-1j * h, scenario.initial_state, scenario)
-    columns = _probability_columns(times, np.abs(states) ** 2, ("pI", "pII", "pIII", "pIV"))
+    probs = np.abs(states) ** 2
+    columns = _probability_columns(times, probs, ("pI", "pII", "pIII", "pIV"))
     checks = []
     if "entropies" in scenario.outputs:
         s_a, s_b = quantum.pure_entropy_pair(states)
         columns += [("SA", s_a), ("SB", s_b)]
         checks.append(_check("entropy_symmetry_gap", float(np.abs(s_a - s_b).max()), 1e-9))
+    if not scenario.source.is_hermitian:
+        # a non-Hermitian H need not conserve the total probability
+        norm0 = (np.abs(scenario.initial_state) ** 2).sum()
+        checks.append(_check("norm_drift", float(np.abs(probs.sum(axis=1) - norm0).max())))
     return columns, checks + event_checks
 
 
@@ -530,25 +538,193 @@ MODELS = {
 }
 
 
+# A cell with 1e-4 <= |v| < 1e17 prints in fixed notation under "%.17g":
+# the 17 significant digits N = round-half-even(|v| * 10**k), k = 16 - x
+# for the decimal exponent x of |v|, with a point after digit x + 1, or
+# "0." and -x - 1 zeros before them when x < 0, and the fraction's
+# trailing zeros dropped.  _csv_chunks lays such a cell out as six 8-byte
+# words: word 0 holds the separator before the cell ("," and a zero byte,
+# or "\r\n"), "%s", "-", a zero byte and "0."; words 1-5 hold N as 20
+# digits, one 4-digit group each, every digit followed by ".".  So slot s
+# = 0..20 is digit s of the 21 digits 0000N, followed by a point.  A mask
+# picked by (x, the slot of N's last nonzero digit, the sign) zeroes every
+# byte the cell does not print, and bytearray.translate drops the zero bytes.
+# Any other cell (0, inf, nan, |v| < 1e-4 or |v| >= 1e17) keeps only its
+# separator and "%s", which one %-operation per chunk fills.
+CELL_BYTES = 48
+
+
+@functools.cache
+def _cell_tables():
+    """The lookup tables of _csv_chunks, built on first use.
+
+    Returns the cell words (each 4-digit group, then word 0 of a cell
+    after "," and after "\\r\\n"), the trailing zeros of each 4-digit
+    group (4 for 0000), the mask key at each scale k of a positive N
+    whose last digit is not 0, the masks (six words per key, the last
+    key for a cell outside the fast range) and the two halves of each
+    exact double 10**k, k = 0..20, as Dekker's product splits them.
+    """
+    # the digits of each 4-digit group, most significant first
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, 10000).T
+    pairs = np.full((10000, 4, 2), ord("."), np.uint8)
+    pairs[:, :, 0] = digits + ord("0")
+    heads = np.frombuffer(b",\0%s-\0" b"0." b"\r\n%s-\0" b"0.", np.uint64)
+    words = np.concatenate([pairs.reshape(10000, 8).view(np.uint64).ravel(), heads])
+    # 4 less the place of the last nonzero digit (0 for 0000)
+    trailing = 4 - ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+
+    # key = ((x + 4) * 21 + last) * 2 + negative, last being the slot of
+    # N's last nonzero digit; the point follows slot 4 + x
+    x = np.arange(-4, 17)[:, None, None, None]
+    last = np.arange(21)[:, None, None]
+    slot = np.arange(21)
+    point = 4 + x
+    keep = np.zeros((21, 21, 2, CELL_BYTES), bool)
+    keep[..., :2] = True
+    keep[..., 4] = np.arange(2)
+    keep[..., 6::2] = (slot >= np.minimum(point, 4)) & (slot <= np.maximum(point, last))
+    keep[..., 7::2] = (slot == point) & (last > point)
+    fallback = np.zeros((1, CELL_BYTES), bool)
+    fallback[0, :4] = True
+    masks = np.concatenate([keep.reshape(-1, CELL_BYTES), fallback]).astype(np.uint8)
+    masks = (masks * 255).view(np.uint64)
+    # a positive cell whose last digit, slot 20, is not 0; x = 16 - k
+    key_base = (20 - np.arange(21)) * 42 + 40
+
+    scale = np.cumprod(np.full(21, 10.0)) / 10.0
+    hi = scale * 134217729.0  # 2**27 + 1
+    hi -= hi - scale
+    return words, trailing, key_base, masks, hi, scale - hi
+
+
+def _scaled(a, s_hi, s_lo):
+    """(p, e) with p + e == a * (s_hi + s_lo) exactly (Dekker's product)."""
+    p = s_hi + s_lo
+    p *= a
+    c = a * 134217729.0  # 2**27 + 1
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e = a_hi * s_hi
+    e -= p
+    e += a_hi * s_lo
+    e += a_lo * s_hi
+    a_lo *= s_lo
+    e += a_lo
+    return p, e
+
+
+def _csv_chunks(data):
+    """The CSV body of 2-d float64 data, EMIT_CHUNK rows per bytes object.
+
+    Each row starts with "\\r\\n" and holds its cells as "%.17g" text
+    joined by ",", byte for byte.
+    """
+    rows, cols = data.shape
+    words, trailing, key_base, masks, scale_hi, scale_lo = _cell_tables()
+    fallback_key = len(masks) - 1
+    capacity = min(rows, EMIT_CHUNK) * cols
+    heads = np.full(cols, 10000)  # words[10000]: word 0 after ","
+    heads[0] = 10001  # words[10001]: word 0 after "\r\n"
+    # a chunk's indices into words (word 0, then the five groups), which
+    # its keep-masks then overwrite
+    work = np.empty((capacity, 6), np.intp)
+    buffer = bytearray(capacity * CELL_BYTES)
+    cells = np.frombuffer(buffer, np.uint64).reshape(capacity, 6)
+    line = b"\r\n" + b",".join([b"%.17g"] * cols)
+    for start in range(0, rows, EMIT_CHUNK):
+        chunk = data[start:start + EMIT_CHUNK]
+        v = chunk.ravel()
+        n = v.size
+        a = np.abs(v)
+        fast = a >= 1e-4
+        fast &= a < 1e17  # false for nan
+        slow = np.flatnonzero(~fast)
+        if 2 * slow.size > n:
+            yield line * len(chunk) % tuple(v.tolist())
+            continue
+        a[slow] = 1.0  # any in-range value: the mask drops its digits
+
+        x = np.log10(a)
+        np.floor(x, out=x)
+        np.minimum(x, 16.0, out=x)
+        np.maximum(x, -4.0, out=x)
+        k = (16.0 - x).astype(np.intp)
+        p, e = _scaled(a, scale_hi.take(k), scale_lo.take(k))
+        # log10 may round across a power of ten: the exact product p + e
+        # lies in [1e16, 1e17) only at the right k, one step away
+        fix = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+        while fix.size:
+            p_fix, e_fix = p[fix], e[fix]
+            over = (p_fix > 1e17) | ((p_fix == 1e17) & (e_fix >= 0))
+            under = (p_fix < 1e16) | ((p_fix == 1e16) & (e_fix < 0))
+            wrong = over | under
+            fix = fix[wrong]
+            k[fix] += np.where(over, -1, 1)[wrong]
+            p[fix], e[fix] = _scaled(a[fix], scale_hi.take(k[fix]), scale_lo.take(k[fix]))
+        # p >= 1e16 > 2**53 is an even integer, so N = p + rint(e); N does
+        # not round up to 10**17, as the largest double below each 10**x
+        # in range is 8e-17 of it below, not within 5e-18
+        digits = p.astype(np.int64)
+        digits += np.rint(e).astype(np.int64)
+
+        group = work[:n]
+        group[:, 0].reshape(-1, cols)[...] = heads
+        high = digits // 10 ** 8
+        digits -= high * 10 ** 8
+        np.floor_divide(high, 10 ** 8, out=group[:, 1])
+        high -= group[:, 1] * 10 ** 8
+        np.floor_divide(high, 10 ** 4, out=group[:, 2])
+        np.subtract(high, group[:, 2] * 10 ** 4, out=group[:, 3])
+        np.floor_divide(digits, 10 ** 4, out=group[:, 4])
+        np.subtract(digits, group[:, 4] * 10 ** 4, out=group[:, 5])
+        zeros = trailing.take(group[:, 5])
+        more = np.flatnonzero(zeros == 4)
+        if more.size:
+            # the last group is 0000: add the trailing zeros of groups
+            # 1-3 (group 0, N's leading digit, is never 0)
+            z = trailing.take(group[more, 2])
+            for col in (3, 4):
+                t = trailing.take(group[more, col])
+                z *= t == 4
+                z += t
+            zeros[more] += z
+        key = key_base.take(k)
+        key -= 2 * zeros
+        key += np.signbit(v)
+        key[slow] = fallback_key
+
+        # mode="clip" (every index is in range) lets take write into out
+        cell = words.take(group, out=cells[:n], mode="clip")
+        cell &= masks.take(key, axis=0, out=group.view(np.uint64), mode="clip")
+        text = (buffer if n == capacity else buffer[:n * CELL_BYTES]).translate(None, b"\0")
+        if slow.size:
+            fills = b"%.17g\0" * slow.size % tuple(v[slow].tolist())
+            text = text % tuple(fills.split(b"\0")[:-1])
+        yield text
+
+
 def emit_series(columns, path, digest):
     """Write a CSV (17 significant digits) plus its sidecar metadata.
 
-    The header is the column names joined by commas and the body is
-    formatted with one %-operation per EMIT_CHUNK rows; every column name
-    is a plain identifier and every cell an unquoted number, so the text
-    is what csv.writer writes (rows ended by "\\r\\n").
+    The header is the column names joined by commas, and every row ends
+    with "\\r\\n"; every column name is a plain identifier and every cell
+    an unquoted "%.17g" number, so the text is what csv.writer writes.
+    _csv_chunks formats the body EMIT_CHUNK rows at a time: the cells in
+    fixed notation in whole-array operations, the rest (0, inf, nan and
+    the exponent forms) with one %-operation, and a chunk whose cells
+    are mostly the rest with one %-operation for all of them.
     """
     names = [name for name, _ in columns]
     arrays = [np.asarray(values) for _, values in columns]
     rows = int(arrays[0].shape[0]) if arrays else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
+    with open(path, "wb") as fh:
+        # each row of the body starts with the line break before it
+        fh.write(",".join(names).encode("utf-8"))
         if rows and names:
-            data = np.column_stack(arrays)
-            line = ",".join(["%.17g"] * len(names)) + "\r\n"
-            for start in range(0, rows, EMIT_CHUNK):
-                chunk = data[start:start + EMIT_CHUNK]
-                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            for text in _csv_chunks(np.column_stack(arrays).astype(float, copy=False)):
+                fh.write(text)
+        fh.write(b"\r\n")
     meta = {
         "columns": names,
         "rows": rows,

@@ -94,8 +94,7 @@ def real_form_generator(h):
     dimension N with 2N <= numkit.MAX_DIM.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    if h.shape != (n, n) or 2 * n > numkit.MAX_DIM:
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or 2 * h.shape[0] > numkit.MAX_DIM:
         raise ValueError(
             "expected a square H with 2N <= %d, got shape %r" % (numkit.MAX_DIM, h.shape)
         )

@@ -1,10 +1,16 @@
 import csv
 import hashlib
 import json
+import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epiqmap import cli, numkit
 
@@ -194,7 +200,82 @@ class TestSimulate:
         assert rewritten == rows[6]
 
 
+def emitted(tmp_dir, values):
+    """series.csv bytes of emit_series on the columns of a 2-d array."""
+    path = Path(tmp_dir) / "out.csv"
+    columns = [("c%d" % j, values[:, j]) for j in range(values.shape[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli.emit_series(columns, path, digest="d")
+    return path.read_bytes()
+
+
+def percent_formatted(values):
+    """The same CSV with every cell formatted by "%.17g" % value."""
+    header = ",".join("c%d" % j for j in range(values.shape[1]))
+    body = "".join("\r\n" + ",".join("%.17g" % v for v in row) for row in values.tolist())
+    return (header + body + "\r\n").encode()
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def to_bits(value):
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+# every kind of double: in the fixed-notation range [1e-4, 1e17) of
+# "%.17g" (the whole-array path), next to powers of ten, special values
+# and any bit pattern (subnormals, +-0, +-inf, nan)
+FIXED = st.integers(to_bits(1e-4), to_bits(1e17) - 1).map(from_bits)
+CELLS = st.one_of(
+    FIXED,
+    FIXED.map(lambda v: -v),
+    st.tuples(st.integers(-6, 18), st.integers(-3, 3)).map(
+        lambda pair: 10.0 ** pair[0] * (1.0 + pair[1] * 2.0 ** -52)),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1.7e308]),
+    st.integers(0, 2 ** 64 - 1).map(from_bits),
+)
+
+
+# neighbours of every power of ten from 1e-6 to 1e18 and of the ends of
+# the fixed-notation range, ties at the 18th digit (...24.25 rounds down
+# to even, ...24.75 and ...47.75 up), and the smallest subnormal
+EDGES = sorted(
+    {np.nextafter(10.0 ** k, side) for k in range(-6, 19) for side in (0.0, np.inf)}
+    | {10.0 ** k for k in range(-6, 19)}
+    | {99999999999999999.0, 9.99999999999999995e-2, 5e-324}
+    | {1125899906842624.25, 1125899906842624.75, 2251799813685247.75}
+    | {np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)}
+)
+
+
 class TestEmitSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                             elements=CELLS))
+    def test_property_cells_are_percent_formatted(self, values):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            assert emitted(tmp_dir, values) == percent_formatted(values)
+
+    @pytest.mark.parametrize("chunk", [cli.EMIT_CHUNK, 3, 1])
+    def test_edge_cells(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+        values = np.array(EDGES + [-v for v in EDGES]).reshape(-1, 2)
+        assert emitted(tmp_path, values) == percent_formatted(values)
+
+    @pytest.mark.parametrize("cell", [0.0, -0.0, 1e-7, -1e17, np.inf, np.nan])
+    def test_chunk_whose_every_cell_falls_back(self, tmp_path, cell):
+        values = np.full((300, 3), cell)
+        assert emitted(tmp_path, values) == percent_formatted(values)
+
+    def test_chunk_with_a_few_fallback_cells(self, tmp_path):
+        values = np.random.default_rng(3).uniform(0.0, 1.0, (300, 5))
+        values[::7, 2] = 0.0
+        values[5, 4], values[9, 0], values[11, 1] = np.nan, -np.inf, 1e-300
+        assert emitted(tmp_path, values) == percent_formatted(values)
+
     @pytest.mark.parametrize("chunk", [cli.EMIT_CHUNK, 3])
     def test_text_equals_csv_writer(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
@@ -544,6 +625,27 @@ class TestNormalizationGuard:
         ))
         assert cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "config error: initial_state must have a nonzero norm\n"
+
+
+class TestNormDrift:
+    def checks(self, tmp_path, hamiltonian):
+        cfg = write_config(tmp_path, quantum_config(hamiltonian=hamiltonian))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        return {c["name"]: c for c in report["checks"]}, read_rows(out / "series.csv")
+
+    def test_non_hermitian_report_has_norm_drift(self, tmp_path):
+        checks, rows = self.checks(tmp_path, TestNormalizationGuard.LOSSY)
+        totals = np.array(rows[1:], dtype=float)[:, 1:5].sum(axis=1)
+        drift = checks["norm_drift"]
+        assert drift["tolerance"] is None and drift["passed"] is None
+        assert drift["value"] == pytest.approx(np.abs(totals - 1.0).max(), rel=1e-12)
+        assert drift["value"] > 0.01  # the lossy site loses probability
+
+    def test_hermitian_report_has_no_norm_drift(self, tmp_path):
+        checks, _ = self.checks(tmp_path, quantum_config()["hamiltonian"])
+        assert list(checks) == ["entropy_symmetry_gap"]
 
 
 class TestPinnedOutput:

@@ -145,6 +145,11 @@ class TestRealFormGenerator:
         with pytest.raises(ValueError):
             mapping.real_form_generator(np.eye(9, dtype=complex))
 
+    @pytest.mark.parametrize("h", [1.0, np.ones(3), np.ones((2, 2, 2))], ids=["0d", "1d", "3d"])
+    def test_non_matrix_is_a_value_error(self, h):
+        with pytest.raises(ValueError, match="square H"):
+            mapping.real_form_generator(h)
+
 
 class TestBuildS8:
     """The 8x8 split generator S of a two-qubit wave state."""
