@@ -37,8 +37,7 @@ SCHEMA_VERSION = 1
 
 # CSV rows formatted per step of emit_series: bounds the text and the work
 # arrays held at once; a step formats its cells in whole-array operations
-# (_csv_chunks), or with one %-operation when most of them are not in
-# fixed notation
+# (_csv_chunks)
 EMIT_CHUNK = 256
 
 
@@ -544,13 +543,14 @@ MODELS = {
 # "0." and -x - 1 zeros before them when x < 0, and the fraction's
 # trailing zeros dropped.  _csv_chunks lays such a cell out as six 8-byte
 # words: word 0 holds the separator before the cell ("," and a zero byte,
-# or "\r\n"), "%s", "-", a zero byte and "0."; words 1-5 hold N as 20
-# digits, one 4-digit group each, every digit followed by ".".  So slot s
-# = 0..20 is digit s of the 21 digits 0000N, followed by a point.  A mask
-# picked by (x, the slot of N's last nonzero digit, the sign) zeroes every
-# byte the cell does not print, and bytearray.translate drops the zero bytes.
-# Any other cell (0, inf, nan, |v| < 1e-4 or |v| >= 1e17) keeps only its
-# separator and "%s", which one %-operation per chunk fills.
+# or "\r\n"), two zero bytes, "-", a zero byte and "0."; words 1-5 hold N
+# as 20 digits, one 4-digit group each, every digit followed by ".".  So
+# slot s = 0..20 is digit s of the 21 digits 0000N, followed by a point.
+# A mask picked by (x, the slot of N's last nonzero digit, the sign)
+# zeroes every byte the cell does not print, and bytearray.translate drops
+# the zero bytes.  Any other cell (0, inf, nan, |v| < 1e-4 or |v| >= 1e17)
+# has the separator and "%.17g" as word 0 and keeps only that word, and
+# one %-operation per chunk fills them all.
 CELL_BYTES = 48
 
 
@@ -559,17 +559,19 @@ def _cell_tables():
     """The lookup tables of _csv_chunks, built on first use.
 
     Returns the cell words (each 4-digit group, then word 0 of a cell
-    after "," and after "\\r\\n"), the trailing zeros of each 4-digit
-    group (4 for 0000), the mask key at each scale k of a positive N
-    whose last digit is not 0, the masks (six words per key, the last
-    key for a cell outside the fast range) and the two halves of each
-    exact double 10**k, k = 0..20, as Dekker's product splits them.
+    after "," and after "\\r\\n", in the fast range and outside it), the
+    trailing zeros of each 4-digit group (4 for 0000), the mask key at
+    each scale k of a positive N whose last digit is not 0, the masks
+    (six words per key, the last key for a cell outside the fast range),
+    the exact doubles 10**k, k = 0..20, and their two halves as Dekker's
+    product splits them.
     """
     # the digits of each 4-digit group, most significant first
     digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, 10000).T
     pairs = np.full((10000, 4, 2), ord("."), np.uint8)
     pairs[:, :, 0] = digits + ord("0")
-    heads = np.frombuffer(b",\0%s-\0" b"0." b"\r\n%s-\0" b"0.", np.uint64)
+    heads = np.frombuffer(
+        b",\0\0\0-\0" b"0." b"\r\n\0\0-\0" b"0." b",%.17g\0\0" b"\r\n%.17g\0", np.uint64)
     words = np.concatenate([pairs.reshape(10000, 8).view(np.uint64).ravel(), heads])
     # 4 less the place of the last nonzero digit (0 for 0000)
     trailing = 4 - ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
@@ -586,7 +588,7 @@ def _cell_tables():
     keep[..., 6::2] = (slot >= np.minimum(point, 4)) & (slot <= np.maximum(point, last))
     keep[..., 7::2] = (slot == point) & (last > point)
     fallback = np.zeros((1, CELL_BYTES), bool)
-    fallback[0, :4] = True
+    fallback[0, :8] = True
     masks = np.concatenate([keep.reshape(-1, CELL_BYTES), fallback]).astype(np.uint8)
     masks = (masks * 255).view(np.uint64)
     # a positive cell whose last digit, slot 20, is not 0; x = 16 - k
@@ -595,13 +597,13 @@ def _cell_tables():
     scale = np.cumprod(np.full(21, 10.0)) / 10.0
     hi = scale * 134217729.0  # 2**27 + 1
     hi -= hi - scale
-    return words, trailing, key_base, masks, hi, scale - hi
+    return words, trailing, key_base, masks, scale, hi, scale - hi
 
 
-def _scaled(a, s_hi, s_lo):
-    """(p, e) with p + e == a * (s_hi + s_lo) exactly (Dekker's product)."""
-    p = s_hi + s_lo
-    p *= a
+def _scaled(a, s, s_hi, s_lo):
+    """(p, e) with p + e == a * s exactly (Dekker's product), for the
+    halves s_hi + s_lo == s."""
+    p = a * s
     c = a * 134217729.0  # 2**27 + 1
     a_hi = c - (c - a)
     a_lo = a - a_hi
@@ -621,7 +623,7 @@ def _csv_chunks(data):
     joined by ",", byte for byte.
     """
     rows, cols = data.shape
-    words, trailing, key_base, masks, scale_hi, scale_lo = _cell_tables()
+    words, trailing, key_base, masks, scale, scale_hi, scale_lo = _cell_tables()
     fallback_key = len(masks) - 1
     capacity = min(rows, EMIT_CHUNK) * cols
     heads = np.full(cols, 10000)  # words[10000]: word 0 after ","
@@ -631,7 +633,6 @@ def _csv_chunks(data):
     work = np.empty((capacity, 6), np.intp)
     buffer = bytearray(capacity * CELL_BYTES)
     cells = np.frombuffer(buffer, np.uint64).reshape(capacity, 6)
-    line = b"\r\n" + b",".join([b"%.17g"] * cols)
     for start in range(0, rows, EMIT_CHUNK):
         chunk = data[start:start + EMIT_CHUNK]
         v = chunk.ravel()
@@ -640,17 +641,16 @@ def _csv_chunks(data):
         fast = a >= 1e-4
         fast &= a < 1e17  # false for nan
         slow = np.flatnonzero(~fast)
-        if 2 * slow.size > n:
-            yield line * len(chunk) % tuple(v.tolist())
-            continue
-        a[slow] = 1.0  # any in-range value: the mask drops its digits
+        # the mask drops these digits; a value off the powers of ten and
+        # with a nonzero 17th digit skips the exponent and 0000 fix-ups
+        a[slow] = 1.2345678901234567
 
         x = np.log10(a)
         np.floor(x, out=x)
         np.minimum(x, 16.0, out=x)
         np.maximum(x, -4.0, out=x)
         k = (16.0 - x).astype(np.intp)
-        p, e = _scaled(a, scale_hi.take(k), scale_lo.take(k))
+        p, e = _scaled(a, scale.take(k), scale_hi.take(k), scale_lo.take(k))
         # log10 may round across a power of ten: the exact product p + e
         # lies in [1e16, 1e17) only at the right k, one step away
         fix = np.flatnonzero((p <= 1e16) | (p >= 1e17))
@@ -661,7 +661,9 @@ def _csv_chunks(data):
             wrong = over | under
             fix = fix[wrong]
             k[fix] += np.where(over, -1, 1)[wrong]
-            p[fix], e[fix] = _scaled(a[fix], scale_hi.take(k[fix]), scale_lo.take(k[fix]))
+            k_fix = k[fix]
+            p[fix], e[fix] = _scaled(
+                a[fix], scale.take(k_fix), scale_hi.take(k_fix), scale_lo.take(k_fix))
         # p >= 1e16 > 2**53 is an even integer, so N = p + rint(e); N does
         # not round up to 10**17, as the largest double below each 10**x
         # in range is 8e-17 of it below, not within 5e-18
@@ -693,14 +695,14 @@ def _csv_chunks(data):
         key -= 2 * zeros
         key += np.signbit(v)
         key[slow] = fallback_key
+        group[slow, 0] += 2  # words[10002] and words[10003]: "%.17g"
 
         # mode="clip" (every index is in range) lets take write into out
         cell = words.take(group, out=cells[:n], mode="clip")
         cell &= masks.take(key, axis=0, out=group.view(np.uint64), mode="clip")
         text = (buffer if n == capacity else buffer[:n * CELL_BYTES]).translate(None, b"\0")
         if slow.size:
-            fills = b"%.17g\0" * slow.size % tuple(v[slow].tolist())
-            text = text % tuple(fills.split(b"\0")[:-1])
+            text = text % tuple(v[slow].tolist())
         yield text
 
 
@@ -712,8 +714,7 @@ def emit_series(columns, path, digest):
     an unquoted "%.17g" number, so the text is what csv.writer writes.
     _csv_chunks formats the body EMIT_CHUNK rows at a time: the cells in
     fixed notation in whole-array operations, the rest (0, inf, nan and
-    the exponent forms) with one %-operation, and a chunk whose cells
-    are mostly the rest with one %-operation for all of them.
+    the exponent forms) with one %-operation.
     """
     names = [name for name, _ in columns]
     arrays = [np.asarray(values) for _, values in columns]
