@@ -17,6 +17,7 @@ Bipartite 4x4 densities use the package's basis layout (1A1B, 1A2B,
 2A1B, 2A2B), subsystem A varying slowest.
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -53,6 +54,49 @@ def sqrt_dynamics_generator(generator, p, t=0.0):
     return 0.5 * s * (a / a[:, None])
 
 
+# RK4 steps of da/dt = (1/2) (S p) / a in Python floats, one block row
+# each.  A stage screens its input x as evolve_sqrt_trajectory's rhs does,
+# sums each row of r (x * x) from left to right, with r = S / 2, and
+# divides by x; the stages combine as in numkit._rk4_block.
+_SQRT_BLOCK = """\
+def sqrt_block(y, r, stages, h, screen, check):
+    {a}, = y
+    {r}, = r
+    half, sixth = 0.5 * h, h / 6.0
+    m = len(stages) // 3
+    rows = []
+    for j in range(m):
+{stages}
+        rows.append(({a},))
+    return rows
+"""
+
+
+@functools.cache
+def _sqrt_block(d):
+    """_SQRT_BLOCK compiled for d <= numkit.MAX_DIM amplitudes, on first use."""
+    ids, x, lines = range(d), "a%d", []
+    for k, tau, scale in ((1, "j", "half"), (2, "m + j", "half"), (3, "m + j", "h"),
+                          (4, "2 * m + j", None)):
+        xs = ", ".join(x % i for i in ids)
+        lines += ["if min((%s,)) < screen: check(stages[%s], array((%s,)))" % (xs, tau, xs)]
+        lines += ["q{0} = {1} * {1}".format(i, x % i) for i in ids]
+        sums = (" + ".join("r%d_%d * q%d" % (i, j, j) for j in ids) for i in ids)
+        lines += ["k%d_%d = (%s) / %s" % (k, i, row, x % i) for i, row in enumerate(sums)]
+        if scale:
+            lines += ["x{0} = a{0} + {1} * k{2}_{0}".format(i, scale, k) for i in ids]
+            x = "x%d"
+    lines += ["a{0} = a{0} + sixth * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0})".format(i)
+              for i in ids]
+    source = _SQRT_BLOCK.format(
+        a=", ".join("a%d" % i for i in ids),
+        r=", ".join("r%d_%d" % (i, j) for i in ids for j in ids),
+        stages="\n".join(" " * 8 + line for line in lines),
+    )
+    exec(compile(source, "<sqrt_block d=%d>" % d, "exec"), namespace := {"array": np.array})
+    return namespace["sqrt_block"]
+
+
 def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
     """RK4 trajectory of the amplitudes a = sqrt(p) under H(t, p).
 
@@ -60,14 +104,21 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
     (nonlinear) integration although S is constant.  S is converted and
     halved once; an object that is not array-like (a Generator2, say)
     raises TypeError.  The right-hand side is H a = (1/2) (S p) / a: one
-    matrix-vector product, H itself is never formed.  A
-    FloorViolationError reports the stage time at which a probability
-    fell below the floor.  It is also raised when a stage amplitude is
-    negative: a probability passed through 0 inside one step (backward
-    runs can do that) without any stage landing below the floor.
+    matrix-vector product, H itself is never formed.  Each block of
+    steps runs as _sqrt_block's straight-line code; one that raises or
+    ends non-finite is stepped again by numkit's checked per-stage RK4
+    with rhs.  So a NonFiniteStateError reports the first non-finite
+    sample, and a FloorViolationError the stage time at which a
+    probability fell below the floor.  It is also raised when a stage
+    amplitude is negative: a probability passed through 0 inside one
+    step (backward runs can do that) without any stage landing below
+    the floor.
     """
     p0 = _check_floor(p0, t0)
     a0 = np.sqrt(p0)
+    if len(a0) > numkit.MAX_DIM:
+        raise ValueError("dimension %d exceeds supported maximum %d" % (len(a0), numkit.MAX_DIM))
+    half = 0.5 * np.asarray(generator, dtype=float)
     # an amplitude at or above this has p = a * a above the floor, so one
     # screen catches both a low probability and a negative amplitude
     screen = np.sqrt(PROBABILITY_FLOOR) * (1.0 + 1e-12)
@@ -80,15 +131,28 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
                 time=tau, component=int((a < 0).argmax()),
             )
 
-    # half.dot(p) is half @ p with less call overhead
-    half_rates = (0.5 * np.asarray(generator, dtype=float)).dot
-
-    def rhs(tau, a):
+    def rhs(tau, a):  # half.dot(p) is half @ p with less call overhead
         if min(a.tolist()) < screen:
             check_stage(tau, a)
-        return half_rates(a * a) / a
+        return half.dot(a * a) / a
 
-    return numkit.rk4_path(rhs, a0, t0, t, dt)
+    times, h = numkit._sample_times(t0, t, dt)
+    states = np.empty((len(times), len(a0)))
+    states[0] = y = a0
+    block, r = _sqrt_block(len(a0)), half.ravel().tolist()
+    for start in range(0, len(times) - 1, numkit.STAGE_BLOCK):
+        ts = times[:-1][start:start + numkit.STAGE_BLOCK]
+        stages = np.concatenate((ts, ts + 0.5 * h, ts + h)).tolist()
+        rows = states[start + 1:start + 1 + len(ts)]
+        try:
+            rows[:] = block(y.tolist(), r, stages, h, screen, check_stage)
+            replay = not np.isfinite(rows).all()
+        except (ValueError, ArithmeticError):  # a FloorViolationError, say
+            replay = True
+        if replay:
+            numkit._rk4_block(rhs, y, stages, h, rows, times[start + 1:])
+        y = rows[-1]
+    return numkit.Trajectory(times, states)
 
 
 def evolve_sqrt(generator, p0, t0, t, dt):

@@ -3,11 +3,11 @@
 Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential, a deterministic
 eigendecomposition, a fixed-step RK4 integrator with dense output (a
-per-stage path for any right-hand side; a linear system composes the
-increment matrices of each block of steps, so a block takes about
-log2 of its length in array operations), and central finite
-differences.  All functions are pure; inputs are
-never mutated.
+checked per-stage path for any right-hand side, which the density
+module's generated sqrt-flow step falls back on; a linear system
+composes the increment matrices of each block of steps, so a block
+takes about log2 of its length in array operations), and central
+finite differences.  All functions are pure; inputs are never mutated.
 """
 
 from dataclasses import dataclass
@@ -246,13 +246,13 @@ def _sample_times(t0, t1, dt):
     return times, h
 
 
-def _rk4_block(f, y, stages, h, rows, times=None):
+def _rk4_block(f, y, stages, h, rows, times):
     """RK4 steps from y through one block, storing each new state in rows.
 
-    stages lists the block's m first, m middle and m last stage values.
-    With times (the rows' sample times), each state is checked as it is
-    made, and the first non-finite one raises NonFiniteStateError at its
-    time.  Returns the last state.
+    stages lists the block's m first, m middle and m last stage values,
+    times the rows' sample times.  Each state is checked as it is made,
+    and the first non-finite one raises NonFiniteStateError at its time.
+    Returns the last state.
     """
     m = len(rows)
     half, sixth = 0.5 * h, h / 6.0
@@ -263,7 +263,7 @@ def _rk4_block(f, y, stages, h, rows, times=None):
         k3 = f(mid, y + half * k2)
         k4 = f(stages[2 * m + j], y + h * k3)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if times is not None and not np.isfinite(y.view(float)).all():
+        if not np.isfinite(y.view(float)).all():
             raise NonFiniteStateError(times[j])
         rows[j] = y
     return y
@@ -321,7 +321,8 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     Backward integration (t1 < t0) is supported.  Step i has the stage
     times times[i], times[i] + h/2 (twice) and times[i] + h.  By default
     f is the right-hand side of dy/dt = f(s, y), called with s the stage
-    time as a Python float.
+    time as a Python float, and each state is checked as it is made: the
+    first non-finite one raises NonFiniteStateError at its time.
 
     With stage_values the system is linear, dy/dt = G(t) y:
     stage_values maps a 1-d array of stage times to the (n, d, d) stack
@@ -331,18 +332,14 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
     _increment_block).  f is ndarray.dot or the same product of a 2-d
     array and a 1-d or 2-d one: f(D, y) applies an increment D to y and
     f(Y, D.T) applies it to each row of Y.  Stage matrices that are
-    complex while the states are real raise ValueError.
-
-    Each block runs with floating-point warnings off and is checked for
-    finiteness once, on its stored states.  A block that ends up with a
-    non-finite state, or in which f raises (say on a non-finite input),
-    is stepped again from its first state, stage by stage (in the linear
-    mode f(G, y) is the stage derivative), checking every step with the
-    caller's warning settings.  So a run raises exactly what a
-    per-stage check after every step would: NonFiniteStateError at the
-    first non-finite sample, or the error f raised on a finite state.
-    A state of more than MAX_DIM components raises ValueError before
-    anything is allocated.
+    complex while the states are real raise ValueError.  Such a block
+    runs with floating-point warnings off and is checked for finiteness
+    once, on its stored states; one that ends non-finite is stepped
+    again from its first state, stage by stage with f(G, y) as the stage
+    derivative, with the check after every step and the caller's warning
+    settings.  So both modes raise NonFiniteStateError at the first
+    non-finite sample.  A state of more than MAX_DIM components raises
+    ValueError before anything is allocated.
     """
     times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
@@ -356,21 +353,15 @@ def rk4_path(f, y0, t0, t1, dt, stage_values=None):
         stages = np.concatenate((t, t + 0.5 * h, t + h))
         rows = states[start + 1:start + 1 + len(t)]
         if stage_values is None:
-            # Python floats and a list of rows index faster than NumPy arrays
-            stages, block = stages.tolist(), _rk4_block
-        else:
-            stages, block = stage_values(stages), _increment_block
-            if np.iscomplexobj(stages) and not np.iscomplexobj(y):
-                raise ValueError("complex stage matrices need a complex state")
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                last = block(f, y, stages, h, rows)
-            finite = np.isfinite(rows.view(float)).all()
-        except Exception:
-            # whatever f raised is raised again, unless the checked
-            # replay stops first at a non-finite state
-            finite = False
-        if not finite:
+            # Python floats index faster than NumPy scalars
+            y = _rk4_block(f, y, stages.tolist(), h, rows, times[start + 1:])
+            continue
+        stages = stage_values(stages)
+        if np.iscomplexobj(stages) and not np.iscomplexobj(y):
+            raise ValueError("complex stage matrices need a complex state")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            last = _increment_block(f, y, stages, h, rows)
+        if not np.isfinite(rows.view(float)).all():
             last = _rk4_block(f, y, stages, h, rows, times[start + 1:])
         y = last
     return Trajectory(times, states)

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_numkit import half_rates_rhs, per_step_rk4_path
 
 from epiqmap import density, epidemic, numkit
-from epiqmap.errors import FloorViolationError
+from epiqmap.errors import FloorViolationError, NonFiniteStateError
 
 GENERIC_S4 = np.array(
     [
@@ -155,6 +158,72 @@ class TestSqrtRightHandSide:
         assert new.value.time == old.value.time
         assert new.value.component == old.value.component == 2
         assert 0.0 < new.value.time < 2.0
+
+
+class TestGeneratedStep:
+    """The flow's generated straight-line step against numkit's per-stage RK4."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4, 8, 16]),
+           n_steps=st.integers(1, 2 * numkit.STAGE_BLOCK + 60), dt=st.floats(1e-5, 5e-5),
+           backward=st.booleans())
+    def test_equals_per_step_path(self, seed, d, n_steps, dt, backward):
+        # p0 >= 0.5 / d and no rate above 1: a backward span of at most
+        # 316 * 5e-5 keeps every probability far above the floor
+        rng = np.random.default_rng(seed)
+        s = random_master_rates(rng, d)
+        p0 = rng.uniform(0.5, 1.0, size=d)
+        p0 /= p0.sum()
+        t1 = -n_steps * dt if backward else n_steps * dt
+        flow = density.evolve_sqrt_trajectory(s, p0, 0.0, t1, dt)
+        reference = per_step_rk4_path(half_rates_rhs(s), np.sqrt(p0), 0.0, t1, dt)
+        assert flow.times.tobytes() == reference.times.tobytes()
+        # NumPy's dot may sum a row in another order than left to right
+        assert np.abs(flow.states - reference.states).max() <= 1e-13 * np.abs(
+            reference.states).max()
+
+    def test_acceptance_flow_is_pinned(self):
+        p0 = np.array([0.40, 0.30, 0.20, 0.10])
+        flow = density.evolve_sqrt_trajectory(GENERIC_S4, p0, 0.0, 0.5, 1e-4)
+        reference = per_step_rk4_path(half_rates_rhs(GENERIC_S4), np.sqrt(p0), 0.0, 0.5, 1e-4)
+        assert flow.states.tobytes() == reference.states.tobytes()
+        assert hashlib.sha256(flow.states.tobytes()).hexdigest() == (
+            "a0f021c628bf4f9f9d5920c2472c61b310111fed3d59d185f13c4c894b12d79d")
+
+    def test_amplitude_in_the_screen_band_continues(self, monkeypatch):
+        # amplitude 2 sits between sqrt(floor) and the screen and has no
+        # rates, so every stage is screened, checked and passed
+        floor = np.sqrt(density.PROBABILITY_FLOOR)
+        a2 = floor * (1.0 + 5e-13)
+        p0 = np.array([0.6, 0.4 - a2 * a2, a2 * a2])
+        assert floor <= np.sqrt(p0[2]) < floor * (1.0 + 1e-12)
+        s = np.array([[-0.3, 0.2, 0.0], [0.3, -0.2, 0.0], [0.0, 0.0, 0.0]])
+        checked = []
+
+        def check_floor(p, t=None):
+            checked.append(t)
+            return floor_check(p, t)
+
+        floor_check = density._check_floor
+        monkeypatch.setattr(density, "_check_floor", check_floor)
+        flow = density.evolve_sqrt_trajectory(s, p0, 0.0, 0.3, 1e-3)
+        assert len(checked) == 1 + 4 * 300
+        assert (flow.states[:, 2] == np.sqrt(p0[2])).all()
+        reference = per_step_rk4_path(half_rates_rhs(s), np.sqrt(p0), 0.0, 0.3, 1e-3)
+        assert flow.states.tobytes() == reference.states.tobytes()
+
+    def test_non_finite_time_as_per_step(self):
+        # p grows like exp(700 t): a * a overflows near t = 1, in the
+        # middle of the eighth block
+        s = np.array([[600.0, 100.0], [100.0, 600.0]])
+        p0 = np.array([0.5, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as flow:
+                density.evolve_sqrt_trajectory(s, p0, 0.0, 3.0, 1e-3)
+            with pytest.raises(NonFiniteStateError) as reference:
+                per_step_rk4_path(half_rates_rhs(s), np.sqrt(p0), 0.0, 3.0, 1e-3)
+        assert flow.value.time == reference.value.time
+        assert 0.5 < flow.value.time < 2.0
 
 
 class TestDensityMatrix:
