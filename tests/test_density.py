@@ -160,6 +160,32 @@ class TestSqrtRightHandSide:
         assert 0.0 < new.value.time < 2.0
 
 
+def float_rk4_states(generator, a0, t0, t1, dt):
+    """The sqrt flow's RK4 in Python floats, each row sum taken from left to right."""
+    _, h = numkit._sample_times(t0, t1, dt)
+    rates = (0.5 * generator).tolist()
+
+    def rhs(x):
+        q = [v * v for v in x]
+        k = []
+        for row, v in zip(rates, x):
+            total = row[0] * q[0]
+            for rate, p in zip(row[1:], q[1:]):
+                total = total + rate * p
+            k.append(total / v)
+        return k
+
+    y, states = a0.tolist(), [a0.tolist()]
+    for _ in range(numkit.step_count(t0, t1, dt)):
+        k1 = rhs(y)
+        k2 = rhs([a + 0.5 * h * k for a, k in zip(y, k1)])
+        k3 = rhs([a + 0.5 * h * k for a, k in zip(y, k2)])
+        k4 = rhs([a + h * k for a, k in zip(y, k3)])
+        y = [a + h / 6.0 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+        states.append(y)
+    return np.array(states)
+
+
 class TestGeneratedStep:
     """The flow's generated straight-line step against numkit's per-stage RK4."""
 
@@ -181,6 +207,19 @@ class TestGeneratedStep:
         # NumPy's dot may sum a row in another order than left to right
         assert np.abs(flow.states - reference.states).max() <= 1e-13 * np.abs(
             reference.states).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([3, 5, 16]),
+           n_steps=st.integers(1, 40), dt=st.floats(0.01, 0.1))
+    def test_is_the_documented_float_arithmetic(self, seed, d, n_steps, dt):
+        # steps long enough for the last bits of every stage to reach the states
+        rng = np.random.default_rng(seed)
+        s = random_master_rates(rng, d) / d
+        p0 = rng.uniform(0.5, 1.0, size=d)
+        p0 /= p0.sum()
+        flow = density.evolve_sqrt_trajectory(s, p0, 0.0, n_steps * dt, dt)
+        reference = float_rk4_states(s, np.sqrt(p0), 0.0, n_steps * dt, dt)
+        assert flow.states.tobytes() == reference.tobytes()
 
     def test_acceptance_flow_is_pinned(self):
         p0 = np.array([0.40, 0.30, 0.20, 0.10])
