@@ -57,7 +57,7 @@ def sqrt_dynamics_generator(generator, p, t=0.0):
 # RK4 steps of da/dt = (1/2) (S p) / a in Python floats, one block row
 # each.  A stage screens its input x as evolve_sqrt_trajectory's rhs does,
 # sums each row of r (x * x) from left to right, with r = S / 2, and
-# divides by x; the stages combine as in numkit._rk4_block.
+# divides by x; the stages combine as in numkit.rk4_path's checked steps.
 _SQRT_BLOCK = """\
 def sqrt_block(y, r, stages, h, screen, check):
     {a}, = y
@@ -103,25 +103,27 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
     H depends on the instantaneous state, so this is a self-consistent
     (nonlinear) integration although S is constant.  S is converted and
     halved once; an object that is not array-like (a Generator2, say)
-    raises TypeError.  The right-hand side is H a = (1/2) (S p) / a: one
-    matrix-vector product, H itself is never formed.  Each block of
-    steps runs as _sqrt_block's straight-line code; one that raises or
-    ends non-finite is stepped again by numkit's checked per-stage RK4
-    with rhs.  So a NonFiniteStateError reports the first non-finite
-    sample, and a FloorViolationError the stage time at which a
-    probability fell below the floor.  It is also raised when a stage
-    amplitude is negative: a probability passed through 0 inside one
-    step (backward runs can do that) without any stage landing below
-    the floor.
+    raises TypeError, and an S that is not (d, d) for d probabilities
+    raises ValueError.  The right-hand side is H a = (1/2) (S p) / a:
+    one matrix-vector product, H itself is never formed.  numkit.rk4_path
+    steps each block as _sqrt_block's straight-line code and steps one
+    that raises or ends non-finite again with rhs, stage by stage.  So a
+    NonFiniteStateError reports the first non-finite sample, and a
+    FloorViolationError the stage time at which a probability fell below
+    the floor.  It is also raised when a stage amplitude is negative: a
+    probability passed through 0 inside one step (backward runs can do
+    that) without any stage landing below the floor.
     """
     p0 = _check_floor(p0, t0)
-    a0 = np.sqrt(p0)
-    if len(a0) > numkit.MAX_DIM:
-        raise ValueError("dimension %d exceeds supported maximum %d" % (len(a0), numkit.MAX_DIM))
     half = 0.5 * np.asarray(generator, dtype=float)
+    if half.shape != (len(p0), len(p0)):
+        raise ValueError(
+            "rate matrix shape %r does not match %d probabilities" % (half.shape, len(p0))
+        )
     # an amplitude at or above this has p = a * a above the floor, so one
     # screen catches both a low probability and a negative amplitude
     screen = np.sqrt(PROBABILITY_FLOOR) * (1.0 + 1e-12)
+    r = half.ravel().tolist()
 
     def check_stage(tau, a):
         _check_floor(a * a, tau)
@@ -136,23 +138,11 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
             check_stage(tau, a)
         return half.dot(a * a) / a
 
-    times, h = numkit._sample_times(t0, t, dt)
-    states = np.empty((len(times), len(a0)))
-    states[0] = y = a0
-    block, r = _sqrt_block(len(a0)), half.ravel().tolist()
-    for start in range(0, len(times) - 1, numkit.STAGE_BLOCK):
-        ts = times[:-1][start:start + numkit.STAGE_BLOCK]
-        stages = np.concatenate((ts, ts + 0.5 * h, ts + h)).tolist()
-        rows = states[start + 1:start + 1 + len(ts)]
-        try:
-            rows[:] = block(y.tolist(), r, stages, h, screen, check_stage)
-            replay = not np.isfinite(rows).all()
-        except (ValueError, ArithmeticError):  # a FloorViolationError, say
-            replay = True
-        if replay:
-            numkit._rk4_block(rhs, y, stages, h, rows, times[start + 1:])
-        y = rows[-1]
-    return numkit.Trajectory(times, states)
+    def float_block(f, y, stages, h, rows):
+        rows[:] = _sqrt_block(len(y))(y.tolist(), r, stages, h, screen, check_stage)
+        return rows[-1]
+
+    return numkit.rk4_path(rhs, np.sqrt(p0), t0, t, dt, np.ndarray.tolist, float_block)
 
 
 def evolve_sqrt(generator, p0, t0, t, dt):

@@ -2,12 +2,13 @@
 
 Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential, a deterministic
-eigendecomposition, a fixed-step RK4 integrator with dense output (a
-checked per-stage path for any right-hand side, which the density
-module's generated sqrt-flow step falls back on; a linear system
-composes the increment matrices of each block of steps, so a block
-takes about log2 of its length in array operations), and central
-finite differences.  All functions are pure; inputs are never mutated.
+eigendecomposition, a fixed-step RK4 integrator with dense output, and
+central finite differences.  The integrator steps each block of steps
+by its caller's fast pass (a linear system composes the block's
+increment matrices in about log2 of its length in array operations;
+the density module's sqrt flow runs generated float code) and steps a
+block that fails it again through one checked per-stage RK4.  All
+functions are pure; inputs are never mutated.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from .errors import NonFiniteStateError
 
 MAX_DIM = 16
 
-# RK4 steps per stage_values call: bounds the stage-value memory of a run
+# RK4 steps per block of rk4_path, which makes one stage_values call and
+# one fast pass per block: bounds the stage-value memory of a run
 STAGE_BLOCK = 128
 
 # the most steps one integration may take, checked before its sample
@@ -287,8 +289,9 @@ def _increment_block(f, y, g, h, rows):
       D_j, after which P[j] is the increment of steps 0..j, and
       rows = y + f(P, y), with P taken as one (m d, d) matrix.
 
-    Every product with a state goes through f.  Increments never add the
-    identity (see rk4_step_matrix).  Returns the last state.
+    Every product with a state goes through f, ndarray.dot or the same
+    product of a 2-d array and a 1-d or 2-d one.  Increments never add
+    the identity (see rk4_step_matrix).  Returns the last state.
     """
     m = len(rows)
     if (g == g[0]).all():
@@ -313,55 +316,45 @@ def _increment_block(f, y, g, h, rows):
     return rows[-1]
 
 
-def rk4_path(f, y0, t0, t1, dt, stage_values=None):
-    """Classical fixed-step RK4 with dense output.
+def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block):
+    """Classical fixed-step RK4 with dense output, stepped a block at a time.
 
     The span is divided into uniform steps of size at most dt (the step
     is shrunk slightly so the final sample lands exactly on t1).
     Backward integration (t1 < t0) is supported.  Step i has the stage
-    times times[i], times[i] + h/2 (twice) and times[i] + h.  By default
-    f is the right-hand side of dy/dt = f(s, y), called with s the stage
-    time as a Python float, and each state is checked as it is made: the
-    first non-finite one raises NonFiniteStateError at its time.
+    times times[i], times[i] + h/2 (twice) and times[i] + h, and f(s, y)
+    is the right-hand side of dy/dt = f(s, y) at stage value s.
 
-    With stage_values the system is linear, dy/dt = G(t) y:
-    stage_values maps a 1-d array of stage times to the (n, d, d) stack
-    of G at those times and is called once per block of at most
-    STAGE_BLOCK steps, which is stepped in about log2(m) array
-    operations by composing its increment matrices (see
-    _increment_block).  f is ndarray.dot or the same product of a 2-d
-    array and a 1-d or 2-d one: f(D, y) applies an increment D to y and
-    f(Y, D.T) applies it to each row of Y.  Stage matrices that are
-    complex while the states are real raise ValueError.  Such a block
-    runs with floating-point warnings off and is checked for finiteness
-    once, on its stored states; one that ends non-finite is stepped
-    again from its first state, stage by stage with f(G, y) as the stage
-    derivative, with the check after every step and the caller's warning
-    settings.  So both modes raise NonFiniteStateError at the first
-    non-finite sample.  A state of more than MAX_DIM components raises
-    ValueError before anything is allocated.
+    A block of at most STAGE_BLOCK steps maps its m first, m middle and
+    m last stage times to stage values by one stage_values call, then
+    runs fast_block(f, y, stages, h, rows), which fills rows with the
+    block's states from y and returns the last, with floating-point
+    warnings off.  A block whose fast pass raises ValueError or
+    ArithmeticError, or leaves a state non-finite, is stepped again
+    stage by stage under the caller's warning settings, each state
+    checked as it is made: the first non-finite one raises
+    NonFiniteStateError at its sample time, and an error f raises on a
+    finite state is raised as it is.  A state of more than MAX_DIM
+    components raises ValueError before anything is allocated.
     """
-    times, h = _sample_times(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     if len(y) > MAX_DIM:
         raise ValueError("dimension %d exceeds supported maximum %d" % (len(y), MAX_DIM))
+    times, h = _sample_times(t0, t1, dt)
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
     for start in range(0, n_steps, STAGE_BLOCK):
         t = times[start:min(start + STAGE_BLOCK, n_steps)]
-        stages = np.concatenate((t, t + 0.5 * h, t + h))
+        stages = stage_values(np.concatenate((t, t + 0.5 * h, t + h)))
         rows = states[start + 1:start + 1 + len(t)]
-        if stage_values is None:
-            # Python floats index faster than NumPy scalars
-            y = _rk4_block(f, y, stages.tolist(), h, rows, times[start + 1:])
-            continue
-        stages = stage_values(stages)
-        if np.iscomplexobj(stages) and not np.iscomplexobj(y):
-            raise ValueError("complex stage matrices need a complex state")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            last = _increment_block(f, y, stages, h, rows)
-        if not np.isfinite(rows.view(float)).all():
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                last = fast_block(f, y, stages, h, rows)
+            replay = not np.isfinite(rows.view(float)).all()
+        except (ValueError, ArithmeticError):  # the replay raises at the step at fault
+            replay = True
+        if replay:
             last = _rk4_block(f, y, stages, h, rows, times[start + 1:])
         y = last
     return Trajectory(times, states)
@@ -391,9 +384,9 @@ def ode_evolve(generator, y0, t0, t1, dt):
     1-d array of n times it returns the (n, d, d) stack of G at those
     times) or a constant (d, d) matrix, the generator whose every stage
     is that matrix; a complex one makes the states complex, while a
-    callable's complex matrices need a complex y0.  It is stepped by
-    rk4_path's linear mode, which composes the RK4 increment matrices D
-    (one step is y + D @ y) of each block of steps.
+    callable's complex matrices need a complex y0 (ValueError).  Each
+    block of rk4_path runs _increment_block, which composes the RK4
+    increment matrices D (one step is y + D @ y) of its steps.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1:
@@ -417,9 +410,11 @@ def ode_evolve(generator, y0, t0, t1, dt):
                 "generator returned shape %r for %d times; expected (%d, %d, %d)"
                 % (g.shape, len(ts), len(ts), d, d)
             )
+        if np.iscomplexobj(g) and not np.iscomplexobj(y0):
+            raise ValueError("complex stage matrices need a complex state")
         return g
     # D.dot(y) is D @ y with less call overhead
-    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices)
+    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, _increment_block)
 
 
 def numeric_derivative(f, t, h):

@@ -86,6 +86,26 @@ class TestEvolveSqrt:
         with pytest.raises(ValueError, match="exceeds supported maximum 16"):
             density.evolve_sqrt_trajectory(np.zeros((17, 17)), np.full(17, 1 / 17), 0, 1, 0.1)
 
+    @pytest.mark.parametrize("generator", [np.array([0.1, -0.2, 0.1]), np.zeros((3, 4))],
+                             ids=["vector", "3x4"])
+    def test_refuses_a_rate_matrix_not_d_by_d(self, generator):
+        with pytest.raises(ValueError, match="does not match 3 probabilities"):
+            density.evolve_sqrt_trajectory(generator, [0.5, 0.3, 0.2], 0, 0.5, 0.01)
+
+    def test_steps_through_rk4_path(self, monkeypatch):
+        # a counting wrapper in place of the module attribute, as the
+        # benchmark's spans install theirs
+        calls = []
+
+        def rk4_path(*args):
+            calls.append(args[2:5])
+            return original(*args)
+
+        original = numkit.rk4_path
+        monkeypatch.setattr(numkit, "rk4_path", rk4_path)
+        traj = density.evolve_sqrt_trajectory(GENERIC_S4, GENERIC_P, 0.0, 0.5, 1e-3)
+        assert calls == [(0.0, 0.5, 1e-3)] and len(traj) == 501
+
     def test_floor_violation_reports_time(self):
         s = np.diag([-50.0, 0.0, 0.0, 0.0])
         with pytest.raises(FloorViolationError) as info:
@@ -125,7 +145,7 @@ class TestSqrtRightHandSide:
             lowest.append(a.min())
             return reference(tau, a)
 
-        ref = numkit.rk4_path(recorded, np.sqrt(p0), 0.0, t1, 0.01)
+        ref = per_step_rk4_path(recorded, np.sqrt(p0), 0.0, t1, 0.01)
         if min(lowest) < 0:
             # a backward run drove a probability through 0 inside a step:
             # the reference runs on with a negative amplitude, the flow refuses
@@ -154,7 +174,7 @@ class TestSqrtRightHandSide:
         with pytest.raises(FloorViolationError) as new:
             density.evolve_sqrt_trajectory(generator, p0, 0.0, 2.0, 1e-3)
         with pytest.raises(FloorViolationError) as old:
-            numkit.rk4_path(h_forming_rhs(generator), np.sqrt(p0), 0.0, 2.0, 1e-3)
+            per_step_rk4_path(h_forming_rhs(generator), np.sqrt(p0), 0.0, 2.0, 1e-3)
         assert new.value.time == old.value.time
         assert new.value.component == old.value.component == 2
         assert 0.0 < new.value.time < 2.0

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +247,17 @@ class TestOdeEvolve:
         assert np.array_equal(numkit.ode_evolve(np.zeros((d, d)), np.ones(d), 0, 1, 0.1).final,
                               np.ones(d))
 
+    def test_state_of_more_than_max_dim_refused_before_the_time_grid(self):
+        # the grid of MAX_STEPS steps alone would take 80 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds supported maximum 16"):
+                numkit.ode_evolve(np.zeros((17, 17)), np.ones(17), 0, 1, numkit.MAX_STEPS ** -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_callable_shape_checked(self):
         # a scalar-only callable returns one matrix for a whole block of times
         with pytest.raises(ValueError):
@@ -274,7 +288,8 @@ class TestOdeEvolve:
             seen.append(t)
             return np.zeros_like(y)
 
-        traj = numkit.rk4_path(rhs, np.array([1.0]), 0.1, 0.7, 0.003)
+        traj = numkit.rk4_path(rhs, np.array([1.0]), 0.1, 0.7, 0.003, np.ndarray.tolist,
+                               failing_block)
         h = (0.7 - 0.1) / (len(traj) - 1)
         expected = []
         for t in traj.times[:-1]:
@@ -285,6 +300,11 @@ class TestOdeEvolve:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as info:
             numkit.ode_evolve(np.array([[1e8]]), np.array([1.0]), 0.0, 10.0, 0.1)
         assert info.value.time > 0
+
+
+def failing_block(f, y, stages, h, rows):
+    """A fast pass that always fails, so rk4_path steps each block by its checked replay."""
+    raise ValueError("no fast pass")
 
 
 def broadcast(g):
@@ -420,6 +440,15 @@ class TestIncrementPath:
                 per_step_rk4_path(matmul_rhs, np.array([1e-300]), 0, 60, 1,
                                   broadcast(np.array([[7000.0]])))
         assert const.value.time == stage.value.time == 44.0
+
+    def test_fast_pass_warns_of_nothing(self):
+        # the doubled increment of the unexcited 7000 mode overflows and
+        # meets a zero component (nan): each block is replayed, and its
+        # states are finite, so the caller sees no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = numkit.ode_evolve(np.diag([7000.0, -1.0]), [0.0, 1.0], 0, 10, 0.01)
+        assert (traj.states[:, 0] == 0).all() and np.isfinite(traj.states).all()
 
     def test_non_finite_initial_state_fails_at_first_step(self):
         y0 = np.array([np.nan, 1.0])
@@ -608,7 +637,7 @@ class TestLeanStagePath:
         y0 = np.array([1.0, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteStateError) as lean:
-                numkit.rk4_path(rhs, y0, 0.0, 3.0, h)
+                numkit.rk4_path(rhs, y0, 0.0, 3.0, h, np.ndarray.tolist, failing_block)
             with pytest.raises(NonFiniteStateError) as reference:
                 per_step_rk4_path(rhs, y0, 0.0, 3.0, h)
         assert lean.value.time == reference.value.time
@@ -621,7 +650,8 @@ class TestLeanStagePath:
             return -y
 
         with pytest.raises(ZeroDivisionError) as lean:
-            numkit.rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01)
+            numkit.rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01, np.ndarray.tolist,
+                            failing_block)
         with pytest.raises(ZeroDivisionError) as reference:
             per_step_rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01)
         assert str(lean.value) == str(reference.value)
