@@ -5,12 +5,11 @@ import numpy as np
 
 from epiqmap import mapping, quantum
 
-params = quantum.QubitPairHamiltonian.hermitian(
+h = quantum.build_hamiltonian(
     ep_1a=1.05, ep_2a=0.95, ep_1b=1.05, ep_2b=0.95,
     ts_a=0.1, ts_b=0.1,
     ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
 )
-h = quantum.build_hamiltonian(params)
 psi0 = quantum.wave_from_polar([0.30, 0.20, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
 
 # ---------------------------------------------------------------------------
@@ -40,7 +39,7 @@ print("embedding gap      :", np.abs(rebuilt - complex_traj.states).max())
 
 # the classical rate matrix at one instant: note the square-root ratios
 # of split components and the zero diagonal (no on-site loss here)
-s8 = mapping.build_split_generator(params, psi0)
+s8 = mapping.build_split_generator(h, psi0)
 print("\nS(0) first row     :", s8[0])
 print("S(0) diagonal      :", np.diag(s8))
 
@@ -49,7 +48,7 @@ print("S(0) diagonal      :", np.diag(s8))
 # dx/dt must match S(t) x.  Samples where a phase crosses a multiple of
 # pi/2 (a split component hits zero) are excluded, not failures.
 # ---------------------------------------------------------------------------
-report = mapping.verify_equivalence(params, psi0, 0.0, 5.0, 1e-3)
+report = mapping.verify_equivalence(h, psi0, 0.0, 5.0, 1e-3)
 print("\nmax ||dx/dt - S x||:", report.max_residual)
 print("checked samples    :", report.checked_samples)
 print("excluded samples   :", len(report.excluded_times))
@@ -57,9 +56,9 @@ print("split consistency  :", report.split_consistency_gap)
 print("probability drift  :", report.norm_drift, "(Hermitian: conserved)")
 
 # dissipative variant: complex site energies show up on the S diagonal
-lossy = quantum.QubitPairHamiltonian(
+lossy = quantum.build_hamiltonian(
     ep_1a=1.05 - 0.1j, ep_2a=0.95 - 0.1j, ep_1b=1.05 - 0.1j, ep_2b=0.95 - 0.1j,
-    ts_a_12=0.1, ts_a_21=0.1, ts_b_12=0.1, ts_b_21=0.1,
+    ts_a=0.1, ts_b=0.1, ts_a_21=0.1, ts_b_21=0.1,
     ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
 )
 lossy_report = mapping.verify_equivalence(lossy, psi0, 0.0, 5.0, 1e-3)

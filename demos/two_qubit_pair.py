@@ -5,12 +5,11 @@ import numpy as np
 
 from epiqmap import quantum
 
-params = quantum.QubitPairHamiltonian.hermitian(
+h = quantum.build_hamiltonian(
     ep_1a=1.05, ep_2a=0.95, ep_1b=1.05, ep_2b=0.95,
     ts_a=0.1, ts_b=0.1,
     ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
 )
-h = quantum.build_hamiltonian(params)
 print("pair Hamiltonian (basis 1A1B, 1A2B, 2A1B, 2A2B):\n", h.real)
 print("corner entries (both electrons hopping at once) are zero:",
       h[0, 3], h[3, 0])
@@ -18,7 +17,7 @@ print("corner entries (both electrons hopping at once) are zero:",
 # start in a product of one-qubit superpositions
 psi0 = np.kron(np.array([0.8, 0.6], dtype=complex),
                np.array([0.6, 0.8], dtype=complex))
-traj = quantum.evolve_schrodinger(params, psi0, 0.0, 10.0, 1e-3)
+traj = quantum.evolve_schrodinger(h, psi0, 0.0, 10.0, 1e-3)
 
 norms = (np.abs(traj.states) ** 2).sum(axis=1)
 print("\nnorm drift over [0, 10]:", np.abs(norms - 1.0).max())
@@ -51,9 +50,9 @@ print("occupancies at t=10       :", polar.probabilities[-1])
 # Electron escape: a negative imaginary part on every site drains the
 # total occupancy at rate 2 * |Im sum| = 0.4 here.
 # ---------------------------------------------------------------------------
-lossy = quantum.QubitPairHamiltonian(
+lossy = quantum.build_hamiltonian(
     ep_1a=1.05 - 0.1j, ep_2a=0.95 - 0.1j, ep_1b=1.05 - 0.1j, ep_2b=0.95 - 0.1j,
-    ts_a_12=0.1, ts_a_21=0.1, ts_b_12=0.1, ts_b_21=0.1,
+    ts_a=0.1, ts_b=0.1, ts_a_21=0.1, ts_b_21=0.1,
     ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
 )
 lossy_traj = quantum.evolve_schrodinger(lossy, psi0, 0.0, 5.0, 1e-3)

@@ -225,13 +225,13 @@ def check_entanglement_entropy():
     u, v = parts[:, 0] + 1j * parts[:, 1], parts[:, 2] + 1j * parts[:, 3]
     s_a, s_b = quantum.pure_entropy_pair((u[:, :, None] * v[:, None, :]).reshape(20, 4))
     worst_product = max(0.0, float(s_a.max()), float(s_b.max()))
-    params = quantum.QubitPairHamiltonian.hermitian(
+    h = quantum.build_hamiltonian(
         1.05, 0.95, 1.02, 0.98, 0.1, 0.12, 0.0, 0.0, 0.0, 0.0
     )
     psi0 = np.kron(
         np.array([0.8, 0.6], dtype=complex), np.array([0.6, 0.8j], dtype=complex)
     )
-    traj = quantum.evolve_schrodinger(params, psi0, 0.0, 5.0, 1e-3)
+    traj = quantum.evolve_schrodinger(h, psi0, 0.0, 5.0, 1e-3)
     s_a, _ = quantum.pure_entropy_pair(traj.states[::50])
     worst_drift = max(0.0, float(s_a.max()))
     return [
@@ -242,8 +242,8 @@ def check_entanglement_entropy():
     ]
 
 
-def _reference_hermitian_params():
-    return quantum.QubitPairHamiltonian.hermitian(
+def _reference_hamiltonian():
+    return quantum.build_hamiltonian(
         1.05, 0.95, 1.05, 0.95, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20
     )
 
@@ -256,8 +256,7 @@ def _reference_psi0():
 
 def check_quantum_unitarity():
     """Norm and energy conservation of the Hermitian pair Hamiltonian."""
-    params = _reference_hermitian_params()
-    h = quantum.build_hamiltonian(params)
+    h = _reference_hamiltonian()
     psi0 = _reference_psi0()
     traj = quantum.evolve_schrodinger(h, psi0, 0.0, 10.0, 1e-3)
     norms = np.abs(traj.states) ** 2
@@ -275,9 +274,8 @@ def check_quantum_unitarity():
 
 def check_mapping_certificate():
     """The 2N classical image certifies the quantum trajectory."""
-    params = _reference_hermitian_params()
-    report = mapping.verify_equivalence(params, _reference_psi0(), 0.0, 5.0, 1e-3)
-    h4 = quantum.build_hamiltonian(params)
+    h4 = _reference_hamiltonian()
+    report = mapping.verify_equivalence(h4, _reference_psi0(), 0.0, 5.0, 1e-3)
     h2 = np.array([[1.0, 0.1 + 0.05j], [0.1 - 0.05j, 0.9]])
     psi2 = np.array([0.8, 0.6j])
     worst_embed = 0.0
@@ -300,12 +298,12 @@ def check_mapping_certificate():
 
 def check_dissipation():
     """Uniform on-site loss drains total probability monotonically."""
-    params = quantum.QubitPairHamiltonian(
+    h = quantum.build_hamiltonian(
         ep_1a=1.05 - 0.1j, ep_2a=0.95 - 0.1j, ep_1b=1.05 - 0.1j, ep_2b=0.95 - 0.1j,
-        ts_a_12=0.1, ts_a_21=0.1, ts_b_12=0.1, ts_b_21=0.1,
+        ts_a=0.1, ts_b=0.1, ts_a_21=0.1, ts_b_21=0.1,
         ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
     )
-    report = mapping.verify_equivalence(params, _reference_psi0(), 0.0, 5.0, 1e-3)
+    report = mapping.verify_equivalence(h, _reference_psi0(), 0.0, 5.0, 1e-3)
     ratio = float(report.total_probability[-1] / report.total_probability[0])
     return [
         SubCheck("largest upward step of sum p", report.monotonicity_defect, 0.0),
@@ -326,8 +324,7 @@ def check_aharonov_bohm():
     local_gap = float(
         max(abs(shifts[0] - 0.7), abs(shifts[1] - 0.7), abs(shifts[2]), abs(shifts[3]))
     )
-    params = _reference_hermitian_params()
-    h = quantum.build_hamiltonian(params)
+    h = _reference_hamiltonian()
     p0 = np.array([0.30, 0.20, 0.25, 0.25])
     shifted = mapping.apply_aharonov_bohm(
         theta, mapping.SitePotential(0.4, 0.4, 0.4, 0.4, dot_diameter=0.5)

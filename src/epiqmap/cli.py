@@ -59,7 +59,7 @@ class Scenario:
     t1: float
     dt: float
     seed: int
-    source: object  # what the model's simulate runs: a generator or a Hamiltonian
+    source: object  # what the model's simulate runs: a generator or a Hamiltonian matrix
     initial_state: np.ndarray
     events: list
     outputs: list
@@ -163,20 +163,11 @@ def _parse_hamiltonian(spec):
              "hamiltonian.ep must list four on-site energies")
     ep = [_complex_field(v, "hamiltonian.ep[%d]" % i) for i, v in enumerate(spec["ep"])]
     ec = _number_list(spec["ec"], 4, "hamiltonian.ec")
-    ts_a = _complex_field(spec["ts_a"], "hamiltonian.ts_a")
-    ts_b = _complex_field(spec["ts_b"], "hamiltonian.ts_b")
-    ts_a_21 = (
-        _complex_field(spec["ts_a_21"], "hamiltonian.ts_a_21")
-        if "ts_a_21" in spec else np.conj(ts_a)
-    )
-    ts_b_21 = (
-        _complex_field(spec["ts_b_21"], "hamiltonian.ts_b_21")
-        if "ts_b_21" in spec else np.conj(ts_b)
-    )
-    return quantum.QubitPairHamiltonian(
-        ep_1a=ep[0], ep_2a=ep[1], ep_1b=ep[2], ep_2b=ep[3],
-        ts_a_12=ts_a, ts_a_21=ts_a_21, ts_b_12=ts_b, ts_b_21=ts_b_21,
-        ec_11=ec[0], ec_12=ec[1], ec_21=ec[2], ec_22=ec[3],
+    # a hopping named ts_*_21 is 2 -> 1; left out, it is ts_*'s conjugate
+    hops = {key: _complex_field(spec[key], "hamiltonian." + key)
+            for key in ("ts_a", "ts_b", "ts_a_21", "ts_b_21") if key in spec}
+    return quantum.build_hamiltonian(
+        *ep, ec_11=ec[0], ec_12=ec[1], ec_21=ec[2], ec_22=ec[3], **hops,
     )
 
 
@@ -229,14 +220,16 @@ def _parse_coupled4(config):
 
 
 def _parse_wave(config):
-    """A qubit-pair Hamiltonian and the four complex amplitudes it evolves."""
+    """A qubit-pair Hamiltonian matrix and the four complex amplitudes it evolves."""
+    from . import quantum
+
     hamiltonian = _parse_hamiltonian(config.get("hamiltonian"))
     raw = config["initial_state"]
     _require(isinstance(raw, list) and len(raw) == 4, "initial_state must have 4 amplitudes")
     state = np.array([_complex_field(v, "initial_state[%d]" % i) for i, v in enumerate(raw)])
     norm = float((np.abs(state) ** 2).sum())
     _require(norm > 0, "initial_state must have a nonzero norm")
-    if hamiltonian.is_hermitian:
+    if quantum.is_hermitian(hamiltonian):
         _require(abs(norm - 1.0) <= 1e-9,
                  "initial_state norm %.12f must be 1 for a Hermitian run" % norm)
     return hamiltonian, state
@@ -464,7 +457,7 @@ def _simulate_coupled4(scenario):
 def _simulate_quantum2q(scenario):
     from . import quantum
 
-    h = quantum.build_hamiltonian(scenario.source)
+    h = scenario.source
     times, states, event_checks = _segmented_evolution(-1j * h, scenario.initial_state, scenario)
     probs = np.abs(states) ** 2
     columns = _probability_columns(times, probs, ("pI", "pII", "pIII", "pIV"))
@@ -473,7 +466,7 @@ def _simulate_quantum2q(scenario):
         s_a, s_b = quantum.pure_entropy_pair(states)
         columns += [("SA", s_a), ("SB", s_b)]
         checks.append(_check("entropy_symmetry_gap", float(np.abs(s_a - s_b).max()), 1e-9))
-    if not scenario.source.is_hermitian:
+    if not quantum.is_hermitian(h):
         # a non-Hermitian H need not conserve the total probability
         norm0 = (np.abs(scenario.initial_state) ** 2).sum()
         checks.append(_check("norm_drift", float(np.abs(probs.sum(axis=1) - norm0).max())))

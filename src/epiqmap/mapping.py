@@ -15,7 +15,8 @@ Phases survive the embedding only through tan(Theta_k)^2 = x_{2k}/x_{2k-1},
 so the sign (quadrant) of a phase is not recoverable, and the rate
 matrix is a certificate along a given trajectory rather than an
 autonomous classical model: closing it would need a phase-velocity law
-the embedding does not supply.
+the embedding does not supply.  Every function here takes the
+Hamiltonian as its complex N x N matrix H.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import numkit
 from .errors import FloorViolationError
-from .quantum import QubitPairHamiltonian, evolve_schrodinger, hamiltonian_matrix, polar_split
+from .quantum import evolve_schrodinger, is_hermitian, polar_split
 
 SPLIT_FLOOR = 1e-12
 
@@ -113,7 +114,7 @@ def _split_generator_from_amplitudes(a, y):
     return 2.0 * a * (y[..., :, None] / y[..., None, :])
 
 
-def build_split_generator(hamiltonian, psi):
+def build_split_generator(h, psi):
     """Rate matrix S with dx/dt = S x along the wave's split image.
 
     Derived by conjugating the real-form generator with the signed
@@ -123,7 +124,7 @@ def build_split_generator(hamiltonian, psi):
     whenever a split component vanishes (a phase crossing a multiple of
     pi/2); below SPLIT_FLOOR this raises rather than extrapolating.
     """
-    a = real_form_generator(hamiltonian_matrix(hamiltonian))
+    a = real_form_generator(h)
     return _split_generator_from_amplitudes(a, amplitudes_from_wave(psi))
 
 
@@ -170,7 +171,8 @@ class MappingReport:
     S(t) x at every interior sample whose split components clear the
     floor; samples that do not are listed in excluded_times (generic
     phase crossings, not failures).  Gap fields are max-norm over the
-    checked samples; phase recovery is relative on tan^2.
+    checked samples; phase recovery is relative on tan^2.  hermitian is
+    quantum.is_hermitian(H): H equals its conjugate transpose exactly.
     """
 
     times: np.ndarray
@@ -187,13 +189,13 @@ class MappingReport:
     residuals: np.ndarray = field(repr=False, default=None)
 
 
-def verify_equivalence(hamiltonian, psi0, t0, t1, dt):
-    """Run the quantum evolution and certify its classical 2N image."""
-    h = hamiltonian_matrix(hamiltonian)
-    if isinstance(hamiltonian, QubitPairHamiltonian):
-        hermitian = hamiltonian.is_hermitian
-    else:
-        hermitian = bool(np.allclose(h, np.conj(h.T), rtol=0.0, atol=1e-14))
+def verify_equivalence(h, psi0, t0, t1, dt):
+    """Run the quantum evolution of H and certify its classical 2N image.
+
+    The real form is built first, so an H too large for it is refused
+    before the trajectory is evolved or split.
+    """
+    a_form = real_form_generator(h)
     traj = evolve_schrodinger(h, psi0, t0, t1, dt)
     polar = polar_split(traj)
     states = np.asarray(traj.states)
@@ -213,7 +215,6 @@ def verify_equivalence(hamiltonian, psi0, t0, t1, dt):
     # samples with a split component below SPLIT_FLOOR are excluded
     times = traj.times
     h_step = times[1] - times[0] if len(times) > 1 else 0.0
-    a_form = real_form_generator(h)
     interior = np.arange(2, len(times) - 2)
     low = x[interior].min(axis=1) < SPLIT_FLOOR
     excluded = times[interior[low]]
@@ -238,7 +239,7 @@ def verify_equivalence(hamiltonian, psi0, t0, t1, dt):
         excluded_times=excluded,
         split_consistency_gap=split_gap,
         phase_recovery_gap=phase_gap,
-        hermitian=hermitian,
+        hermitian=is_hermitian(h),
         norm_drift=norm_drift,
         monotonicity_defect=monotonicity_defect,
         residual_times=times[checked],
@@ -246,13 +247,13 @@ def verify_equivalence(hamiltonian, psi0, t0, t1, dt):
     )
 
 
-def evolve_real_form(hamiltonian, psi0, t0, t1, dt):
+def evolve_real_form(h, psi0, t0, t1, dt):
     """Integrate the interleaved real-amplitude system dx/dt = A x.
 
     Companion to evolve_schrodinger for the embedding-exactness checks:
     reconstructing psi from the result must reproduce the complex
     integration to integrator accuracy.
     """
-    a = real_form_generator(hamiltonian_matrix(hamiltonian))
+    a = real_form_generator(h)
     y0 = amplitudes_from_wave(np.asarray(psi0, dtype=complex))
     return numkit.ode_evolve(a, y0, t0, t1, dt)

@@ -5,7 +5,9 @@ A minimal tight-binding Hamiltonian on the joint basis
 amplitude per direction per qubit, and four diagonal Coulomb energies
 for the electron-pair configurations.  On-site energies may be complex;
 a negative imaginary part models electron escape, a positive one
-injection.  hbar = 1 throughout.
+injection.  build_hamiltonian assembles the complex 4x4 matrix, and that
+matrix is the only Hamiltonian the functions here and in mapping take.
+hbar = 1 throughout.
 """
 
 from dataclasses import dataclass
@@ -18,55 +20,6 @@ from .density import reduced_density, von_neumann_entropy
 PHASE_HOLD_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class QubitPairHamiltonian:
-    """Parameters of the coupled-pair Hamiltonian.
-
-    ep_*     : complex on-site energies (imaginary part = gain/loss)
-    ts_*_12  : hopping site 1 -> 2 amplitude for that qubit
-    ts_*_21  : hopping site 2 -> 1 amplitude
-    ec_ij    : real Coulomb energy of configuration (iA, jB), e.g. the
-               precomputed q^2 / d_{iA-jB}
-    """
-
-    ep_1a: complex
-    ep_2a: complex
-    ep_1b: complex
-    ep_2b: complex
-    ts_a_12: complex
-    ts_a_21: complex
-    ts_b_12: complex
-    ts_b_21: complex
-    ec_11: float
-    ec_12: float
-    ec_21: float
-    ec_22: float
-
-    @classmethod
-    def hermitian(cls, ep_1a, ep_2a, ep_1b, ep_2b, ts_a, ts_b, ec_11, ec_12, ec_21, ec_22):
-        """Hermitian parameter set: real energies, conjugate hopping pairs."""
-        return cls(
-            ep_1a=float(ep_1a), ep_2a=float(ep_2a),
-            ep_1b=float(ep_1b), ep_2b=float(ep_2b),
-            ts_a_12=complex(ts_a), ts_a_21=np.conj(complex(ts_a)),
-            ts_b_12=complex(ts_b), ts_b_21=np.conj(complex(ts_b)),
-            ec_11=float(ec_11), ec_12=float(ec_12),
-            ec_21=float(ec_21), ec_22=float(ec_22),
-        )
-
-    @property
-    def is_hermitian(self):
-        onsite_real = all(
-            abs(complex(e).imag) == 0.0
-            for e in (self.ep_1a, self.ep_2a, self.ep_1b, self.ep_2b)
-        )
-        hops_conjugate = (
-            self.ts_a_21 == np.conj(self.ts_a_12)
-            and self.ts_b_21 == np.conj(self.ts_b_12)
-        )
-        return onsite_real and hops_conjugate
-
-
 def coulomb_energy(charge, distance):
     """Helper converting a charge/distance pair into q^2 / d."""
     if distance <= 0:
@@ -74,45 +27,54 @@ def coulomb_energy(charge, distance):
     return charge * charge / distance
 
 
-def build_hamiltonian(params):
+def build_hamiltonian(ep_1a, ep_2a, ep_1b, ep_2b, ts_a, ts_b, ec_11, ec_12, ec_21, ec_22,
+                      ts_a_21=None, ts_b_21=None):
     """Assemble the 4x4 matrix on the (1A1B, 1A2B, 2A1B, 2A2B) basis.
+
+    ep_*  : complex on-site energies (imaginary part = gain/loss)
+    ts_*  : hopping site 1 -> 2 amplitude for that qubit; ts_*_21, the
+            2 -> 1 amplitude, defaults to its conjugate
+    ec_ij : real Coulomb energy of configuration (iA, jB), e.g. the
+            precomputed q^2 / d_{iA-jB}
 
     B-qubit hoppings connect states differing in the B site, positions
     (1,2) and (3,4); A-qubit hoppings connect (1,3) and (2,4); the
     anti-diagonal corners stay zero (both electrons cannot hop at once).
     """
-    p = params
+    if ts_a_21 is None:
+        ts_a_21 = np.conj(complex(ts_a))
+    if ts_b_21 is None:
+        ts_b_21 = np.conj(complex(ts_b))
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = p.ep_1a + p.ep_1b + p.ec_11
-    h[1, 1] = p.ep_1a + p.ep_2b + p.ec_12
-    h[2, 2] = p.ep_2a + p.ep_1b + p.ec_21
-    h[3, 3] = p.ep_2a + p.ep_2b + p.ec_22
-    h[0, 1] = p.ts_b_21
-    h[1, 0] = p.ts_b_12
-    h[2, 3] = p.ts_b_21
-    h[3, 2] = p.ts_b_12
-    h[0, 2] = p.ts_a_21
-    h[2, 0] = p.ts_a_12
-    h[1, 3] = p.ts_a_21
-    h[3, 1] = p.ts_a_12
+    h[0, 0] = ep_1a + ep_1b + ec_11
+    h[1, 1] = ep_1a + ep_2b + ec_12
+    h[2, 2] = ep_2a + ep_1b + ec_21
+    h[3, 3] = ep_2a + ep_2b + ec_22
+    h[0, 1] = ts_b_21
+    h[1, 0] = ts_b
+    h[2, 3] = ts_b_21
+    h[3, 2] = ts_b
+    h[0, 2] = ts_a_21
+    h[2, 0] = ts_a
+    h[1, 3] = ts_a_21
+    h[3, 1] = ts_a
     return h
 
 
-def hamiltonian_matrix(hamiltonian):
-    """The complex matrix of a QubitPairHamiltonian, or of a matrix."""
-    if isinstance(hamiltonian, QubitPairHamiltonian):
-        return build_hamiltonian(hamiltonian)
-    return np.asarray(hamiltonian, dtype=complex)
+def is_hermitian(h):
+    """Whether H equals its conjugate transpose exactly."""
+    h = np.asarray(h)
+    return bool(np.array_equal(h, np.conj(h.T)))
 
 
-def evolve_schrodinger(hamiltonian, psi0, t0, t, dt):
+def evolve_schrodinger(h, psi0, t0, t, dt):
     """Trajectory of d psi/dt = -i H psi (hbar = 1), fixed-step RK4.
 
-    hamiltonian is a constant complex matrix or a QubitPairHamiltonian;
-    it is stepped by numkit.ode_evolve's increment matrix of -i H.
+    h is a constant complex matrix; it is stepped by numkit.ode_evolve's
+    increment matrix of -i H.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    return numkit.ode_evolve(-1j * hamiltonian_matrix(hamiltonian), psi0, t0, t, dt)
+    return numkit.ode_evolve(-1j * np.asarray(h, dtype=complex), psi0, t0, t, dt)
 
 
 def wave_from_polar(probabilities, phases):
@@ -183,10 +145,10 @@ def pure_entropy_pair(psi):
     return s_a, s_b
 
 
-def expectation_energy(hamiltonian_matrix, psi):
+def expectation_energy(h, psi):
     """<psi|H|psi> / <psi|psi>."""
     psi = np.asarray(psi, dtype=complex)
     norm_sq = float(np.vdot(psi, psi).real)
     if norm_sq <= 0:
         raise ValueError("state has zero norm")
-    return complex(np.vdot(psi, hamiltonian_matrix @ psi)) / norm_sq
+    return complex(np.vdot(psi, h @ psi)) / norm_sq

@@ -12,6 +12,44 @@ from epiqmap import acceptance
 
 _TOTALS = {}
 
+# repr of every subcheck value, by (criterion, label), as NumPy 2 prints
+# them: a change that moves a last digit of the numerical contract is a
+# declared change of its own, which re-takes this table
+VALUES = {
+    ("propagator_closed_form", "closed form vs RK4, 100 seeded generators"):
+        "1.7763568394002505e-15",
+    ("spectral_fidelity", "2x2 closed-form residual"): "2.842170943040401e-14",
+    ("spectral_fidelity", "4x4 symmetric-coupled residual"): "1.4210854715202004e-14",
+    ("spectral_fidelity", "overlap when s12 = s21"): "1.804390181600247e-14",
+    ("spectral_fidelity", "non-orthogonal witness overlap"): "0.4285714285714285",
+    ("rabi_ratio", "fitted log-ratio slope error, 20 generators"):
+        "np.float64(6.106226635438361e-16)",
+    ("ensemble_roundtrip", "roundtrip error, 1000 seeded states"): "3.3306690738754696e-16",
+    ("sqrt_transform", "squared sqrt-flow vs matrix-exponential flow"): "1.3100631690576847e-14",
+    ("sqrt_transform", "probabilities stayed above 1e-6"): "0.1",
+    ("density_eom", "transpose-form residual, generic rates"): "5.515388146193345e-11",
+    ("density_eom", "anticommutator residual, symmetric case"): "6.875111591142513e-12",
+    ("entanglement_entropy", "|S_A - S_B| over random pure states"): "7.91033905045424e-16",
+    ("entanglement_entropy", "Bell-analog entropy vs ln 2"): "np.float64(0.0)",
+    ("entanglement_entropy", "product-state entropy"): "3.634514974501746e-15",
+    ("entanglement_entropy", "S_A under non-interacting evolution"): "8.003298776841284e-15",
+    ("quantum_unitarity", "norm drift over t in [0, 10]"): "1.7763568394002505e-14",
+    ("quantum_unitarity", "energy drift over t in [0, 10]"): "8.881784197001252e-16",
+    ("mapping_certificate", "max ||dx/dt - S x|| outside crossings"): "1.8606449714297923e-11",
+    ("mapping_certificate", "split consistency x_re + x_im = p"): "3.3306690738754696e-16",
+    ("mapping_certificate", "real-form embedding rebuilds psi (N=2,4)"): "5.064917260848194e-16",
+    ("mapping_certificate", "generator dimension is 2N"): "1.0",
+    ("dissipation", "largest upward step of sum p"): "0.0",
+    ("dissipation", "sum p(5) / sum p(0) below 0.95"): "0.13533528323690933",
+    ("dissipation", "norm ratio vs brute-force value"): "2.966238366042262e-13",
+    ("aharonov_bohm", "zero potential is the identity"): "0.0",
+    ("aharonov_bohm", "site-local shift hits exactly two phases"): "0.0",
+    ("aharonov_bohm", "global potential leaves probabilities invariant"): "3.885780586188048e-15",
+    ("measurement_semantics", "projective after-states"): "0.0",
+    ("measurement_semantics", "weak-measurement update"): "0.0",
+    ("measurement_semantics", "B-trajectory back-action divergence"): "0.24252933528912868",
+}
+
 
 @pytest.mark.parametrize(
     "name,func,description", acceptance.CRITERIA, ids=[c[0] for c in acceptance.CRITERIA]
@@ -28,6 +66,9 @@ def test_criterion(name, func, description):
         assert sub.passed, "%s: %s: %.6e %s %.6e" % (
             name, sub.label, sub.value, op, sub.tolerance,
         )
+    assert {sub.label: repr(sub.value) for sub in subchecks} == {
+        label: value for (criterion, label), value in VALUES.items() if criterion == name
+    }
 
 
 def test_suite_runtime_budget():

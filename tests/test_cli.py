@@ -614,6 +614,21 @@ class TestNormalizationGuard:
     LOSSY = {"ep": [[1.05, -0.1], 0.95, 1.05, 0.95], "ts_a": 0.1, "ts_b": 0.1,
              "ec": [0.05, 0.1, 0.15, 0.2]}
 
+    # gain on A's sites cancels loss on B's in every configuration, so the
+    # assembled H equals its conjugate transpose exactly: a Hermitian run
+    CANCELLING = {"ep": [[1.0, 0.1], [0.9, 0.1], [1.0, -0.1], [0.9, -0.1]],
+                  "ts_a": 0.1, "ts_b": 0.1, "ec": [0.05, 0.1, 0.15, 0.2]}
+
+    def test_cancelling_gain_and_loss_require_normalized_state(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quantum_config(
+            hamiltonian=self.CANCELLING,
+            initial_state=[[0.6, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]],
+        ))
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: initial_state norm 1.110000000000 must be 1 for a Hermitian run\n"
+        )
+
     @pytest.mark.parametrize("command, model, outputs", [
         ("simulate", "quantum2q", ["probabilities", "entropies"]),
         ("map", "mapping", ["residuals"]),
@@ -647,6 +662,20 @@ class TestNormDrift:
         checks, _ = self.checks(tmp_path, quantum_config()["hamiltonian"])
         assert list(checks) == ["entropy_symmetry_gap"]
 
+    def test_cancelling_gain_and_loss_have_no_norm_drift(self, tmp_path):
+        checks, _ = self.checks(tmp_path, TestNormalizationGuard.CANCELLING)
+        assert list(checks) == ["entropy_symmetry_gap"]
+
+    def test_cancelling_gain_and_loss_map_checks_probability_drift(self, tmp_path):
+        cfg = write_config(tmp_path, quantum_config(
+            model="mapping", outputs=["residuals"], hamiltonian=TestNormalizationGuard.CANCELLING,
+            initial_state=TestPinnedOutput.REFERENCE_PSI0,
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["map", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert checks["total_probability_drift"]["passed"]
+
 
 class TestPinnedOutput:
     """series.csv digests pinned from the composed RK4 increment path.
@@ -659,7 +688,9 @@ class TestPinnedOutput:
     column's largest value.  Evaluating generators over
     blocks of stage times, dispatching models through cli.MODELS, or
     computing ensemble weights and entropies over whole stacks must not
-    move a single printed digit.
+    move a single printed digit.  The mapping and lossy quantum2q
+    scenarios pin report.json too: its checks (which ones are listed
+    follows from whether H is Hermitian) and their values.
     """
 
     README_EXAMPLE = {
@@ -772,6 +803,32 @@ class TestPinnedOutput:
                    {"time": 1.0, "type": "projective", "target": "sample_B"}],
     }
 
+    # acceptance's reference pair and psi0, Hermitian and with uniform
+    # on-site loss (the dissipation criterion's pair)
+    REFERENCE_PAIR = {"ep": [1.05, 0.95, 1.05, 0.95], "ts_a": 0.1, "ts_b": 0.1,
+                      "ec": [0.05, 0.1, 0.15, 0.2]}
+    LOSSY_PAIR = {"ep": [[1.05, -0.1], [0.95, -0.1], [1.05, -0.1], [0.95, -0.1]],
+                  "ts_a": 0.1, "ts_b": 0.1, "ts_a_21": 0.1, "ts_b_21": 0.1,
+                  "ec": [0.05, 0.1, 0.15, 0.2]}
+    REFERENCE_PSI0 = [[0.5232593451018832, 0.16186308338700411],
+                      [0.2416305368642088, 0.3763172646248299],
+                      [0.46053049700144255, -0.19470917115432526],
+                      [0.3483533546735827, 0.3586780454497614]]
+
+    MAPPING_HERMITIAN = {
+        "schema": 1,
+        "model": "mapping",
+        "t0": 0.0, "t1": 2.0, "dt": 0.01,
+        "hamiltonian": REFERENCE_PAIR,
+        "initial_state": REFERENCE_PSI0,
+    }
+
+    MAPPING_LOSSY = dict(MAPPING_HERMITIAN, hamiltonian=LOSSY_PAIR)
+
+    QUANTUM_LOSSY_ENTROPIES = dict(
+        MAPPING_LOSSY, model="quantum2q", outputs=["probabilities", "entropies"],
+    )
+
     @pytest.mark.parametrize("config, digest", [
         (README_EXAMPLE, "075ac3c27a75bc264f73fd30b9bbd1b7584e38c3f1166bcec43d5c4b056b9ca8"),
         (KRON_SUM_TABLE, "9dd7b67343ca4252c204dc1d7034b8f3b41424a3cbc675f3d4654b5b67997922"),
@@ -790,3 +847,21 @@ class TestPinnedOutput:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, config, series, report", [
+        ("map", MAPPING_HERMITIAN,
+         "4b91b36e929d452126976efea3dd5b7f6ba9b47439e3f48336f85d76908b9b73",
+         "6fced8d3d43865b2203a9468c57ebd566fac91a652440892dd95486e0a595ecb"),
+        ("map", MAPPING_LOSSY,
+         "3365c2cffad6c6c95a56e641ddd4b467896db329fc0e7bc9d97a8bc0a0a3b16f",
+         "71219fe3c14fcad365a366b8142aeb170f0494b6da09e55b4f5c56efd3de61de"),
+        ("simulate", QUANTUM_LOSSY_ENTROPIES,
+         "93e775c55433ad9a22ca6d6223b15e2df3f1f6b2931787f471a69dc6b86a0bfc",
+         "987df8c9fbba26f5edb8bdf4801af938443f32dd04ac2e31e0ab822452481b74"),
+    ], ids=["map_hermitian", "map_lossy", "quantum2q_lossy_entropies"])
+    def test_series_and_report_digest(self, tmp_path, command, config, series, report):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == series
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report

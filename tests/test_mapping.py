@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,8 @@ from epiqmap import mapping, numkit, quantum
 from epiqmap.errors import FloorViolationError
 
 
-def hermitian_params():
-    return quantum.QubitPairHamiltonian.hermitian(
-        1.05, 0.95, 1.05, 0.95, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20
-    )
+def hermitian_h():
+    return quantum.build_hamiltonian(1.05, 0.95, 1.05, 0.95, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20)
 
 
 REFERENCE_PSI0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
@@ -109,7 +109,7 @@ class TestRealFormGenerator:
         assert np.abs(norms - 1.0).max() <= 1e-10
 
     def test_four_level_embedding_matches_schrodinger(self):
-        h = quantum.build_hamiltonian(hermitian_params())
+        h = hermitian_h()
         complex_traj = quantum.evolve_schrodinger(h, REFERENCE_PSI0, 0.0, 5.0, 1e-3)
         real_traj = mapping.evolve_real_form(h, REFERENCE_PSI0, 0.0, 5.0, 1e-3)
         rebuilt = real_traj.states[:, 0::2] + 1j * real_traj.states[:, 1::2]
@@ -155,7 +155,7 @@ class TestBuildS8:
     """The 8x8 split generator S of a two-qubit wave state."""
 
     def test_truly_stationary_state_is_a_fixed_point(self):
-        h = quantum.build_hamiltonian(hermitian_params())
+        h = hermitian_h()
         values, vectors = numkit.eig(h)
         # shift the spectrum so one eigenstate has eigenvalue zero and is
         # genuinely time independent; rotate it off the real axis so no
@@ -167,7 +167,7 @@ class TestBuildS8:
         assert np.abs(s8 @ x).max() <= 1e-8
 
     def test_finite_difference_oracle_along_trajectory(self):
-        h = quantum.build_hamiltonian(hermitian_params())
+        h = hermitian_h()
         traj = quantum.evolve_schrodinger(h, REFERENCE_PSI0, 0.0, 0.1, 1e-4)
         states = traj.states
         x = np.empty((len(states), 8))
@@ -180,13 +180,9 @@ class TestBuildS8:
             assert np.abs(dx - s8 @ x[i]).max() <= 1e-6
 
     def test_block_diagonal_when_hoppings_vanish(self):
-        params = quantum.QubitPairHamiltonian(
-            ep_1a=1.0, ep_2a=0.8, ep_1b=1.2, ep_2b=0.9,
-            ts_a_12=0.0, ts_a_21=0.0, ts_b_12=0.0, ts_b_21=0.0,
-            ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
-        )
+        h = quantum.build_hamiltonian(1.0, 0.8, 1.2, 0.9, 0.0, 0.0, 0.05, 0.10, 0.15, 0.20)
         psi = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        s8 = mapping.build_split_generator(params, psi)
+        s8 = mapping.build_split_generator(h, psi)
         for i in range(4):
             for j in range(4):
                 block = s8[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
@@ -198,13 +194,11 @@ class TestBuildS8:
                     assert block[0, 1] * block[1, 0] < 0.0
 
     def test_dissipative_sites_enter_the_diagonal(self):
-        params = quantum.QubitPairHamiltonian(
-            ep_1a=1.0 - 0.1j, ep_2a=1.0 - 0.1j, ep_1b=1.0 - 0.1j, ep_2b=1.0 - 0.1j,
-            ts_a_12=0.0, ts_a_21=0.0, ts_b_12=0.0, ts_b_21=0.0,
-            ec_11=0.0, ec_12=0.0, ec_21=0.0, ec_22=0.0,
+        h = quantum.build_hamiltonian(
+            1.0 - 0.1j, 1.0 - 0.1j, 1.0 - 0.1j, 1.0 - 0.1j, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
         psi = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        s8 = mapping.build_split_generator(params, psi)
+        s8 = mapping.build_split_generator(h, psi)
         assert np.allclose(np.diag(s8), -0.4)
 
     @settings(max_examples=200, deadline=None)
@@ -229,7 +223,7 @@ class TestBuildS8:
         assert (np.abs(s_x - flow) <= (4 * n + 4) * np.finfo(float).eps * terms).all()
 
     def test_floor_violation_for_real_state(self):
-        h = quantum.build_hamiltonian(hermitian_params())
+        h = hermitian_h()
         psi = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)  # all phases zero
         with pytest.raises(FloorViolationError):
             mapping.build_split_generator(h, psi)
@@ -261,7 +255,7 @@ class TestAharonovBohm:
         assert np.abs(out - expected).max() < 1e-14
 
     def test_global_shift_leaves_probabilities_invariant(self):
-        h = quantum.build_hamiltonian(hermitian_params())
+        h = hermitian_h()
         p0 = np.array([0.3, 0.2, 0.25, 0.25])
         theta = np.array([0.3, 1.0, -0.4, 0.8])
         shifted = mapping.apply_aharonov_bohm(theta, mapping.SitePotential(0.4, 0.4, 0.4, 0.4))
@@ -272,7 +266,7 @@ class TestAharonovBohm:
 
 class TestVerifyEquivalence:
     def test_hermitian_reference_certificate(self):
-        report = mapping.verify_equivalence(hermitian_params(), REFERENCE_PSI0, 0.0, 2.0, 1e-3)
+        report = mapping.verify_equivalence(hermitian_h(), REFERENCE_PSI0, 0.0, 2.0, 1e-3)
         assert report.hermitian
         assert report.max_residual <= 1e-6
         assert report.split_consistency_gap <= 1e-10
@@ -281,16 +275,27 @@ class TestVerifyEquivalence:
         assert report.checked_samples > 0
 
     def test_dissipative_monotone_decay(self):
-        params = quantum.QubitPairHamiltonian(
-            ep_1a=1.05 - 0.1j, ep_2a=0.95 - 0.1j, ep_1b=1.05 - 0.1j, ep_2b=0.95 - 0.1j,
-            ts_a_12=0.1, ts_a_21=0.1, ts_b_12=0.1, ts_b_21=0.1,
-            ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
+        h = quantum.build_hamiltonian(
+            1.05 - 0.1j, 0.95 - 0.1j, 1.05 - 0.1j, 0.95 - 0.1j, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20,
+            ts_a_21=0.1, ts_b_21=0.1,
         )
-        report = mapping.verify_equivalence(params, REFERENCE_PSI0, 0.0, 5.0, 1e-3)
+        report = mapping.verify_equivalence(h, REFERENCE_PSI0, 0.0, 5.0, 1e-3)
         assert not report.hermitian
         assert report.monotonicity_defect == 0.0
         assert report.total_probability[-1] < 0.95 * report.total_probability[0]
         assert report.max_residual <= 1e-6
+
+    def test_oversized_h_is_refused_before_evolving(self):
+        # 2N = 18 > numkit.MAX_DIM: 200,001 samples of nine amplitudes
+        # would be evolved and split before the real form refused them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="square H with 2N <= 16"):
+                mapping.verify_equivalence(np.eye(9), np.ones(9) / 3, 0.0, 200.0, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_zero_hamiltonian(self):
         report = mapping.verify_equivalence(np.zeros((4, 4), dtype=complex),
@@ -337,7 +342,7 @@ class TestVerifyEquivalence:
 
     def test_stacked_split_helpers(self):
         y = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 8))
-        a = mapping.real_form_generator(quantum.build_hamiltonian(hermitian_params()))
+        a = mapping.real_form_generator(hermitian_h())
         stacked = mapping._split_generator_from_amplitudes(a, y)
         p, tan2 = mapping.phase_from_split(y * y)
         for k in range(5):

@@ -49,3 +49,61 @@ def test_scan_sees_attribute_and_import_reads(tmp_path):
         "nk._rk4_block, nk.rk4_path, nk.__name__, __version__\n"
     )
     assert private_reads(module) == [(2, "numkit._sample_times"), (3, "numkit._rk4_block")]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names no program calls, kept as paper quantities
+UNCALLED_BY_DESIGN = {"quantum.coulomb_energy"}
+
+
+def public_definitions(path):
+    """'module.name' for each public top-level function and class of path."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {
+        "%s.%s" % (path.stem, node.name) for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def named(paths):
+    """Every identifier the files read, import or take as an attribute.
+
+    Names are matched without their module, so a definition counts as
+    used when any module names something of the same name.
+    """
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_definition_is_used_by_a_program():
+    programs = [path for folder in ("src", "demos", "benchmarks")
+                for path in sorted((ROOT / folder).rglob("*.py"))]
+    defined = set().union(*(public_definitions(path) for path in sorted(PACKAGE.glob("*.py"))))
+    used = named(programs)
+    unused = {name for name in defined if name.split(".")[1] not in used}
+    assert unused == UNCALLED_BY_DESIGN
+
+
+def test_use_scan_sees_reads_imports_and_attributes(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .quantum import polar_split as split\n"
+        "class Report:\n"
+        "    pass\n"
+        "def helper():\n"
+        "    return split, numkit.rk4_path, Report\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    assert public_definitions(module) == {"module.Report", "module.helper"}
+    assert named([module]) >= {"polar_split", "split", "numkit", "rk4_path", "Report"}
+    assert "helper" not in named([module])

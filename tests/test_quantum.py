@@ -7,44 +7,37 @@ from hypothesis.extra.numpy import arrays
 from epiqmap import numkit, quantum
 
 
-def hermitian_params(**overrides):
+def hermitian_h(**overrides):
     base = dict(
         ep_1a=1.05, ep_2a=0.95, ep_1b=1.05, ep_2b=0.95,
         ts_a=0.1, ts_b=0.1,
         ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
     )
     base.update(overrides)
-    return quantum.QubitPairHamiltonian.hermitian(**base)
+    return quantum.build_hamiltonian(**base)
 
 
 class TestBuildHamiltonian:
     def test_uncoupled_diagonal(self):
-        params = quantum.QubitPairHamiltonian(
-            ep_1a=1.0, ep_2a=2.0, ep_1b=3.0, ep_2b=5.0,
-            ts_a_12=0.0, ts_a_21=0.0, ts_b_12=0.0, ts_b_21=0.0,
-            ec_11=0.0, ec_12=0.0, ec_21=0.0, ec_22=0.0,
-        )
-        h = quantum.build_hamiltonian(params)
+        h = quantum.build_hamiltonian(1.0, 2.0, 3.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert np.array_equal(h, np.diag([4.0, 6.0, 5.0, 7.0]).astype(complex))
 
     def test_hermitian_parameters_give_hermitian_matrix(self):
-        h = quantum.build_hamiltonian(hermitian_params(ts_a=0.1 + 0.05j, ts_b=0.2 - 0.1j))
-        assert np.abs(h - np.conj(h.T)).max() <= 1e-15
+        h = hermitian_h(ts_a=0.1 + 0.05j, ts_b=0.2 - 0.1j)
+        assert quantum.is_hermitian(h)
+        assert h[0, 2] == 0.1 - 0.05j and h[0, 1] == 0.2 + 0.1j
 
     def test_anti_diagonal_corners_vanish(self):
-        h = quantum.build_hamiltonian(hermitian_params())
+        h = hermitian_h()
         assert h[0, 3] == 0.0
         assert h[3, 0] == 0.0
         assert h[1, 2] == 0.0
         assert h[2, 1] == 0.0
 
     def test_hopping_placement(self):
-        params = quantum.QubitPairHamiltonian(
-            ep_1a=0.0, ep_2a=0.0, ep_1b=0.0, ep_2b=0.0,
-            ts_a_12=1.0, ts_a_21=2.0, ts_b_12=3.0, ts_b_21=4.0,
-            ec_11=0.0, ec_12=0.0, ec_21=0.0, ec_22=0.0,
+        h = quantum.build_hamiltonian(
+            0.0, 0.0, 0.0, 0.0, 1.0, 3.0, 0.0, 0.0, 0.0, 0.0, ts_a_21=2.0, ts_b_21=4.0,
         )
-        h = quantum.build_hamiltonian(params)
         expected = np.array(
             [
                 [0.0, 4.0, 2.0, 0.0],
@@ -62,13 +55,25 @@ class TestBuildHamiltonian:
             quantum.coulomb_energy(1.0, 0.0)
 
     def test_hermitian_flag(self):
-        assert hermitian_params().is_hermitian
-        lossy = quantum.QubitPairHamiltonian(
-            ep_1a=1.0 - 0.1j, ep_2a=1.0, ep_1b=1.0, ep_2b=1.0,
-            ts_a_12=0.1, ts_a_21=0.1, ts_b_12=0.1, ts_b_21=0.1,
-            ec_11=0.0, ec_12=0.0, ec_21=0.0, ec_22=0.0,
+        assert quantum.is_hermitian(hermitian_h())
+        lossy = quantum.build_hamiltonian(
+            1.0 - 0.1j, 1.0, 1.0, 1.0, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0, ts_a_21=0.1, ts_b_21=0.1,
         )
-        assert not lossy.is_hermitian
+        assert not quantum.is_hermitian(lossy)
+        assert not quantum.is_hermitian(hermitian_h(ts_a_21=0.2))
+        # exact: an entry 1e-15 off its mirror is not Hermitian
+        nearly = hermitian_h()
+        nearly[0, 1] += 1e-15j
+        assert not quantum.is_hermitian(nearly)
+
+    def test_gains_cancelling_losses_are_hermitian(self):
+        # gain +0.1 on A's sites, loss -0.1 on B's: every configuration
+        # holds one of each, so H's diagonal is real
+        h = quantum.build_hamiltonian(
+            1 + 0.1j, 0.9 + 0.1j, 1 - 0.1j, 0.9 - 0.1j, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20,
+        )
+        assert np.array_equal(h.diagonal().imag, np.zeros(4))
+        assert quantum.is_hermitian(h)
 
 
 class TestEvolveSchrodinger:
@@ -85,32 +90,29 @@ class TestEvolveSchrodinger:
         assert np.abs(traj.final - expected).max() < 1e-10
 
     def test_unitary_oracle_and_norm_drift(self):
-        params = hermitian_params()
-        h = quantum.build_hamiltonian(params)
+        h = hermitian_h()
         psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        traj = quantum.evolve_schrodinger(params, psi0, 0.0, 10.0, 1e-3)
+        traj = quantum.evolve_schrodinger(h, psi0, 0.0, 10.0, 1e-3)
         norms = (np.abs(traj.states) ** 2).sum(axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-9
         oracle = numkit.mat_exp(-1j * h * 10.0) @ psi0
         assert np.abs(traj.final - oracle).max() <= 1e-8
 
     def test_energy_conservation(self):
-        params = hermitian_params()
-        h = quantum.build_hamiltonian(params)
+        h = hermitian_h()
         psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        traj = quantum.evolve_schrodinger(params, psi0, 0.0, 5.0, 1e-3)
+        traj = quantum.evolve_schrodinger(h, psi0, 0.0, 5.0, 1e-3)
         e0 = quantum.expectation_energy(h, psi0).real
         for psi in traj.states[::250]:
             assert abs(quantum.expectation_energy(h, psi).real - e0) <= 1e-8
 
     def test_dissipation_decreases_norm_everywhere(self):
-        params = quantum.QubitPairHamiltonian(
-            ep_1a=1.0 - 0.05j, ep_2a=1.0 - 0.05j, ep_1b=1.0 - 0.05j, ep_2b=1.0 - 0.05j,
-            ts_a_12=0.1, ts_a_21=0.1, ts_b_12=0.1, ts_b_21=0.1,
-            ec_11=0.05, ec_12=0.10, ec_21=0.15, ec_22=0.20,
+        h = quantum.build_hamiltonian(
+            1.0 - 0.05j, 1.0 - 0.05j, 1.0 - 0.05j, 1.0 - 0.05j, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20,
+            ts_a_21=0.1, ts_b_21=0.1,
         )
         psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        traj = quantum.evolve_schrodinger(params, psi0, 0.0, 5.0, 1e-3)
+        traj = quantum.evolve_schrodinger(h, psi0, 0.0, 5.0, 1e-3)
         totals = (np.abs(traj.states) ** 2).sum(axis=1)
         assert np.all(np.diff(totals) < 0)
 
@@ -167,7 +169,7 @@ class TestPolarSplit:
 
     def test_matches_per_sample_loop_on_reference_trajectory(self):
         psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        traj = quantum.evolve_schrodinger(hermitian_params(), psi0, 0.0, 50.0, 1e-3)
+        traj = quantum.evolve_schrodinger(hermitian_h(), psi0, 0.0, 50.0, 1e-3)
         polar = quantum.polar_split(traj)
         phases, held = polar_split_loop(traj.states)
         assert len(traj) == 50001
