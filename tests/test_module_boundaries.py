@@ -1,8 +1,11 @@
-"""No package module reads another package module's private names.
+"""No package module reads another package module's private names, and
+every public definition of the package is used by a program.
 
 A private name (one leading underscore, not a dunder) stays behind the
 module that defines it: the block and replay policy of numkit's RK4, for
-one, is reached only through numkit.rk4_path.
+one, is reached only through numkit.rk4_path.  A public function or
+class that nothing in src, demos or benchmarks names is an unused
+helper, unless it is a paper quantity kept on purpose.
 """
 
 import ast
