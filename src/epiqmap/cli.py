@@ -229,6 +229,8 @@ def _parse_wave(config):
     state = np.array([_complex_field(v, "initial_state[%d]" % i) for i, v in enumerate(raw)])
     norm = float((np.abs(state) ** 2).sum())
     _require(norm > 0, "initial_state must have a nonzero norm")
+    # finite amplitudes can have a norm that overflows
+    _require(norm < np.inf, "initial_state must have a finite norm")
     if quantum.is_hermitian(hamiltonian):
         _require(abs(norm - 1.0) <= 1e-9,
                  "initial_state norm %.12f must be 1 for a Hermitian run" % norm)
@@ -454,12 +456,22 @@ def _simulate_coupled4(scenario):
     return _probability_columns(times, states, names), checks
 
 
+def _require_finite(times, finite):
+    """Raise NonFiniteStateError at the first of times at which finite is False.
+
+    A gain can drive finite amplitudes to probabilities that overflow.
+    """
+    if not finite.all():
+        raise NonFiniteStateError(times[finite.argmin()])
+
+
 def _simulate_quantum2q(scenario):
     from . import quantum
 
     h = scenario.source
     times, states, event_checks = _segmented_evolution(-1j * h, scenario.initial_state, scenario)
     probs = np.abs(states) ** 2
+    _require_finite(times, np.isfinite(probs).all(axis=1))
     columns = _probability_columns(times, probs, ("pI", "pII", "pIII", "pIV"))
     checks = []
     if "entropies" in scenario.outputs:
@@ -479,6 +491,8 @@ def _simulate_mapping(scenario):
     report = mapping.verify_equivalence(
         scenario.source, scenario.initial_state, scenario.t0, scenario.t1, scenario.dt,
     )
+    _require_finite(report.times, np.isfinite(report.total_probability))
+    _require_finite(report.residual_times, np.isfinite(report.residuals))
     columns = [("t", report.residual_times), ("residual", report.residuals)]
     residual = _check("mapping_residual", report.max_residual, 1e-6)
     # a certificate that checked no sample certifies nothing

@@ -54,10 +54,12 @@ def sqrt_dynamics_generator(generator, p, t=0.0):
     return 0.5 * s * (a / a[:, None])
 
 
-# RK4 steps of da/dt = (1/2) (S p) / a in Python floats, one block row
-# each.  A stage screens its input x as evolve_sqrt_trajectory's rhs does,
-# sums each row of r (x * x) from left to right, with r = S / 2, and
-# divides by x; the stages combine as in numkit.rk4_path's checked steps.
+# RK4 steps of da/dt = (1/2) (S p) / a in Python floats, their states
+# appended to one flat list of block rows.  A stage compares each entry
+# of its input x with the screen, checking x as evolve_sqrt_trajectory's
+# rhs does when one is below it, sums each row of r (x * x) from left to
+# right, with r = S / 2, and divides by x; the stages combine as in
+# numkit.rk4_path's checked steps.
 _SQRT_BLOCK = """\
 def sqrt_block(y, r, stages, h, screen, check):
     {a}, = y
@@ -67,7 +69,7 @@ def sqrt_block(y, r, stages, h, screen, check):
     rows = []
     for j in range(m):
 {stages}
-        rows.append(({a},))
+        rows += ({a},)
     return rows
 """
 
@@ -79,7 +81,8 @@ def _sqrt_block(d):
     for k, tau, scale in ((1, "j", "half"), (2, "m + j", "half"), (3, "m + j", "h"),
                           (4, "2 * m + j", None)):
         xs = ", ".join(x % i for i in ids)
-        lines += ["if min((%s,)) < screen: check(stages[%s], array((%s,)))" % (xs, tau, xs)]
+        screened = " or ".join("%s < screen" % (x % i) for i in ids)
+        lines += ["if %s: check(stages[%s], array((%s,)))" % (screened, tau, xs)]
         lines += ["q{0} = {1} * {1}".format(i, x % i) for i in ids]
         sums = (" + ".join("r%d_%d * q%d" % (i, j, j) for j in ids) for i in ids)
         lines += ["k%d_%d = (%s) / %s" % (k, i, row, x % i) for i, row in enumerate(sums)]
@@ -122,7 +125,7 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
         )
     # an amplitude at or above this has p = a * a above the floor, so one
     # screen catches both a low probability and a negative amplitude
-    screen = np.sqrt(PROBABILITY_FLOOR) * (1.0 + 1e-12)
+    screen = float(np.sqrt(PROBABILITY_FLOOR) * (1.0 + 1e-12))
     r = half.ravel().tolist()
 
     def check_stage(tau, a):
@@ -139,7 +142,7 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
         return half.dot(a * a) / a
 
     def float_block(f, y, stages, h, rows):
-        rows[:] = _sqrt_block(len(y))(y.tolist(), r, stages, h, screen, check_stage)
+        rows.reshape(-1)[:] = _sqrt_block(len(y))(y.tolist(), r, stages, h, screen, check_stage)
         return rows[-1]
 
     return numkit.rk4_path(rhs, np.sqrt(p0), t0, t, dt, np.ndarray.tolist, float_block)

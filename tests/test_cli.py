@@ -677,6 +677,48 @@ class TestNormDrift:
         assert checks["total_probability_drift"]["passed"]
 
 
+class TestOverflowingProbabilities:
+    """A run whose probabilities overflow fails; it writes no inf or nan cell."""
+
+    # on-site gain on configuration IV
+    GAIN = {"ep": [1.05, 0.95, 1.05, [0.0, 0.5]], "ts_a": 0.1, "ts_b": 0.1,
+            "ec": [0.05, 0.1, 0.15, 0.2]}
+
+    @pytest.mark.parametrize("command, model", [("simulate", "quantum2q"), ("map", "mapping")])
+    @pytest.mark.parametrize("overrides, code, message", [
+        # |1e308|^2 overflows: the norm is not finite
+        ({"initial_state": [[1e308, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]}, 2,
+         "config error: initial_state must have a finite norm\n"),
+        # a normalized state under a strong gain: the amplitudes stay finite
+        # (about 1e172 at t1) but |psi|^2 overflows from t = 1.55
+        ({"hamiltonian": dict(GAIN, ep=[1.05, 0.95, 1.05, [0.0, 800.0]]), "t1": 1.7}, 3,
+         "numeric failure: non-finite state encountered at t = 1.5499999999999998\n"),
+    ], ids=["huge_initial_state", "overflowing_gain"])
+    def test_exits_without_writing_a_non_finite_cell(self, tmp_path, capsys, command, model,
+                                                     overrides, code, message):
+        config = quantum_config(model=model, hamiltonian=self.GAIN, t1=0.5, dt=0.05)
+        del config["outputs"]
+        config.update(overrides)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)]) == code
+        assert capsys.readouterr().err == message
+        assert not (out / "series.csv").exists()
+
+    def test_map_exits_3_when_a_residual_overflows(self, tmp_path, capsys):
+        # every |psi|^2 up to t1 is below 1e308, but from t = 1.763 the
+        # certificate's five-point dx/dt, about 2e306 / (12 dt), overflows
+        config = quantum_config(model="mapping", t1=1.775, dt=0.001,
+                                hamiltonian=dict(self.GAIN, ep=[1.05, 0.95, 1.05, [0.0, 200.0]]))
+        del config["outputs"]
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["map", "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite state encountered at t = 1.7630000000000001\n")
+        assert not (out / "series.csv").exists()
+
+
 class TestPinnedOutput:
     """series.csv digests pinned from the composed RK4 increment path.
 

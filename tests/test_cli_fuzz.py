@@ -26,7 +26,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from epiqmap import cli
@@ -233,8 +233,18 @@ def check_outputs(out):
     return [c["name"] for c in report["checks"] if c["passed"] is False]
 
 
+# a non-Hermitian run whose first amplitude is finite but whose norm overflows
+OVERFLOWING_NORM = {
+    "schema": 1, "model": "quantum2q", "t0": 0.0, "t1": SPAN[0], "dt": SPAN[1], "seed": 7,
+    "initial_state": [[1e308, 0.0], *STATES["quantum2q"][1:]], "events": [],
+    "hamiltonian": dict(HAMILTONIAN, ep=[1.05, 0.95, 1.05, [0.0, 0.5]]),
+}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=scenarios(), command=st.sampled_from(["simulate", "map"]))
+@example(config=OVERFLOWING_NORM, command="simulate")
+@example(config=dict(OVERFLOWING_NORM, model="mapping"), command="map")
 def test_main_returns_a_contract_exit_code(config, command):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"

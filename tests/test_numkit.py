@@ -20,6 +20,22 @@ def series_expm(m, terms=30):
     return out
 
 
+def one_matrix_expm(m):
+    """Reference: scaling and squaring of one matrix, as mat_exp sums each sample."""
+    norm = np.linalg.norm(m, np.inf)
+    squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
+    a = m / 2.0 ** squarings
+    result = term = np.eye(len(m), dtype=m.dtype)
+    for k in range(1, 60):
+        term = term @ a / k
+        result = result + term
+        if np.linalg.norm(term, np.inf) < 1e-18 * max(1.0, np.linalg.norm(result, np.inf)):
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
 def char_poly_coefficients(m):
     """Faddeev-LeVerrier recursion for det(lam I - M) coefficients."""
     n = m.shape[0]
@@ -85,6 +101,51 @@ class TestMatExp:
             numkit.mat_exp(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             numkit.mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+class TestMatExpStack:
+    """An (n, d, d) stack is exponentiated sample by sample, one matrix as a stack of one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16), complex_=st.booleans(),
+           exponents=st.lists(st.floats(-8.0, 6.0), max_size=6))
+    def test_each_sample_is_its_own_exponential(self, seed, d, complex_, exponents):
+        # inf-norms 2**e: 2**-8 takes no squaring and 2**6 takes seven, so
+        # every stack mixes samples that stop and square at different counts;
+        # entries spread over nine decades, so a term summed after a sample's
+        # stop would move the last bits of its small entries
+        rng = np.random.default_rng(seed)
+        exponents = [-8.0, 6.0] + exponents
+        shape = (len(exponents), d, d)
+
+        def entries():
+            return rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.uniform(-9.0, 0.0, size=shape)
+
+        m = entries() + 1j * entries() if complex_ else entries()
+        m *= (2.0 ** np.array(exponents) / np.abs(m).sum(axis=2).max(axis=1))[:, None, None]
+        out = numkit.mat_exp(m)
+        assert out.shape == m.shape and out.dtype == m.dtype
+        for k in range(len(m)):
+            one = numkit.mat_exp(m[k])
+            assert one.shape == (d, d) and one.dtype == out.dtype
+            assert out[k].tobytes() == one.tobytes() == one_matrix_expm(m[k]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_stack(self, dtype):
+        out = numkit.mat_exp(np.zeros((0, 3, 3), dtype=dtype))
+        assert out.shape == (0, 3, 3) and out.dtype == dtype
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            numkit.mat_exp(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"square matrix stack, got shape \(2, 2, 3\)"):
+            numkit.mat_exp(np.zeros((2, 2, 3)))
+        for m in (np.array([[np.nan, 0.0], [0.0, 0.0]]), np.full((2, 2, 2), np.inf)):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                numkit.mat_exp(m)
+        for m in (np.zeros((17, 17)), np.zeros((2, 17, 17))):
+            with pytest.raises(ValueError, match="dimension 17 exceeds supported maximum 16"):
+                numkit.mat_exp(m)
 
 
 class TestEig:
