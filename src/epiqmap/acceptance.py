@@ -47,31 +47,75 @@ class CheckResult:
         return all(s.passed for s in self.subchecks)
 
 
+def _seeded_draws(rng, n, width, healthy):
+    """n rows of width uniform(-1, 1) draws, each kept where healthy(rows) holds.
+
+    Each round draws exactly the rows still needed, so the rows kept,
+    and the state rng is left in, are those of a loop that draws one
+    row at a time until n rows are kept.
+    """
+    kept = [np.empty((0, width))]
+    while n:
+        draws = rng.uniform(-1.0, 1.0, size=(n, width))
+        draws = draws[healthy(draws)]
+        kept.append(draws)
+        n -= len(draws)
+    return np.concatenate(kept)
+
+
 def _random_frame_generator(rng, symmetric=False):
     """A seeded 2x2 generator with a healthy closed-form spectral frame."""
-    return epidemic.Generator2(*_random_frame_matrix(rng, symmetric).ravel())
+    return epidemic.Generator2(*_random_frame_matrices(rng, 1, symmetric).ravel())
 
 
 def _random_frame_matrices(rng, n, symmetric=False):
-    """n rate matrices drawn as n calls of _random_frame_generator would draw them."""
-    # filled one draw at a time, so no list of n small arrays is held
-    draws = (_random_frame_matrix(rng, symmetric) for _ in range(n))
-    return np.fromiter(draws, dtype=np.dtype((float, (2, 2))), count=n)
+    """n seeded (2, 2) rate matrices with healthy closed-form spectral frames.
 
-
-def _random_frame_matrix(rng, symmetric=False):
-    """The rate matrix of _random_frame_generator, drawn the same way."""
-    while True:
-        s11, s12, s21, s22 = rng.uniform(-1.0, 1.0, size=4)
+    A draw (s11, s12, s21, s22) takes s12 = s21 when symmetric, and is
+    kept when its discriminant, |s21| and both frame denominators are
+    at least 1e-2.
+    """
+    def healthy(draws):
+        s11, s12, s21, s22 = draws.T
         if symmetric:
             s12 = s21
         disc = (s11 - s22) ** 2 + 4.0 * s12 * s21
-        if disc < 1e-2 or abs(s21) < 1e-2:
-            continue
-        root = np.sqrt(disc)
-        if min(abs(-root + s11 - s22 + 2 * s21), abs(root + s11 - s22 + 2 * s21)) < 1e-2:
-            continue
-        return np.array([[s11, s12], [s21, s22]])
+        kept = (disc >= 1e-2) & (abs(s21) >= 1e-2)
+        root = np.sqrt(np.where(kept, disc, 0.0))
+        low = np.minimum(abs(-root + s11 - s22 + 2 * s21), abs(root + s11 - s22 + 2 * s21))
+        return kept & (low >= 1e-2)
+
+    m = _seeded_draws(rng, n, 4, healthy).reshape(n, 2, 2)
+    if symmetric:
+        m[:, 0, 1] = m[:, 1, 0]
+    return m
+
+
+def _random_coupled_matrices(rng, n):
+    """n seeded symmetric traffic matrices with healthy closed-form modes.
+
+    A draw (s11, s12, s21, s22, s) is kept when both discriminants of
+    coupled.matrix_modes and both of its denominators are at least
+    1e-2; sample k is symmetric_traffic_generator(Generator2(s11, s12,
+    s21, s22), s).matrix(0.0).
+    """
+    def healthy(draws):
+        s11, s12, s21, s22, s = draws.T
+        delta = s11 - s22
+        return (
+            (4 * (s - s12) * (s - s21) + delta**2 >= 1e-2)
+            & (4 * (s + s12) * (s + s21) + delta**2 >= 1e-2)
+            & (np.minimum(abs(2 * (s - s21)), abs(2 * (s + s21))) >= 1e-2)
+        )
+
+    s11, s12, s21, s22, s = _seeded_draws(rng, n, 5, healthy).T
+    zero = np.zeros(n)
+    return np.array([
+        [s11, s12, zero, s],
+        [s21, s22, s, zero],
+        [zero, s, s11, s12],
+        [s, zero, s21, s22],
+    ]).transpose(2, 0, 1).copy()
 
 
 def check_propagator_closed_form():
@@ -110,24 +154,12 @@ def check_spectral_fidelity():
         float(np.abs((m @ frame.v1[:, :, None])[:, :, 0] - frame.e1[:, None] * frame.v1).max()),
         float(np.abs((m @ frame.v2[:, :, None])[:, :, 0] - frame.e2[:, None] * frame.v2).max()),
     )
-    worst4 = 0.0
-    drawn = 0
-    while drawn < 200:
-        s11, s12, s21, s22, s = rng.uniform(-1.0, 1.0, size=5)
-        delta = s11 - s22
-        if 4 * (s - s12) * (s - s21) + delta**2 < 1e-2:
-            continue
-        if 4 * (s + s12) * (s + s21) + delta**2 < 1e-2:
-            continue
-        if min(abs(2 * (s - s21)), abs(2 * (s + s21))) < 1e-2:
-            continue
-        gen = epidemic.Generator2(s11, s12, s21, s22)
-        m4 = coupled.symmetric_traffic_generator(gen, s).matrix(0.0)
-        for mode in coupled.coupled_eigenvectors(gen, s, 0.0):
-            worst4 = max(
-                worst4, float(np.abs(m4 @ mode.vector - mode.value * mode.vector).max())
-            )
-        drawn += 1
+    m4 = _random_coupled_matrices(rng, 200)
+    values, vectors, _ = coupled.matrix_modes(m4)
+    # m4 @ v - value v per mode, with one matrix-vector product per mode
+    # as for one vector (see coupled.matrix_modes)
+    residuals = (m4[:, None] @ vectors[..., None])[..., 0] - values[..., None] * vectors
+    worst4 = max(0.0, float(np.abs(residuals).max()))
     symmetric = epidemic.matrix_frame(_random_frame_matrices(rng, 200, symmetric=True))
     worst_orth = max(0.0, float(np.abs(np.vecdot(symmetric.v1, symmetric.v2)).max()))
     witness = epidemic.spectral_frame(

@@ -145,44 +145,73 @@ class CoupledMode:
 
 
 def coupled_eigenvectors(gen, coupling, t):
-    """The four closed-form eigenvectors of symmetric_traffic_generator(gen, coupling).
+    """The four closed-form eigenpairs of symmetric_traffic_generator(gen, coupling).
 
     gen is the Generator2 of both subsystems and coupling their common
-    cross rate, both taken at the scalar time t.  Vectors keep their
-    unnormalized printed scale (last component 1, second component -1
-    or 1).  Eigenvalues are recovered from the vectors by Rayleigh
-    quotient.  Falls back to a numeric decomposition, flagged, when a
-    closed-form denominator underflows.
+    cross rate, both taken at the scalar time t.  The matrix is taken
+    through matrix_modes as a stack of one.
     """
     m = symmetric_traffic_generator(gen, coupling).matrix(t)
-    (s11, s12, _, s), (s21, s22, _, _) = m[:2]
+    values, vectors, fallback = matrix_modes(m[None])
+    return [
+        CoupledMode(float(values[0, k]), vectors[0, k], k < 2 and not fallback[0],
+                    bool(fallback[0]))
+        for k in range(4)
+    ]
+
+
+def matrix_modes(m):
+    """Closed-form eigenpairs of an (n, 4, 4) stack of symmetric traffic matrices.
+
+    Returns (values, vectors, numeric_fallback): values[k, j] and the
+    vector vectors[k, j] are mode j of sample k, and numeric_fallback
+    has shape (n,).  Vectors keep their unnormalized printed scale (last
+    component 1, second component -1 for the sign-indefinite modes 0
+    and 1, 1 for modes 2 and 3); eigenvalues are recovered from the
+    vectors by Rayleigh quotient.  The closed form is evaluated
+    elementwise over the stack; the samples where a closed-form
+    denominator underflows go, as one stack, through numkit.eig, whose
+    ascending modes replace all four (flagged in numeric_fallback).  A
+    negative discriminant in any sample raises ComplexSpectrumError for
+    the first such sample.
+    """
+    m = np.asarray(m, dtype=float)
+    s11, s12, s = m[:, 0, 0], m[:, 0, 1], m[:, 0, 3]
+    s21, s22 = m[:, 1, 0], m[:, 1, 1]
     delta = s11 - s22
     x_minus = 4.0 * (s - s12) * (s - s21) + delta * delta
     x_plus = 4.0 * (s + s12) * (s + s21) + delta * delta
-    if x_minus < 0 or x_plus < 0:
-        raise ComplexSpectrumError(min(x_minus, x_plus))
+    negative = (x_minus < 0) | (x_plus < 0)
+    if negative.any():
+        k = negative.argmax()
+        raise ComplexSpectrumError(min(x_minus[k], x_plus[k]))
     den_minus = 2.0 * (s - s21)
     den_plus = 2.0 * (s + s21)
-    scale = max(1.0, np.abs(m).max())
-    if min(abs(den_minus), abs(den_plus)) < _DENOM_FLOOR * scale:
-        values, vectors = numkit.eig(m)
-        modes = []
-        for k in range(4):
-            vec = vectors[:, k].real
-            modes.append(CoupledMode(float(values[k].real), vec, False, True))
-        return modes
-
+    scale = np.abs(m).max(axis=(1, 2), initial=1.0)
+    fallback = np.minimum(abs(den_minus), abs(den_plus)) < _DENOM_FLOOR * scale
+    if fallback.any():
+        # the singular samples' closed form is replaced below
+        den_minus = np.where(fallback, 1.0, den_minus)
+        den_plus = np.where(fallback, 1.0, den_plus)
     r_minus = np.sqrt(x_minus)
     r_plus = np.sqrt(x_plus)
-    v1 = np.array([(delta - r_minus) / den_minus, -1.0, (r_minus - delta) / den_minus, 1.0])
-    v2 = np.array([(r_minus + delta) / den_minus, -1.0, -(r_minus + delta) / den_minus, 1.0])
-    v3 = np.array([(delta - r_plus) / den_plus, 1.0, (delta - r_plus) / den_plus, 1.0])
-    v4 = np.array([(r_plus + delta) / den_plus, 1.0, (r_plus + delta) / den_plus, 1.0])
-    modes = []
-    for vec, indefinite in ((v1, True), (v2, True), (v3, False), (v4, False)):
-        value = float(vec @ m @ vec / (vec @ vec))
-        modes.append(CoupledMode(value, vec, indefinite))
-    return modes
+    one = np.ones_like(delta)
+    vectors = np.stack([
+        ((delta - r_minus) / den_minus, -one, (r_minus - delta) / den_minus, one),
+        ((r_minus + delta) / den_minus, -one, -(r_minus + delta) / den_minus, one),
+        ((delta - r_plus) / den_plus, one, (delta - r_plus) / den_plus, one),
+        ((r_plus + delta) / den_plus, one, (r_plus + delta) / den_plus, one),
+    ]).transpose(2, 0, 1).copy()
+    # each mode's vector as a row and as a column of its own, so every
+    # product rounds as the one-vector v @ m @ v / (v @ v) does; a
+    # (4, 4) @ (4, 4) product of all four modes rounds differently
+    rows, columns = vectors[:, :, None, :], vectors[:, :, :, None]
+    values = ((rows @ m[:, None]) @ columns / (rows @ columns))[:, :, 0, 0]
+    if fallback.any():
+        eig_values, eig_vectors = numkit.eig(m[fallback])
+        values[fallback] = eig_values.real
+        vectors[fallback] = eig_vectors.real.swapaxes(1, 2)
+    return values, vectors, fallback
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ checked per-stage RK4.  All functions are pure; inputs are never
 mutated.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +92,20 @@ def mat_exp(m):
     until the next term falls below 1e-18 of the accumulated norm, and
     it is squared back as often as it was scaled.  So sample k of a
     stack is exactly mat_exp(m[k]), and at these dimensions the relative
-    error stays comfortably below 1e-12.
+    error stays comfortably below 1e-12.  A sample whose inf-norm
+    exceeds 2**1022 (so that 2**squarings would overflow), or whose
+    exponential overflows, raises OverflowError naming the first such
+    sample of a stack; no floating-point warning escapes.
     """
     m = _check_square(m, stacked=np.ndim(m) != 2)
     single = m.ndim == 2
     dtype = complex if np.iscomplexobj(m) else float
     a = (m[None] if single else m).astype(dtype)
-    squarings = np.ceil(np.log2(np.maximum(_inf_norms(a), 0.5) / 0.5)).astype(int)
+    with np.errstate(over="ignore"):
+        norms = _inf_norms(a)
+        exponents = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))
+    _refuse_overflow(exponents <= 1023, single, "inf-norm exceeds 2**1022")
+    squarings = exponents.astype(int)
     a = a / (2.0 ** squarings)[:, None, None]
     result = np.broadcast_to(np.eye(a.shape[-1], dtype=dtype), a.shape).copy()
     term = result.copy()
@@ -110,10 +118,18 @@ def mat_exp(m):
         if not going.any():
             break
         live, a, term = live[going], a[going], term[going]
-    for j in range(squarings.max(initial=0)):
-        square = np.flatnonzero(squarings > j)
-        result[square] = result[square] @ result[square]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(squarings.max(initial=0)):
+            square = np.flatnonzero(squarings > j)
+            result[square] = result[square] @ result[square]
+    _refuse_overflow(np.isfinite(result).all(axis=(1, 2)), single, "matrix exponential overflows")
     return result[0] if single else result
+
+
+def _refuse_overflow(finite, single, message):
+    """OverflowError(message) for the first sample where finite is False, named in a stack."""
+    if not finite.all():
+        raise OverflowError(message + ("" if single else " in sample %d" % finite.argmin()))
 
 
 def _orient(values, vectors):
@@ -284,7 +300,7 @@ def _rk4_block(f, y, stages, h, rows, times):
     return y
 
 
-def _increment_block(f, y, g, h, rows):
+def _increment_block(f, y, g, h, rows, ladder):
     """Linear RK4 steps from y through one block, storing each new state in rows.
 
     g is the block's (3m, d, d) stack of m first, m middle and m last
@@ -293,30 +309,45 @@ def _increment_block(f, y, g, h, rows):
     compose as (I + A)(I + B) = I + (A + B + A @ B), so the block takes
     about log2(m) whole-array operations instead of m steps:
 
-    - all stage matrices equal (a constant generator): one increment E
-      = D; rows[0] = y + f(E, y), then, while n < m rows are filled,
-      rows[n:2n] = rows[:n] + f(rows[:n], E.T) and E <- E + E + E @ E,
-      the increment of 2n steps (the last pass fills only m - n rows);
+    - all stage matrices equal (a constant generator; a stack with zero
+      stride on its first axis is equal without being compared): the
+      ladder E_1 = D, E_2, E_4, ..., with E_2n = E_n + E_n + E_n @ E_n
+      the increment of 2n steps, fills the rows as rows[0] = y + f(E_1,
+      y), then, while n < m rows are filled, rows[n:2n] = rows[:n] +
+      f(rows[:n], E_n.T) (the last pass fills only m - n rows);
     - otherwise: a Hillis-Steele scan P[k:] = P[k:] + P[:-k] +
       P[k:] @ P[:-k] for k = 1, 2, 4, ... < m over the stack P of the
       D_j, after which P[j] is the increment of steps 0..j, and
       rows = y + f(P, y), with P taken as one (m d, d) matrix.
 
+    ladder is a dict of the calling ode_evolve that keeps the last
+    ladder built, keyed by the bytes of its G: a later block of the
+    same call with an equal G reuses its rungs (h is the call's) and
+    builds only the ones it lacks, the same products either way.
     Every product with a state goes through f, ndarray.dot or the same
     product of a 2-d array and a 1-d or 2-d one.  Increments never add
     the identity (see rk4_step_matrix).  Returns the last state.
     """
     m = len(rows)
-    if (g == g[0]).all():
-        a = h * g[0]
-        e = rk4_step_matrix(a, a, a)
-        rows[0] = y + f(e, y)
-        n = 1
+    if not g.strides[0] or (g == g[0]).all():
+        key = g[0].tobytes()
+        if key not in ladder:
+            # one ladder at a time, so a run's memory stays bounded
+            ladder.clear()
+            a = h * g[0]
+            ladder[key] = [rk4_step_matrix(a, a, a)]
+        rungs = ladder[key]
+        rows[0] = y + f(rungs[0], y)
+        # pass k fills rows[n:2n] with rung k, the increment of n = 2**k steps
+        n, k = 1, 0
         while n < m:
+            if k == len(rungs):
+                e = rungs[-1]
+                rungs.append(e + e + e @ e)
             c = min(n, m - n)
-            rows[n:n + c] = rows[:c] + f(rows[:c], e.T)
+            rows[n:n + c] = rows[:c] + f(rows[:c], rungs[k].T)
             n += c
-            e = e + e + e @ e
+            k += 1
     else:
         a = h * g
         p = rk4_step_matrix(a[:m], a[m:2 * m], a[2 * m:])
@@ -399,7 +430,13 @@ def ode_evolve(generator, y0, t0, t1, dt):
     is that matrix; a complex one makes the states complex, while a
     callable's complex matrices need a complex y0 (ValueError).  Each
     block of rk4_path runs _increment_block, which composes the RK4
-    increment matrices D (one step is y + D @ y) of its steps.
+    increment matrices D (one step is y + D @ y) of its steps.  A block
+    of constant stages (a stage stack with zero stride on its first
+    axis, as a constant matrix or a constant RateMatrix.matrix gives,
+    counts as constant without a comparison) doubles one increment
+    through the ladder E_1, E_2, E_4, ...; the call builds it once for
+    each run of blocks with an equal G, with the bits of one built per
+    block.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1:
@@ -426,8 +463,10 @@ def ode_evolve(generator, y0, t0, t1, dt):
         if np.iscomplexobj(g) and not np.iscomplexobj(y0):
             raise ValueError("complex stage matrices need a complex state")
         return g
-    # D.dot(y) is D @ y with less call overhead
-    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, _increment_block)
+    # D.dot(y) is D @ y with less call overhead; the ladder dict is this
+    # call's own
+    fast_block = functools.partial(_increment_block, ladder={})
+    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, fast_block)
 
 
 def numeric_derivative(f, t, h):

@@ -6,9 +6,10 @@ Each test prints one PASS/FAIL line for its criterion (run pytest with
 
 import time
 
+import numpy as np
 import pytest
 
-from epiqmap import acceptance
+from epiqmap import acceptance, coupled, epidemic
 
 _TOTALS = {}
 
@@ -74,3 +75,67 @@ def test_criterion(name, func, description):
 def test_suite_runtime_budget():
     assert len(_TOTALS) == len(acceptance.CRITERIA)
     assert sum(_TOTALS.values()) < 30.0
+
+
+def per_draw_frame_matrix(rng, symmetric):
+    """One healthy 2x2 rate matrix, drawn one rejection at a time."""
+    while True:
+        s11, s12, s21, s22 = rng.uniform(-1.0, 1.0, size=4)
+        if symmetric:
+            s12 = s21
+        disc = (s11 - s22) ** 2 + 4.0 * s12 * s21
+        if disc < 1e-2 or abs(s21) < 1e-2:
+            continue
+        root = np.sqrt(disc)
+        if min(abs(-root + s11 - s22 + 2 * s21), abs(root + s11 - s22 + 2 * s21)) < 1e-2:
+            continue
+        return np.array([[s11, s12], [s21, s22]])
+
+
+def per_draw_coupled_matrix(rng):
+    """One healthy symmetric traffic matrix, drawn one rejection at a time."""
+    while True:
+        s11, s12, s21, s22, s = rng.uniform(-1.0, 1.0, size=5)
+        delta = s11 - s22
+        if 4 * (s - s12) * (s - s21) + delta**2 < 1e-2:
+            continue
+        if 4 * (s + s12) * (s + s21) + delta**2 < 1e-2:
+            continue
+        if min(abs(2 * (s - s21)), abs(2 * (s + s21))) < 1e-2:
+            continue
+        gen = epidemic.Generator2(s11, s12, s21, s22)
+        return coupled.symmetric_traffic_generator(gen, s).matrix(0.0)
+
+
+SEEDS = [0, 1, acceptance.SEED + 1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_frame_draws_are_the_per_draw_loop(seed, n, symmetric):
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = acceptance._random_frame_matrices(rng, n, symmetric)
+    reference = np.array([per_draw_frame_matrix(loop, symmetric) for _ in range(n)])
+    assert drawn.shape == (n, 2, 2)
+    assert drawn.tobytes() == reference.tobytes()
+    assert rng.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_coupled_draws_are_the_per_draw_loop(seed, n):
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = acceptance._random_coupled_matrices(rng, n)
+    reference = np.array([per_draw_coupled_matrix(loop) for _ in range(n)])
+    assert drawn.shape == (n, 4, 4)
+    assert drawn.tobytes() == reference.tobytes()
+    assert rng.bit_generator.state == loop.bit_generator.state
+
+
+def test_frame_generator_is_a_stack_of_one():
+    rng, loop = np.random.default_rng(3), np.random.default_rng(3)
+    for symmetric in (False, True, False):
+        gen = acceptance._random_frame_generator(rng, symmetric)
+        assert gen.matrix(0.0).tobytes() == per_draw_frame_matrix(loop, symmetric).tobytes()
+    assert rng.bit_generator.state == loop.bit_generator.state

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epiqmap import coupled, epidemic, numkit
-from epiqmap.errors import FloorViolationError
+from epiqmap import acceptance, coupled, epidemic, numkit
+from epiqmap.errors import ComplexSpectrumError, FloorViolationError
 
 
 def gen2(s11, s12, s21, s22):
@@ -105,6 +105,115 @@ class TestCoupledEigenvectors:
         m = coupled.symmetric_traffic_generator(base, 0.1).matrix(0.0)
         for mode in modes:
             assert np.abs(m @ mode.vector - mode.value * mode.vector).max() <= 1e-9
+
+
+def one_sample_modes(m):
+    """Reference: the closed form of one symmetric traffic matrix, sample by sample.
+
+    Returns (value, vector, sign_indefinite, numeric_fallback) per mode.
+    """
+    (s11, s12, _, s), (s21, s22, _, _) = m[:2]
+    delta = s11 - s22
+    x_minus = 4.0 * (s - s12) * (s - s21) + delta * delta
+    x_plus = 4.0 * (s + s12) * (s + s21) + delta * delta
+    if x_minus < 0 or x_plus < 0:
+        raise ComplexSpectrumError(min(x_minus, x_plus))
+    den_minus = 2.0 * (s - s21)
+    den_plus = 2.0 * (s + s21)
+    if min(abs(den_minus), abs(den_plus)) < 1e-10 * max(1.0, np.abs(m).max()):
+        values, vectors = numkit.eig(m)
+        return [(float(values[k].real), vectors[:, k].real, False, True) for k in range(4)]
+    r_minus, r_plus = np.sqrt(x_minus), np.sqrt(x_plus)
+    vectors = (
+        np.array([(delta - r_minus) / den_minus, -1.0, (r_minus - delta) / den_minus, 1.0]),
+        np.array([(r_minus + delta) / den_minus, -1.0, -(r_minus + delta) / den_minus, 1.0]),
+        np.array([(delta - r_plus) / den_plus, 1.0, (delta - r_plus) / den_plus, 1.0]),
+        np.array([(r_plus + delta) / den_plus, 1.0, (r_plus + delta) / den_plus, 1.0]),
+    )
+    return [(float(v @ m @ v / (v @ v)), v, k < 2, False) for k, v in enumerate(vectors)]
+
+
+def traffic_matrix(s11, s12, s21, s22, s):
+    return coupled.symmetric_traffic_generator(gen2(s11, s12, s21, s22), s).matrix(0.0)
+
+
+unit_rate = st.floats(-1.0, 1.0)
+# "minus" and "plus" set the cross rate to s21 or -s21, which zeroes a
+# closed-form denominator and sends the sample to numkit.eig
+traffic_draw = st.tuples(unit_rate, unit_rate, unit_rate, unit_rate, unit_rate,
+                         st.sampled_from(["free", "minus", "plus"]))
+
+
+def outcome(m):
+    """one_sample_modes(m), or the error it raises."""
+    try:
+        return one_sample_modes(m)
+    except (ComplexSpectrumError, np.linalg.LinAlgError) as error:
+        return error
+
+
+class TestMatrixModes:
+    """Sample k of coupled.matrix_modes is coupled_eigenvectors of sample k."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(draws=st.lists(traffic_draw, min_size=1, max_size=8))
+    def test_each_sample_is_its_own_closed_form(self, draws):
+        m = np.array([
+            traffic_matrix(s11, s12, s21, s22, {"free": s, "minus": s21, "plus": -s21}[tie])
+            for s11, s12, s21, s22, s, tie in draws
+        ])
+        outcomes = [outcome(sample) for sample in m]
+        complex_ = [o for o in outcomes if isinstance(o, ComplexSpectrumError)]
+        if complex_:
+            with pytest.raises(ComplexSpectrumError) as stacked:
+                coupled.matrix_modes(m)
+            assert str(stacked.value) == str(complex_[0])
+            return
+        assume(not any(isinstance(o, Exception) for o in outcomes))
+        values, vectors, fallback = coupled.matrix_modes(m)
+        for k, reference in enumerate(outcomes):
+            scalar = coupled.coupled_eigenvectors(
+                gen2(*m[k, :2, :2].ravel()), m[k, 0, 3], 0.0
+            )
+            assert fallback[k] == reference[0][3]
+            for j, (value, vector, indefinite, numeric) in enumerate(reference):
+                mode = scalar[j]
+                assert np.float64(mode.value).tobytes() == np.float64(value).tobytes()
+                assert values[k, j].tobytes() == np.float64(value).tobytes()
+                assert mode.vector.tobytes() == vectors[k, j].tobytes() == vector.tobytes()
+                assert (mode.sign_indefinite, mode.numeric_fallback) == (indefinite, numeric)
+
+    def test_mixed_stack_with_fallback_samples(self):
+        rows = [(0.2, 0.3, 0.3, 0.2, 0.1), (0.2, 0.3, 0.1, -0.2, 0.1),
+                (0.4, 0.25, 0.15, -0.1, 0.05), (0.2, 0.3, 0.1, -0.2, -0.1)]
+        m = np.array([traffic_matrix(*row) for row in rows])
+        values, vectors, fallback = coupled.matrix_modes(m)
+        assert fallback.tolist() == [False, True, False, True]
+        for k, row in enumerate(rows):
+            for j, mode in enumerate(coupled.coupled_eigenvectors(gen2(*row[:4]), row[4], 0.0)):
+                assert values[k, j] == mode.value
+                assert vectors[k, j].tobytes() == mode.vector.tobytes()
+
+    def test_one_complex_sample_raises_as_the_scalar_call(self):
+        rows = [(0.2, 0.3, 0.3, 0.2, 0.1), (0.0, -0.5, 0.5, 0.0, 0.0), (0.2, 0.3, 0.1, -0.2, 0.1)]
+        with pytest.raises(ComplexSpectrumError) as scalar:
+            coupled.coupled_eigenvectors(gen2(*rows[1][:4]), rows[1][4], 0.0)
+        with pytest.raises(ComplexSpectrumError) as stacked:
+            coupled.matrix_modes(np.array([traffic_matrix(*row) for row in rows]))
+        assert str(stacked.value) == str(scalar.value)
+        assert stacked.value.discriminant == scalar.value.discriminant
+
+    def test_empty_stack(self):
+        values, vectors, fallback = coupled.matrix_modes(np.zeros((0, 4, 4)))
+        assert values.shape == (0, 4) and vectors.shape == (0, 4, 4) and fallback.shape == (0,)
+
+    def test_acceptance_stack_is_the_generator_matrix(self):
+        # sample k of the check's stack is the symmetric traffic matrix of
+        # its draw (s11, s12, s21, s22, s), read back from its first rows
+        m = acceptance._random_coupled_matrices(np.random.default_rng(7), 200)
+        for sample in m:
+            (s11, s12, _, s), (s21, s22, _, _) = sample[:2]
+            assert traffic_matrix(s11, s12, s21, s22, s).tobytes() == sample.tobytes()
 
 
 class TestMeasurement:

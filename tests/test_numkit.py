@@ -148,6 +148,25 @@ class TestMatExpStack:
                 numkit.mat_exp(m)
 
 
+class TestMatExpOverflow:
+    """A finite matrix whose scaling or exponential overflows raises OverflowError."""
+
+    @pytest.mark.parametrize("m, message", [
+        ([[1e308, 1e308], [0.0, 0.0]], "inf-norm exceeds 2\\*\\*1022"),
+        ([[1e307, 1e307], [0.0, 0.0]], "matrix exponential overflows"),
+    ])
+    def test_alone_and_in_a_stack(self, m, message):
+        m = np.array(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message + "$"):
+                numkit.mat_exp(m)
+            with pytest.raises(OverflowError, match=message + " in sample 1$"):
+                numkit.mat_exp(np.array([0.1 * np.eye(2), m]))
+            with pytest.raises(OverflowError, match=message + " in sample 0$"):
+                numkit.mat_exp(np.array([m, 0.1 * np.eye(2)]))
+
+
 class TestEig:
     def test_diagonal_sorted(self):
         values, vectors = numkit.eig(np.diag([3.0, 1.0, 2.0]))
@@ -715,6 +734,82 @@ class TestLeanStagePath:
                             failing_block)
         with pytest.raises(ZeroDivisionError) as reference:
             per_step_rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01)
+        assert str(lean.value) == str(reference.value)
+
+
+def blockwise(matrices, pattern, h, zero_stride):
+    """A generator constant within each block of rk4_path, matrices[pattern[b]] in block b.
+
+    The block is read from the first stage time a call is handed.  A
+    zero-stride stack is constant without being compared; a copied one
+    goes through the elementwise comparison.
+    """
+    def generator(ts):
+        g = matrices[pattern[round(ts[0] / (numkit.STAGE_BLOCK * h))]]
+        stack = np.broadcast_to(g, (len(ts),) + g.shape)
+        return stack if zero_stride else stack.copy()
+    return generator
+
+
+class TestIncrementLadder:
+    """A constant block reuses the ladder an earlier block of the same call built."""
+
+    @pytest.mark.parametrize("zero_stride", [True, False])
+    @pytest.mark.parametrize("shape", [(2, False), (4, True), (16, False)])
+    def test_jumping_between_blocks_equals_reference(self, zero_stride, shape):
+        # blocks 0-1 share a matrix, block 2 jumps, block 3 returns to the
+        # first, and the last block (58 steps) repeats block 4's
+        g0, y0 = random_system(11, *shape)
+        g1, _ = random_system(12, *shape)
+        g2, _ = random_system(13, *shape)
+        matrices = (0.3 * g0, 0.3 * g1, 0.3 * g2)
+        dt = 0.01
+        n_steps = 5 * numkit.STAGE_BLOCK + 58
+        generator = blockwise(matrices, [0, 0, 1, 0, 2, 2], dt, zero_stride)
+        lean = numkit.ode_evolve(generator, y0, 0.0, n_steps * dt, dt)
+        reference = block_increment_path(generator, y0, 0.0, n_steps * dt, dt)
+        assert lean.states.tobytes() == reference.states.tobytes()
+
+    @pytest.mark.parametrize("constant", ["matrix", "rate_matrix"])
+    def test_one_ladder_per_call(self, monkeypatch, constant):
+        built = []
+
+        def counted(a1, a2, a3):
+            built.append(a1.shape)
+            return step_matrix(a1, a2, a3)
+
+        step_matrix = numkit.rk4_step_matrix
+        monkeypatch.setattr(numkit, "rk4_step_matrix", counted)
+        g = np.array([[-0.3, 0.2], [0.3, -0.2]])
+        generator = g if constant == "matrix" else epidemic.RateMatrix(g).matrix
+        y0 = np.array([0.6, 0.4])
+        span = 40 * numkit.STAGE_BLOCK * 0.01
+        # 40 blocks, then 20 with twice the step: each call builds its own
+        # ladder, where a shared one would step by the first call's h
+        for dt in (0.01, 0.02):
+            built.clear()
+            lean = numkit.ode_evolve(generator, y0, 0.0, span, dt)
+            assert built == [(2, 2)]
+            reference = block_increment_path(broadcast(g), y0, 0.0, span, dt)
+            assert lean.states.tobytes() == reference.states.tobytes()
+
+    @pytest.mark.parametrize("zero_stride", [True, False])
+    @pytest.mark.parametrize("first_bad_block", [0, 2])
+    def test_nan_entry_fails_at_the_per_step_time(self, zero_stride, first_bad_block):
+        good = np.array([[-0.3, 0.2], [0.3, -0.2]])
+        bad = good.copy()
+        bad[1, 0] = np.nan
+        pattern = [0] * first_bad_block + [1] * 4
+        generator = blockwise((good, bad), pattern, 0.01, zero_stride)
+        y0 = np.array([0.6, 0.4])
+        t1 = 3 * numkit.STAGE_BLOCK * 0.01
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as lean:
+                numkit.ode_evolve(generator, y0, 0.0, t1, 0.01)
+            with pytest.raises(NonFiniteStateError) as reference:
+                per_step_rk4_path(matmul_rhs, y0, 0.0, t1, 0.01, generator)
+        first_step = numkit._sample_times(0.0, t1, 0.01)[0][first_bad_block * numkit.STAGE_BLOCK + 1]
+        assert lean.value.time == reference.value.time == first_step
         assert str(lean.value) == str(reference.value)
 
 
