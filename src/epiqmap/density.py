@@ -3,18 +3,20 @@
 Writing a = sqrt(p) turns the linear master equation dp/dt = S p into a
 Schrodinger-like equation da/dt = H(t, p) a with the state-dependent
 generator H = (1/2) D(a)^-1 S D(a).  Since D(a) a = p, the flow needs
-only H a = (1/2) D(a)^-1 S p, so the amplitude trajectory never forms
-H; sqrt_dynamics_generator builds it where H itself is wanted.  The
-transform is exact, so squaring the evolved amplitudes must reproduce
-the master-equation flow; that equivalence is used as a built-in
-consistency check.  The outer product rho = a a^T plays the role of a
-density matrix: it is symmetric, its diagonal carries the
+only H a = (1/2) D(a)^-1 S p, so the amplitude trajectory never forms H;
+sqrt_dynamics_generator builds it where H itself is wanted.  The
+diagonal similarity, both ways, is amplitude_ratios with the one floor
+PROBABILITY_FLOOR, below which it is singular: H = (1/2) S * R.T for
+R = amplitude_ratios(a), and epiqmap.mapping's 2N rate matrix is
+2 A * R.  The transform is exact, so squaring the evolved amplitudes
+must reproduce the master-equation flow; that equivalence is used as a
+built-in consistency check.  The outer product rho = a a^T plays the
+role of a density matrix: it is symmetric, its diagonal carries the
 probabilities, and it obeys d rho/dt = H rho + rho H^T (the
 anticommutator form exactly when H is symmetric).  The generator S is
-a constant (d, d) rate matrix.  Every probability must stay at or
-above PROBABILITY_FLOOR, where the transform is still regular.
-Bipartite 4x4 densities use the package's basis layout (1A1B, 1A2B,
-2A1B, 2A2B), subsystem A varying slowest.
+a constant (d, d) rate matrix.  Bipartite 4x4 densities use the
+package's basis layout (1A1B, 1A2B, 2A1B, 2A2B), subsystem A varying
+slowest.
 """
 
 import functools
@@ -31,27 +33,38 @@ EomResiduals = namedtuple("EomResiduals", ["transpose_form", "anticommutator"])
 
 
 def _check_floor(p, t=None):
+    """p as floats; below PROBABILITY_FLOOR, raise with t and the last-axis component."""
     p = np.asarray(p, dtype=float)
-    # a Python min over the few entries costs a fraction of p.min()
-    low = min(p.ravel().tolist())
+    # a Python min over one state's few entries costs a fraction of p.min()
+    low = min(p.tolist()) if p.ndim == 1 else p.min()
     if low < PROBABILITY_FLOOR:
         raise FloorViolationError(
             "probability %.3e below floor %.3e" % (low, PROBABILITY_FLOOR),
-            time=t, component=int(p.argmin()),
+            time=t, component=int(p.argmin()) % p.shape[-1],
         )
     return p
+
+
+def amplitude_ratios(y, t=None):
+    """R[..., i, j] = y_i / y_j of signed amplitudes y, one state or an (n, d) stack.
+
+    D(y) M D(y)^-1 is M * R and D(y)^-1 M D(y) is M * R.T.  Each y_i * y_i
+    (a probability p, or a split component x of the 2N image) must be at
+    or above PROBABILITY_FLOOR; t is the time a FloorViolationError reports.
+    """
+    y = np.asarray(y, dtype=float)
+    _check_floor(y * y, t)
+    return y[..., :, None] / y[..., None, :]
 
 
 def sqrt_dynamics_generator(generator, p, t=0.0):
     """The amplitude-space generator H with entries (1/2) sqrt(pj/pi) s_ij.
 
-    Requires every probability above PROBABILITY_FLOOR: the transform is
-    singular at extinction.  t is the time a FloorViolationError reports.
+    H = (1/2) S * amplitude_ratios(sqrt(p)).T, singular at extinction: every
+    p_i must clear PROBABILITY_FLOOR; t is the time a FloorViolationError reports.
     """
-    p = _check_floor(p, t)
-    s = np.asarray(generator, dtype=float)
-    a = np.sqrt(p)
-    return 0.5 * s * (a / a[:, None])
+    a = np.sqrt(_check_floor(p, t))  # p first: a negative p has no real root to check
+    return 0.5 * np.asarray(generator, dtype=float) * amplitude_ratios(a, t).T
 
 
 # RK4 steps of da/dt = (1/2) (S p) / a in Python floats, their states

@@ -16,18 +16,16 @@ so the sign (quadrant) of a phase is not recoverable, and the rate
 matrix is a certificate along a given trajectory rather than an
 autonomous classical model: closing it would need a phase-velocity law
 the embedding does not supply.  Every function here takes the
-Hamiltonian as its complex N x N matrix H.
+Hamiltonian as its complex N x N matrix H.  The rate matrix is
+2 A * density.amplitude_ratios(y): the sqrt picture's similarity and floor.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numkit
-from .errors import FloorViolationError
+from . import density, numkit
 from .quantum import evolve_schrodinger, is_hermitian, polar_split
-
-SPLIT_FLOOR = 1e-12
 
 # samples per certificate chunk: bounds the (chunk, 2N, 2N) stack of S
 CERTIFICATE_CHUNK = 256
@@ -53,15 +51,15 @@ def phase_from_split(x):
     Returns (p, tan2) with p_k = x_{2k-1} + x_{2k} and
     tan2_k = x_{2k}/x_{2k-1}, taken along the last axis of x, so a
     stack of split states gives a stack of results.  Only |Theta| mod pi
-    survives the split, so no sign information is returned.  Where the
-    real slot is below SPLIT_FLOOR the tangent is reported as +inf.
+    survives the split, so no sign information is returned.  tan2 is +inf
+    where the real slot is below density.PROBABILITY_FLOOR.
     """
     x = np.asarray(x, dtype=float)
     re = x[..., 0::2]
     im = x[..., 1::2]
     p = re + im
     tan2 = np.full(re.shape, np.inf)
-    ok = re >= SPLIT_FLOOR
+    ok = re >= density.PROBABILITY_FLOOR
     tan2[ok] = im[ok] / re[ok]
     return p, tan2
 
@@ -102,30 +100,16 @@ def real_form_generator(h):
     return np.kron(h.imag, np.eye(2)) + np.kron(h.real, _ROTATION)
 
 
-def _split_generator_from_amplitudes(a, y):
-    """S = 2 D(y) A D(y)^-1 for an amplitude vector y or an (n, 2N) stack."""
-    x = y * y
-    if x.min() < SPLIT_FLOOR:
-        raise FloorViolationError(
-            "split component %.3e below floor %.3e (phase at a multiple of pi/2)"
-            % (x.min(), SPLIT_FLOOR),
-            component=int(x.argmin()) % x.shape[-1],
-        )
-    return 2.0 * a * (y[..., :, None] / y[..., None, :])
-
-
 def build_split_generator(h, psi):
     """Rate matrix S with dx/dt = S x along the wave's split image.
 
-    Derived by conjugating the real-form generator with the signed
-    amplitudes: S = 2 D(y) A D(y)^{-1}, y the interleaved
-    (sqrt(p) cos, sqrt(p) sin) vector of psi.  Entry (j, m) is therefore
-    2 A_jm sqrt(x_j / x_m) up to the signs of y, which is singular
-    whenever a split component vanishes (a phase crossing a multiple of
-    pi/2); below SPLIT_FLOOR this raises rather than extrapolating.
+    S = 2 D(y) A D(y)^{-1} = 2 A * density.amplitude_ratios(y), y the
+    interleaved (sqrt(p) cos, sqrt(p) sin) vector of psi: entry (j, m) is
+    2 A_jm sqrt(x_j / x_m) up to the signs of y.  A split component below
+    density.PROBABILITY_FLOOR (a phase near a multiple of pi/2) raises
+    FloorViolationError rather than extrapolating.
     """
-    a = real_form_generator(h)
-    return _split_generator_from_amplitudes(a, amplitudes_from_wave(psi))
+    return 2.0 * real_form_generator(h) * density.amplitude_ratios(amplitudes_from_wave(psi))
 
 
 @dataclass(frozen=True)
@@ -198,10 +182,9 @@ def verify_equivalence(h, psi0, t0, t1, dt):
     a_form = real_form_generator(h)
     traj = evolve_schrodinger(h, psi0, t0, t1, dt)
     polar = polar_split(traj)
-    states = np.asarray(traj.states)
-    x = np.empty((len(traj), 2 * states.shape[1]))
-    x[:, 0::2] = states.real ** 2
-    x[:, 1::2] = states.imag ** 2
+    y = amplitudes_from_wave(traj.states)
+    del traj  # y replaces the complex states, so the run is held once
+    x = y * y
 
     probs = polar.probabilities
     split_gap = float(np.abs(x[:, 0::2] + x[:, 1::2] - probs).max())
@@ -212,11 +195,11 @@ def verify_equivalence(h, psi0, t0, t1, dt):
     monotonicity_defect = float(max(0.0, increments.max())) if len(increments) else 0.0
 
     # five-point central differences need two neighbors on each side;
-    # samples with a split component below SPLIT_FLOOR are excluded
-    times = traj.times
+    # samples with a split component below the floor are excluded
+    times = polar.times
     h_step = times[1] - times[0] if len(times) > 1 else 0.0
     interior = np.arange(2, len(times) - 2)
-    low = x[interior].min(axis=1) < SPLIT_FLOOR
+    low = x[interior].min(axis=1) < density.PROBABILITY_FLOOR
     excluded = times[interior[low]]
     checked = interior[~low]
     residuals = np.empty(len(checked))
@@ -224,7 +207,7 @@ def verify_equivalence(h, psi0, t0, t1, dt):
     for start in range(0, len(checked), CERTIFICATE_CHUNK):
         i = checked[start:start + CERTIFICATE_CHUNK]
         dx = (-x[i + 2] + 8.0 * x[i + 1] - 8.0 * x[i - 1] + x[i - 2]) / (12.0 * h_step)
-        s_matrix = _split_generator_from_amplitudes(a_form, amplitudes_from_wave(states[i]))
+        s_matrix = 2.0 * a_form * density.amplitude_ratios(y[i])
         s_x = np.einsum("nij,nj->ni", s_matrix, x[i])
         residuals[start:start + len(i)] = np.abs(dx - s_x).max(axis=1)
         tan2_true = np.tan(polar.phases[i]) ** 2

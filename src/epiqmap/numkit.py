@@ -91,11 +91,14 @@ def mat_exp(m):
     power of two to an inf-norm of at most 1/2, its series is summed
     until the next term falls below 1e-18 of the accumulated norm, and
     it is squared back as often as it was scaled.  So sample k of a
-    stack is exactly mat_exp(m[k]), and at these dimensions the relative
-    error stays comfortably below 1e-12.  A sample whose inf-norm
-    exceeds 2**1022 (so that 2**squarings would overflow), or whose
-    exponential overflows, raises OverflowError naming the first such
-    sample of a stack; no floating-point warning escapes.
+    stack is exactly mat_exp(m[k]).  Each squaring doubles the relative
+    rounding error, so every entry, whatever its own scale c, is off by a
+    relative error of order ||m||_inf * 2.2e-16, a spread ||m||_inf / c
+    times what exp itself makes at scale c: mat_exp(diag(-s, -1))[1, 1] is
+    off from exp(-1) by 8e-14 at s = 1e3, 1.2e-12 at 1e4, 1e-11 at 1e6.
+    A sample whose inf-norm exceeds 2**1022 (so that 2**squarings would
+    overflow), or whose exponential overflows, raises OverflowError
+    naming the first such sample of a stack; no floating-point warning escapes.
     """
     m = _check_square(m, stacked=np.ndim(m) != 2)
     single = m.ndim == 2

@@ -45,6 +45,52 @@ class TestSqrtDynamicsGenerator:
             density.sqrt_dynamics_generator(GENERIC_S4, np.array([0.5, 0.5, 0.0, 0.0]))
 
 
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+# amplitudes whose squares clear the floor, and normal or zero matrix
+# entries; d <= 8 covers the sqrt picture and the 2N image of N <= 4
+AMPLITUDES = signed(st.floats(2e-6, 1e3))
+ENTRIES = st.one_of(st.just(0.0), signed(st.floats(1e-3, 10.0)))
+
+
+def within_ulps(got, want, ulps):
+    return bool((np.abs(got - want) <= ulps * np.spacing(np.abs(want))).all())
+
+
+class TestAmplitudeRatios:
+    """One diagonal similarity: M * R one way, M * R.T the other."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 8))
+    def test_round_trips(self, data, d):
+        y = np.array(data.draw(st.lists(AMPLITUDES, min_size=d, max_size=d)))
+        m = np.array(data.draw(st.lists(ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+        r = density.amplitude_ratios(y)
+        # S -> H -> S, the sqrt picture's H = (1/2) D(a)^-1 S D(a) and back
+        assert within_ulps(2.0 * (0.5 * m * r.T) * r, m, 4)
+        # A -> S -> A, the 2N image's S = 2 D(y) A D(y)^-1 and back
+        assert within_ulps(0.5 * (2.0 * m * r) * r.T, m, 4)
+        # the transpose is the other direction, bit for bit, and the sqrt
+        # picture's generator is the expression it replaced
+        assert np.array_equal(r.T, y / y[:, None])
+        p = y * y
+        a = np.sqrt(p)
+        assert np.array_equal(density.sqrt_dynamics_generator(m, p), 0.5 * m * (a / a[:, None]))
+
+    def test_stack_is_per_state_and_reports_the_last_axis_component(self):
+        y = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 5))
+        y[np.abs(y) < 0.01] = 0.5
+        stacked = density.amplitude_ratios(y)
+        for k in range(6):
+            assert np.array_equal(stacked[k], density.amplitude_ratios(y[k]))
+        y[4, 3] = 1e-7
+        with pytest.raises(FloorViolationError, match="below floor") as info:
+            density.amplitude_ratios(y, 2.5)
+        assert (info.value.component, info.value.time) == (3, 2.5)
+
+
 class TestEvolveSqrt:
     def test_identity_at_t0(self):
         out = density.evolve_sqrt(GENERIC_S4, GENERIC_P, 0.0, 0.0, 1e-3)

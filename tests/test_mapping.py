@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqmap import mapping, numkit, quantum
+from epiqmap import density, mapping, numkit, quantum
 from epiqmap.errors import FloorViolationError
 
 
@@ -205,7 +205,7 @@ class TestBuildS8:
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]))
     def test_property_s_x_is_the_real_form_flow(self, seed, n):
         # random complex H and a state whose split components all clear
-        # 0.05^2, far above SPLIT_FLOOR
+        # 0.05^2, far above density.PROBABILITY_FLOOR
         rng = np.random.default_rng(seed)
         h = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
         parts = rng.uniform(0.05, 1.0, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
@@ -309,7 +309,7 @@ class TestVerifyEquivalence:
         h = np.array([[1.0, 0.05], [0.05, -0.7]], dtype=complex)
         psi0 = quantum.wave_from_polar([0.6, 0.4], [0.2, -1.1])
         floor = 1e-3
-        monkeypatch.setattr(mapping, "SPLIT_FLOOR", floor)
+        monkeypatch.setattr(density, "PROBABILITY_FLOOR", floor)
         report = mapping.verify_equivalence(h, psi0, 0.0, 3.0, 1e-3)
         traj = quantum.evolve_schrodinger(h, psi0, 0.0, 3.0, 1e-3)
         times, states = traj.times, traj.states
@@ -342,19 +342,19 @@ class TestVerifyEquivalence:
 
     def test_stacked_split_helpers(self):
         y = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 8))
-        a = mapping.real_form_generator(hermitian_h())
-        stacked = mapping._split_generator_from_amplitudes(a, y)
+        h = hermitian_h()
+        psi = y[:, 0::2] + 1j * y[:, 1::2]
+        stacked = mapping.build_split_generator(h, psi)
         p, tan2 = mapping.phase_from_split(y * y)
         for k in range(5):
-            one = mapping._split_generator_from_amplitudes(a, y[k])
+            one = mapping.build_split_generator(h, psi[k])
             assert np.array_equal(stacked[k], one)
             assert np.array_equal(p[k], mapping.phase_from_split(y[k] * y[k])[0])
             assert np.array_equal(tan2[k], mapping.phase_from_split(y[k] * y[k])[1])
-        psi = y[:, 0::2] + 1j * y[:, 1::2]
         assert np.array_equal(mapping.amplitudes_from_wave(psi), y)
         with pytest.raises(FloorViolationError) as info:
-            y[3, 6] = 0.0
-            mapping._split_generator_from_amplitudes(a, y)
+            psi[3, 3] = 1j * y[3, 7]
+            mapping.build_split_generator(h, psi)
         assert info.value.component == 6
 
     def test_amplitude_wave_roundtrip(self):

@@ -167,6 +167,23 @@ class TestMatExpOverflow:
                 numkit.mat_exp(np.array([m, 0.1 * np.eye(2)]))
 
 
+def spread_error(spread):
+    """Relative error of exp(-1) within a sample whose scales spread by the given factor."""
+    return abs(numkit.mat_exp(np.diag([-spread, -1.0]))[1, 1] - np.exp(-1.0)) / np.exp(-1.0)
+
+
+class TestMatExpSpread:
+    """An entry is off by a relative error of order ||m||_inf * eps, whatever its own scale."""
+
+    @pytest.mark.parametrize("spread", [1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_error_is_of_order_the_spread(self, spread):
+        assert spread_error(spread) <= max(16.0, spread) * np.finfo(float).eps
+
+    def test_accurate_to_1e_13_up_to_1e3_and_past_1e_12_from_1e5(self):
+        assert max(spread_error(s) for s in (1.0, 10.0, 1e2, 1e3)) < 1e-13
+        assert min(spread_error(s) for s in (1e5, 1e6)) > 1e-12
+
+
 class TestEig:
     def test_diagonal_sorted(self):
         values, vectors = numkit.eig(np.diag([3.0, 1.0, 2.0]))
