@@ -209,8 +209,8 @@ def matrix_modes(m):
     values = ((rows @ m[:, None]) @ columns / (rows @ columns))[:, :, 0, 0]
     if fallback.any():
         eig_values, eig_vectors = numkit.eig(m[fallback])
-        values[fallback] = eig_values.real
-        vectors[fallback] = eig_vectors.real.swapaxes(1, 2)
+        values[fallback] = eig_values
+        vectors[fallback] = eig_vectors.swapaxes(1, 2)
     return values, vectors, fallback
 
 

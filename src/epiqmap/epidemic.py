@@ -229,7 +229,7 @@ def matrix_frame(m):
     vectors = _stack_last(a1 / d1, b / d1, a2 / d2, b / d2).reshape(stack.shape)
     if numeric:
         _, columns = numkit.eig(stack[fallback])
-        rows = np.swapaxes(columns.real, 1, 2).copy()
+        rows = np.swapaxes(columns, 1, 2).copy()
         # keep the closed form's components-sum-to-one scale when possible
         total = rows.sum(axis=2, keepdims=True)
         np.divide(rows, total, out=rows, where=np.abs(total) > 1e-8)

@@ -2,8 +2,13 @@
 
 Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential and a deterministic
-eigendecomposition, each of one matrix or a stack of them, a fixed-step
-RK4 integrator with dense output, and central finite differences.  The
+eigendecomposition, each of one real matrix or a stack of them (a
+complex matrix raises ValueError), a fixed-step RK4 integrator with
+dense output, and central finite differences.  The eigendecomposition
+is real: where the solver returns a complex basis its real parts are
+kept, which within a repeated eigenvalue are eigenvectors but not of
+unit norm, and a spectrum off the real axis, whose real parts are not
+eigenpairs, raises LinAlgError.  The
 integrator steps each block of steps by its caller's fast pass (a linear
 system composes the block's increment matrices in about log2 of its
 length in array operations; the density module's sqrt flow runs
@@ -65,8 +70,10 @@ class Trajectory:
 
 
 def _check_square(m, max_dim=MAX_DIM, stacked=False):
-    """m as an array if it is one finite square matrix (or, stacked, an (n, d, d) stack)."""
+    """m as an array if it is one finite real square matrix (or, stacked, an (n, d, d) stack)."""
     m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ValueError("expected a real matrix, got dtype %s" % m.dtype)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
         raise ValueError(
             "expected a square matrix%s, got shape %r" % (" stack" if stacked else "", m.shape)
@@ -86,9 +93,9 @@ def _inf_norms(m):
 def mat_exp(m):
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
-    m is one (d, d) matrix or an (n, d, d) stack of them; one matrix is
-    exponentiated as a stack of one.  Each sample is scaled by its own
-    power of two to an inf-norm of at most 1/2, its series is summed
+    m is one real (d, d) matrix or a real (n, d, d) stack of them; one
+    matrix is exponentiated as a stack of one.  Each sample is scaled by
+    its own power of two to an inf-norm of at most 1/2, its series is summed
     until the next term falls below 1e-18 of the accumulated norm, and
     it is squared back as often as it was scaled.  So sample k of a
     stack is exactly mat_exp(m[k]).  Each squaring doubles the relative
@@ -102,15 +109,14 @@ def mat_exp(m):
     """
     m = _check_square(m, stacked=np.ndim(m) != 2)
     single = m.ndim == 2
-    dtype = complex if np.iscomplexobj(m) else float
-    a = (m[None] if single else m).astype(dtype)
+    a = (m[None] if single else m).astype(float)
     with np.errstate(over="ignore"):
         norms = _inf_norms(a)
         exponents = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))
     _refuse_overflow(exponents <= 1023, single, "inf-norm exceeds 2**1022")
     squarings = exponents.astype(int)
     a = a / (2.0 ** squarings)[:, None, None]
-    result = np.broadcast_to(np.eye(a.shape[-1], dtype=dtype), a.shape).copy()
+    result = np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
     term = result.copy()
     # the samples whose series is still being summed, and their a and term
     live = np.arange(len(a))
@@ -140,7 +146,9 @@ def _orient(values, vectors):
 
     Eigenvalues ascend by real part (ties: imaginary part); eigenvectors
     become unit columns whose first component of nonnegligible size is
-    positive real.  The arithmetic stays in the dtype the solver returned.
+    positive real.  The arithmetic stays in the dtype the solver returned,
+    so the real parts of a complex basis that eig takes are eigenvectors
+    but not of unit norm.
     """
     order = np.lexsort((values.imag, values.real), axis=-1)
     samples = np.arange(len(values))[:, None]
@@ -161,82 +169,43 @@ def _orient(values, vectors):
     return values, columns.swapaxes(1, 2)
 
 
-def _real_split(samples, values, vectors, real):
-    """A part split into its samples where real holds, as real arrays, and the rest."""
-    if not real.any():
-        return [(samples, values, vectors)]
-    if real.all():
-        return [(samples, values.real, vectors.real)]
-    return [
-        (samples[real], values[real].real, vectors[real].real),
-        (samples[~real], values[~real], vectors[~real]),
-    ]
-
-
-def _eig_parts(m):
-    """(samples, values, vectors) parts covering the stack m, one dtype each.
-
-    Each sample takes eigh when it is Hermitian to 1e-14 and eig
-    otherwise.  A general sample of a real stack is real when its own
-    eigenvalues are exactly real, or when, once oriented, their
-    imaginary parts are below 1e-14 and its vectors' below 1e-12.
-    """
-    hermitian = (np.abs(m - np.conj(m.swapaxes(1, 2))) <= 1e-14).all(axis=(1, 2))
-    parts = []
-    for solver, take in ((np.linalg.eigh, hermitian), (np.linalg.eig, ~hermitian)):
-        samples = np.flatnonzero(take)
-        if not len(samples):
-            continue
-        values, vectors = solver(m if len(samples) == len(m) else m[samples])
-        if np.iscomplexobj(m) or not np.iscomplexobj(values):
-            parts.append((samples, *_orient(values, vectors)))
-            continue
-        # eig returns real arrays only when the whole stack's spectrum is
-        # real, so a sample's own dtype is decided here
-        exact = (values.imag == 0).all(axis=1)
-        for samples, values, vectors in _real_split(samples, values, vectors, exact):
-            values, vectors = _orient(values, vectors)
-            if not np.iscomplexobj(values):
-                parts.append((samples, values, vectors))
-                continue
-            near = (
-                (np.abs(values.imag) < 1e-14).all(axis=1)
-                & (np.abs(vectors.imag) < 1e-12).all(axis=(1, 2))
-            )
-            parts += _real_split(samples, values, vectors, near)
-    return parts
-
-
 def eig(m):
-    """Eigendecomposition with deterministic ordering and orientation.
+    """Real eigendecomposition with deterministic ordering and orientation.
 
-    m is one (d, d) matrix, d <= 8, or an (n, d, d) stack of them.
-    Returns (values, vectors) with eigenvalues sorted ascending by real
-    part (ties: ascending imaginary part), eigenvectors as unit-norm
-    columns whose first nonzero component is positive real.  Raises if
-    any eigenpair residual exceeds 1e-10 * ||m||_inf.
-
-    A stack gives (n, d) values and (n, d, d) vectors, and sample k is
-    exactly eig(m[k]): each sample is tested for being Hermitian on its
-    own and solved by eigh if it is, by eig if not.  One matrix is
-    solved as a stack of one.  Values are real unless m is complex or a
-    non-Hermitian sample has eigenvalues off the real axis; vectors are
-    real unless m is complex or such a sample's vectors are.  In a stack
-    the values (vectors) are real only when every sample's are; real
-    samples of a complex stack carry zero imaginary parts.
+    m is one real (d, d) matrix, d <= 8, or a real (n, d, d) stack; one
+    matrix is solved as a stack of one.  Returns real values (n, d),
+    ascending, and vectors (n, d, d) as columns whose first nonzero
+    component is positive.  Each sample takes eigh if it is symmetric to
+    1e-14 and eig if not, and is oriented as a real sample if its own
+    eigenvalues are exactly real, so sample k of a stack is exactly
+    eig(m[k]); any other sample keeps the real parts of its oriented
+    complex basis.  Raises LinAlgError, naming the sample of a stack,
+    where the returned eigenpairs leave a residual above
+    1e-10 * ||m||_inf, as they do for a spectrum off the real axis.
     """
     m = np.asarray(m)
     single = m.ndim == 2
     m = _check_square(m[None] if single else m, max_dim=8, stacked=True)
-    parts = _eig_parts(m)
-    if len(parts) == 1:
-        _, values, vectors = parts[0]
-    else:
-        values = np.empty(m.shape[:2], np.result_type(float, *(w for _, w, _ in parts)))
-        vectors = np.empty(m.shape, np.result_type(float, *(v for _, _, v in parts)))
+    symmetric = (np.abs(m - m.swapaxes(1, 2)) <= 1e-14).all(axis=(1, 2))
+    values, vectors = np.empty(m.shape[:2]), np.empty(m.shape)
+    for solver, take in ((np.linalg.eigh, symmetric), (np.linalg.eig, ~symmetric)):
+        samples = np.flatnonzero(take)
+        if not len(samples):
+            continue
+        w, v = solver(m if len(samples) == len(m) else m[samples])
+        parts = [(samples, w, v)]
+        if np.iscomplexobj(w):
+            # eig makes the whole result complex when one sample's spectrum
+            # is, so each sample's own dtype decides its orientation
+            real = (w.imag == 0).all(axis=1)
+            parts = [(samples[real], w[real].real, v[real].real),
+                     (samples[~real], w[~real], v[~real])]
         for samples, w, v in parts:
-            values[samples] = w
-            vectors[samples] = v
+            w, v = _orient(w, v)
+            if len(samples) == len(m):
+                values, vectors = w.real, v.real
+            else:
+                values[samples], vectors[samples] = w.real, v.real
     scale = np.maximum(_inf_norms(m), 1e-300)
     defect = m @ vectors
     defect -= vectors * values[:, None, :]
@@ -245,8 +214,8 @@ def eig(m):
     if bad.any():
         k = bad.argmax()
         raise np.linalg.LinAlgError(
-            "eigendecomposition residual %.3e exceeds %.3e"
-            % (residual[k], 1e-10 * scale[k])
+            "eigendecomposition residual %.3e exceeds %.3e%s"
+            % (residual[k], 1e-10 * scale[k], "" if single else " in sample %d" % k)
         )
     return (values[0], vectors[0]) if single else (values, vectors)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -122,7 +124,7 @@ def one_sample_modes(m):
     den_plus = 2.0 * (s + s21)
     if min(abs(den_minus), abs(den_plus)) < 1e-10 * max(1.0, np.abs(m).max()):
         values, vectors = numkit.eig(m)
-        return [(float(values[k].real), vectors[:, k].real, False, True) for k in range(4)]
+        return [(float(values[k]), vectors[:, k], False, True) for k in range(4)]
     r_minus, r_plus = np.sqrt(x_minus), np.sqrt(x_plus)
     vectors = (
         np.array([(delta - r_minus) / den_minus, -1.0, (r_minus - delta) / den_minus, 1.0]),
@@ -202,6 +204,20 @@ class TestMatrixModes:
             coupled.matrix_modes(np.array([traffic_matrix(*row) for row in rows]))
         assert str(stacked.value) == str(scalar.value)
         assert stacked.value.discriminant == scalar.value.discriminant
+
+    def test_degenerate_fallback_is_pinned(self):
+        # a repeated real eigenvalue for which eig returns a complex basis
+        # (imaginary parts up to 0.68); its real parts are eigenvectors
+        s21 = 2.0407592042579845e-16
+        m = traffic_matrix(-0.36833548523914494, 0.33816553112534264, s21, 0.8078271912713035, s21)
+        assert np.abs(np.linalg.eig(m)[1].imag).max() > 0.6
+        values, vectors, fallback = coupled.matrix_modes(m[None])
+        assert fallback.tolist() == [True]
+        assert values.dtype == vectors.dtype == float and np.isfinite(vectors).all()
+        residual = np.abs(m @ vectors[0].T - vectors[0].T * values[0]).max()
+        assert residual <= 1e-10 * np.linalg.norm(m, np.inf)
+        digest = hashlib.sha256(values.tobytes() + vectors.tobytes()).hexdigest()
+        assert digest == "aeab2285cdbde7049f53a6a0ffa90c4cc99e1cd54d40e907caab847d5f2188bb"
 
     def test_empty_stack(self):
         values, vectors, fallback = coupled.matrix_modes(np.zeros((0, 4, 4)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqmap import density, mapping, numkit, quantum
+from epiqmap import density, mapping, quantum
 from epiqmap.errors import FloorViolationError
 
 
@@ -156,12 +156,13 @@ class TestBuildS8:
 
     def test_truly_stationary_state_is_a_fixed_point(self):
         h = hermitian_h()
-        values, vectors = numkit.eig(h)
+        values, vectors = np.linalg.eigh(h)
         # shift the spectrum so one eigenstate has eigenvalue zero and is
-        # genuinely time independent; rotate it off the real axis so no
-        # split component vanishes
-        shifted = h - values[1].real * np.eye(4)
-        psi = vectors[:, 1] * np.exp(1j * 0.7)
+        # genuinely time independent; rotate its first component positive
+        # real, then off the real axis, so no split component vanishes
+        shifted = h - values[1] * np.eye(4)
+        pivot = vectors[0, 1]
+        psi = vectors[:, 1] * (np.conj(pivot) / abs(pivot)) * np.exp(1j * 0.7)
         s8 = mapping.build_split_generator(shifted, psi)
         x = mapping.split_state(np.abs(psi) ** 2, np.angle(psi))
         assert np.abs(s8 @ x).max() <= 1e-8

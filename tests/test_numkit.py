@@ -1,18 +1,19 @@
+import dataclasses
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epiqmap import density, epidemic, numkit
-from epiqmap.errors import NonFiniteStateError
+from epiqmap import coupled, density, epidemic, numkit
+from epiqmap.errors import ComplexSpectrumError, NonFiniteStateError
 
 
 def series_expm(m, terms=30):
     """Independent oracle: raw truncated power series, no scaling."""
-    out = np.eye(m.shape[0], dtype=complex if np.iscomplexobj(m) else float)
+    out = np.eye(m.shape[0])
     term = out.copy()
     for k in range(1, terms + 1):
         term = term @ m / k
@@ -75,9 +76,11 @@ class TestMatExp:
             assert np.abs(out - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
     def test_complex_input(self):
-        m = 1j * np.diag([1.0, 2.0])
-        out = numkit.mat_exp(m)
-        assert np.abs(out - np.diag(np.exp([1j, 2j]))).max() < 1e-14
+        # mat_exp and eig are real solvers, and both refuse a complex matrix
+        for fn in (numkit.mat_exp, numkit.eig):
+            for m in (1j * np.diag([1.0, 2.0]), np.zeros((0, 2, 2), dtype=complex)):
+                with pytest.raises(ValueError, match="expected a real matrix, got dtype complex128"):
+                    fn(m)
 
     def test_commuting_product_property(self):
         rng = np.random.default_rng(11)
@@ -107,9 +110,9 @@ class TestMatExpStack:
     """An (n, d, d) stack is exponentiated sample by sample, one matrix as a stack of one."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16), complex_=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16),
            exponents=st.lists(st.floats(-8.0, 6.0), max_size=6))
-    def test_each_sample_is_its_own_exponential(self, seed, d, complex_, exponents):
+    def test_each_sample_is_its_own_exponential(self, seed, d, exponents):
         # inf-norms 2**e: 2**-8 takes no squaring and 2**6 takes seven, so
         # every stack mixes samples that stop and square at different counts;
         # entries spread over nine decades, so a term summed after a sample's
@@ -117,11 +120,7 @@ class TestMatExpStack:
         rng = np.random.default_rng(seed)
         exponents = [-8.0, 6.0] + exponents
         shape = (len(exponents), d, d)
-
-        def entries():
-            return rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.uniform(-9.0, 0.0, size=shape)
-
-        m = entries() + 1j * entries() if complex_ else entries()
+        m = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.uniform(-9.0, 0.0, size=shape)
         m *= (2.0 ** np.array(exponents) / np.abs(m).sum(axis=2).max(axis=1))[:, None, None]
         out = numkit.mat_exp(m)
         assert out.shape == m.shape and out.dtype == m.dtype
@@ -130,10 +129,9 @@ class TestMatExpStack:
             assert one.shape == (d, d) and one.dtype == out.dtype
             assert out[k].tobytes() == one.tobytes() == one_matrix_expm(m[k]).tobytes()
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_empty_stack(self, dtype):
-        out = numkit.mat_exp(np.zeros((0, 3, 3), dtype=dtype))
-        assert out.shape == (0, 3, 3) and out.dtype == dtype
+    def test_empty_stack(self):
+        out = numkit.mat_exp(np.zeros((0, 3, 3)))
+        assert out.shape == (0, 3, 3) and out.dtype == float
 
     def test_messages(self):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
@@ -220,7 +218,7 @@ class TestEig:
         rng = np.random.default_rng(19)
         for dim in (2, 4, 8):
             for _ in range(1000):
-                m = rng.uniform(-1.0, 1.0, size=(dim, dim))
+                m = real_spectrum_matrix(rng, dim)
                 values, vectors = numkit.eig(m)
                 scale = np.linalg.norm(m, np.inf)
                 resid = max(
@@ -236,20 +234,37 @@ class TestEig:
             numkit.eig(np.zeros((3, 9, 9)))
 
 
-def mixed_stack(seed, d, n, complex_valued):
-    """n seeded d x d matrices of mixed kinds: Hermitian, general, real-spectrum."""
+def real_spectrum_matrix(rng, d):
+    """A general d x d matrix Q diag(w) Q^-1 with well-separated real eigenvalues w."""
+    q = rng.uniform(-1.0, 1.0, (d, d)) + d * np.eye(d)
+    w = (rng.permutation(d) + rng.uniform(-0.25, 0.25, d)) * rng.choice([-1.0, 1.0])
+    return q @ np.diag(w) @ np.linalg.inv(q)
+
+
+def near_real_pair(rng, d):
+    """A general matrix whose eigenvalues a +- 1e-16 i eig returns as a complex pair."""
+    m = np.diag(rng.uniform(-1.0, 1.0, d))
+    m[1, 1] = m[0, 0]
+    m[0, 1], m[1, 0] = 1.0, -1e-32
+    return m
+
+
+def mixed_stack(seed, d, n):
+    """n seeded real d x d matrices of mixed kinds, every spectrum real to 1e-14."""
     rng = np.random.default_rng(seed)
     stack = []
-    for kind in rng.integers(0, 4, n):
+    for kind in rng.integers(0, 5, n):
         m = rng.uniform(-1.0, 1.0, (d, d))
-        if complex_valued:
-            m = m + 1j * rng.uniform(-1.0, 1.0, (d, d))
         if kind == 0:
-            m = m + np.conj(m.T)  # Hermitian: eigh
+            m = m + m.T  # symmetric: eigh
         elif kind == 1:
-            m = np.triu(m)  # real spectrum when m is real
+            m = np.triu(m)
         elif kind == 2:
-            m = np.diag(rng.uniform(-1.0, 1.0, d)) + 1e-15 * m  # Hermitian within 1e-14
+            m = np.diag(rng.uniform(-1.0, 1.0, d)) + 1e-15 * m  # symmetric within 1e-14
+        elif kind == 3:
+            m = real_spectrum_matrix(rng, d)
+        else:
+            m = near_real_pair(rng, d)  # makes eig's whole result complex
         stack.append(m)
     return np.array(stack)
 
@@ -258,25 +273,32 @@ class TestStackedEig:
     """eig of an (n, d, d) stack is, bit for bit, the stack of per-matrix results."""
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4]),
-           n=st.integers(1, 12), complex_valued=st.booleans())
-    def test_stack_is_the_per_matrix_stack(self, seed, d, n, complex_valued):
-        stack = mixed_stack(seed, d, n, complex_valued)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4]), n=st.integers(1, 12))
+    def test_stack_is_the_per_matrix_stack(self, seed, d, n):
+        stack = mixed_stack(seed, d, n)
         values, vectors = numkit.eig(stack)
         loop = [numkit.eig(m) for m in stack]
         for stacked, looped in ((values, [w for w, _ in loop]), (vectors, [v for _, v in loop])):
-            # the stack is real only when every matrix's result is
-            dtype = np.result_type(*looped)
-            assert stacked.dtype == dtype
-            assert stacked.tobytes() == np.array(looped, dtype=dtype).tobytes()
+            assert stacked.dtype == float and all(x.dtype == float for x in looped)
+            assert stacked.tobytes() == np.array(looped).tobytes()
 
     def test_real_spectra_of_a_general_stack_stay_real(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
         triangular = np.array([[1.0, 2.0], [0.0, 3.0]])
-        values, vectors = numkit.eig(np.array([triangular, rotation]))
-        assert values.dtype == complex and np.all(values[0].imag == 0)
-        assert numkit.eig(triangular)[0].dtype == float
-        assert np.array_equal(values[0], numkit.eig(triangular)[0])
+        # the real parts of the rotation's eigenpairs are not eigenpairs
+        with pytest.raises(np.linalg.LinAlgError, match=r"residual 7\.071e-01 .* in sample 1$"):
+            numkit.eig(np.array([triangular, rotation]))
+        with pytest.raises(np.linalg.LinAlgError, match=r"residual 7\.071e-01 exceeds 1\.000e-10$"):
+            numkit.eig(rotation)
+        # eig's result for this stack is complex, and the triangular sample
+        # keeps the bits it gets alone
+        pair = near_real_pair(np.random.default_rng(3), 2)
+        assert np.iscomplexobj(np.linalg.eig(np.array([triangular, pair]))[0])
+        values, vectors = numkit.eig(np.array([triangular, pair]))
+        alone = numkit.eig(triangular)
+        assert values.dtype == vectors.dtype == float
+        assert values[0].tobytes() == alone[0].tobytes()
+        assert vectors[0].tobytes() == alone[1].tobytes()
 
     def test_stack_raises_like_the_loop(self):
         with pytest.raises(ValueError):
@@ -287,6 +309,100 @@ class TestStackedEig:
     def test_empty_stack(self):
         values, vectors = numkit.eig(np.zeros((0, 2, 2)))
         assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
+
+
+# Entries are 0 or of magnitude [1e-3, 1], a traffic matrix's diagonal
+# rates are nonzero, and s21 may be tiny.  Left out, because numkit.eig
+# refuses their fallback samples with LinAlgError: an inf-norm below about
+# 1e-4 with off-diagonal entries within 1e-14 of each other (eigh, which
+# reads one triangle, solves it), other entries far below the rest, and a
+# zero diagonal rate beside a tiny nonzero s21 in a traffic matrix (LAPACK's
+# balanced eig leaves residuals up to ||m||_inf on both)
+nonzero = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+unit = st.one_of(st.just(0.0), nonzero)
+# below epidemic.S21_FLOOR, zero included
+tiny = st.sampled_from([1.0, -1.0]).flatmap(lambda sign: st.floats(0.0, 1e-11).map(lambda x: sign * x))
+
+
+@st.composite
+def frame_fallbacks(draw):
+    """A 2x2 rate matrix whose closed-form frame is singular."""
+    s11, s12, s22 = draw(unit), draw(unit), draw(unit)
+    kind = draw(st.sampled_from(["s21", "denominator", "columns"]))
+    if kind == "s21":
+        return np.array([[s11, s12], [draw(tiny), s22]])
+    if kind == "columns":
+        # columns summing to zero: s21 = s12 - (s11 - s22) zeroes a denominator
+        s12 = abs(s12)
+        return np.array([[-abs(s11), s12], [abs(s11), -s12]])
+    return np.array([[s11, s12], [s12 - (s11 - s22), s22]])
+
+
+@st.composite
+def traffic_fallbacks(draw):
+    """A symmetric traffic matrix whose cross rate s is +-s21, so a closed-form denominator vanishes."""
+    s11, s22 = draw(nonzero), draw(nonzero)
+    s12, s21 = draw(unit), draw(st.one_of(unit, tiny))
+    s = s21 * draw(st.sampled_from([1.0, -1.0]))
+    return coupled.symmetric_traffic_generator(epidemic.Generator2(s11, s12, s21, s22), s).matrix(0.0)
+
+
+def in_domain(m):
+    """Whether m has an inf-norm of at least 1e-3 and nonnegative closed-form discriminants."""
+    if np.abs(m).max() < 1e-3:
+        return False
+    try:
+        epidemic.matrix_frame(m) if m.shape == (2, 2) else coupled.matrix_modes(m[None])
+    except ComplexSpectrumError:
+        return False
+    return True
+
+
+FRAME_FIELDS = [f.name for f in dataclasses.fields(epidemic.SpectralFrame2)]
+
+
+def assert_eigenpairs(m, values, rows):
+    """Each row of rows is an eigenvector of m within the residual bound of numkit.eig."""
+    bound = 1e-10 * np.linalg.norm(m, np.inf)
+    for value, row in zip(values, rows):
+        assert np.isfinite(row).all() and row.dtype == float
+        assert np.abs(m @ row - value * row).max() <= bound * max(1.0, np.abs(row).max())
+
+
+class TestCallerFallbacks:
+    """The singular closed-form samples of both callers have real eigenpairs.
+
+    Where the callers' discriminants are nonnegative, numkit.eig does not
+    raise on their fallback samples, every returned vector is an
+    eigenvector within 1e-10 * ||m||_inf, and a stack is its samples.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(draws=st.lists(frame_fallbacks(), min_size=1, max_size=8))
+    def test_frame(self, draws):
+        m = np.array([d for d in draws if in_domain(d)])
+        assume(len(m))
+        frame = epidemic.matrix_frame(m)
+        assert frame.numeric_fallback.all()
+        values, _ = numkit.eig(m)
+        for k in range(len(m)):
+            assert_eigenpairs(m[k], values[k], [frame.v1[k], frame.v2[k]])
+            one = epidemic.matrix_frame(m[k])
+            for name in FRAME_FIELDS:
+                assert np.asarray(getattr(frame, name))[k].tobytes() == np.asarray(getattr(one, name)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(draws=st.lists(traffic_fallbacks(), min_size=1, max_size=8))
+    def test_modes(self, draws):
+        m = np.array([d for d in draws if in_domain(d)])
+        assume(len(m))
+        values, vectors, fallback = coupled.matrix_modes(m)
+        assert fallback.all()
+        for k in range(len(m)):
+            assert_eigenpairs(m[k], values[k], vectors[k])
+            one = coupled.matrix_modes(m[k:k + 1])
+            assert values[k].tobytes() == one[0][0].tobytes()
+            assert vectors[k].tobytes() == one[1][0].tobytes()
 
 
 class TestOdeEvolve:
