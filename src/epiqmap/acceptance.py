@@ -215,10 +215,14 @@ _REFERENCE_S4 = np.array(
 def check_sqrt_transform():
     """Squared amplitude flow equals the master-equation flow."""
     p0 = np.array([0.40, 0.30, 0.20, 0.10])
-    traj = density.evolve_sqrt_trajectory(_REFERENCE_S4, p0, 0.0, 5.0, 1e-4)
-    sample = slice(0, len(traj), 200)
-    ref = numkit.mat_exp(_REFERENCE_S4 * traj.times[sample, None, None]) @ p0
-    worst = float(np.abs(traj.states[sample] ** 2 - ref).max())
+    # every 200th sample of the run, copied out as the chunks stream past
+    times, states, start = [], [], 0
+    for chunk in density.sqrt_chunks(_REFERENCE_S4, p0, 0.0, 5.0, 1e-4):
+        times.append(chunk.times[-start % 200::200].copy())
+        states.append(chunk.states[-start % 200::200].copy())
+        start += len(chunk)
+    ref = numkit.mat_exp(_REFERENCE_S4 * np.concatenate(times)[:, None, None]) @ p0
+    worst = float(np.abs(np.concatenate(states) ** 2 - ref).max())
     lowest = float(ref.min())
     return [
         SubCheck("squared sqrt-flow vs matrix-exponential flow", worst, 1e-8),
@@ -286,14 +290,15 @@ def check_quantum_unitarity():
     """Norm and energy conservation of the Hermitian pair Hamiltonian."""
     h = _reference_hamiltonian()
     psi0 = _reference_psi0()
-    traj = quantum.evolve_schrodinger(h, psi0, 0.0, 10.0, 1e-3)
-    norms = np.abs(traj.states) ** 2
-    norm_drift = float(np.abs(norms.sum(axis=1) - 1.0).max())
+    drifts, sampled, start = [], [], 0
+    for chunk in quantum.schrodinger_chunks(h, psi0, 0.0, 10.0, 1e-3):
+        norms = np.abs(chunk.states) ** 2
+        drifts.append(np.abs(norms.sum(axis=1) - 1.0).max())
+        sampled.extend(chunk.states[-start % 100::100].copy())  # every 100th sample of the run
+        start += len(chunk)
+    norm_drift = float(np.max(drifts))
     e0 = quantum.expectation_energy(h, psi0).real
-    energy_drift = max(
-        abs(quantum.expectation_energy(h, state).real - e0)
-        for state in traj.states[::100]
-    )
+    energy_drift = max(abs(quantum.expectation_energy(h, state).real - e0) for state in sampled)
     return [
         SubCheck("norm drift over t in [0, 10]", norm_drift, 1e-9),
         SubCheck("energy drift over t in [0, 10]", energy_drift, 1e-8),
@@ -308,10 +313,11 @@ def check_mapping_certificate():
     psi2 = np.array([0.8, 0.6j])
     worst_embed = 0.0
     for h, psi in ((h2, psi2), (h4, _reference_psi0())):
-        complex_traj = quantum.evolve_schrodinger(h, psi, 0.0, 5.0, 1e-3)
-        real_traj = mapping.evolve_real_form(h, psi, 0.0, 5.0, 1e-3)
-        rebuilt = mapping.wave_from_amplitudes(real_traj.states)
-        worst_embed = max(worst_embed, float(np.abs(rebuilt - complex_traj.states).max()))
+        # the two runs stepped in lockstep; np.max of the chunks' maxima
+        gaps = [np.abs(mapping.wave_from_amplitudes(real.states) - wave.states).max()
+                for wave, real in zip(quantum.schrodinger_chunks(h, psi, 0.0, 5.0, 1e-3),
+                                      mapping.real_form_chunks(h, psi, 0.0, 5.0, 1e-3))]
+        worst_embed = max(worst_embed, float(np.max(gaps)))
     dims_ok = (
         mapping.real_form_generator(h2).shape == (4, 4)
         and mapping.real_form_generator(h4).shape == (8, 8)
@@ -357,11 +363,11 @@ def check_aharonov_bohm():
     shifted = mapping.apply_aharonov_bohm(
         theta, mapping.SitePotential(0.4, 0.4, 0.4, 0.4, dot_diameter=0.5)
     )
-    base_traj = quantum.evolve_schrodinger(h, quantum.wave_from_polar(p0, theta), 0.0, 5.0, 1e-3)
-    shift_traj = quantum.evolve_schrodinger(h, quantum.wave_from_polar(p0, shifted), 0.0, 5.0, 1e-3)
-    prob_gap = float(
-        np.abs(np.abs(base_traj.states) ** 2 - np.abs(shift_traj.states) ** 2).max()
-    )
+    gaps = [np.abs(np.abs(base.states) ** 2 - np.abs(moved.states) ** 2).max()
+            for base, moved in zip(
+                quantum.schrodinger_chunks(h, quantum.wave_from_polar(p0, theta), 0.0, 5.0, 1e-3),
+                quantum.schrodinger_chunks(h, quantum.wave_from_polar(p0, shifted), 0.0, 5.0, 1e-3))]
+    prob_gap = float(np.max(gaps))
     return [
         SubCheck("zero potential is the identity", ident_gap, 0.0),
         SubCheck("site-local shift hits exactly two phases", local_gap, 1e-15),

@@ -130,6 +130,18 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
     probability passed through 0 inside one step (backward runs can do
     that) without any stage landing below the floor.
     """
+    rhs, a0, float_block = _sqrt_flow(generator, p0, t0)
+    return numkit.rk4_path(rhs, a0, t0, t, dt, np.ndarray.tolist, float_block)
+
+
+def sqrt_chunks(generator, p0, t0, t, dt):
+    """evolve_sqrt_trajectory's run as a numkit.rk4_chunks stream, with the same checks."""
+    rhs, a0, float_block = _sqrt_flow(generator, p0, t0)
+    return numkit.rk4_chunks(rhs, a0, t0, t, dt, np.ndarray.tolist, float_block)
+
+
+def _sqrt_flow(generator, p0, t0):
+    """(rhs, a0, fast_block) of a checked sqrt-flow run from p0 at t0."""
     p0 = _check_floor(p0, t0)
     half = 0.5 * np.asarray(generator, dtype=float)
     if half.shape != (len(p0), len(p0)):
@@ -158,7 +170,7 @@ def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
         rows.reshape(-1)[:] = _sqrt_block(len(y))(y.tolist(), r, stages, h, screen, check_stage)
         return rows[-1]
 
-    return numkit.rk4_path(rhs, np.sqrt(p0), t0, t, dt, np.ndarray.tolist, float_block)
+    return rhs, np.sqrt(p0), float_block
 
 
 def evolve_sqrt(generator, p0, t0, t, dt):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import density, numkit
-from .quantum import evolve_schrodinger, is_hermitian, polar_split
+from .quantum import is_hermitian, polar_split, schrodinger_chunks
 
 # samples per certificate chunk: bounds the (chunk, 2N, 2N) stack of S
 CERTIFICATE_CHUNK = 256
@@ -176,56 +176,79 @@ class MappingReport:
 def verify_equivalence(h, psi0, t0, t1, dt):
     """Run the quantum evolution of H and certify its classical 2N image.
 
-    The real form is built first, so an H too large for it is refused
-    before the trajectory is evolved or split.
+    Each chunk of quantum.schrodinger_chunks is split (the unwrap
+    carried), reduced and certified, its last four samples the halo of
+    the next chunk's five-point stencil, so the call holds one chunk
+    beside the report arrays it allocates from the sample count.  The
+    real form is built first: an H too large for it is refused at once.
     """
     a_form = real_form_generator(h)
-    traj = evolve_schrodinger(h, psi0, t0, t1, dt)
-    polar = polar_split(traj)
-    y = amplitudes_from_wave(traj.states)
-    del traj  # y replaces the complex states, so the run is held once
-    x = y * y
-
-    probs = polar.probabilities
-    split_gap = float(np.abs(x[:, 0::2] + x[:, 1::2] - probs).max())
-
-    total = probs.sum(axis=1)
-    norm_drift = float(np.abs(total - total[0]).max())
-    increments = np.diff(total)
-    monotonicity_defect = float(max(0.0, increments.max())) if len(increments) else 0.0
-
+    chunks = schrodinger_chunks(h, psi0, t0, t1, dt)
+    n = numkit.step_count(t0, t1, dt) + 1
+    times, total = np.empty(n), np.empty(n)
     # five-point central differences need two neighbors on each side;
     # samples with a split component below the floor are excluded
-    times = polar.times
-    h_step = times[1] - times[0] if len(times) > 1 else 0.0
-    interior = np.arange(2, len(times) - 2)
-    low = x[interior].min(axis=1) < density.PROBABILITY_FLOOR
-    excluded = times[interior[low]]
-    checked = interior[~low]
-    residuals = np.empty(len(checked))
+    residual_times, residuals = np.empty(max(n - 4, 0)), np.empty(max(n - 4, 0))
+    excluded = [np.empty(0)]
+    # running maxima: np.maximum, like one np.max over the run, keeps a nan
+    split_gap = norm_drift = rise = -np.inf
+    start = checked = 0
     phase_gap = 0.0
-    for start in range(0, len(checked), CERTIFICATE_CHUNK):
-        i = checked[start:start + CERTIFICATE_CHUNK]
-        dx = (-x[i + 2] + 8.0 * x[i + 1] - 8.0 * x[i - 1] + x[i - 2]) / (12.0 * h_step)
-        s_matrix = 2.0 * a_form * density.amplitude_ratios(y[i])
-        s_x = np.einsum("nij,nj->ni", s_matrix, x[i])
-        residuals[start:start + len(i)] = np.abs(dx - s_x).max(axis=1)
-        tan2_true = np.tan(polar.phases[i]) ** 2
-        _, tan2_rec = phase_from_split(x[i])
-        gap = np.abs(tan2_true - tan2_rec) / (1.0 + np.abs(tan2_rec))
-        phase_gap = max(phase_gap, float(gap.max()))
+    carry = halo = None
+    for chunk in chunks:
+        polar = polar_split(chunk, carry)
+        carry = polar.carry
+        stop = start + len(chunk)
+        times[start:stop] = chunk.times
+        y = amplitudes_from_wave(chunk.states)
+        x = y * y
+        probs = polar.probabilities
+        split_gap = np.maximum(split_gap, np.abs(x[:, 0::2] + x[:, 1::2] - probs).max())
+        total[start:stop] = probs.sum(axis=1)
+        norm_drift = np.maximum(norm_drift, np.abs(total[start:stop] - total[0]).max())
+        if stop > 1:
+            rise = np.maximum(rise, np.diff(total[max(start - 1, 0):stop]).max())
+        window = (x, y, polar.phases)
+        if halo is not None:
+            window = tuple(np.concatenate(pair) for pair in zip(halo, window))
+        x, y, phases = window
+        start, halo = stop, tuple(part[-4:] for part in window)
+        # the window's centers, rows 2 .. len - 3, as rows 0 .. m - 1
+        m = max(len(x) - 4, 0)
+        h_step = times[1] - times[0] if n > 1 else 0.0
+        dx = (-x[4:4 + m] + 8.0 * x[3:3 + m] - 8.0 * x[1:1 + m] + x[:m]) / (12.0 * h_step)
+        x, y, phases = x[2:2 + m], y[2:2 + m], phases[2:2 + m]
+        first_center = stop - m - 2  # the run's index of center row 0
+        low = x.min(axis=1) < density.PROBABILITY_FLOOR
+        if low.any():
+            excluded.append(times[first_center + np.flatnonzero(low)])
+        centers = np.flatnonzero(~low)
+        for first in range(0, len(centers), CERTIFICATE_CHUNK):
+            i = centers[first:first + CERTIFICATE_CHUNK]
+            # consecutive centers (none excluded) are read as views, not gathered
+            rows = slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1 else i
+            s_matrix = 2.0 * a_form * density.amplitude_ratios(y[rows])
+            s_x = np.einsum("nij,nj->ni", s_matrix, x[rows])
+            residuals[checked:checked + len(i)] = np.abs(dx[rows] - s_x).max(axis=1)
+            residual_times[checked:checked + len(i)] = times[first_center + i]
+            checked += len(i)
+            tan2_true = np.tan(phases[rows]) ** 2
+            _, tan2_rec = phase_from_split(x[rows])
+            gap = np.abs(tan2_true - tan2_rec) / (1.0 + np.abs(tan2_rec))
+            phase_gap = max(phase_gap, float(gap.max()))
+    residuals = residuals[:checked]
     return MappingReport(
         times=times,
         total_probability=total,
-        max_residual=float(residuals.max()) if len(residuals) else 0.0,
-        checked_samples=len(residuals),
-        excluded_times=excluded,
-        split_consistency_gap=split_gap,
+        max_residual=float(residuals.max()) if checked else 0.0,
+        checked_samples=checked,
+        excluded_times=np.concatenate(excluded),
+        split_consistency_gap=float(split_gap),
         phase_recovery_gap=phase_gap,
         hermitian=is_hermitian(h),
-        norm_drift=norm_drift,
-        monotonicity_defect=monotonicity_defect,
-        residual_times=times[checked],
+        norm_drift=float(norm_drift),
+        monotonicity_defect=float(max(0.0, rise)),
+        residual_times=residual_times[:checked],
         residuals=residuals,
     )
 
@@ -237,6 +260,15 @@ def evolve_real_form(h, psi0, t0, t1, dt):
     reconstructing psi from the result must reproduce the complex
     integration to integrator accuracy.
     """
+    return numkit.ode_evolve(*_real_form_system(h, psi0), t0, t1, dt)
+
+
+def real_form_chunks(h, psi0, t0, t1, dt):
+    """evolve_real_form's run as a numkit.ode_chunks stream."""
+    return numkit.ode_chunks(*_real_form_system(h, psi0), t0, t1, dt)
+
+
+def _real_form_system(h, psi0):
+    """(A, y0): the real form of H and the interleaved amplitudes of psi0."""
     a = real_form_generator(h)
-    y0 = amplitudes_from_wave(np.asarray(psi0, dtype=complex))
-    return numkit.ode_evolve(a, y0, t0, t1, dt)
+    return a, amplitudes_from_wave(np.asarray(psi0, dtype=complex))

@@ -4,17 +4,19 @@ Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential and a deterministic
 eigendecomposition, each of one real matrix or a stack of them (a
 complex matrix raises ValueError), a fixed-step RK4 integrator with
-dense output, and central finite differences.  The eigendecomposition
-is real: where the solver returns a complex basis its real parts are
-kept, which within a repeated eigenvalue are eigenvectors but not of
-unit norm, and a spectrum off the real axis, whose real parts are not
-eigenpairs, raises LinAlgError.  The
-integrator steps each block of steps by its caller's fast pass (a linear
-system composes the block's increment matrices in about log2 of its
-length in array operations; the density module's sqrt flow runs
-generated float code) and steps a block that fails it again through one
-checked per-stage RK4.  All functions are pure; inputs are never
-mutated.
+dense output, whole or streamed, and central finite differences.  The
+eigendecomposition is real: where the solver returns a complex basis its
+real parts are kept, which within a repeated eigenvalue are eigenvectors
+but not of unit norm, and a spectrum off the real axis, whose real parts
+are not eigenpairs, raises LinAlgError.  The integrator steps each block
+of steps by its caller's fast pass (a linear system composes the block's
+increment matrices in about log2 of its length in array operations; the
+density module's sqrt flow runs generated float code) and steps a block
+that fails it again through one checked per-stage RK4.  Its dense output
+is one Trajectory of the whole run, or a stream of chunks of RUN_CHUNK
+steps on the same grid whose samples are the whole run's, bit for bit,
+so a caller that reduces the run holds one chunk at a time.  All
+functions are pure; inputs are never mutated.
 """
 
 import functools
@@ -29,6 +31,10 @@ MAX_DIM = 16
 # RK4 steps per block of rk4_path, which makes one stage_values call and
 # one fast pass per block: bounds the stage-value memory of a run
 STAGE_BLOCK = 128
+
+# RK4 steps per chunk of rk4_chunks, a whole number of blocks: bounds the
+# states a streamed run holds at once
+RUN_CHUNK = 8 * STAGE_BLOCK
 
 # the most steps one integration may take, checked before its sample
 # array is allocated (10 million complex rows of a 16-state vector are
@@ -55,8 +61,8 @@ class Trajectory:
         if times.ndim != 1 or states.ndim != 2 or len(times) != len(states):
             raise ValueError("times and states must be matching 1-d/2-d arrays")
         if len(times) > 1:
-            steps = np.diff(times)
-            if not (np.all(steps > 0) or np.all(steps < 0)):
+            steps = times[1:] - times[:-1]
+            if not (steps.min() > 0 or steps.max() < 0):  # a nan step fails both
                 raise ValueError("times must be strictly monotonic")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
@@ -169,6 +175,30 @@ def _orient(values, vectors):
     return values, columns.swapaxes(1, 2)
 
 
+def _solve(solver, m):
+    """Oriented real eigenpairs of each sample of the stack m, by eigh or eig.
+
+    eig makes the whole result complex when one sample's spectrum is, so
+    each sample's own eigenvalues' dtype decides its orientation.
+    """
+    w, v = solver(m)
+    if not np.iscomplexobj(w):
+        return _orient(w, v)
+    values, vectors = np.empty(w.shape), np.empty(v.shape)
+    real = (w.imag == 0).all(axis=1)
+    for take, w, v in ((real, w[real].real, v[real].real), (~real, w[~real], v[~real])):
+        w, v = _orient(w, v)
+        values[take], vectors[take] = w.real, v.real
+    return values, vectors
+
+
+def _residuals(m, values, vectors):
+    """max |m v - value v| over each sample's eigenpairs."""
+    defect = m @ vectors
+    defect -= vectors * values[:, None, :]
+    return np.abs(defect).max(axis=(1, 2))
+
+
 def eig(m):
     """Real eigendecomposition with deterministic ordering and orientation.
 
@@ -179,9 +209,12 @@ def eig(m):
     1e-14 and eig if not, and is oriented as a real sample if its own
     eigenvalues are exactly real, so sample k of a stack is exactly
     eig(m[k]); any other sample keeps the real parts of its oriented
-    complex basis.  Raises LinAlgError, naming the sample of a stack,
-    where the returned eigenpairs leave a residual above
-    1e-10 * ||m||_inf, as they do for a spectrum off the real axis.
+    complex basis.  Only a sample whose eigenpairs leave a residual above
+    1e-10 * ||m||_inf (eigh of a matrix symmetric to 1e-14 only, balanced
+    eig of entries that span many decades) is solved again, by eig with
+    its entries below 2**-52 * ||m||_inf set to zero.  Raises
+    LinAlgError, naming the sample of a stack, where that still misses
+    the bound for m, as for a spectrum off the real axis.
     """
     m = np.asarray(m)
     single = m.ndim == 2
@@ -189,27 +222,17 @@ def eig(m):
     symmetric = (np.abs(m - m.swapaxes(1, 2)) <= 1e-14).all(axis=(1, 2))
     values, vectors = np.empty(m.shape[:2]), np.empty(m.shape)
     for solver, take in ((np.linalg.eigh, symmetric), (np.linalg.eig, ~symmetric)):
-        samples = np.flatnonzero(take)
-        if not len(samples):
-            continue
-        w, v = solver(m if len(samples) == len(m) else m[samples])
-        parts = [(samples, w, v)]
-        if np.iscomplexobj(w):
-            # eig makes the whole result complex when one sample's spectrum
-            # is, so each sample's own dtype decides its orientation
-            real = (w.imag == 0).all(axis=1)
-            parts = [(samples[real], w[real].real, v[real].real),
-                     (samples[~real], w[~real], v[~real])]
-        for samples, w, v in parts:
-            w, v = _orient(w, v)
-            if len(samples) == len(m):
-                values, vectors = w.real, v.real
-            else:
-                values[samples], vectors[samples] = w.real, v.real
+        if take.all():
+            values, vectors = _solve(solver, m)
+        elif take.any():
+            values[take], vectors[take] = _solve(solver, m[take])
     scale = np.maximum(_inf_norms(m), 1e-300)
-    defect = m @ vectors
-    defect -= vectors * values[:, None, :]
-    residual = np.abs(defect).max(axis=(1, 2))
+    residual = _residuals(m, values, vectors)
+    retry = np.flatnonzero(residual > 1e-10 * scale)
+    if len(retry):
+        flushed = np.where(np.abs(m[retry]) < 2.0**-52 * scale[retry, None, None], 0.0, m[retry])
+        values[retry], vectors[retry] = _solve(np.linalg.eig, flushed)
+        residual[retry] = _residuals(m[retry], values[retry], vectors[retry])
     bad = residual > 1e-10 * scale
     if bad.any():
         k = bad.argmax()
@@ -238,14 +261,20 @@ def step_count(t0, t1, dt):
     return max(1, int(steps)) if span else 0
 
 
-def _sample_times(t0, t1, dt):
-    """(times, h): the uniform grid of step_count steps, ending exactly on t1."""
+def _grid(t0, t1, dt):
+    """(0, n_steps, n_steps, h): all steps of the uniform grid of step_count steps of h."""
     n_steps = step_count(t0, t1, dt)
+    return 0, n_steps, n_steps, (t1 - t0) / n_steps if n_steps else 0.0
+
+
+def _sample_times(t0, t1, dt, steps=None):
+    """(times, h) of steps (start, stop, n_steps, h), by default _grid's: the last sample is t1."""
+    start, stop, n_steps, h = steps or _grid(t0, t1, dt)
     if n_steps == 0:
         return np.array([t0], dtype=float), 0.0
-    h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
-    times[-1] = t1
+    times = t0 + h * np.arange(start, stop + 1)
+    if stop == n_steps:
+        times[-1] = t1
     return times, h
 
 
@@ -332,7 +361,7 @@ def _increment_block(f, y, g, h, rows, ladder):
     return rows[-1]
 
 
-def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block):
+def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block, steps=None):
     """Classical fixed-step RK4 with dense output, stepped a block at a time.
 
     The span is divided into uniform steps of size at most dt (the step
@@ -352,11 +381,15 @@ def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block):
     NonFiniteStateError at its sample time, and an error f raises on a
     finite state is raised as it is.  A state of more than MAX_DIM
     components raises ValueError before anything is allocated.
+
+    steps, rk4_chunks' (start, stop, n_steps, h) of the same grid, restricts
+    the call to steps start..stop, from y0 at sample start; start is on a
+    block boundary, so blocks and states are the whole run's, bit for bit.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     if len(y) > MAX_DIM:
         raise ValueError("dimension %d exceeds supported maximum %d" % (len(y), MAX_DIM))
-    times, h = _sample_times(t0, t1, dt)
+    times, h = _sample_times(t0, t1, dt, steps)
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
@@ -374,6 +407,26 @@ def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block):
             last = _rk4_block(f, y, stages, h, rows, times[start + 1:])
         y = last
     return Trajectory(times, states)
+
+
+def rk4_chunks(f, y0, t0, t1, dt, stage_values, fast_block):
+    """rk4_path(f, y0, t0, t1, dt, stage_values, fast_block) as a stream of Trajectory chunks.
+
+    Each chunk is one rk4_path call over at most RUN_CHUNK steps of the
+    run's grid, from the previous chunk's final state; chunk 0 holds
+    sample 0 and each later chunk the samples after the previous one's
+    last, so sample k of the stream is sample k of the one call, bit for
+    bit.  step_count refuses a run at this call, before any stepping.
+    """
+    _, _, n_steps, h = _grid(t0, t1, dt)
+
+    def chunks(y):
+        for start in range(0, max(n_steps, 1), RUN_CHUNK):
+            steps = (start, min(start + RUN_CHUNK, n_steps), n_steps, h)
+            part = rk4_path(f, y, t0, t1, dt, stage_values, fast_block, steps)
+            y = part.final
+            yield part if start == 0 else Trajectory(part.times[1:], part.states[1:])
+    return chunks(y0)
 
 
 def rk4_step_matrix(a1, a2, a3):
@@ -410,6 +463,19 @@ def ode_evolve(generator, y0, t0, t1, dt):
     each run of blocks with an equal G, with the bits of one built per
     block.
     """
+    y0, stage_matrices, fast_block = _linear_system(generator, y0)
+    # D.dot(y) is D @ y with less call overhead
+    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, fast_block)
+
+
+def ode_chunks(generator, y0, t0, t1, dt):
+    """ode_evolve's run as an rk4_chunks stream: the same checks, one ladder per run."""
+    y0, stage_matrices, fast_block = _linear_system(generator, y0)
+    return rk4_chunks(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, fast_block)
+
+
+def _linear_system(generator, y0):
+    """(y0, stage_values, fast_block) of a checked ode_evolve or ode_chunks run."""
     y0 = np.asarray(y0)
     if y0.ndim != 1:
         raise ValueError("state must be a 1-d vector, got shape %r" % (y0.shape,))
@@ -435,10 +501,8 @@ def ode_evolve(generator, y0, t0, t1, dt):
         if np.iscomplexobj(g) and not np.iscomplexobj(y0):
             raise ValueError("complex stage matrices need a complex state")
         return g
-    # D.dot(y) is D @ y with less call overhead; the ladder dict is this
-    # call's own
-    fast_block = functools.partial(_increment_block, ladder={})
-    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, fast_block)
+    # the ladder dict is this run's own
+    return y0, stage_matrices, functools.partial(_increment_block, ladder={})
 
 
 def numeric_derivative(f, t, h):

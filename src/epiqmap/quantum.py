@@ -10,7 +10,7 @@ matrix is the only Hamiltonian the functions here and in mapping take.
 hbar = 1 throughout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,8 +73,18 @@ def evolve_schrodinger(h, psi0, t0, t, dt):
     h is a constant complex matrix; it is stepped by numkit.ode_evolve's
     increment matrix of -i H.
     """
+    return numkit.ode_evolve(*_schrodinger_system(h, psi0), t0, t, dt)
+
+
+def schrodinger_chunks(h, psi0, t0, t, dt):
+    """evolve_schrodinger's run as a numkit.ode_chunks stream."""
+    return numkit.ode_chunks(*_schrodinger_system(h, psi0), t0, t, dt)
+
+
+def _schrodinger_system(h, psi0):
+    """(-i H, psi0) as the complex generator and state that numkit steps."""
     psi0 = np.asarray(psi0, dtype=complex)
-    return numkit.ode_evolve(-1j * np.asarray(h, dtype=complex), psi0, t0, t, dt)
+    return -1j * np.asarray(h, dtype=complex), psi0
 
 
 def wave_from_polar(probabilities, phases):
@@ -90,43 +100,55 @@ class PolarTrajectory:
     """Probabilities and unwrapped phases along a wave trajectory.
 
     held marks samples where the occupancy fell below PHASE_HOLD_FLOOR
-    and the phase was carried over from the last defined value.
+    and the phase was carried over from the last defined value.  carry,
+    (2, N), is each component's raw phase at its last defining sample and
+    its whole turns, for polar_split of the run's next chunk.
     """
 
     times: np.ndarray
     probabilities: np.ndarray
     phases: np.ndarray
     held: np.ndarray
+    carry: np.ndarray = field(repr=False)
 
 
-def polar_split(trajectory):
+def polar_split(trajectory, carry=None):
     """Split complex amplitudes into probabilities and continuous phases.
 
     Phases unwrap greedily: at each step the branch closest to the
     previous sample is chosen, so linear phase evolution continues past
     +/- pi.  Where p_k < PHASE_HOLD_FLOOR the phase is held and flagged.
-    Sample 0 keeps its raw phase and, held or not, is the first defining
-    sample.
+    Sample 0 of a run keeps its raw phase and, held or not, is the first
+    defining sample; carry, the previous chunk's PolarTrajectory.carry,
+    continues a run's unwrap chunk by chunk, to its phases bit for bit.
 
     Whole-array form of that per-sample rule: a defining sample i takes
     raw[i] + 2 pi K[i], where K[i] - K[j] = round((raw[j] - raw[i]) / 2 pi)
     and j is the defining sample before it; a held sample copies the
-    phase of the last defining sample.
+    phase of the last defining sample.  K sums whole numbers, exactly,
+    so carried turns plus a chunk's own sum is the run's cumulative sum.
     """
     states = np.asarray(trajectory.states)
     probs = np.abs(states) ** 2
-    raw = np.angle(states)
     held = probs < PHASE_HOLD_FLOOR
-    defining = ~held
+    raw = np.angle(states)
+    if carry is None:
+        carry = np.stack((raw[0], np.zeros(raw.shape[1])))
+    # row 0 stands for the last defining sample before the chunk (for a
+    # run's first chunk, sample 0 with no turns)
+    raw = np.concatenate((carry[:1], raw))
+    defining = np.concatenate((np.ones((1, raw.shape[1]), dtype=bool), ~held))
     rows = np.arange(len(raw))[:, None]
     cols = np.arange(raw.shape[1])
-    # filling held rows with 0 makes sample 0 defining, held or not
     last = np.maximum.accumulate(np.where(defining, rows, 0), axis=0)
     before = np.concatenate((last[:1], last[:-1]))
     two_pi = 2.0 * np.pi
     turns = np.where(defining, np.round((raw[before, cols] - raw) / two_pi), 0.0)
-    phases = (raw + two_pi * np.cumsum(turns, axis=0))[last, cols]
-    return PolarTrajectory(trajectory.times, probs, phases, held)
+    turns[0] = carry[1]
+    turns = np.cumsum(turns, axis=0)
+    phases = (raw + two_pi * turns)[last[1:], cols]
+    carry = np.stack((raw[last[-1], cols], turns[-1]))
+    return PolarTrajectory(trajectory.times, probs, phases, held, carry)
 
 
 def pure_entropy_pair(psi):

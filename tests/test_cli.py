@@ -469,6 +469,21 @@ class TestFrameFallbacks:
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         assert checks["frame_fallbacks"]["value"] == 0.0
 
+    # numkit.eig refused these fallback samples on their first solution
+    # (eigh on a matrix symmetric only to 1e-14; balanced eig on entries
+    # 300 decades apart) and solves them again with negligible entries zeroed
+    @pytest.mark.parametrize("generator", [
+        {"s11": 0.0, "s12": 0.0, "s21": 1e-15, "s22": 0.0},
+        {"s11": -1.0, "s12": 1e-300, "s21": 1.0, "s22": -1e-300},
+    ], ids=["small_asymmetric", "spread_entries"])
+    def test_fallback_solved_again_exits_0(self, tmp_path, generator):
+        cfg = write_config(tmp_path, epidemic2_config(
+            generator=generator, outputs=["probabilities", "ensemble_weights"]))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert checks["frame_fallbacks"]["value"] == 101.0
+
     def test_no_check_without_weights(self, tmp_path):
         cfg = write_config(tmp_path, epidemic2_config(outputs=["probabilities"]))
         out = tmp_path / "out"

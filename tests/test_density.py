@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_numkit import half_rates_rhs, per_step_rk4_path
+from test_numkit import assert_stream_is_run, chunk_steps, half_rates_rhs, per_step_rk4_path
 
 from epiqmap import density, epidemic, numkit
 from epiqmap.errors import FloorViolationError, NonFiniteStateError
@@ -250,6 +250,36 @@ def float_rk4_states(generator, a0, t0, t1, dt):
         y = [a + h / 6.0 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
         states.append(y)
     return np.array(states)
+
+
+class TestSqrtChunks:
+    """sqrt_chunks streams evolve_sqrt_trajectory's run, error for error."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4, 8]),
+           n_steps=chunk_steps, backward=st.booleans())
+    def test_chunks_concatenate_to_the_run(self, seed, d, n_steps, backward):
+        rng = np.random.default_rng(seed)
+        s = random_master_rates(rng, d)
+        p0 = rng.uniform(0.05, 1.0, size=d)
+        p0 /= p0.sum()
+        # backward runs of the larger spans drive some probabilities through
+        # the floor: the stream then raises where the run does
+        t1 = (-1.0 if backward else 1.0) * n_steps * 1e-4
+        try:
+            run = density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 1e-4)
+        except FloorViolationError as error:
+            with pytest.raises(FloorViolationError) as streamed:
+                list(density.sqrt_chunks(s, p0, 0.0, t1, 1e-4))
+            assert (streamed.value.time, streamed.value.component) == (error.time, error.component)
+            return
+        assert_stream_is_run(density.sqrt_chunks(s, p0, 0.0, t1, 1e-4), run)
+
+    def test_refused_at_the_call(self):
+        with pytest.raises(FloorViolationError):
+            density.sqrt_chunks(GENERIC_S4, [1.0, 0.0, 0.0, 0.0], 0.0, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="does not match 3 probabilities"):
+            density.sqrt_chunks(np.zeros((3, 4)), [0.5, 0.3, 0.2], 0, 0.5, 0.01)
 
 
 class TestGeneratedStep:

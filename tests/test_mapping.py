@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqmap import density, mapping, quantum
+from epiqmap import density, mapping, numkit, quantum
 from epiqmap.errors import FloorViolationError
+
+from test_numkit import assert_stream_is_run, chunk_steps
 
 
 def hermitian_h():
@@ -374,3 +378,81 @@ class TestVerifyEquivalence:
         assert np.array_equal(mapping.wave_from_amplitudes(y), psi)
         for k in range(5):
             assert np.array_equal(mapping.wave_from_amplitudes(y[k]), psi[k])
+
+
+def report_digest(report):
+    """SHA-256 of a MappingReport's arrays and the reprs of its scalars."""
+    digest = hashlib.sha256()
+    for name in ("times", "total_probability", "excluded_times", "residual_times", "residuals"):
+        digest.update(getattr(report, name).tobytes())
+    digest.update(repr([report.max_residual, report.checked_samples,
+                        report.split_consistency_gap, report.phase_recovery_gap,
+                        report.hermitian, report.norm_drift,
+                        report.monotonicity_defect]).encode())
+    return digest.hexdigest()
+
+
+class TestStreamedCertificate:
+    """verify_equivalence reduces the run chunk by chunk, to the report of the whole-array form."""
+
+    # 5001 samples (five chunks); the lossy pair is the dissipation
+    # criterion's; the 2-level run under a floor of 1e-3 excludes 245
+    # samples around its phase crossings, some at chunk boundaries.  The
+    # digests are those of the whole-array form, which held the run.
+    @pytest.mark.parametrize("h, psi0, t1, floor, digest", [
+        (hermitian_h(), REFERENCE_PSI0, 5.0, None,
+         "89f975ba670f7d8cd10d3aba7e3749c183933af24b0564d8775c367de117a1d8"),
+        (quantum.build_hamiltonian(1.05 - 0.1j, 0.95 - 0.1j, 1.05 - 0.1j, 0.95 - 0.1j, 0.1, 0.1,
+                                   0.05, 0.10, 0.15, 0.20, ts_a_21=0.1, ts_b_21=0.1),
+         REFERENCE_PSI0, 5.0, None,
+         "2284081daf53d8ed055a97212e54b48b3473d8e1148abecdf774a966f3fd54a2"),
+        (np.array([[1.0, 0.05], [0.05, -0.7]], dtype=complex),
+         quantum.wave_from_polar([0.6, 0.4], [0.2, -1.1]), 3.0, 1e-3,
+         "03323ffb6ec190a5b79df8b2cb39cb8184a4fa2151cae08604bd5e0cb15a9eb0"),
+    ], ids=["hermitian", "lossy", "excluded_samples"])
+    def test_report_is_pinned(self, monkeypatch, h, psi0, t1, floor, digest):
+        if floor is not None:
+            monkeypatch.setattr(density, "PROBABILITY_FLOOR", floor)
+        report = mapping.verify_equivalence(h, psi0, 0.0, t1, 1e-3)
+        assert len(report.times) > 2 * numkit.RUN_CHUNK
+        assert report_digest(report) == digest
+
+    def test_memory_is_one_chunk_beside_the_report(self):
+        # the traced peak less what the returned report holds is the
+        # chunk's working set, the same at 20,001 and at 200,001 samples
+        # (the whole-array form peaked at 312 bytes per sample)
+        excess = []
+        for t1 in (20.0, 200.0):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = mapping.verify_equivalence(hermitian_h(), REFERENCE_PSI0, 0.0, t1, 1e-3)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - held)
+        image_chunk = (numkit.RUN_CHUNK + 1) * 8 * 8  # one chunk of the 2N = 8 image
+        assert abs(excess[1] - excess[0]) <= image_chunk
+        assert excess[0] <= 16 * image_chunk
+        assert len(report.times) == 200_001 and peak <= 48 * len(report.times)
+
+    def test_runs_short_of_a_stencil(self):
+        # five samples check one; a run of one sample has no step to rise
+        for steps in range(6):
+            report = mapping.verify_equivalence(hermitian_h(), REFERENCE_PSI0, 0.0,
+                                                steps * 1e-3, 1e-3)
+            assert len(report.times) == len(report.total_probability) == steps + 1
+            assert report.checked_samples == len(report.residual_times) == max(0, steps - 3)
+            if steps == 0:
+                assert report.monotonicity_defect == report.norm_drift == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 4, 8]),
+           n_steps=chunk_steps, backward=st.booleans())
+    def test_real_form_chunks_concatenate_to_the_run(self, seed, n, n_steps, backward):
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t1 = (-1.0 if backward else 1.0) * n_steps * 1e-3
+        run = mapping.evolve_real_form(h, psi0, 0.0, t1, 1e-3)
+        assert_stream_is_run(mapping.real_form_chunks(h, psi0, 0.0, t1, 1e-3), run)

@@ -311,23 +311,71 @@ class TestStackedEig:
         assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
 
 
-# Entries are 0 or of magnitude [1e-3, 1], a traffic matrix's diagonal
-# rates are nonzero, and s21 may be tiny.  Left out, because numkit.eig
-# refuses their fallback samples with LinAlgError: an inf-norm below about
-# 1e-4 with off-diagonal entries within 1e-14 of each other (eigh, which
-# reads one triangle, solves it), other entries far below the rest, and a
-# zero diagonal rate beside a tiny nonzero s21 in a traffic matrix (LAPACK's
-# balanced eig leaves residuals up to ||m||_inf on both)
+class TestEigRetry:
+    """A refused sample is solved once more, with its negligible entries set to zero."""
+
+    # eigh reads one triangle of a matrix symmetric to 1e-14 only; balanced
+    # eig misses on entries that span 300 decades
+    @pytest.mark.parametrize("m", [
+        [[0.0, 0.0], [1e-15, 0.0]],
+        [[-1.0, 1e-300], [1.0, -1e-300]],
+    ], ids=["small_asymmetric", "spread_entries"])
+    def test_refused_samples_are_solved(self, m):
+        m = np.array(m)
+        values, vectors = numkit.eig(m)
+        assert np.abs(m @ vectors - vectors * values).max() <= 1e-290
+        stack = np.array([np.diag([1.0, 2.0]), m, [[0.5, 0.2], [0.8, -0.3]]])
+        stacked = numkit.eig(stack)
+        for k in range(3):
+            alone = numkit.eig(stack[k])
+            assert stacked[0][k].tobytes() == alone[0].tobytes()
+            assert stacked[1][k].tobytes() == alone[1].tobytes()
+
+    def test_solved_samples_are_not_solved_again(self, monkeypatch):
+        solved = []
+
+        def counted(m):
+            solved.append(m.shape)
+            return solve(m)
+
+        solve = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        m = np.array([[[0.5, 0.2], [0.8, -0.3]], [[0.0, 0.0], [1e-15, 0.0]], [[0.1, 0.3], [0.7, 0.2]]])
+        numkit.eig(m)
+        # the two asymmetric samples, then the one eigh refused
+        assert solved == [(2, 2, 2), (1, 2, 2)]
+
+    def test_a_complex_spectrum_is_still_refused(self):
+        with pytest.raises(np.linalg.LinAlgError, match="in sample 1"):
+            numkit.eig(np.array([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]]))
+
+
+# A 2x2 entry is 0 or of any magnitude from 1e-300 to 1: numkit.eig solves
+# again the samples its first solution misses there (an inf-norm below about
+# 1e-4 with off-diagonal entries within 1e-14 of each other, which eigh
+# solves from one triangle, and entries far below the rest, on which LAPACK's
+# balanced eig leaves residuals up to ||m||_inf).  A traffic matrix's entries
+# are 0 or of magnitude [1e-3, 1], its diagonal rates nonzero, and s21 may be
+# tiny.  Left out, because numkit.eig still refuses some of those fallback
+# samples with LinAlgError: an inf-norm below 1e-3, other entries far below
+# the rest, and a zero diagonal rate beside a tiny nonzero s21.
 nonzero = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
 unit = st.one_of(st.just(0.0), nonzero)
+
+
+def signed(magnitudes):
+    return st.sampled_from([1.0, -1.0]).flatmap(lambda sign: magnitudes.map(lambda x: sign * x))
+
+
+spread = st.one_of(unit, signed(st.floats(1e-300, 1e-3)))
 # below epidemic.S21_FLOOR, zero included
-tiny = st.sampled_from([1.0, -1.0]).flatmap(lambda sign: st.floats(0.0, 1e-11).map(lambda x: sign * x))
+tiny = signed(st.floats(0.0, 1e-11))
 
 
 @st.composite
 def frame_fallbacks(draw):
     """A 2x2 rate matrix whose closed-form frame is singular."""
-    s11, s12, s22 = draw(unit), draw(unit), draw(unit)
+    s11, s12, s22 = draw(spread), draw(spread), draw(spread)
     kind = draw(st.sampled_from(["s21", "denominator", "columns"]))
     if kind == "s21":
         return np.array([[s11, s12], [draw(tiny), s22]])
@@ -348,8 +396,8 @@ def traffic_fallbacks(draw):
 
 
 def in_domain(m):
-    """Whether m has an inf-norm of at least 1e-3 and nonnegative closed-form discriminants."""
-    if np.abs(m).max() < 1e-3:
+    """Whether m has nonnegative closed-form discriminants (and a 4x4 one an inf-norm of 1e-3)."""
+    if m.shape == (4, 4) and np.abs(m).max() < 1e-3:
         return False
     try:
         epidemic.matrix_frame(m) if m.shape == (2, 2) else coupled.matrix_modes(m[None])
@@ -944,6 +992,117 @@ class TestIncrementLadder:
         first_step = numkit._sample_times(0.0, t1, 0.01)[0][first_bad_block * numkit.STAGE_BLOCK + 1]
         assert lean.value.time == reference.value.time == first_step
         assert str(lean.value) == str(reference.value)
+
+
+def joined(chunks):
+    """(times, states) of a chunk stream, concatenated."""
+    chunks = list(chunks)
+    return np.concatenate([c.times for c in chunks]), np.concatenate([c.states for c in chunks])
+
+
+def assert_stream_is_run(chunks, run):
+    """The stream's samples are the run's, byte for byte."""
+    times, states = joined(chunks)
+    assert times.tobytes() == run.times.tobytes()
+    assert states.dtype == run.states.dtype
+    assert states.tobytes() == run.states.tobytes()
+
+
+# no steps, less than one chunk, and up to three chunks and a part block
+chunk_steps = st.one_of(st.just(0), st.integers(1, numkit.RUN_CHUNK - 1),
+                        st.integers(numkit.RUN_CHUNK - 1, 3 * numkit.RUN_CHUNK + 130))
+
+
+class TestRunChunks:
+    """ode_chunks streams ode_evolve's run in block-aligned chunks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(1, False), (2, False), (4, False), (16, False),
+                               (2, True), (4, True)]),
+        varying=st.booleans(),
+        t0=st.floats(-5.0, 5.0),
+        n_steps=chunk_steps,
+        dt=st.floats(0.001, 0.005),
+        backward=st.booleans(),
+        ragged=st.booleans(),
+    )
+    def test_chunks_concatenate_to_the_run(
+        self, seed, shape, varying, t0, n_steps, dt, backward, ragged
+    ):
+        g, y0 = random_system(seed, *shape)
+        b, _ = random_system(seed + 1, *shape)
+        generator = time_dependent(0.3 * g, 0.3 * b) if varying else 0.3 * g
+        # a ragged span ends off the dt grid, so the last step is shrunk
+        span = (n_steps - 0.37 * ragged) * dt if n_steps else 0.0
+        t1 = t0 - span if backward else t0 + span
+        run = numkit.ode_evolve(generator, y0, t0, t1, dt)
+        assert len(run) == n_steps + 1
+        assert_stream_is_run(numkit.ode_chunks(generator, y0, t0, t1, dt), run)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, numkit.RUN_CHUNK - 1, numkit.RUN_CHUNK,
+                                         numkit.RUN_CHUNK + 1, 3 * numkit.RUN_CHUNK + 5])
+    def test_one_rk4_path_call_per_chunk(self, monkeypatch, n_steps):
+        # a counting wrapper in place of the module attribute, as the
+        # benchmark's spans install theirs: steps are len(result) - 1
+        steps = []
+
+        def rk4_path(*args, **kwargs):
+            result = original(*args, **kwargs)
+            steps.append(len(result) - 1)
+            return result
+
+        original = numkit.rk4_path
+        monkeypatch.setattr(numkit, "rk4_path", rk4_path)
+        chunks = list(numkit.ode_chunks(np.eye(2), np.ones(2), 0.0, n_steps * 0.01, 0.01))
+        assert len(steps) == max(1, -(-n_steps // numkit.RUN_CHUNK)) == len(chunks)
+        assert sum(steps) == n_steps == sum(map(len, chunks)) - 1
+
+    def test_one_ladder_per_run(self, monkeypatch):
+        built = []
+
+        def counted(a1, a2, a3):
+            built.append(a1.shape)
+            return step_matrix(a1, a2, a3)
+
+        step_matrix = numkit.rk4_step_matrix
+        monkeypatch.setattr(numkit, "rk4_step_matrix", counted)
+        chunks = numkit.ode_chunks(np.array([[-0.3, 0.2], [0.3, -0.2]]), [0.6, 0.4],
+                                   0.0, 3.5 * numkit.RUN_CHUNK * 0.01, 0.01)
+        assert len(list(chunks)) == 4 and built == [(2, 2)]
+
+    @pytest.mark.parametrize("zero_stride", [True, False])
+    def test_nan_entry_past_the_first_chunk_fails_at_the_same_time(self, zero_stride):
+        good = np.array([[-0.3, 0.2], [0.3, -0.2]])
+        bad = good.copy()
+        bad[1, 0] = np.nan
+        first_bad_block = numkit.RUN_CHUNK // numkit.STAGE_BLOCK + 3
+        pattern = [0] * first_bad_block + [1] * 4
+        generator = blockwise((good, bad), pattern, 0.01, zero_stride)
+        y0 = np.array([0.6, 0.4])
+        t1 = (first_bad_block + 2) * numkit.STAGE_BLOCK * 0.01
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as run:
+                numkit.ode_evolve(generator, y0, 0.0, t1, 0.01)
+            with pytest.raises(NonFiniteStateError) as stream:
+                list(numkit.ode_chunks(generator, y0, 0.0, t1, 0.01))
+        assert stream.value.time == run.value.time
+        assert str(stream.value) == str(run.value)
+
+    def test_refused_before_stepping(self, monkeypatch):
+        # the shape checks and the step budget at the call, the dimension
+        # at the first chunk: nothing is stepped or allocated before either
+        with pytest.raises(ValueError, match="exceeds supported maximum 16"):
+            next(numkit.ode_chunks(np.zeros((17, 17)), np.ones(17), 0, 1, 0.1))
+        with pytest.raises(ValueError, match="does not match"):
+            numkit.ode_chunks(np.zeros((3, 3)), np.ones(2), 0, 1, 0.1)
+        monkeypatch.setattr(numkit, "MAX_STEPS", 50)
+        with pytest.raises(ValueError, match="more than 50 steps"):
+            numkit.ode_chunks(np.zeros((2, 2)), np.ones(2), 0.0, 1.0, 0.01)
+
+    def test_run_chunk_is_whole_blocks(self):
+        assert numkit.RUN_CHUNK % numkit.STAGE_BLOCK == 0
 
 
 class TestStepBudget:

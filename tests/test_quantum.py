@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from epiqmap import numkit, quantum
 
+from test_numkit import assert_stream_is_run, chunk_steps
+
 
 def hermitian_h(**overrides):
     base = dict(
@@ -198,6 +200,64 @@ class TestPolarSplit:
     def test_wave_from_polar_rejects_negative(self):
         with pytest.raises(ValueError):
             quantum.wave_from_polar([-0.1, 1.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
+
+
+def split_in_chunks(trajectory, cuts):
+    """polar_split of the trajectory cut before each index in cuts, the unwrap carried."""
+    carry, parts = None, []
+    for start, stop in zip([0] + cuts, cuts + [len(trajectory)]):
+        part = numkit.Trajectory(trajectory.times[start:stop], trajectory.states[start:stop])
+        polar = quantum.polar_split(part, carry)
+        carry = polar.carry
+        parts.append(polar)
+    return parts
+
+
+class TestChunkedPolarSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           hold_rate=st.sampled_from([0.0, 0.2, 0.6, 0.95]), data=st.data())
+    def test_carry_continues_the_whole_run(self, seed, n, hold_rate, data):
+        # phases step by up to +/- 3 rad, so most samples need a turn; held
+        # samples come in runs (sample 0 and whole chunks included)
+        rng = np.random.default_rng(seed)
+        phase = np.cumsum(rng.uniform(-3.0, 3.0, size=(n, 3)), axis=0)
+        magnitude = rng.uniform(0.1, 1.0, size=(n, 3))
+        low = np.repeat(rng.random((n // 4 + 1, 3)) < hold_rate, 4, axis=0)[:n]
+        magnitude[low] = rng.choice([0.0, 1e-9, 1e-8], size=int(low.sum()))
+        trajectory = numkit.Trajectory(np.arange(float(n)), magnitude * np.exp(1j * phase))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else [])
+        whole = quantum.polar_split(trajectory)
+        parts = split_in_chunks(trajectory, list(cuts))
+        for field in ("times", "probabilities", "phases", "held"):
+            joined = np.concatenate([getattr(part, field) for part in parts])
+            assert joined.tobytes() == getattr(whole, field).tobytes()
+        assert parts[-1].carry.tobytes() == whole.carry.tobytes()
+        phases, held = polar_split_loop(trajectory.states)
+        assert np.array_equal(whole.phases, phases) and np.array_equal(whole.held, held)
+
+    def test_many_turns_across_chunks(self):
+        # 50,001 samples of the reference pair, cut at the stream's chunks
+        psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
+        trajectory = quantum.evolve_schrodinger(hermitian_h(), psi0, 0.0, 50.0, 1e-3)
+        cuts = list(range(numkit.RUN_CHUNK + 1, len(trajectory), numkit.RUN_CHUNK))
+        phases = np.concatenate([p.phases for p in split_in_chunks(trajectory, cuts)])
+        assert np.abs(phases[-1]).max() > 10.0 * np.pi
+        assert phases.tobytes() == quantum.polar_split(trajectory).phases.tobytes()
+
+
+class TestSchrodingerChunks:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 4, 8]),
+           lossy=st.booleans(), n_steps=chunk_steps, backward=st.booleans())
+    def test_chunks_concatenate_to_the_run(self, seed, n, lossy, n_steps, backward):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = 0.5 * (a + a.conj().T) - 0.05j * lossy * np.diag(rng.uniform(0.0, 1.0, n))
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t1 = (-1.0 if backward else 1.0) * n_steps * 1e-3
+        run = quantum.evolve_schrodinger(h, psi0, 0.0, t1, 1e-3)
+        assert_stream_is_run(quantum.schrodinger_chunks(h, psi0, 0.0, t1, 1e-3), run)
 
 
 def schmidt_entropies(psi):
