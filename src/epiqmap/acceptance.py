@@ -63,6 +63,14 @@ def _seeded_draws(rng, n, width, healthy):
     return np.concatenate(kept)
 
 
+def _strided(chunks, k):
+    """(chunk, rows) per chunk of a stream, rows slicing out the run's samples 0, k, 2k, ..."""
+    start = 0
+    for chunk in chunks:
+        yield chunk, slice(-start % k, None, k)
+        start += len(chunk)
+
+
 def _random_frame_generator(rng, symmetric=False):
     """A seeded 2x2 generator with a healthy closed-form spectral frame."""
     return epidemic.Generator2(*_random_frame_matrices(rng, 1, symmetric).ravel())
@@ -215,12 +223,10 @@ _REFERENCE_S4 = np.array(
 def check_sqrt_transform():
     """Squared amplitude flow equals the master-equation flow."""
     p0 = np.array([0.40, 0.30, 0.20, 0.10])
-    # every 200th sample of the run, copied out as the chunks stream past
-    times, states, start = [], [], 0
-    for chunk in density.sqrt_chunks(_REFERENCE_S4, p0, 0.0, 5.0, 1e-4):
-        times.append(chunk.times[-start % 200::200].copy())
-        states.append(chunk.states[-start % 200::200].copy())
-        start += len(chunk)
+    times, states = [], []
+    for chunk, every in _strided(density.sqrt_chunks(_REFERENCE_S4, p0, 0.0, 5.0, 1e-4), 200):
+        times.append(chunk.times[every].copy())
+        states.append(chunk.states[every].copy())
     ref = numkit.mat_exp(_REFERENCE_S4 * np.concatenate(times)[:, None, None]) @ p0
     worst = float(np.abs(np.concatenate(states) ** 2 - ref).max())
     lowest = float(ref.min())
@@ -263,8 +269,10 @@ def check_entanglement_entropy():
     psi0 = np.kron(
         np.array([0.8, 0.6], dtype=complex), np.array([0.6, 0.8j], dtype=complex)
     )
-    traj = quantum.evolve_schrodinger(h, psi0, 0.0, 5.0, 1e-3)
-    s_a, _ = quantum.pure_entropy_pair(traj.states[::50])
+    # copied out of each chunk, so no chunk stays alive through a view
+    chunks = _strided(quantum.schrodinger_chunks(h, psi0, 0.0, 5.0, 1e-3), 50)
+    states = np.concatenate([chunk.states[every].copy() for chunk, every in chunks])
+    s_a, _ = quantum.pure_entropy_pair(states)
     worst_drift = max(0.0, float(s_a.max()))
     return [
         SubCheck("|S_A - S_B| over random pure states", worst_pair, 1e-9),
@@ -290,12 +298,11 @@ def check_quantum_unitarity():
     """Norm and energy conservation of the Hermitian pair Hamiltonian."""
     h = _reference_hamiltonian()
     psi0 = _reference_psi0()
-    drifts, sampled, start = [], [], 0
-    for chunk in quantum.schrodinger_chunks(h, psi0, 0.0, 10.0, 1e-3):
+    drifts, sampled = [], []
+    for chunk, every in _strided(quantum.schrodinger_chunks(h, psi0, 0.0, 10.0, 1e-3), 100):
         norms = np.abs(chunk.states) ** 2
         drifts.append(np.abs(norms.sum(axis=1) - 1.0).max())
-        sampled.extend(chunk.states[-start % 100::100].copy())  # every 100th sample of the run
-        start += len(chunk)
+        sampled.extend(chunk.states[every].copy())
     norm_drift = float(np.max(drifts))
     e0 = quantum.expectation_energy(h, psi0).real
     energy_drift = max(abs(quantum.expectation_energy(h, state).real - e0) for state in sampled)

@@ -69,9 +69,9 @@ def sqrt_dynamics_generator(generator, p, t=0.0):
 
 # RK4 steps of da/dt = (1/2) (S p) / a in Python floats, their states
 # appended to one flat list of block rows.  A stage compares each entry
-# of its input x with the screen, checking x as evolve_sqrt_trajectory's
-# rhs does when one is below it, sums each row of r (x * x) from left to
-# right, with r = S / 2, and divides by x; the stages combine as in
+# of its input x with the screen, checking x as sqrt_chunks' rhs does
+# when one is below it, sums each row of r (x * x) from left to right,
+# with r = S / 2, and divides by x; the stages combine as in
 # numkit.rk4_path's checked steps.
 _SQRT_BLOCK = """\
 def sqrt_block(y, r, stages, h, screen, check):
@@ -113,35 +113,24 @@ def _sqrt_block(d):
     return namespace["sqrt_block"]
 
 
-def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
-    """RK4 trajectory of the amplitudes a = sqrt(p) under H(t, p).
+def sqrt_chunks(generator, p0, t0, t, dt):
+    """RK4 run of the amplitudes a = sqrt(p) under H(t, p), as a numkit.rk4_chunks stream.
 
     H depends on the instantaneous state, so this is a self-consistent
     (nonlinear) integration although S is constant.  S is converted and
     halved once; an object that is not array-like (a Generator2, say)
     raises TypeError, and an S that is not (d, d) for d probabilities
-    raises ValueError.  The right-hand side is H a = (1/2) (S p) / a:
-    one matrix-vector product, H itself is never formed.  numkit.rk4_path
-    steps each block as _sqrt_block's straight-line code and steps one
-    that raises or ends non-finite again with rhs, stage by stage.  So a
-    NonFiniteStateError reports the first non-finite sample, and a
-    FloorViolationError the stage time at which a probability fell below
-    the floor.  It is also raised when a stage amplitude is negative: a
-    probability passed through 0 inside one step (backward runs can do
-    that) without any stage landing below the floor.
+    raises ValueError, at this call, as does a p0 below the floor.  The
+    right-hand side is H a = (1/2) (S p) / a: one matrix-vector product,
+    H itself is never formed.  numkit.rk4_path steps each block as
+    _sqrt_block's straight-line code and steps one that raises or ends
+    non-finite again with rhs, stage by stage.  So a NonFiniteStateError
+    reports the first non-finite sample, and a FloorViolationError the
+    stage time at which a probability fell below the floor.  It is also
+    raised when a stage amplitude is negative: a probability passed
+    through 0 inside one step (backward runs can do that) without any
+    stage landing below the floor.
     """
-    rhs, a0, float_block = _sqrt_flow(generator, p0, t0)
-    return numkit.rk4_path(rhs, a0, t0, t, dt, np.ndarray.tolist, float_block)
-
-
-def sqrt_chunks(generator, p0, t0, t, dt):
-    """evolve_sqrt_trajectory's run as a numkit.rk4_chunks stream, with the same checks."""
-    rhs, a0, float_block = _sqrt_flow(generator, p0, t0)
-    return numkit.rk4_chunks(rhs, a0, t0, t, dt, np.ndarray.tolist, float_block)
-
-
-def _sqrt_flow(generator, p0, t0):
-    """(rhs, a0, fast_block) of a checked sqrt-flow run from p0 at t0."""
     p0 = _check_floor(p0, t0)
     half = 0.5 * np.asarray(generator, dtype=float)
     if half.shape != (len(p0), len(p0)):
@@ -170,7 +159,12 @@ def _sqrt_flow(generator, p0, t0):
         rows.reshape(-1)[:] = _sqrt_block(len(y))(y.tolist(), r, stages, h, screen, check_stage)
         return rows[-1]
 
-    return rhs, np.sqrt(p0), float_block
+    return numkit.rk4_chunks(rhs, np.sqrt(p0), t0, t, dt, np.ndarray.tolist, float_block)
+
+
+def evolve_sqrt_trajectory(generator, p0, t0, t, dt):
+    """The Trajectory of sqrt_chunks' run, collected."""
+    return numkit.collect(sqrt_chunks(generator, p0, t0, t, dt), t0, t, dt)
 
 
 def evolve_sqrt(generator, p0, t0, t, dt):

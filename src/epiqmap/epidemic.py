@@ -27,6 +27,7 @@ from . import numkit
 from .errors import ComplexSpectrumError, DegenerateFrameError, FloorViolationError
 
 S21_FLOOR = 1e-10
+FRAME_SINE_FLOOR = 1e-12  # least sine between the frame vectors ensemble_decompose splits along
 _PREFACTOR_FLOOR = 1e-10
 _TAYLOR_WINDOW = 1e-6
 
@@ -246,15 +247,23 @@ def ensemble_decompose(p, generator, t, return_frame=False):
 
     Computed by projection onto the frame vectors scaled by their squared
     norms; the decompose/reconstruct roundtrip is exact whenever the two
-    frame vectors are orthogonal (symmetric coupling s12 = s21).  With a
-    1-d array of n times, p is an (n, 2) stack of states and the weights
-    are (n, 2).  With return_frame, the frame is returned too.
+    frame vectors are orthogonal (symmetric coupling s12 = s21).  Vectors
+    whose angle has a sine |v1 x v2| / sqrt(n1 n2) below FRAME_SINE_FLOOR
+    (a defective spectrum) span only their common line, so they raise
+    DegenerateFrameError, as vanishing norms do.  With a 1-d array of n
+    times, p is an (n, 2) stack of states and the weights are (n, 2).
+    With return_frame, the frame is returned too.
     """
     frame = spectral_frame(generator, t)
     p = np.asarray(p, dtype=float)
-    # a nan norm fails these comparisons too
+    # a nan norm or sine fails these comparisons too
     if not (np.all(frame.n1 >= 1e-14) and np.all(frame.n2 >= 1e-14)):
         raise DegenerateFrameError("eigen-ensemble norms vanished or are not finite")
+    (a, b), (c, d) = np.moveaxis(frame.v1, -1, 0), np.moveaxis(frame.v2, -1, 0)
+    sine = np.abs(a * d - b * c) / np.sqrt(frame.n1 * frame.n2)
+    if not np.all(sine >= FRAME_SINE_FLOOR):
+        raise DegenerateFrameError("eigen-ensemble vectors are parallel: sine %.3e below %.0e"
+                                   % (np.min(sine), FRAME_SINE_FLOOR))
     weights = _stack_last(
         np.vecdot(frame.v1, p) / frame.n1, np.vecdot(frame.v2, p) / frame.n2
     )

@@ -7,11 +7,9 @@ class ComplexSpectrumError(ValueError):
     Carries the offending discriminant so callers can report it.
     """
 
-    def __init__(self, discriminant, message=None):
+    def __init__(self, discriminant):
         self.discriminant = discriminant
-        if message is None:
-            message = "complex spectrum: discriminant = %r" % (float(discriminant),)
-        super().__init__(message)
+        super().__init__("complex spectrum: discriminant = %r" % (float(discriminant),))
 
 
 class DegenerateFrameError(ValueError):

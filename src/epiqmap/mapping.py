@@ -253,22 +253,17 @@ def verify_equivalence(h, psi0, t0, t1, dt):
     )
 
 
-def evolve_real_form(h, psi0, t0, t1, dt):
-    """Integrate the interleaved real-amplitude system dx/dt = A x.
-
-    Companion to evolve_schrodinger for the embedding-exactness checks:
-    reconstructing psi from the result must reproduce the complex
-    integration to integrator accuracy.
-    """
-    return numkit.ode_evolve(*_real_form_system(h, psi0), t0, t1, dt)
-
-
 def real_form_chunks(h, psi0, t0, t1, dt):
-    """evolve_real_form's run as a numkit.ode_chunks stream."""
-    return numkit.ode_chunks(*_real_form_system(h, psi0), t0, t1, dt)
+    """The interleaved real-amplitude system dx/dt = A x, as a numkit.ode_chunks stream.
 
-
-def _real_form_system(h, psi0):
-    """(A, y0): the real form of H and the interleaved amplitudes of psi0."""
+    Companion to quantum.schrodinger_chunks for the embedding-exactness
+    checks: reconstructing psi from its samples must reproduce the
+    complex integration to integrator accuracy.
+    """
     a = real_form_generator(h)
-    return a, amplitudes_from_wave(np.asarray(psi0, dtype=complex))
+    return numkit.ode_chunks(a, amplitudes_from_wave(np.asarray(psi0, dtype=complex)), t0, t1, dt)
+
+
+def evolve_real_form(h, psi0, t0, t1, dt):
+    """The Trajectory of real_form_chunks' run, collected."""
+    return numkit.collect(real_form_chunks(h, psi0, t0, t1, dt), t0, t1, dt)

@@ -4,19 +4,19 @@ Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential and a deterministic
 eigendecomposition, each of one real matrix or a stack of them (a
 complex matrix raises ValueError), a fixed-step RK4 integrator with
-dense output, whole or streamed, and central finite differences.  The
-eigendecomposition is real: where the solver returns a complex basis its
-real parts are kept, which within a repeated eigenvalue are eigenvectors
-but not of unit norm, and a spectrum off the real axis, whose real parts
-are not eigenpairs, raises LinAlgError.  The integrator steps each block
-of steps by its caller's fast pass (a linear system composes the block's
-increment matrices in about log2 of its length in array operations; the
-density module's sqrt flow runs generated float code) and steps a block
-that fails it again through one checked per-stage RK4.  Its dense output
-is one Trajectory of the whole run, or a stream of chunks of RUN_CHUNK
-steps on the same grid whose samples are the whole run's, bit for bit,
-so a caller that reduces the run holds one chunk at a time.  All
-functions are pure; inputs are never mutated.
+dense output, and central finite differences.  The eigendecomposition
+is real: where the solver returns a complex basis its real parts are
+kept, which within a repeated eigenvalue are eigenvectors but not of
+unit norm, and a spectrum off the real axis, whose real parts are not
+eigenpairs, raises LinAlgError.  A run has one grid, which rk4_chunks
+owns, and is stepped only as a stream of chunks of RUN_CHUNK steps, each
+one rk4_path call; a whole Trajectory is that stream collected into
+arrays allocated once, beside which a run holds only its chunks in flight.
+rk4_path steps each block of steps by its caller's fast pass (a linear
+system composes the block's increment matrices in about log2 of its
+length in array operations; the density module's sqrt flow runs
+generated float code) and steps a block that fails it again through one
+checked per-stage RK4.  All functions are pure; inputs are never mutated.
 """
 
 import functools
@@ -60,9 +60,12 @@ class Trajectory:
         states = np.asarray(self.states)
         if times.ndim != 1 or states.ndim != 2 or len(times) != len(states):
             raise ValueError("times and states must be matching 1-d/2-d arrays")
-        if len(times) > 1:
-            steps = times[1:] - times[:-1]
-            if not (steps.min() > 0 or steps.max() < 0):  # a nan step fails both
+        # RUN_CHUNK steps at a time, so a whole run's check holds one chunk
+        rising = len(times) > 1 and times[1] > times[0]
+        for k in range(0, len(times) - 1, RUN_CHUNK):
+            block = times[k:k + RUN_CHUNK + 1]
+            steps = block[1:] - block[:-1]
+            if not (steps.min() > 0 if rising else steps.max() < 0):  # a nan step fails
                 raise ValueError("times must be strictly monotonic")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
@@ -261,23 +264,6 @@ def step_count(t0, t1, dt):
     return max(1, int(steps)) if span else 0
 
 
-def _grid(t0, t1, dt):
-    """(0, n_steps, n_steps, h): all steps of the uniform grid of step_count steps of h."""
-    n_steps = step_count(t0, t1, dt)
-    return 0, n_steps, n_steps, (t1 - t0) / n_steps if n_steps else 0.0
-
-
-def _sample_times(t0, t1, dt, steps=None):
-    """(times, h) of steps (start, stop, n_steps, h), by default _grid's: the last sample is t1."""
-    start, stop, n_steps, h = steps or _grid(t0, t1, dt)
-    if n_steps == 0:
-        return np.array([t0], dtype=float), 0.0
-    times = t0 + h * np.arange(start, stop + 1)
-    if stop == n_steps:
-        times[-1] = t1
-    return times, h
-
-
 def _rk4_block(f, y, stages, h, rows, times):
     """RK4 steps from y through one block, storing each new state in rows.
 
@@ -321,9 +307,9 @@ def _increment_block(f, y, g, h, rows, ladder):
       D_j, after which P[j] is the increment of steps 0..j, and
       rows = y + f(P, y), with P taken as one (m d, d) matrix.
 
-    ladder is a dict of the calling ode_evolve that keeps the last
+    ladder is a dict of the calling ode_chunks run that keeps the last
     ladder built, keyed by the bytes of its G: a later block of the
-    same call with an equal G reuses its rungs (h is the call's) and
+    same run with an equal G reuses its rungs (h is the run's) and
     builds only the ones it lacks, the same products either way.
     Every product with a state goes through f, ndarray.dot or the same
     product of a 2-d array and a 1-d or 2-d one.  Increments never add
@@ -361,14 +347,14 @@ def _increment_block(f, y, g, h, rows, ladder):
     return rows[-1]
 
 
-def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block, steps=None):
-    """Classical fixed-step RK4 with dense output, stepped a block at a time.
+def rk4_path(f, y0, times, h, stage_values, fast_block):
+    """Classical fixed-step RK4 from y0 with dense output at times, a block at a time.
 
-    The span is divided into uniform steps of size at most dt (the step
-    is shrunk slightly so the final sample lands exactly on t1).
-    Backward integration (t1 < t0) is supported.  Step i has the stage
-    times times[i], times[i] + h/2 (twice) and times[i] + h, and f(s, y)
-    is the right-hand side of dy/dt = f(s, y) at stage value s.
+    times are the sample times from y0's onward, a chunk of rk4_chunks'
+    grid, and h is its step, which cannot be recovered bit for bit from
+    times.  Step i has the stage times times[i], times[i] + h/2 (twice)
+    and times[i] + h, and f(s, y) is the right-hand side of
+    dy/dt = f(s, y) at stage value s.
 
     A block of at most STAGE_BLOCK steps maps its m first, m middle and
     m last stage times to stage values by one stage_values call, then
@@ -381,15 +367,10 @@ def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block, steps=None):
     NonFiniteStateError at its sample time, and an error f raises on a
     finite state is raised as it is.  A state of more than MAX_DIM
     components raises ValueError before anything is allocated.
-
-    steps, rk4_chunks' (start, stop, n_steps, h) of the same grid, restricts
-    the call to steps start..stop, from y0 at sample start; start is on a
-    block boundary, so blocks and states are the whole run's, bit for bit.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     if len(y) > MAX_DIM:
         raise ValueError("dimension %d exceeds supported maximum %d" % (len(y), MAX_DIM))
-    times, h = _sample_times(t0, t1, dt, steps)
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
     states[0] = y
@@ -410,23 +391,48 @@ def rk4_path(f, y0, t0, t1, dt, stage_values, fast_block, steps=None):
 
 
 def rk4_chunks(f, y0, t0, t1, dt, stage_values, fast_block):
-    """rk4_path(f, y0, t0, t1, dt, stage_values, fast_block) as a stream of Trajectory chunks.
+    """The RK4 run of rk4_path's f from y0 at t0 to t1, as a stream of Trajectory chunks.
 
-    Each chunk is one rk4_path call over at most RUN_CHUNK steps of the
-    run's grid, from the previous chunk's final state; chunk 0 holds
-    sample 0 and each later chunk the samples after the previous one's
-    last, so sample k of the stream is sample k of the one call, bit for
-    bit.  step_count refuses a run at this call, before any stepping.
+    The run's one grid is step_count(t0, t1, dt) steps of h, dt shrunk so
+    that the last time is exactly t1 (t1 < t0 runs backward), refused at
+    this call over MAX_STEPS steps.  Each chunk is one rk4_path call over
+    at most RUN_CHUNK steps, from the previous chunk's final state, and
+    holds the samples after the previous one's last (chunk 0, sample 0
+    on).  Chunks start on block boundaries, so the stream is one rk4_path
+    call over the whole grid's times, bit for bit.
     """
-    _, _, n_steps, h = _grid(t0, t1, dt)
+    n_steps = step_count(t0, t1, dt)
+    h = (t1 - t0) / n_steps if n_steps else 0.0
 
     def chunks(y):
         for start in range(0, max(n_steps, 1), RUN_CHUNK):
-            steps = (start, min(start + RUN_CHUNK, n_steps), n_steps, h)
-            part = rk4_path(f, y, t0, t1, dt, stage_values, fast_block, steps)
+            stop = min(start + RUN_CHUNK, n_steps)
+            times = t0 + h * np.arange(start, stop + 1)
+            if stop == n_steps:  # a run of no steps is its one sample t0
+                times[-1] = t1 if n_steps else t0
+            part = rk4_path(f, y, times, h, stage_values, fast_block)
             y = part.final
             yield part if start == 0 else Trajectory(part.times[1:], part.states[1:])
     return chunks(y0)
+
+
+def collect(chunks, t0, t1, dt):
+    """A chunk stream of the run from t0 to t1 by dt as one Trajectory, filled as it arrives.
+
+    The arrays are allocated once, from step_count and the first chunk's
+    state, so the call holds its result beside the chunks in flight, not
+    a second copy of the run; a run of one chunk is that chunk.
+    """
+    n, start = step_count(t0, t1, dt) + 1, 0
+    for chunk in chunks:
+        if len(chunk) == n:
+            return chunk
+        stop = start + len(chunk)
+        if not start:
+            times, states = np.empty(n), np.empty((n, chunk.states.shape[1]), chunk.states.dtype)
+        times[start:stop], states[start:stop] = chunk.times, chunk.states
+        start = stop
+    return Trajectory(times, states)
 
 
 def rk4_step_matrix(a1, a2, a3):
@@ -446,8 +452,8 @@ def rk4_step_matrix(a1, a2, a3):
     return (a1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
 
 
-def ode_evolve(generator, y0, t0, t1, dt):
-    """Integrate the linear system dy/dt = G(t) y by fixed-step RK4.
+def ode_chunks(generator, y0, t0, t1, dt):
+    """Integrate the linear system dy/dt = G(t) y by fixed-step RK4, as an rk4_chunks stream.
 
     generator is a callable following the generator protocol (given a
     1-d array of n times it returns the (n, d, d) stack of G at those
@@ -459,23 +465,10 @@ def ode_evolve(generator, y0, t0, t1, dt):
     of constant stages (a stage stack with zero stride on its first
     axis, as a constant matrix or a constant RateMatrix.matrix gives,
     counts as constant without a comparison) doubles one increment
-    through the ladder E_1, E_2, E_4, ...; the call builds it once for
+    through the ladder E_1, E_2, E_4, ...; the run builds it once for
     each run of blocks with an equal G, with the bits of one built per
-    block.
+    block.  The shapes are checked at this call.
     """
-    y0, stage_matrices, fast_block = _linear_system(generator, y0)
-    # D.dot(y) is D @ y with less call overhead
-    return rk4_path(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, fast_block)
-
-
-def ode_chunks(generator, y0, t0, t1, dt):
-    """ode_evolve's run as an rk4_chunks stream: the same checks, one ladder per run."""
-    y0, stage_matrices, fast_block = _linear_system(generator, y0)
-    return rk4_chunks(np.ndarray.dot, y0, t0, t1, dt, stage_matrices, fast_block)
-
-
-def _linear_system(generator, y0):
-    """(y0, stage_values, fast_block) of a checked ode_evolve or ode_chunks run."""
     y0 = np.asarray(y0)
     if y0.ndim != 1:
         raise ValueError("state must be a 1-d vector, got shape %r" % (y0.shape,))
@@ -501,8 +494,14 @@ def _linear_system(generator, y0):
         if np.iscomplexobj(g) and not np.iscomplexobj(y0):
             raise ValueError("complex stage matrices need a complex state")
         return g
-    # the ladder dict is this run's own
-    return y0, stage_matrices, functools.partial(_increment_block, ladder={})
+    # D.dot(y) is D @ y with less call overhead; the ladder dict is this run's own
+    return rk4_chunks(np.ndarray.dot, y0, t0, t1, dt, stage_matrices,
+                      functools.partial(_increment_block, ladder={}))
+
+
+def ode_evolve(generator, y0, t0, t1, dt):
+    """The Trajectory of ode_chunks' run, collected."""
+    return collect(ode_chunks(generator, y0, t0, t1, dt), t0, t1, dt)
 
 
 def numeric_derivative(f, t, h):

@@ -67,24 +67,19 @@ def is_hermitian(h):
     return bool(np.array_equal(h, np.conj(h.T)))
 
 
-def evolve_schrodinger(h, psi0, t0, t, dt):
-    """Trajectory of d psi/dt = -i H psi (hbar = 1), fixed-step RK4.
+def schrodinger_chunks(h, psi0, t0, t, dt):
+    """d psi/dt = -i H psi (hbar = 1) by fixed-step RK4, as a numkit.ode_chunks stream.
 
-    h is a constant complex matrix; it is stepped by numkit.ode_evolve's
+    h is a constant complex matrix; it is stepped by numkit.ode_chunks'
     increment matrix of -i H.
     """
-    return numkit.ode_evolve(*_schrodinger_system(h, psi0), t0, t, dt)
-
-
-def schrodinger_chunks(h, psi0, t0, t, dt):
-    """evolve_schrodinger's run as a numkit.ode_chunks stream."""
-    return numkit.ode_chunks(*_schrodinger_system(h, psi0), t0, t, dt)
-
-
-def _schrodinger_system(h, psi0):
-    """(-i H, psi0) as the complex generator and state that numkit steps."""
     psi0 = np.asarray(psi0, dtype=complex)
-    return -1j * np.asarray(h, dtype=complex), psi0
+    return numkit.ode_chunks(-1j * np.asarray(h, dtype=complex), psi0, t0, t, dt)
+
+
+def evolve_schrodinger(h, psi0, t0, t, dt):
+    """The Trajectory of schrodinger_chunks' run, collected."""
+    return numkit.collect(schrodinger_chunks(h, psi0, t0, t, dt), t0, t, dt)
 
 
 def wave_from_polar(probabilities, phases):

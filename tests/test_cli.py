@@ -469,13 +469,12 @@ class TestFrameFallbacks:
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         assert checks["frame_fallbacks"]["value"] == 0.0
 
-    # numkit.eig refused these fallback samples on their first solution
-    # (eigh on a matrix symmetric only to 1e-14; balanced eig on entries
-    # 300 decades apart) and solves them again with negligible entries zeroed
+    # numkit.eig refused this fallback sample on its first solution
+    # (balanced eig on entries 300 decades apart) and solves it again with
+    # negligible entries zeroed
     @pytest.mark.parametrize("generator", [
-        {"s11": 0.0, "s12": 0.0, "s21": 1e-15, "s22": 0.0},
         {"s11": -1.0, "s12": 1e-300, "s21": 1.0, "s22": -1e-300},
-    ], ids=["small_asymmetric", "spread_entries"])
+    ], ids=["spread_entries"])
     def test_fallback_solved_again_exits_0(self, tmp_path, generator):
         cfg = write_config(tmp_path, epidemic2_config(
             generator=generator, outputs=["probabilities", "ensemble_weights"]))
@@ -483,6 +482,23 @@ class TestFrameFallbacks:
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         assert checks["frame_fallbacks"]["value"] == 101.0
+
+    # defective spectra, whose two frame vectors are one line, so no
+    # weights rebuild (0.7, 0.3): numkit.eig solves the nilpotent fallback
+    # (eigh on a matrix symmetric only to 1e-14 refused it first) to
+    # (0, 1) and (-2e-277, 1), and the closed form gives (0, 1) twice
+    @pytest.mark.parametrize("generator, sine", [
+        ({"s11": 0.0, "s12": 0.0, "s21": 1e-15, "s22": 0.0}, "2.004e-277"),
+        ({"s11": 0.2, "s12": 0.0, "s21": 1e-10, "s22": 0.2}, "0.000e+00"),
+    ], ids=["small_asymmetric", "closed_form"])
+    def test_parallel_frame_vectors_exit_3(self, tmp_path, capsys, generator, sine):
+        cfg = write_config(tmp_path, epidemic2_config(
+            generator=generator, outputs=["probabilities", "ensemble_weights"]))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: eigen-ensemble vectors are parallel: sine %s below 1e-12\n" % sine)
+        assert not (out / "series.csv").exists()
 
     def test_no_check_without_weights(self, tmp_path):
         cfg = write_config(tmp_path, epidemic2_config(outputs=["probabilities"]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_numkit import assert_stream_is_run, chunk_steps, half_rates_rhs, per_step_rk4_path
+from test_numkit import (assert_stream_is_run, chunk_steps, grid, half_rates_rhs,
+                         per_step_rk4_path, whole_grid_run)
 
 from epiqmap import density, epidemic, numkit
 from epiqmap.errors import FloorViolationError, NonFiniteStateError
@@ -143,14 +144,14 @@ class TestEvolveSqrt:
         # benchmark's spans install theirs
         calls = []
 
-        def rk4_path(*args):
-            calls.append(args[2:5])
-            return original(*args)
+        def rk4_path(f, y0, times, h, *args):
+            calls.append((times[0], times[-1], len(times), h))
+            return original(f, y0, times, h, *args)
 
         original = numkit.rk4_path
         monkeypatch.setattr(numkit, "rk4_path", rk4_path)
         traj = density.evolve_sqrt_trajectory(GENERIC_S4, GENERIC_P, 0.0, 0.5, 1e-3)
-        assert calls == [(0.0, 0.5, 1e-3)] and len(traj) == 501
+        assert calls == [(0.0, 0.5, 501, 0.5 / 500)] and len(traj) == 501
 
     def test_floor_violation_reports_time(self):
         s = np.diag([-50.0, 0.0, 0.0, 0.0])
@@ -228,7 +229,7 @@ class TestSqrtRightHandSide:
 
 def float_rk4_states(generator, a0, t0, t1, dt):
     """The sqrt flow's RK4 in Python floats, each row sum taken from left to right."""
-    _, h = numkit._sample_times(t0, t1, dt)
+    _, h = grid(t0, t1, dt)
     rates = (0.5 * generator).tolist()
 
     def rhs(x):
@@ -267,13 +268,17 @@ class TestSqrtChunks:
         # the floor: the stream then raises where the run does
         t1 = (-1.0 if backward else 1.0) * n_steps * 1e-4
         try:
-            run = density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 1e-4)
+            run = whole_grid_run(density.sqrt_chunks, s, p0, 0.0, t1, 1e-4)
         except FloorViolationError as error:
             with pytest.raises(FloorViolationError) as streamed:
                 list(density.sqrt_chunks(s, p0, 0.0, t1, 1e-4))
             assert (streamed.value.time, streamed.value.component) == (error.time, error.component)
+            with pytest.raises(FloorViolationError) as collected:
+                density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 1e-4)
+            assert (collected.value.time, collected.value.component) == (error.time, error.component)
             return
         assert_stream_is_run(density.sqrt_chunks(s, p0, 0.0, t1, 1e-4), run)
+        assert_stream_is_run([density.evolve_sqrt_trajectory(s, p0, 0.0, t1, 1e-4)], run)
 
     def test_refused_at_the_call(self):
         with pytest.raises(FloorViolationError):

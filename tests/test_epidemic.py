@@ -115,6 +115,33 @@ class TestEnsembles:
             back = epidemic.ensemble_reconstruct(w, gen, 0.0)
             assert np.abs(back - p).max() <= 1e-12
 
+    # defective spectra: the nilpotent fallback's vectors are (0, 1) and
+    # (-2e-277, 1), the closed form's (0, 1) twice
+    @pytest.mark.parametrize("rates", [(0.0, 0.0, 1e-15, 0.0), (0.2, 0.0, 1e-10, 0.2)],
+                             ids=["fallback", "closed_form"])
+    def test_parallel_frame_vectors_raise(self, rates):
+        gen = constant_gen(*rates)
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DegenerateFrameError, match="vectors are parallel"):
+            epidemic.ensemble_decompose([0.7, 0.3], gen, 0.0)
+        with pytest.raises(DegenerateFrameError, match="vectors are parallel"):
+            epidemic.ensemble_decompose(np.full((5, 2), 0.5), gen, times)
+
+    @pytest.mark.parametrize("s12, passes", [(1e-22, True), (1e-24, True), (1e-26, False)])
+    def test_frame_sine_floor_is_the_boundary(self, s12, passes):
+        # closed-form vectors (-sqrt(s12), 1) and (sqrt(s12), 1) of
+        # [[0.2, s12], [1, 0.2]], at a sine of about 2 sqrt(s12) apart
+        gen = constant_gen(0.2, s12, 1.0, 0.2)
+        frame = epidemic.spectral_frame(gen, 0.0)
+        (a, b), (c, d) = frame.v1, frame.v2
+        sine = abs(a * d - b * c) / np.sqrt(frame.n1 * frame.n2)
+        assert not frame.numeric_fallback and sine == pytest.approx(2.0 * np.sqrt(s12), rel=1e-4)
+        if passes:
+            w = epidemic.ensemble_decompose([0.7, 0.3], gen, 0.0)
+            assert np.isfinite(w).all()
+        else:
+            with pytest.raises(DegenerateFrameError, match="vectors are parallel"):
+                epidemic.ensemble_decompose([0.7, 0.3], gen, 0.0)
 
 def table(rng, lo, hi):
     """A piecewise-linear rate table over [0, 1] with seeded values in [lo, hi]."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from epiqmap import density, mapping, numkit, quantum
 from epiqmap.errors import FloorViolationError
 
-from test_numkit import assert_stream_is_run, chunk_steps
+from test_numkit import assert_stream_is_run, chunk_steps, whole_grid_run
 
 
 def hermitian_h():
@@ -454,5 +454,6 @@ class TestStreamedCertificate:
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
         t1 = (-1.0 if backward else 1.0) * n_steps * 1e-3
-        run = mapping.evolve_real_form(h, psi0, 0.0, t1, 1e-3)
+        run = whole_grid_run(mapping.real_form_chunks, h, psi0, 0.0, t1, 1e-3)
         assert_stream_is_run(mapping.real_form_chunks(h, psi0, 0.0, t1, 1e-3), run)
+        assert_stream_is_run([mapping.evolve_real_form(h, psi0, 0.0, t1, 1e-3)], run)

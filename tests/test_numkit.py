@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -549,7 +550,7 @@ class TestOdeEvolve:
             seen.append(t)
             return np.zeros_like(y)
 
-        traj = numkit.rk4_path(rhs, np.array([1.0]), 0.1, 0.7, 0.003, np.ndarray.tolist,
+        traj = numkit.rk4_path(rhs, np.array([1.0]), *grid(0.1, 0.7, 0.003), np.ndarray.tolist,
                                failing_block)
         h = (0.7 - 0.1) / (len(traj) - 1)
         expected = []
@@ -720,6 +721,21 @@ class TestIncrementPath:
         assert const.value.time == stage.value.time == 0.1
 
 
+def grid(t0, t1, dt):
+    """(times, h) of the run's one grid, as numkit.rk4_chunks lays it out.
+
+    step_count steps of h = (t1 - t0) / step_count, the last time
+    exactly t1; a run of no steps is its one sample t0.
+    """
+    n_steps = numkit.step_count(t0, t1, dt)
+    if n_steps == 0:
+        return np.array([t0], dtype=float), 0.0
+    h = (t1 - t0) / n_steps
+    times = t0 + h * np.arange(n_steps + 1)
+    times[-1] = t1
+    return times, h
+
+
 def per_step_rk4_path(f, y0, t0, t1, dt, stage_values=None):
     """Per-stage RK4, as rk4_path stepped before its per-block finiteness check.
 
@@ -727,7 +743,7 @@ def per_step_rk4_path(f, y0, t0, t1, dt, stage_values=None):
     checked as it is made: the reference the sqrt flow must equal bit
     for bit, and the linear path to rounding, error for error.
     """
-    times, h = numkit._sample_times(t0, t1, dt)
+    times, h = grid(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     n_steps = len(times) - 1
     half, sixth = 0.5 * h, h / 6.0
@@ -761,7 +777,7 @@ def block_increment_path(generator, y0, t0, t1, dt):
     D_j, matrix by matrix, into the increment from its first state to
     each of its states.  Nothing is checked for finiteness.
     """
-    times, h = numkit._sample_times(t0, t1, dt)
+    times, h = grid(t0, t1, dt)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float).copy()
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1, len(y)), dtype=y.dtype)
@@ -879,7 +895,7 @@ class TestLeanStagePath:
                 numkit.ode_evolve(generator, y0, 0.0, 3.0, h)
             with pytest.raises(NonFiniteStateError) as reference:
                 per_step_rk4_path(matmul_rhs, y0, 0.0, 3.0, h, generator)
-        assert lean.value.time == reference.value.time == numkit._sample_times(0.0, 3.0, h)[0][k]
+        assert lean.value.time == reference.value.time == grid(0.0, 3.0, h)[0][k]
         assert str(lean.value) == str(reference.value)
 
     @pytest.mark.parametrize("k", [1, 128, 129, 200])
@@ -898,7 +914,7 @@ class TestLeanStagePath:
         y0 = np.array([1.0, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteStateError) as lean:
-                numkit.rk4_path(rhs, y0, 0.0, 3.0, h, np.ndarray.tolist, failing_block)
+                numkit.rk4_path(rhs, y0, *grid(0.0, 3.0, h), np.ndarray.tolist, failing_block)
             with pytest.raises(NonFiniteStateError) as reference:
                 per_step_rk4_path(rhs, y0, 0.0, 3.0, h)
         assert lean.value.time == reference.value.time
@@ -911,7 +927,7 @@ class TestLeanStagePath:
             return -y
 
         with pytest.raises(ZeroDivisionError) as lean:
-            numkit.rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01, np.ndarray.tolist,
+            numkit.rk4_path(rhs, np.array([1.0]), *grid(0.0, 3.0, 0.01), np.ndarray.tolist,
                             failing_block)
         with pytest.raises(ZeroDivisionError) as reference:
             per_step_rk4_path(rhs, np.array([1.0]), 0.0, 3.0, 0.01)
@@ -989,7 +1005,7 @@ class TestIncrementLadder:
                 numkit.ode_evolve(generator, y0, 0.0, t1, 0.01)
             with pytest.raises(NonFiniteStateError) as reference:
                 per_step_rk4_path(matmul_rhs, y0, 0.0, t1, 0.01, generator)
-        first_step = numkit._sample_times(0.0, t1, 0.01)[0][first_bad_block * numkit.STAGE_BLOCK + 1]
+        first_step = grid(0.0, t1, 0.01)[0][first_bad_block * numkit.STAGE_BLOCK + 1]
         assert lean.value.time == reference.value.time == first_step
         assert str(lean.value) == str(reference.value)
 
@@ -998,6 +1014,19 @@ def joined(chunks):
     """(times, states) of a chunk stream, concatenated."""
     chunks = list(chunks)
     return np.concatenate([c.times for c in chunks]), np.concatenate([c.states for c in chunks])
+
+
+def whole_grid_run(stream, *args):
+    """stream(*args)'s run as one rk4_path call over the whole grid's times.
+
+    A chunk of more steps than any run has makes the stream that one
+    call, which is how a run was stepped before it was streamed.  args
+    are (..., t0, t1, dt), as every stream of the package takes them.
+    """
+    with mock.patch.object(numkit, "RUN_CHUNK", numkit.MAX_STEPS):
+        (run,) = stream(*args)
+    assert run.times.tobytes() == grid(*args[2:5])[0].tobytes()
+    return run
 
 
 def assert_stream_is_run(chunks, run):
@@ -1037,9 +1066,10 @@ class TestRunChunks:
         # a ragged span ends off the dt grid, so the last step is shrunk
         span = (n_steps - 0.37 * ragged) * dt if n_steps else 0.0
         t1 = t0 - span if backward else t0 + span
-        run = numkit.ode_evolve(generator, y0, t0, t1, dt)
+        run = whole_grid_run(numkit.ode_chunks, generator, y0, t0, t1, dt)
         assert len(run) == n_steps + 1
         assert_stream_is_run(numkit.ode_chunks(generator, y0, t0, t1, dt), run)
+        assert_stream_is_run([numkit.ode_evolve(generator, y0, t0, t1, dt)], run)
 
     @pytest.mark.parametrize("n_steps", [0, 1, numkit.RUN_CHUNK - 1, numkit.RUN_CHUNK,
                                          numkit.RUN_CHUNK + 1, 3 * numkit.RUN_CHUNK + 5])
@@ -1103,6 +1133,29 @@ class TestRunChunks:
 
     def test_run_chunk_is_whole_blocks(self):
         assert numkit.RUN_CHUNK % numkit.STAGE_BLOCK == 0
+
+    def test_collected_run_holds_its_trajectory_and_the_stream(self):
+        # the traced peak less the returned Trajectory is the stream's
+        # working set (the chunk being stepped and the one last copied), the
+        # same at 20,001 and 200,001 samples; a collector that concatenated
+        # the chunks would hold the states twice
+        g = 0.05 * random_system(3, 16, False)[0]
+        y0 = np.full(16, 0.25)
+        numkit.ode_evolve(g, y0, 0.0, 1.0, 1e-3)
+        excess = []
+        for n_steps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                run = numkit.ode_evolve(g, y0, 0.0, n_steps * 1e-3, 1e-3)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(run) == n_steps + 1
+            assert held >= run.times.nbytes + run.states.nbytes
+            excess.append(peak - held)
+        chunk = (numkit.RUN_CHUNK + 1) * 16 * 8  # one chunk of 16 float states
+        assert abs(excess[1] - excess[0]) <= chunk
+        assert max(excess) <= 3 * chunk
 
 
 class TestStepBudget:

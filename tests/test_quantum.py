@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from epiqmap import numkit, quantum
 
-from test_numkit import assert_stream_is_run, chunk_steps
+from test_numkit import assert_stream_is_run, chunk_steps, whole_grid_run
 
 
 def hermitian_h(**overrides):
@@ -256,8 +256,9 @@ class TestSchrodingerChunks:
         h = 0.5 * (a + a.conj().T) - 0.05j * lossy * np.diag(rng.uniform(0.0, 1.0, n))
         psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
         t1 = (-1.0 if backward else 1.0) * n_steps * 1e-3
-        run = quantum.evolve_schrodinger(h, psi0, 0.0, t1, 1e-3)
+        run = whole_grid_run(quantum.schrodinger_chunks, h, psi0, 0.0, t1, 1e-3)
         assert_stream_is_run(quantum.schrodinger_chunks(h, psi0, 0.0, t1, 1e-3), run)
+        assert_stream_is_run([quantum.evolve_schrodinger(h, psi0, 0.0, t1, 1e-3)], run)
 
 
 def schmidt_entropies(psi):
