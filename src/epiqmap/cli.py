@@ -290,14 +290,16 @@ def parse_scenario(config):
         _require(key in config, "missing field %r" % key)
     t0, t1, dt = (_number_field(config[key], key) for key in ("t0", "t1", "dt"))
     _require(t0 < t1, "t0 must be < t1")
-    _require(dt > 0, "dt must be > 0")
-    try:
-        numkit.step_count(t0, t1, dt)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
     _require("initial_state" in config, "missing field 'initial_state'")
 
     events, needs_seed = _parse_events(config.get("events", []), name, t0, t1)
+    # the whole run bounds the rows; each span between events is one integration
+    cuts = [e.time for e in events]
+    for start, stop in [(t0, t1)] + list(zip([t0] + cuts, cuts + [t1])):
+        try:
+            numkit.step_count(start, stop, dt)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
     seed = config.get("seed")
     _require(seed is None or (type(seed) is int and seed >= 0),
              "seed must be a nonnegative integer")
@@ -353,25 +355,22 @@ def _segmented_evolution(generator, state, scenario):
     apply_event = MODELS[scenario.model].events
     times = [np.array([scenario.t0])]
     states = [state[None, :]]
-    current = state
-    cursor = scenario.t0
     rng = np.random.default_rng(scenario.seed) if scenario.seed is not None else None
-    boundaries = [e.time for e in scenario.events] + [scenario.t1]
-    segments = list(zip(boundaries, scenario.events + [None]))
+    cuts = [e.time for e in scenario.events]
     jumps = []
-    for boundary, event in segments:
-        if boundary > cursor:
-            traj = numkit.ode_evolve(generator, current, cursor, boundary, scenario.dt)
+    for start, stop, event in zip([scenario.t0] + cuts, cuts + [scenario.t1],
+                                  scenario.events + [None]):
+        if stop > start:
+            traj = numkit.ode_evolve(generator, state, start, stop, scenario.dt)
             times.append(traj.times[1:])
             states.append(traj.states[1:])
-            current = traj.final.copy()
-            cursor = boundary
+            state = traj.final.copy()
         if event is not None:
-            before = _total_probability(current)
-            current = apply_event[event.kind](current, event, rng, scenario.source)
-            jumps.append(abs(_total_probability(current) - before))
+            before = _total_probability(state)
+            state = apply_event[event.kind](state, event, rng, scenario.source)
+            jumps.append(abs(_total_probability(state) - before))
             states[-1] = states[-1].copy()
-            states[-1][-1] = current
+            states[-1][-1] = state
     checks = [_check("max_event_probability_jump", max(jumps))] if jumps else []
     return np.concatenate(times), np.concatenate(states), checks
 

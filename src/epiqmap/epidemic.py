@@ -242,6 +242,20 @@ def matrix_frame(m):
     return SpectralFrame2(e1, e2, vectors[:, 0], vectors[:, 1], norms[:, 0], norms[:, 1], fallback)
 
 
+def _spanning_frame(generator, t):
+    """spectral_frame(generator, t) if it spans the plane, as ensemble_decompose requires."""
+    frame = spectral_frame(generator, t)
+    # a nan norm or sine fails these comparisons too
+    if not (np.all(frame.n1 >= 1e-14) and np.all(frame.n2 >= 1e-14)):
+        raise DegenerateFrameError("eigen-ensemble norms vanished or are not finite")
+    (a, b), (c, d) = np.moveaxis(frame.v1, -1, 0), np.moveaxis(frame.v2, -1, 0)
+    sine = np.abs(a * d - b * c) / np.sqrt(frame.n1 * frame.n2)
+    if not np.all(sine >= FRAME_SINE_FLOOR):
+        raise DegenerateFrameError("eigen-ensemble vectors are parallel: sine %.3e below %.0e"
+                                   % (np.min(sine), FRAME_SINE_FLOOR))
+    return frame
+
+
 def ensemble_decompose(p, generator, t, return_frame=False):
     """Weights of the two eigen-ensembles, as the 2-vector (pI, pII).
 
@@ -254,16 +268,8 @@ def ensemble_decompose(p, generator, t, return_frame=False):
     times, p is an (n, 2) stack of states and the weights are (n, 2).
     With return_frame, the frame is returned too.
     """
-    frame = spectral_frame(generator, t)
+    frame = _spanning_frame(generator, t)
     p = np.asarray(p, dtype=float)
-    # a nan norm or sine fails these comparisons too
-    if not (np.all(frame.n1 >= 1e-14) and np.all(frame.n2 >= 1e-14)):
-        raise DegenerateFrameError("eigen-ensemble norms vanished or are not finite")
-    (a, b), (c, d) = np.moveaxis(frame.v1, -1, 0), np.moveaxis(frame.v2, -1, 0)
-    sine = np.abs(a * d - b * c) / np.sqrt(frame.n1 * frame.n2)
-    if not np.all(sine >= FRAME_SINE_FLOOR):
-        raise DegenerateFrameError("eigen-ensemble vectors are parallel: sine %.3e below %.0e"
-                                   % (np.min(sine), FRAME_SINE_FLOOR))
     weights = _stack_last(
         np.vecdot(frame.v1, p) / frame.n1, np.vecdot(frame.v2, p) / frame.n2
     )
@@ -406,21 +412,19 @@ def eigenmode_evolve_const(generator, w0, t0, t):
     Each weight grows exponentially at its norm-scaled rate e_i / n_i,
     so log(pI/pII) is affine in time with slope e1/n1 - e2/n2 (the
     Rabi-like occupancy-transfer law).  A 1-d array of n times t gives
-    the (n, 2) weights at those times.
+    the (n, 2) weights at those times.  It refuses the frames ensemble_decompose does.
     """
     if not generator.is_constant:
         raise ValueError("eigenmode evolution requires a constant generator")
-    frame = spectral_frame(generator, t0)
-    if not (frame.n1 >= 1e-14 and frame.n2 >= 1e-14):
-        raise DegenerateFrameError("eigen-ensemble norms vanished or are not finite")
+    frame = _spanning_frame(generator, t0)
     w0 = np.asarray(w0, dtype=float)
     rates = np.array([frame.e1 / frame.n1, frame.e2 / frame.n2])
     return w0 * np.exp(rates * (np.asarray(t, dtype=float) - t0)[..., None])
 
 
 def rabi_rate(generator):
-    """Slope e1/n1 - e2/n2 of the log weight ratio, at t = 0."""
-    frame = spectral_frame(generator, 0.0)
+    """Slope e1/n1 - e2/n2 of the log weight ratio at t = 0, of a frame that spans the plane."""
+    frame = _spanning_frame(generator, 0.0)
     return frame.e1 / frame.n1 - frame.e2 / frame.n2
 
 
@@ -470,8 +474,8 @@ def frame_evolve(generator, e12, e21, w0, t0, t):
     The four generator entries are integrated over [t0, t] by composite
     trapezoid on a grid of step 1e-3 and exponentiated through the same
     sinh/cosh closed form as the probability propagator.  The grid is
-    sized by numkit.step_count, so a grid of more than numkit.MAX_STEPS
-    steps raises ValueError.
+    sized by numkit.step_count, so a grid it refuses (too many steps, or
+    steps too fine for floating point) raises ValueError.
     """
     w0 = np.asarray(w0, dtype=float)
     if t == t0:

@@ -8,10 +8,11 @@ dense output, and central finite differences.  The eigendecomposition
 is real: where the solver returns a complex basis its real parts are
 kept, which within a repeated eigenvalue are eigenvectors but not of
 unit norm, and a spectrum off the real axis, whose real parts are not
-eigenpairs, raises LinAlgError.  A run has one grid, which rk4_chunks
-owns, and is stepped only as a stream of chunks of RUN_CHUNK steps, each
-one rk4_path call; a whole Trajectory is that stream collected into
-arrays allocated once, beside which a run holds only its chunks in flight.
+eigenpairs, raises LinAlgError.  A run has one grid, which step_count
+checks and rk4_chunks owns, stepped only as a stream of RUN_CHUNK-step
+chunks, each one rk4_path call; a whole Trajectory is that stream
+collected into arrays allocated once, beside which a run holds only its
+chunks in flight.
 rk4_path steps each block of steps by its caller's fast pass (a linear
 system composes the block's increment matrices in about log2 of its
 length in array operations; the density module's sqrt flow runs
@@ -20,6 +21,7 @@ checked per-stage RK4.  All functions are pure; inputs are never mutated.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +48,14 @@ _SERIES_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense output of a fixed-step integration.
+    """Dense output of a fixed-step integration, a plain record.
 
-    times  : strictly increasing (or decreasing, for backward runs) 1-d array
+    times  : a run's grid or a chunk of it, strictly monotonic, as step_count checked
     states : one state row per time point, real or complex
     """
 
     times: np.ndarray
     states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states)
-        if times.ndim != 1 or states.ndim != 2 or len(times) != len(states):
-            raise ValueError("times and states must be matching 1-d/2-d arrays")
-        # RUN_CHUNK steps at a time, so a whole run's check holds one chunk
-        rising = len(times) > 1 and times[1] > times[0]
-        for k in range(0, len(times) - 1, RUN_CHUNK):
-            block = times[k:k + RUN_CHUNK + 1]
-            steps = block[1:] - block[:-1]
-            if not (steps.min() > 0 if rising else steps.max() < 0):  # a nan step fails
-                raise ValueError("times must be strictly monotonic")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
 
     def __len__(self):
         return len(self.times)
@@ -247,11 +234,12 @@ def eig(m):
 
 
 def step_count(t0, t1, dt):
-    """Number of uniform steps of size at most dt from t0 to t1.
+    """Number of uniform steps of size at most dt from t0 to t1: the one check of a run's grid.
 
-    0 for an empty span.  Raises ValueError for dt <= 0 and for a span
-    that needs more than MAX_STEPS steps (or a non-finite one), so a run
-    can be refused before anything is allocated.
+    0 for an empty span.  Raises ValueError for dt <= 0, for more than
+    MAX_STEPS steps (or a non-finite span) and for a grid whose times are
+    not strictly monotonic (steps of 1 at t = 1e17, where floats are 16
+    apart), so a run can be refused before anything is allocated.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -261,7 +249,24 @@ def step_count(t0, t1, dt):
         raise ValueError(
             "|t1 - t0| / dt = %r / %r needs more than %d steps" % (span, dt, MAX_STEPS)
         )
-    return max(1, int(steps)) if span else 0
+    n = max(1, int(steps)) if span else 0
+    h = (t1 - t0) / n if n else 0.0
+    # a step of at least the float spacing at the larger end resolves; a finer one is compared
+    if n > 1 and abs(h) < math.ulp(max(abs(t0), abs(t1))) and any(
+            not (np.diff(times) * np.sign(h)).min() > 0 for times in _grid(t0, t1, n, h)):
+        raise ValueError("steps of %r from t = %r are not strictly monotonic"
+                         % (float(h), float(t0)))
+    return n
+
+
+def _grid(t0, t1, n, h):
+    """Times t0 + k h of the grid of n steps, the last exactly t1, RUN_CHUNK steps a chunk."""
+    for start in range(0, max(n, 1), RUN_CHUNK):
+        stop = min(start + RUN_CHUNK, n)
+        times = t0 + h * np.arange(start, stop + 1)
+        if stop == n:  # a grid of no steps is its one time t0
+            times[-1] = t1 if n else t0
+        yield times
 
 
 def _rk4_block(f, y, stages, h, rows, times):
@@ -350,11 +355,11 @@ def _increment_block(f, y, g, h, rows, ladder):
 def rk4_path(f, y0, times, h, stage_values, fast_block):
     """Classical fixed-step RK4 from y0 with dense output at times, a block at a time.
 
-    times are the sample times from y0's onward, a chunk of rk4_chunks'
-    grid, and h is its step, which cannot be recovered bit for bit from
-    times.  Step i has the stage times times[i], times[i] + h/2 (twice)
-    and times[i] + h, and f(s, y) is the right-hand side of
-    dy/dt = f(s, y) at stage value s.
+    times are the sample times from y0's onward, a chunk of the grid
+    step_count checked, and h is its step, which cannot be recovered bit
+    for bit from times.  Step i has the stage times times[i],
+    times[i] + h/2 (twice) and times[i] + h, and f(s, y) is the
+    right-hand side of dy/dt = f(s, y) at stage value s.
 
     A block of at most STAGE_BLOCK steps maps its m first, m middle and
     m last stage times to stage values by one stage_values call, then
@@ -394,8 +399,8 @@ def rk4_chunks(f, y0, t0, t1, dt, stage_values, fast_block):
     """The RK4 run of rk4_path's f from y0 at t0 to t1, as a stream of Trajectory chunks.
 
     The run's one grid is step_count(t0, t1, dt) steps of h, dt shrunk so
-    that the last time is exactly t1 (t1 < t0 runs backward), refused at
-    this call over MAX_STEPS steps.  Each chunk is one rk4_path call over
+    that the last time is exactly t1 (t1 < t0 runs backward), checked at
+    this call by step_count only.  Each chunk is one rk4_path call over
     at most RUN_CHUNK steps, from the previous chunk's final state, and
     holds the samples after the previous one's last (chunk 0, sample 0
     on).  Chunks start on block boundaries, so the stream is one rk4_path
@@ -405,23 +410,19 @@ def rk4_chunks(f, y0, t0, t1, dt, stage_values, fast_block):
     h = (t1 - t0) / n_steps if n_steps else 0.0
 
     def chunks(y):
-        for start in range(0, max(n_steps, 1), RUN_CHUNK):
-            stop = min(start + RUN_CHUNK, n_steps)
-            times = t0 + h * np.arange(start, stop + 1)
-            if stop == n_steps:  # a run of no steps is its one sample t0
-                times[-1] = t1 if n_steps else t0
+        for k, times in enumerate(_grid(t0, t1, n_steps, h)):
             part = rk4_path(f, y, times, h, stage_values, fast_block)
             y = part.final
-            yield part if start == 0 else Trajectory(part.times[1:], part.states[1:])
+            yield part if k == 0 else Trajectory(part.times[1:], part.states[1:])
     return chunks(y0)
 
 
 def collect(chunks, t0, t1, dt):
     """A chunk stream of the run from t0 to t1 by dt as one Trajectory, filled as it arrives.
 
-    The arrays are allocated once, from step_count and the first chunk's
-    state, so the call holds its result beside the chunks in flight, not
-    a second copy of the run; a run of one chunk is that chunk.
+    The arrays are allocated once, from step_count (the grid's one check)
+    and the first chunk's state, so the call holds its result beside the
+    chunks in flight, not a second copy; a run of one chunk is that chunk.
     """
     n, start = step_count(t0, t1, dt) + 1, 0
     for chunk in chunks:
@@ -467,7 +468,10 @@ def ode_chunks(generator, y0, t0, t1, dt):
     counts as constant without a comparison) doubles one increment
     through the ladder E_1, E_2, E_4, ...; the run builds it once for
     each run of blocks with an equal G, with the bits of one built per
-    block.  The shapes are checked at this call.
+    block.  An unexcited fast mode (diag(7000, -1) at dt 0.01) overflows
+    the rungs, so every block is replayed stage by stage: correct, but
+    23.6 ms where diag(7, -1) takes 0.7 ms (2-vCPU VM).  The shapes are
+    checked at this call.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1:

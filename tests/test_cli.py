@@ -408,6 +408,27 @@ class TestValidation:
         with pytest.raises(cli.ScenarioError, match="steps"):
             cli.parse_scenario(epidemic2_config(dt=1e-300))
 
+    @pytest.mark.parametrize("config", [
+        # floats are 16 apart at 1e17, so 160 steps of 1 collapse
+        epidemic2_config(t0=1e17, t1=1e17 + 160, dt=1.0),
+        # the whole run's three steps of 26.7 from 2**57 - 16 to 2**57 + 64
+        # round to distinct times (the spacing is 16 below 2**57 and 32
+        # above); the event at 2**57 leaves three steps of 21.3 over the
+        # 64 above it, which four times 32 apart cannot hold
+        epidemic2_config(t0=2.0**57 - 16, t1=2.0**57 + 64, dt=28.0,
+                         events=[{"time": 2.0**57, "type": "projective", "target": 1}]),
+    ], ids=["whole_run", "segment_after_event"])
+    def test_unresolvable_step_exits_2_at_parse(self, tmp_path, capsys, config):
+        if config.get("events"):
+            assert numkit.step_count(config["t0"], config["t1"], config["dt"]) == 3
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "not strictly monotonic" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "series.csv").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # rotational generator: complex spectrum, so ensemble weights fail
         cfg = write_config(tmp_path, epidemic2_config(

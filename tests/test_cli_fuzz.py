@@ -7,7 +7,8 @@ warns.  A run that exits 0 or 1 writes one CSV row per reported sample,
 every cell finite but r12's; one that exits 1 prints one stderr line
 naming the report checks that failed; a run that exits 2 or 3 prints
 exactly one line to stderr, naming its kind of failure.  Spans are short and runs that would take many steps
-are refused by the step budget, so each example runs in milliseconds.
+are refused by the step budget, so each example runs in milliseconds;
+two spans start at 1e17, where a step of 1 cannot be resolved.
 
 Most examples are one mutation away from a valid config: an extreme
 span, a zero or negative state, a wrong event, an in-range or extreme
@@ -54,10 +55,12 @@ def rate_tables(values):
 # what an object, a list or a string may be replaced with
 NODES = [5, "x", [], {}, [[0]]]
 
-# (t1, dt) with t0 = 0: a valid run's span, and the ones a mutation puts
-# in its place: refused by the step budget, tiny, or one huge step
-SPAN = (0.5, 0.05)
-EXTREME_SPANS = [(0.5, 1e-300), (0.5, 1e-9), (1e-6, 1e-8), (0.5, 1e300), (0.5, 0.5)]
+# (t0, t1, dt): a valid run's span, and the ones a mutation puts in its
+# place: refused by the step budget, tiny, or one huge step; and at 1e17,
+# where floats are 16 apart, steps of 1 that collapse (refused) and of 16
+SPAN = (0.0, 0.5, 0.05)
+EXTREME_SPANS = [(0.0, 0.5, 1e-300), (0.0, 0.5, 1e-9), (0.0, 1e-6, 1e-8), (0.0, 0.5, 1e300),
+                 (0.0, 0.5, 0.5), (1e17, 1e17 + 160, 1.0), (1e17, 1e17 + 1600, 16.0)]
 
 RATES = {"s11": -0.2, "s12": 0.3, "s21": 0.2, "s22": -0.1}
 
@@ -139,14 +142,15 @@ def fields(node, wanted):
 
 def place_events(config, drawn):
     for event in drawn:
-        event["time"] *= config["t1"]
+        event["time"] = config["t0"] + event["time"] * (config["t1"] - config["t0"])
     config["events"] = sorted(config["events"] + drawn, key=lambda event: event["time"])
 
 
 def valid_config(draw):
     """A config its model accepts, with a table rate and events drawn in."""
     model = draw(st.sampled_from(list(cli.MODELS)))
-    config = {"schema": 1, "model": model, "t0": 0.0, "t1": SPAN[0], "dt": SPAN[1], "seed": 7,
+    t0, t1, dt = SPAN
+    config = {"schema": 1, "model": model, "t0": t0, "t1": t1, "dt": dt, "seed": 7,
               "initial_state": json.loads(json.dumps(STATES[model])), "events": []}
     if model in GENERATORS:
         config["generator"] = json.loads(json.dumps(GENERATORS[model]))
@@ -175,10 +179,11 @@ def mutate(draw, holder, model, kind):
     config = holder["config"]
     if kind == "span":
         # the events keep their fractions of the span
-        t1, dt = draw(st.sampled_from(EXTREME_SPANS))
+        t0, t1, dt = draw(st.sampled_from(EXTREME_SPANS))
         for entry in config["events"]:
-            entry["time"] *= t1 / config["t1"]
-        config["t1"], config["dt"] = t1, dt
+            fraction = (entry["time"] - config["t0"]) / (config["t1"] - config["t0"])
+            entry["time"] = t0 + fraction * (t1 - t0)
+        config["t0"], config["t1"], config["dt"] = t0, t1, dt
     elif kind == "state":
         fill = draw(st.sampled_from([0.0, -0.5])) if model in GENERATORS else 0.0
         config["initial_state"] = [fill] * len(config["initial_state"])
@@ -235,7 +240,7 @@ def check_outputs(out):
 
 # a non-Hermitian run whose first amplitude is finite but whose norm overflows
 OVERFLOWING_NORM = {
-    "schema": 1, "model": "quantum2q", "t0": 0.0, "t1": SPAN[0], "dt": SPAN[1], "seed": 7,
+    "schema": 1, "model": "quantum2q", "t0": SPAN[0], "t1": SPAN[1], "dt": SPAN[2], "seed": 7,
     "initial_state": [[1e308, 0.0], *STATES["quantum2q"][1:]], "events": [],
     "hamiltonian": dict(HAMILTONIAN, ep=[1.05, 0.95, 1.05, [0.0, 0.5]]),
 }
@@ -265,3 +270,26 @@ def test_main_returns_a_contract_exit_code(config, command):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
             assert lines[0].startswith(("config error: ", "output error: ", "numeric failure: "))
+
+
+@pytest.mark.parametrize("span, code", [((1e17, 1e17 + 160, 1.0), 2),
+                                        ((1e17, 1e17 + 1600, 16.0), 0)])
+def test_offset_span_exit_code(span, code):
+    # steps below the float spacing are refused at parse; steps of the
+    # spacing itself run, as any resolvable grid does
+    t0, t1, dt = span
+    config = {"schema": 1, "model": "epidemic2", "t0": t0, "t1": t1, "dt": dt,
+              "generator": dict(RATES), "initial_state": STATES["epidemic2"],
+              "events": [{"time": t0 + (t1 - t0) / 2, "type": "projective", "target": 1}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["simulate", "--config", str(path), "--out-dir", str(out)]) == code
+        lines = err.getvalue().splitlines()
+        if code == 2:
+            assert len(lines) == 1 and "not strictly monotonic" in lines[0]
+        else:
+            assert lines == []
+        assert (out / "series.csv").exists() == (code == 0)

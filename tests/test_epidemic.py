@@ -500,6 +500,16 @@ class TestEigenmodeDynamics:
         assert w1[0] == pytest.approx(w0[0] * np.exp(frame.e1), rel=1e-10)
         assert w1[1] == pytest.approx(w0[1] * np.exp(frame.e2), rel=1e-10)
 
+    # the frames ensemble_decompose refuses, whose vectors span one line
+    @pytest.mark.parametrize("rates", [(0.0, 0.0, 1e-15, 0.0), (0.2, 0.0, 1e-10, 0.2)],
+                             ids=["fallback", "closed_form"])
+    def test_parallel_frame_vectors_raise(self, rates):
+        gen = constant_gen(*rates)
+        with pytest.raises(DegenerateFrameError, match="vectors are parallel"):
+            epidemic.rabi_rate(gen)
+        with pytest.raises(DegenerateFrameError, match="vectors are parallel"):
+            epidemic.eigenmode_evolve_const(gen, [0.7, 0.3], 0.0, [0.0, 1.0])
+
     def test_requires_constant_generator(self):
         gen = epidemic.Generator2([[0.0, 0.0], [1.0, 1.0]], 0.3, 0.3, 0.0)
         with pytest.raises(ValueError):

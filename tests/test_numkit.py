@@ -1172,6 +1172,47 @@ class TestStepBudget:
         with pytest.raises(ValueError):
             numkit.step_count(0.0, t1, dt)
 
+    # t0 = m 2**e less k spacings of the binade below m 2**e, so that with
+    # m = 1 the run can start below a binade boundary and cross it; the
+    # step h is ratio times t0's spacing, or twice that
+    @settings(max_examples=300, deadline=None)
+    @given(exponent=st.integers(-4, 60), mantissa=st.sampled_from([1.0, 1.5, 1.9999]),
+           below=st.integers(0, 3000), ratio=st.floats(0.5, 6.0), coarse=st.booleans(),
+           n=st.integers(2, numkit.RUN_CHUNK + 300), backward=st.booleans(),
+           negative=st.booleans())
+    def test_step_count_refuses_exactly_the_non_monotonic_grids(
+            self, exponent, mantissa, below, ratio, coarse, n, backward, negative):
+        top = mantissa * 2.0 ** exponent
+        t0 = top - below * np.spacing(top / 2)
+        t1 = t0 + n * ratio * np.spacing(t0) * (2.0 if coarse else 1.0)
+        if backward:
+            t0, t1 = t1, t0
+        if negative:
+            t0, t1 = -t0, -t1
+        assume(t0 != t1)
+        dt = abs(t1 - t0) / n
+        # the grid rk4_chunks lays out, built whole
+        steps = max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-12)))
+        h = (t1 - t0) / steps
+        times = t0 + h * np.arange(steps + 1)
+        times[-1] = t1
+        if (np.diff(times) * np.sign(h) > 0).all():
+            assert numkit.step_count(t0, t1, dt) == steps
+        else:
+            with pytest.raises(ValueError, match="not strictly monotonic"):
+                numkit.step_count(t0, t1, dt)
+
+    def test_refuses_steps_below_the_float_spacing(self):
+        # floats are 16 apart at 1e17: 160 steps of 1 cannot be told apart,
+        # 100 steps of 16 can, and a run of one step is always its two ends
+        with pytest.raises(ValueError, match=r"steps of 1.0 from t = 1e\+17 are not strictly"):
+            numkit.step_count(1e17, 1e17 + 160, 1.0)
+        assert numkit.step_count(1e17, 1e17 + 1600, 16.0) == 100
+        assert numkit.step_count(1e17, 1e17 + 16, 16.0) == 1
+        # the grid of two steps of half a spacing below 1 to 1 is strictly
+        # increasing, though 1's own spacing is twice that step
+        assert numkit.step_count(1.0 - 2.0**-52, 1.0, 2.0**-53) == 2
+
     @pytest.mark.parametrize("generator", ["constant", "callable"])
     def test_refused_before_stepping(self, monkeypatch, generator):
         # a small budget, so a missing check would only allocate 101 rows
@@ -1204,13 +1245,3 @@ class TestNumericDerivative:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             numkit.numeric_derivative(lambda t: np.array([t]), 0.0, 0.0)
-
-
-class TestTrajectory:
-    def test_rejects_non_monotonic_times(self):
-        with pytest.raises(ValueError):
-            numkit.Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros((3, 2)))
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            numkit.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)))
