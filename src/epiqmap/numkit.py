@@ -216,7 +216,9 @@ def eig(m):
             values, vectors = _solve(solver, m)
         elif take.any():
             values[take], vectors[take] = _solve(solver, m[take])
-    scale = np.maximum(_inf_norms(m), 1e-300)
+    # no floor: a matrix of subnormal entries is "symmetric to 1e-14", and
+    # its eigh pairs must still meet 1e-10 of its own norm or be solved again
+    scale = _inf_norms(m)
     residual = _residuals(m, values, vectors)
     retry = np.flatnonzero(residual > 1e-10 * scale)
     if len(retry):

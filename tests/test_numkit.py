@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epiqmap import coupled, density, epidemic, numkit
@@ -332,6 +332,13 @@ class TestEigRetry:
             assert stacked[0][k].tobytes() == alone[0].tobytes()
             assert stacked[1][k].tobytes() == alone[1].tobytes()
 
+    def test_subnormal_sample_meets_its_own_norm(self):
+        # symmetric to 1e-14, so eigh answers +-s21 first; the bound has no floor
+        m = np.array([[0.0, 0.0], [2.22507386e-313, 0.0]])
+        values, vectors = numkit.eig(m)
+        assert values.tolist() == [0.0, 0.0]
+        assert np.abs(m @ vectors - vectors * values).max() <= 1e-10 * np.linalg.norm(m, np.inf)
+
     def test_solved_samples_are_not_solved_again(self, monkeypatch):
         solved = []
 
@@ -428,6 +435,8 @@ class TestCallerFallbacks:
 
     @settings(max_examples=150, deadline=None)
     @given(draws=st.lists(frame_fallbacks(), min_size=1, max_size=8))
+    # a subnormal s21 alone: eigh reads the matrix as symmetric
+    @example(draws=[np.array([[0.0, 0.0], [2.22507386e-313, 0.0]])])
     def test_frame(self, draws):
         m = np.array([d for d in draws if in_domain(d)])
         assume(len(m))
