@@ -9,9 +9,9 @@ criterion, or a report check of simulate or map with passed false,
 named on one stderr line after every output is written), 2
 parse/validation error, 3 numeric failure.  Each model is one entry
 of MODELS, which holds everything that differs between models.
-The quantum, mapping and acceptance modules are imported inside the
-functions that use them, so a classical run never loads them: one
-invocation is mostly start-up.
+The coupled, quantum, mapping and acceptance modules are imported inside
+the functions that use them, so a run loads only its model's modules:
+one invocation is mostly start-up.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coupled, epidemic, numkit
+from . import __version__, epidemic, numkit
 from .errors import (
     ComplexSpectrumError,
     DegenerateFrameError,
@@ -125,7 +125,7 @@ def _rate_spec(value, where):
         )
         _require(rows_ok, "%s: rate table entries must be finite numbers" % where)
         try:
-            return epidemic.Rate(value)
+            return epidemic.rate_table(value)
         except ValueError as exc:
             raise ScenarioError("%s: %s" % (where, exc)) from exc
     raise ScenarioError(
@@ -193,6 +193,8 @@ def _parse_epidemic_n(config):
 
 
 def _parse_coupled4(config):
+    from . import coupled
+
     spec = config.get("generator")
     _require(isinstance(spec, dict), "generator must be an object")
     form = spec.get("form")
@@ -293,13 +295,16 @@ def parse_scenario(config):
     _require("initial_state" in config, "missing field 'initial_state'")
 
     events, needs_seed = _parse_events(config.get("events", []), name, t0, t1)
-    # the whole run bounds the rows; each span between events is one integration
+    # each span between events is one integration, and their steps bound the rows
     cuts = [e.time for e in events]
-    for start, stop in [(t0, t1)] + list(zip([t0] + cuts, cuts + [t1])):
+    steps = 0
+    for start, stop in zip([t0] + cuts, cuts + [t1]):
         try:
-            numkit.step_count(start, stop, dt)
+            steps += numkit.step_count(start, stop, dt)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        _require(steps <= numkit.MAX_STEPS, "the spans between events need more than %d steps"
+                 % numkit.MAX_STEPS)
     seed = config.get("seed")
     _require(seed is None or (type(seed) is int and seed >= 0),
              "seed must be a nonnegative integer")
@@ -387,6 +392,8 @@ def _weigh_epidemic2(state, event, rng, source):
 
 
 def _project_coupled4(state, event, rng, generator):
+    from . import coupled
+
     target = event.payload["target"]
     if target.startswith("sample_"):
         side = target[-1]
@@ -532,7 +539,7 @@ MODELS = {
     "coupled4": Model(
         _parse_coupled4, _simulate_coupled4, outputs=("probabilities",),
         events={"projective": _project_coupled4},
-        targets=coupled.TRAFFIC_TARGETS, sampled=("sample_A", "sample_B"),
+        targets=("1A", "2A", "1B", "2B"), sampled=("sample_A", "sample_B"),
     ),
     "quantum2q": Model(
         _parse_wave, _simulate_quantum2q, outputs=("probabilities",),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .epidemic import Generator2, RateMatrix, as_rate
+from .epidemic import Generator2, RateMatrix
 from .errors import ComplexSpectrumError, FloorViolationError
 
 _DENOM_FLOOR = 1e-10
@@ -104,19 +104,16 @@ def interaction_generator(level_rates, couplings, frame_a, frame_b):
     for name, f in (("frame_a", frame_a), ("frame_b", frame_b)):
         if np.abs(f.T @ f - np.eye(2)).max() > 1e-10:
             raise ValueError("%s is not orthonormal" % name)
-    diag = [as_rate(r) for r in level_rates]
-    if len(diag) != 4:
+    if len(level_rates) != 4:
         raise ValueError("expected four level rates")
-    coupling_rates = {}
-    for key, value in couplings.items():
+    index = {name: k for k, name in enumerate(PRODUCT_STATES)}
+    grid = [[level_rates[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    for key, rate in couplings.items():
         if tuple(key) not in ALLOWED_TRANSITIONS:
             raise ValueError("unsupported transition %r" % (key,))
-        coupling_rates[tuple(key)] = as_rate(value)
-    index = {name: k for k, name in enumerate(PRODUCT_STATES)}
-    grid = [[diag[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
-    for (src, dst), rate in coupling_rates.items():
+        src, dst = key
         grid[index[dst]][index[src]] = rate
-    eigenbasis = RateMatrix(grid)
+    eigenbasis = RateMatrix(grid)  # which checks every rate
     basis_change = np.kron(frame_a, frame_b)
 
     def evaluate(t):
@@ -173,7 +170,12 @@ def matrix_modes(m):
     denominator underflows go, as one stack, through numkit.eig, whose
     ascending modes replace all four (flagged in numeric_fallback).  A
     negative discriminant in any sample raises ComplexSpectrumError for
-    the first such sample.
+    the first such sample.  The fallback's domain is narrower, in two
+    known ways (no CLI path calls this): numkit.eig can refuse a sample
+    with entries near 1e-15 beside entries of order 1 (LinAlgError, as
+    for (s11, s12, s21, s22, s) = (1e-15, -0.5, 1e-15, 0.5, -1e-15)), and
+    at a repeated eigenvalue with a two-dimensional eigenspace the four
+    modes can span only three dimensions.
     """
     m = np.asarray(m, dtype=float)
     s11, s12, s = m[:, 0, 0], m[:, 0, 1], m[:, 0, 3]

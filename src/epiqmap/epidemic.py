@@ -10,9 +10,11 @@ and the eigenframe ("projector representation") dynamics with
 eigenvector-derivative connection terms.
 
 Rate matrices of any size up to 16 are RateMatrix grids (Generator2 is
-the 2x2 one); their ``matrix(t)`` takes a scalar time or a 1-d array
-of times (the generator protocol), and ``numkit.ode_evolve``
-integrates them.
+the 2x2 one).  A rate is a number or a piecewise-linear table; the grid
+holds each as a float or as its ``rate_table``, a checked (k, 2) array,
+and no rate is a callable.  ``matrix(t)`` takes a scalar time or a 1-d
+array of times (the generator protocol), and ``numkit.ode_evolve``
+integrates it.
 
 States are plain numpy vectors of probabilities.  Rates may leave the
 probability simplex for a generic S; nothing here clamps, and
@@ -36,90 +38,49 @@ _TAYLOR_WINDOW = 1e-6
 # rates and generators
 # ---------------------------------------------------------------------------
 
-class Rate:
-    """A scalar rate of time: a constant or a piecewise-linear table.
+def rate_table(spec):
+    """A piecewise-linear rate [[t, value], ...] as a (k, 2) float array.
 
-    Tables are sequences of (time, value) rows with strictly increasing
-    times and finite slopes between rows; values are held constant beyond
-    the table range.  Integrals are exact (trapezoid on the nodes).
+    Its times must increase strictly, with finite slopes between rows;
+    anything else raises ValueError, and a callable raises TypeError.
     """
-
-    def __init__(self, spec):
-        self._table = None
-        self._value = None
-        if np.isscalar(spec):
-            self._value = float(spec)
-        else:
-            table = np.asarray(spec, dtype=float)
-            if table.ndim != 2 or table.shape[1] != 2 or len(table) < 2:
-                raise ValueError("rate table must be [[t, value], ...] with >= 2 rows")
-            if np.any(np.diff(table[:, 0]) <= 0):
-                raise ValueError("rate table times must be strictly increasing")
-            with np.errstate(over="ignore", invalid="ignore"):
-                slopes = np.diff(table[:, 1]) / np.diff(table[:, 0])
-            if not np.isfinite(slopes).all():
-                raise ValueError("rate table slopes must be finite")
-            self._table = table
-
-    @property
-    def is_constant(self):
-        return self._value is not None
-
-    def __call__(self, t):
-        """The rate at each time of an array, or at a scalar time (a float).
-
-        The times are evaluated as one flat array, a scalar as an array of one.
-        """
-        times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1)
-        if self._value is not None:
-            values = np.full(flat.shape, self._value)
-        else:
-            values = np.interp(flat, self._table[:, 0], self._table[:, 1])
-        return values.reshape(times.shape) if times.ndim else float(values[0])
-
-    def integral(self, t0, t1):
-        if t1 == t0:
-            return 0.0
-        if self._value is not None:
-            return self._value * (t1 - t0)
-        lo, hi = min(t0, t1), max(t0, t1)
-        nodes = self._table[:, 0]
-        inner = nodes[(nodes > lo) & (nodes < hi)]
-        grid = np.concatenate(([lo], inner, [hi]))
-        vals = np.interp(grid, nodes, self._table[:, 1])
-        area = np.trapezoid(vals, grid)
-        return area if t1 > t0 else -area
-
-
-def as_rate(spec):
-    return spec if isinstance(spec, Rate) else Rate(spec)
+    table = np.array(spec, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2 or len(table) < 2:
+        raise ValueError("rate table must be [[t, value], ...] with >= 2 rows")
+    if np.any(np.diff(table[:, 0]) <= 0):
+        raise ValueError("rate table times must be strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(table[:, 1]) / np.diff(table[:, 0])
+    if not np.isfinite(slopes).all():
+        raise ValueError("rate table slopes must be finite")
+    return table
 
 
 class RateMatrix:
-    """A square grid of Rates, evaluated under the generator protocol.
+    """A square grid of rates, evaluated under the generator protocol.
 
-    matrix(t) takes a 1-d array of n times, giving an (n, d, d) stack, or
-    a scalar time, evaluated as a stack of one and giving its (d, d)
-    matrix.  Constant entries are stored once, and a fully constant stack
-    of several times is a read-only broadcast of them; each
-    time-dependent entry is evaluated at all n times in one call.
-    Non-finite entries raise ValueError.  rates is the grid of Rates.
+    Each entry of grid is a number, held as a float, or a table, held as
+    its rate_table; rates is that grid.  matrix(t) takes a 1-d array of
+    n times, giving an (n, d, d) stack, or a scalar time, evaluated as a
+    stack of one and giving its (d, d) matrix.  Constant entries are
+    stored once, and a fully constant stack of several times is a
+    read-only broadcast of them; each table entry is one np.interp over
+    the n times, constant beyond its nodes.  Non-finite entries raise
+    ValueError.
     """
 
     def __init__(self, grid):
-        self.rates = rates = [[as_rate(v) for v in row] for row in grid]
+        self.rates = rates = [
+            [float(v) if np.isscalar(v) else rate_table(v) for v in row] for row in grid
+        ]
         d = len(rates)
         if d == 0 or any(len(row) != d for row in rates):
             raise ValueError("rate grid must be square")
-        self._base = np.array(
-            [[0.0 if r._value is None else r._value for r in row] for row in rates]
-        )
+        self._base = np.array([[r if isinstance(r, float) else 0.0 for r in row] for row in rates])
         self._base_finite = bool(np.isfinite(self._base).all())
-        self._varying = [
-            (i, j, r) for i, row in enumerate(rates) for j, r in enumerate(row)
-            if not r.is_constant
-        ]
+        # (i, j, nodes, values) of each table entry, the last two contiguous
+        self._varying = [(i, j, *r.T.copy()) for i, row in enumerate(rates)
+                         for j, r in enumerate(row) if not isinstance(r, float)]
 
     @property
     def is_constant(self):
@@ -133,8 +94,8 @@ class RateMatrix:
         if self._varying:
             m = np.empty(flat.shape + self._base.shape)
             m[:] = self._base
-            for i, j, rate in self._varying:
-                m[:, i, j] = rate(flat)
+            for i, j, nodes, values in self._varying:
+                m[:, i, j] = np.interp(flat, nodes, values)
         elif len(flat) == 1:
             # a writable stack of one, which a scalar time unpacks as it is;
             # np.broadcast_to plus a copy costs several times more
@@ -147,14 +108,24 @@ class RateMatrix:
         return m if times.ndim else m[0]
 
     def integrated(self, t0, t):
-        """Entrywise time integrals over [t0, t] as a (d, d) array."""
-        if t < t0:
+        """Entrywise time integrals over [t0, t], t >= t0, as a (d, d) array.
+
+        A table's integral is the trapezoid rule on t0, its nodes between
+        and t, which is exact.
+        """
+        if not t >= t0:
             raise ValueError("t must be >= t0")
-        return np.array([[r.integral(t0, t) for r in row] for row in self.rates])
+        if t == t0:
+            return np.zeros(self._base.shape)
+        g = self._base * (t - t0)
+        for i, j, nodes, values in self._varying:
+            grid = np.concatenate(([t0], nodes[(nodes > t0) & (nodes < t)], [t]))
+            g[i, j] = np.trapezoid(np.interp(grid, nodes, values), grid)
+        return g
 
 
 class Generator2(RateMatrix):
-    """Rate matrix of the 2-level machine; entries are Rate-coercible."""
+    """Rate matrix of the 2-level machine; each entry is a number or a rate table."""
 
     def __init__(self, s11, s12, s21, s22):
         super().__init__([[s11, s12], [s21, s22]])

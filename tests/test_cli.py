@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from epiqmap import cli, numkit
+from epiqmap import cli, coupled, numkit
 
 
 def write_config(tmp_path, config, name="scenario.json"):
@@ -429,6 +429,38 @@ class TestValidation:
         assert len(err.splitlines()) == 1
         assert not (out / "series.csv").exists()
 
+    def test_run_is_bounded_by_the_spans_it_runs(self, tmp_path):
+        # the whole run's ceiling would take 21 steps of 15.2, finer than
+        # the spacing of 16 at 1e17, but the run steps each 80-wide span
+        # between its events in 5 steps of 16
+        t0 = 1e17
+        config = epidemic2_config(
+            t0=t0, t1=t0 + 320, dt=16 * (1 - 1e-13),
+            generator={"s11": -0.002, "s12": 0.003, "s21": 0.002, "s22": -0.001},
+            events=[{"time": t0 + 80 * k, "type": "projective", "target": target}
+                    for k, target in ((1, 1), (2, 2), (3, 1))],
+        )
+        with pytest.raises(ValueError, match="not strictly monotonic"):
+            numkit.step_count(config["t0"], config["t1"], config["dt"])
+        assert numkit.step_count(t0, t0 + 80, config["dt"]) == 5
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert len(read_rows(out / "series.csv")) == 1 + 21
+
+    def test_spans_over_the_step_budget_exit_2_at_parse(self, tmp_path, capsys):
+        # each span fits numkit.MAX_STEPS, their sum does not
+        config = epidemic2_config(t0=0.0, t1=1.5e7, dt=1.0,
+                                  events=[{"time": 7.5e6, "type": "projective", "target": 1}])
+        assert numkit.step_count(0.0, 7.5e6, 1.0) <= numkit.MAX_STEPS < 2 * 7.5e6
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: the spans between events need more than %d steps\n" % (
+            numkit.MAX_STEPS)
+        assert not out.exists()
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # rotational generator: complex spectrum, so ensemble weights fail
         cfg = write_config(tmp_path, epidemic2_config(
@@ -646,6 +678,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(acceptance, "CRITERIA", (("broken", broken, "stub"),))
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_coupled4_targets_are_the_traffic_targets():
+    # MODELS spells them out, so that cli need not import coupled
+    assert cli.MODELS["coupled4"].targets == coupled.TRAFFIC_TARGETS
 
 
 def test_negativity_check_is_worst_row():

@@ -219,6 +219,24 @@ class TestMatrixModes:
         digest = hashlib.sha256(values.tobytes() + vectors.tobytes()).hexdigest()
         assert digest == "aeab2285cdbde7049f53a6a0ffa90c4cc99e1cd54d40e907caab847d5f2188bb"
 
+    # the two known defects of the numkit.eig fallback, each written as the
+    # behaviour wanted; strict, so the fix that mends one must drop its mark
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="modes 2 and 3 are one vector of the two-dimensional eigenspace")
+    def test_degenerate_fallback_spans_four_dimensions(self):
+        s21 = 2.0407592042579845e-16
+        m = traffic_matrix(-0.36833548523914494, 0.33816553112534264, s21, 0.8078271912713035, s21)
+        _, vectors, _ = coupled.matrix_modes(m[None])
+        assert np.linalg.matrix_rank(vectors[0]) == 4
+
+    @pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True,
+                       reason="numkit.eig refuses this fallback: residual 9.898e-10 > 5e-11")
+    def test_fallback_with_entries_near_1e_15_is_solved(self):
+        m = traffic_matrix(1e-15, -0.5, 1e-15, 0.5, -1e-15)
+        values, vectors, fallback = coupled.matrix_modes(m[None])
+        assert fallback.tolist() == [True] and np.isfinite(values).all()
+        assert np.linalg.matrix_rank(vectors[0]) == 4
+
     def test_empty_stack(self):
         values, vectors, fallback = coupled.matrix_modes(np.zeros((0, 4, 4)))
         assert values.shape == (0, 4) and vectors.shape == (0, 4, 4) and fallback.shape == (0,)

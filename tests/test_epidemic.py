@@ -14,27 +14,110 @@ def constant_gen(s11, s12, s21, s22):
     return epidemic.Generator2(s11, s12, s21, s22)
 
 
+def node_trapezoid(table, t0, t):
+    """The integral of a table's piecewise-linear rate over [t0, t], t >= t0.
+
+    The trapezoid rule on t0, the table's nodes strictly inside, and t:
+    exact, as the rate is linear between those points.
+    """
+    nodes, values = table[:, 0], table[:, 1]
+    grid = np.concatenate(([t0], nodes[(nodes > t0) & (nodes < t)], [t]))
+    return np.trapezoid(np.interp(grid, nodes, values), grid)
+
+
 class TestRate:
+    """A rate as RateMatrix holds it: a float, or the (k, 2) array of rate_table."""
+
     def test_constant_call_and_integral(self):
-        r = epidemic.Rate(2.0)
-        assert r(5.0) == 2.0
-        assert r.integral(0.0, 1.5) == 3.0
+        gen = constant_gen(2.0, 0.0, 0.0, 0.0)
+        assert type(gen.rates[0][0]) is float
+        assert gen.matrix(5.0)[0, 0] == 2.0
+        assert gen.integrated(0.0, 1.5)[0, 0] == 3.0
 
     def test_table_interpolation_and_exact_integral(self):
-        ramp = epidemic.Rate([[0.0, 0.0], [1.0, 1.0]])
-        assert ramp(0.5) == 0.5
-        assert ramp.integral(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        ramp = epidemic.Generator2(0.0, [[0.0, 0.0], [1.0, 1.0]], 0.0, 0.0)
+        assert ramp.rates[0][1].tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert ramp.matrix(0.5)[0, 1] == 0.5
+        assert ramp.integrated(0.0, 1.0)[0, 1] == pytest.approx(0.5, abs=1e-15)
         # values held constant outside the node range
-        assert ramp(2.0) == 1.0
-        assert ramp.integral(0.0, 2.0) == pytest.approx(1.5, abs=1e-15)
+        assert ramp.matrix(2.0)[0, 1] == 1.0
+        assert ramp.integrated(0.0, 2.0)[0, 1] == pytest.approx(1.5, abs=1e-15)
 
     def test_rejects_bad_table(self):
-        with pytest.raises(ValueError):
-            epidemic.Rate([[0.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            epidemic.RateMatrix([[[[0.0, 1.0], [0.0, 2.0]]]])
 
     def test_rejects_a_function(self):
         with pytest.raises(TypeError):
-            epidemic.Rate(lambda t: 1.0)
+            epidemic.Generator2(lambda t: 1.0, 0.0, 0.0, 0.0)
+
+
+@st.composite
+def rate_tables(draw):
+    """A table of 2-6 nodes, strictly increasing in time with finite slopes."""
+    k = draw(st.integers(2, 6))
+    start = draw(st.floats(-50.0, 50.0))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=k - 1, max_size=k - 1))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k))
+    return np.column_stack([np.cumsum([start] + gaps), values])
+
+
+def table_times(table):
+    """Times inside, at and outside the nodes of table."""
+    nodes = table[:, 0].tolist()
+    return st.floats(nodes[0] - 20.0, nodes[-1] + 20.0) | st.sampled_from(nodes)
+
+
+# each malformed table, and the message rate_table raises for it
+MALFORMED = {
+    "repeated_time": (lambda t: np.vstack([t[:1], t]), "rate table times must be strictly increasing"),
+    "non_finite_slope": (lambda t: np.vstack([t[:-1], [[t[-1, 0], np.inf]]]),
+                         "rate table slopes must be finite"),
+    "one_row": (lambda t: t[:1], "rate table must be [[t, value], ...] with >= 2 rows"),
+    "wrong_width": (lambda t: np.column_stack([t, t[:, 1]]),
+                    "rate table must be [[t, value], ...] with >= 2 rows"),
+}
+
+
+class TestRateFormatProperty:
+    """Each table entry is np.interp over its nodes, and its integral the node trapezoid."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), table=rate_tables(), at=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    def test_table_entry_is_interp_and_node_trapezoid(self, data, table, at):
+        grid = [[0.25, -1.5, 0.0], [2.0, -0.5, 1.0], [0.0, 3.0, -2.0]]
+        grid[at[0]][at[1]] = table.tolist()
+        rates = epidemic.RateMatrix(grid)
+        ts = np.array(data.draw(st.lists(table_times(table), min_size=1, max_size=8)))
+        expected = np.interp(ts, table[:, 0], table[:, 1])
+        m = rates.matrix(ts)
+        assert m[:, at[0], at[1]].tobytes() == expected.tobytes()
+        assert rates.matrix(ts[0])[at].tobytes() == expected[0].tobytes()
+        t0, t = sorted(data.draw(st.lists(table_times(table), min_size=2, max_size=2)))
+        integral = rates.integrated(t0, t)
+        assert np.float64(integral[at]).tobytes() == np.float64(node_trapezoid(table, t0, t)).tobytes()
+        # the constant entries beside it
+        assert integral[(at[0] + 1) % 3, at[1]] == grid[(at[0] + 1) % 3][at[1]] * (t - t0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=rate_tables(), kind=st.sampled_from(sorted(MALFORMED)))
+    def test_malformed_table_raises_as_before(self, table, kind):
+        corrupt, message = MALFORMED[kind]
+        bad = corrupt(table)
+        for build in (epidemic.rate_table, lambda r: epidemic.RateMatrix([[r]]),
+                      lambda r: epidemic.Generator2(0.0, r, 0.0, 0.0)):
+            for spec in (bad, bad.tolist()):
+                with pytest.raises(ValueError) as raised:
+                    build(spec)
+                assert str(raised.value) == message
+
+    @pytest.mark.parametrize("build", [
+        epidemic.rate_table, lambda r: epidemic.RateMatrix([[r]]),
+        lambda r: epidemic.Generator2(0.0, 0.0, r, 0.0),
+    ], ids=["rate_table", "rate_matrix", "generator2"])
+    def test_callable_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build(lambda t: 1.0)
 
 
 class TestSpectralFrame:
@@ -331,9 +414,16 @@ class TestIntegratedGenerator:
 
     def test_rate_matrix_of_any_size_integrates_entrywise(self):
         ramp, kink = [[0.0, 0.0], [1.0, 1.0]], [[-1.0, 0.5], [0.3, -0.2], [2.0, 0.4]]
-        rates = epidemic.RateMatrix([[0.1, ramp, -0.3], [kink, 2.0, 0.0], [0.7, kink, ramp]])
+        grid = [[0.1, ramp, -0.3], [kink, 2.0, 0.0], [0.7, kink, ramp]]
+        rates = epidemic.RateMatrix(grid)
         for t0, t in ((0.0, 1.0), (-0.5, 1.7), (0.3, 0.3)):
-            expected = np.array([[r.integral(t0, t) for r in row] for row in rates.rates])
+            expected = np.array([
+                [node_trapezoid(np.array(r), t0, t) if isinstance(r, list) else r * (t - t0)
+                 for r in row]
+                for row in grid
+            ])
+            if t == t0:
+                expected[:] = 0.0
             assert rates.integrated(t0, t).tobytes() == expected.tobytes()
         assert rates.integrated(0.0, 1.0)[0, 1] == 0.5
         with pytest.raises(ValueError):

@@ -24,6 +24,12 @@ TABLE_EPIDEMIC2 = {
     "initial_state": [0.7, 0.3],
 }
 
+EPIDEMIC_N = {
+    "schema": 1, "model": "epidemicN", "t0": 0.0, "t1": 0.5, "dt": 0.01,
+    "generator": {"matrix": [[-0.2, [[0.0, 0.1], [0.5, 0.3]]], [0.2, -0.1]]},
+    "initial_state": [0.6, 0.4],
+}
+
 COUPLED4 = {
     "schema": 1, "model": "coupled4", "t0": 0.0, "t1": 0.5, "dt": 0.01,
     "generator": {
@@ -71,6 +77,23 @@ def test_classical_commands_skip_the_quantum_side(tmp_path):
         assert all(m in sys.modules for m in quantum_side)
     """ % (QUANTUM_SIDE,), tmp_path)
     assert (tmp_path / "coupled4" / "series.csv").exists()
+
+
+def test_only_coupled4_loads_coupled(tmp_path):
+    configs = (("epidemic2", TABLE_EPIDEMIC2), ("epidemicN", EPIDEMIC_N), ("coupled4", COUPLED4))
+    for name, config in configs:
+        (tmp_path / (name + ".json")).write_text(json.dumps(config))
+    run_fresh("""
+        import sys
+        from epiqmap import cli
+
+        for name in ("epidemic2", "epidemicN"):
+            assert cli.main(["simulate", "--config", name + ".json", "--out-dir", name]) == 0
+            assert "epiqmap.coupled" not in sys.modules, name
+        assert cli.main(["simulate", "--config", "coupled4.json", "--out-dir", "coupled4"]) == 0
+        assert "epiqmap.coupled" in sys.modules
+    """, tmp_path)
+    assert all((tmp_path / name / "series.csv").exists() for name, _ in configs)
 
 
 @pytest.mark.parametrize("access", [
