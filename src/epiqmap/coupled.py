@@ -151,8 +151,7 @@ def coupled_eigenvectors(gen, coupling, t):
     m = symmetric_traffic_generator(gen, coupling).matrix(t)
     values, vectors, fallback = matrix_modes(m[None])
     return [
-        CoupledMode(float(values[0, k]), vectors[0, k], k < 2 and not fallback[0],
-                    bool(fallback[0]))
+        CoupledMode(float(values[0, k]), vectors[0, k], k < 2, bool(fallback[0]))
         for k in range(4)
     ]
 
@@ -162,57 +161,47 @@ def matrix_modes(m):
 
     Returns (values, vectors, numeric_fallback): values[k, j] and the
     vector vectors[k, j] are mode j of sample k, and numeric_fallback
-    has shape (n,).  Vectors keep their unnormalized printed scale (last
-    component 1, second component -1 for the sign-indefinite modes 0
-    and 1, 1 for modes 2 and 3); eigenvalues are recovered from the
-    vectors by Rayleigh quotient.  The closed form is evaluated
-    elementwise over the stack; the samples where a closed-form
-    denominator underflows go, as one stack, through numkit.eig, whose
-    ascending modes replace all four (flagged in numeric_fallback).  A
-    negative discriminant in any sample raises ComplexSpectrumError for
-    the first such sample.  The fallback's domain is narrower, in two
-    known ways (no CLI path calls this): numkit.eig can refuse a sample
-    with entries near 1e-15 beside entries of order 1 (LinAlgError, as
-    for (s11, s12, s21, s22, s) = (1e-15, -0.5, 1e-15, 0.5, -1e-15)), and
-    at a repeated eigenvalue with a two-dimensional eigenspace the four
-    modes can span only three dimensions.
+    has shape (n,).  A symmetric traffic matrix is [[A, sJ], [sJ, A]]
+    with J the 2x2 swap, so its modes are (u, c u) for each mode u of
+    the 2x2 block A + c sJ: modes 0 and 1 (sign-indefinite) have
+    c = -1, modes 2 and 3 have c = +1.  A block's closed-form u keeps
+    its unnormalized printed scale (second component c) and is
+    evaluated elementwise over the stack; a block whose denominator
+    underflows is solved alone by numkit.eig (unit u, ascending), and
+    its sample is flagged in numeric_fallback.  Eigenvalues are
+    recovered from the 4-vectors by Rayleigh quotient.  A negative
+    discriminant in any sample raises ComplexSpectrumError for the
+    first such sample.
     """
     m = np.asarray(m, dtype=float)
     s11, s12, s = m[:, 0, 0], m[:, 0, 1], m[:, 0, 3]
     s21, s22 = m[:, 1, 0], m[:, 1, 1]
     delta = s11 - s22
-    x_minus = 4.0 * (s - s12) * (s - s21) + delta * delta
-    x_plus = 4.0 * (s + s12) * (s + s21) + delta * delta
-    negative = (x_minus < 0) | (x_plus < 0)
-    if negative.any():
-        k = negative.argmax()
-        raise ComplexSpectrumError(min(x_minus[k], x_plus[k]))
-    den_minus = 2.0 * (s - s21)
-    den_plus = 2.0 * (s + s21)
+    signs = (-1.0, 1.0)
+    discs = [4.0 * (s + c * s12) * (s + c * s21) + delta * delta for c in signs]
+    low = np.minimum(*discs)
+    if (low < 0).any():
+        raise ComplexSpectrumError(low[(low < 0).argmax()])
     scale = np.abs(m).max(axis=(1, 2), initial=1.0)
-    fallback = np.minimum(abs(den_minus), abs(den_plus)) < _DENOM_FLOOR * scale
-    if fallback.any():
-        # the singular samples' closed form is replaced below
-        den_minus = np.where(fallback, 1.0, den_minus)
-        den_plus = np.where(fallback, 1.0, den_plus)
-    r_minus = np.sqrt(x_minus)
-    r_plus = np.sqrt(x_plus)
-    one = np.ones_like(delta)
-    vectors = np.stack([
-        ((delta - r_minus) / den_minus, -one, (r_minus - delta) / den_minus, one),
-        ((r_minus + delta) / den_minus, -one, -(r_minus + delta) / den_minus, one),
-        ((delta - r_plus) / den_plus, one, (delta - r_plus) / den_plus, one),
-        ((r_plus + delta) / den_plus, one, (r_plus + delta) / den_plus, one),
-    ]).transpose(2, 0, 1).copy()
+    vectors = np.empty((len(m), 4, 4))
+    fallback = np.zeros(len(m), dtype=bool)
+    for c, disc, half in zip(signs, discs, (vectors[:, :2], vectors[:, 2:])):
+        den = 2.0 * (s + c * s21)
+        singular = abs(den) < _DENOM_FLOOR * scale
+        den = np.where(singular, 1.0, den)  # the singular blocks are replaced below
+        r = np.sqrt(disc)
+        half[:, 0, 0], half[:, 1, 0] = (delta - r) / den, (r + delta) / den
+        half[:, :, 1] = c
+        if singular.any():
+            _, u = numkit.eig(m[singular, :2, :2] + c * m[singular, :2, 2:])
+            half[singular, :, :2] = u.swapaxes(1, 2)
+        half[:, :, 2:] = c * half[:, :, :2]
+        fallback |= singular
     # each mode's vector as a row and as a column of its own, so every
     # product rounds as the one-vector v @ m @ v / (v @ v) does; a
     # (4, 4) @ (4, 4) product of all four modes rounds differently
     rows, columns = vectors[:, :, None, :], vectors[:, :, :, None]
     values = ((rows @ m[:, None]) @ columns / (rows @ columns))[:, :, 0, 0]
-    if fallback.any():
-        eig_values, eig_vectors = numkit.eig(m[fallback])
-        values[fallback] = eig_values
-        vectors[fallback] = eig_vectors.swapaxes(1, 2)
     return values, vectors, fallback
 
 

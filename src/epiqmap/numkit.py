@@ -425,17 +425,22 @@ def collect(chunks, t0, t1, dt):
     The arrays are allocated once, from step_count (the grid's one check)
     and the first chunk's state, so the call holds its result beside the
     chunks in flight, not a second copy; a run of one chunk is that chunk.
+    Raises ValueError, naming both sample counts, for a stream that is
+    not the run's length.
     """
-    n, start = step_count(t0, t1, dt) + 1, 0
+    n, start, whole = step_count(t0, t1, dt) + 1, 0, None
     for chunk in chunks:
-        if len(chunk) == n:
-            return chunk
         stop = start + len(chunk)
-        if not start:
-            times, states = np.empty(n), np.empty((n, chunk.states.shape[1]), chunk.states.dtype)
-        times[start:stop], states[start:stop] = chunk.times, chunk.states
+        if whole is None:
+            whole = chunk if stop == n else Trajectory(
+                np.empty(n), np.empty((n, chunk.states.shape[1]), chunk.states.dtype))
+        if whole is not chunk and stop <= n:
+            whole.times[start:stop], whole.states[start:stop] = chunk.times, chunk.states
         start = stop
-    return Trajectory(times, states)
+    if start != n:
+        raise ValueError("the chunk stream has %d samples, the run from %r to %r by %r has %d"
+                         % (start, t0, t1, dt, n))
+    return whole
 
 
 def rk4_step_matrix(a1, a2, a3):

@@ -109,30 +109,41 @@ class TestCoupledEigenvectors:
             assert np.abs(m @ mode.vector - mode.value * mode.vector).max() <= 1e-9
 
 
+def block_parts(m, c):
+    """The block A + c sJ of one symmetric traffic matrix, its discriminant and its denominator."""
+    (s11, s12, _, s), (s21, s22, _, _) = m[:2]
+    delta = s11 - s22
+    disc = 4.0 * (s + c * s12) * (s + c * s21) + delta * delta
+    return m[:2, :2] + c * m[:2, 2:], disc, 2.0 * (s + c * s21)
+
+
+def eig_block(m, den):
+    """Whether matrix_modes solves the block of m with denominator den by numkit.eig."""
+    return abs(den) < 1e-10 * max(1.0, np.abs(m).max())
+
+
 def one_sample_modes(m):
     """Reference: the closed form of one symmetric traffic matrix, sample by sample.
 
-    Returns (value, vector, sign_indefinite, numeric_fallback) per mode.
+    Returns (value, vector, sign_indefinite, numeric_fallback) per mode:
+    modes 0 and 1 are (u, -u) for the modes u of the block A - sJ, modes
+    2 and 3 are (u, u) for those of A + sJ, and a block whose denominator
+    underflows is solved alone by numkit.eig.
     """
-    (s11, s12, _, s), (s21, s22, _, _) = m[:2]
-    delta = s11 - s22
-    x_minus = 4.0 * (s - s12) * (s - s21) + delta * delta
-    x_plus = 4.0 * (s + s12) * (s + s21) + delta * delta
-    if x_minus < 0 or x_plus < 0:
-        raise ComplexSpectrumError(min(x_minus, x_plus))
-    den_minus = 2.0 * (s - s21)
-    den_plus = 2.0 * (s + s21)
-    if min(abs(den_minus), abs(den_plus)) < 1e-10 * max(1.0, np.abs(m).max()):
-        values, vectors = numkit.eig(m)
-        return [(float(values[k]), vectors[:, k], False, True) for k in range(4)]
-    r_minus, r_plus = np.sqrt(x_minus), np.sqrt(x_plus)
-    vectors = (
-        np.array([(delta - r_minus) / den_minus, -1.0, (r_minus - delta) / den_minus, 1.0]),
-        np.array([(r_minus + delta) / den_minus, -1.0, -(r_minus + delta) / den_minus, 1.0]),
-        np.array([(delta - r_plus) / den_plus, 1.0, (delta - r_plus) / den_plus, 1.0]),
-        np.array([(r_plus + delta) / den_plus, 1.0, (r_plus + delta) / den_plus, 1.0]),
-    )
-    return [(float(v @ m @ v / (v @ v)), v, k < 2, False) for k, v in enumerate(vectors)]
+    parts = [block_parts(m, c) for c in (-1.0, 1.0)]
+    if min(disc for _, disc, _ in parts) < 0:
+        raise ComplexSpectrumError(min(disc for _, disc, _ in parts))
+    delta = m[0, 0] - m[1, 1]
+    vectors, fallback = [], False
+    for c, (block, disc, den) in zip((-1.0, 1.0), parts):
+        if eig_block(m, den):
+            halves = numkit.eig(block)[1].T
+            fallback = True
+        else:
+            r = np.sqrt(disc)
+            halves = np.array([((delta - r) / den, c), ((r + delta) / den, c)])
+        vectors += [np.concatenate((u, c * u)) for u in halves]
+    return [(float(v @ m @ v / (v @ v)), v, k < 2, fallback) for k, v in enumerate(vectors)]
 
 
 def traffic_matrix(s11, s12, s21, s22, s):
@@ -144,6 +155,11 @@ unit_rate = st.floats(-1.0, 1.0)
 # closed-form denominator and sends the sample to numkit.eig
 traffic_draw = st.tuples(unit_rate, unit_rate, unit_rate, unit_rate, unit_rate,
                          st.sampled_from(["free", "minus", "plus"]))
+# rates over many decades, where the closed form and the 2x2 blocks meet
+edge_rate = st.sampled_from([0.0, 1e-300, 1e-20, 1e-15, 1e-12, 1e-8, 1e-4,
+                             0.3, -0.3, 0.5, -0.5, 1.0, -1.0])
+edge_draw = st.tuples(edge_rate, edge_rate, edge_rate, edge_rate, edge_rate,
+                      st.sampled_from(["free", "minus", "plus"]))
 
 
 def outcome(m):
@@ -206,8 +222,8 @@ class TestMatrixModes:
         assert stacked.value.discriminant == scalar.value.discriminant
 
     def test_degenerate_fallback_is_pinned(self):
-        # a repeated real eigenvalue for which eig returns a complex basis
-        # (imaginary parts up to 0.68); its real parts are eigenvectors
+        # a repeated real eigenvalue for which the 4x4 eig returns a complex
+        # basis (imaginary parts up to 0.68); each 2x2 block is real and simple
         s21 = 2.0407592042579845e-16
         m = traffic_matrix(-0.36833548523914494, 0.33816553112534264, s21, 0.8078271912713035, s21)
         assert np.abs(np.linalg.eig(m)[1].imag).max() > 0.6
@@ -217,25 +233,47 @@ class TestMatrixModes:
         residual = np.abs(m @ vectors[0].T - vectors[0].T * values[0]).max()
         assert residual <= 1e-10 * np.linalg.norm(m, np.inf)
         digest = hashlib.sha256(values.tobytes() + vectors.tobytes()).hexdigest()
-        assert digest == "aeab2285cdbde7049f53a6a0ffa90c4cc99e1cd54d40e907caab847d5f2188bb"
+        assert digest == "0863df8c4ccefe3bc04bcebe9a958261d43f1bce3f6ad5dce806d9339e86d7c5"
 
-    # the two known defects of the numkit.eig fallback, each written as the
-    # behaviour wanted; strict, so the fix that mends one must drop its mark
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="modes 2 and 3 are one vector of the two-dimensional eigenspace")
     def test_degenerate_fallback_spans_four_dimensions(self):
         s21 = 2.0407592042579845e-16
         m = traffic_matrix(-0.36833548523914494, 0.33816553112534264, s21, 0.8078271912713035, s21)
         _, vectors, _ = coupled.matrix_modes(m[None])
         assert np.linalg.matrix_rank(vectors[0]) == 4
 
-    @pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True,
-                       reason="numkit.eig refuses this fallback: residual 9.898e-10 > 5e-11")
     def test_fallback_with_entries_near_1e_15_is_solved(self):
         m = traffic_matrix(1e-15, -0.5, 1e-15, 0.5, -1e-15)
         values, vectors, fallback = coupled.matrix_modes(m[None])
         assert fallback.tolist() == [True] and np.isfinite(values).all()
         assert np.linalg.matrix_rank(vectors[0]) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(draws=st.lists(edge_draw, min_size=1, max_size=8))
+    def test_modes_are_the_modes_of_the_two_blocks(self, draws):
+        # only draws with two real block spectra; numkit.eig must not raise
+        m = np.array([
+            traffic_matrix(s11, s12, s21, s22, {"free": s, "minus": s21, "plus": -s21}[tie])
+            for s11, s12, s21, s22, s, tie in draws
+        ])
+        m = m[[min(block_parts(sample, c)[1] for c in (-1.0, 1.0)) >= 0 for sample in m]]
+        assume(len(m))
+        values, vectors, _ = coupled.matrix_modes(m)
+        assert vectors[:, :2, 2:].tobytes() == (-vectors[:, :2, :2]).tobytes()
+        assert vectors[:, 2:, 2:].tobytes() == vectors[:, 2:, :2].tobytes()
+        for sample, sample_values, sample_vectors in zip(m, values, vectors):
+            spanned = True
+            for c, modes in ((-1.0, slice(0, 2)), (1.0, slice(2, 4))):
+                block, disc, den = block_parts(sample, c)
+                # the closed form cancels in delta - r where |4 b12 b21| is
+                # far below delta^2, so only eig-solved blocks meet the bound
+                if eig_block(sample, den):
+                    residual = (sample @ sample_vectors[modes].T
+                                - sample_vectors[modes].T * sample_values[modes])
+                    assert np.abs(residual).max() <= 1e-10 * np.linalg.norm(sample, np.inf)
+                scalar = block[0, 1] == block[1, 0] == 0 and block[0, 0] == block[1, 1]
+                spanned &= bool(scalar or abs(disc) >= 1e-20)
+            if spanned:
+                assert np.linalg.matrix_rank(sample_vectors) == 4
 
     def test_empty_stack(self):
         values, vectors, fallback = coupled.matrix_modes(np.zeros((0, 4, 4)))

@@ -1166,6 +1166,20 @@ class TestRunChunks:
         assert abs(excess[1] - excess[0]) <= chunk
         assert max(excess) <= 3 * chunk
 
+    @pytest.mark.parametrize("t1, collected_t1", [
+        (3.0, 4.0),  # a shorter stream of several chunks
+        (4.0, 3.0),  # a longer one
+        (1.0, 0.5),  # a longer one whose first chunk is the whole run
+        (0.5, 1.0),  # a shorter one of one chunk
+    ])
+    def test_collect_refuses_a_stream_of_another_run(self, t1, collected_t1):
+        g = np.array([[-0.3, 0.2], [0.3, -0.2]])
+        stream = numkit.ode_chunks(g, [0.6, 0.4], 0.0, t1, 1e-3)
+        streamed = numkit.step_count(0.0, t1, 1e-3) + 1
+        expected = numkit.step_count(0.0, collected_t1, 1e-3) + 1
+        with pytest.raises(ValueError, match="has %d samples, .* has %d$" % (streamed, expected)):
+            numkit.collect(stream, 0.0, collected_t1, 1e-3)
+
 
 class TestStepBudget:
     def test_step_count(self):
