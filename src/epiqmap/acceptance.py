@@ -102,9 +102,9 @@ def _random_frame_matrices(rng, n, symmetric=False):
 def _random_coupled_matrices(rng, n):
     """n seeded symmetric traffic matrices with healthy closed-form modes.
 
-    A draw (s11, s12, s21, s22, s) is kept when both discriminants of
-    coupled.matrix_modes and both of its denominators are at least
-    1e-2; sample k is symmetric_traffic_generator(Generator2(s11, s12,
+    A draw (s11, s12, s21, s22, s) is kept when the discriminants of both
+    blocks A -+ sJ of coupled.matrix_modes and both 2 (s -+ s21) are at
+    least 1e-2; sample k is symmetric_traffic_generator(Generator2(s11, s12,
     s21, s22), s).matrix(0.0).
     """
     def healthy(draws):

@@ -440,7 +440,7 @@ def _simulate_epidemic2(scenario):
     if "ensemble_weights" in scenario.outputs:
         weights, frame = epidemic.ensemble_decompose(states, gen, times, return_frame=True)
         columns += [("pI", weights[:, 0]), ("pII", weights[:, 1])]
-        # samples whose frame came from numkit.eig, the closed form being singular
+        # samples whose printed scale is singular: a vector summing to nearly zero
         checks.append(_check("frame_fallbacks", float(frame.numeric_fallback.sum())))
     if "ratio" in scenario.outputs:
         columns.append(("r12", states[:, 0] / states[:, 1]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkit
 from .epidemic import Generator2, RateMatrix
-from .errors import ComplexSpectrumError, FloorViolationError
+from .errors import FloorViolationError
 
 _DENOM_FLOOR = 1e-10
 
@@ -163,46 +163,25 @@ def matrix_modes(m):
     vector vectors[k, j] are mode j of sample k, and numeric_fallback
     has shape (n,).  A symmetric traffic matrix is [[A, sJ], [sJ, A]]
     with J the 2x2 swap, so its modes are (u, c u) for each mode u of
-    the 2x2 block A + c sJ: modes 0 and 1 (sign-indefinite) have
-    c = -1, modes 2 and 3 have c = +1.  A block's closed-form u keeps
-    its unnormalized printed scale (second component c) and is
-    evaluated elementwise over the stack; a block whose denominator
-    underflows is solved alone by numkit.eig (unit u, ascending), and
-    its sample is flagged in numeric_fallback.  Eigenvalues are
-    recovered from the 4-vectors by Rayleigh quotient.  A negative
-    discriminant in any sample raises ComplexSpectrumError for the
-    first such sample.
+    the 2x2 block A + c sJ, with that mode's value: modes 0 and 1
+    (sign-indefinite) have c = -1, modes 2 and 3 have c = +1, each pair
+    ascending.  numkit.eig solves all 2n blocks as one stack, and each u
+    is scaled to its printed scale, second component c; a u whose second
+    component is below _DENOM_FLOOR of its norm has unit norm instead
+    (numkit.scale_vectors), and its sample is flagged in
+    numeric_fallback.  A complex block spectrum raises
+    ComplexSpectrumError for the first such block of the first such
+    sample.
     """
     m = np.asarray(m, dtype=float)
-    s11, s12, s = m[:, 0, 0], m[:, 0, 1], m[:, 0, 3]
-    s21, s22 = m[:, 1, 0], m[:, 1, 1]
-    delta = s11 - s22
-    signs = (-1.0, 1.0)
-    discs = [4.0 * (s + c * s12) * (s + c * s21) + delta * delta for c in signs]
-    low = np.minimum(*discs)
-    if (low < 0).any():
-        raise ComplexSpectrumError(low[(low < 0).argmax()])
-    scale = np.abs(m).max(axis=(1, 2), initial=1.0)
-    vectors = np.empty((len(m), 4, 4))
-    fallback = np.zeros(len(m), dtype=bool)
-    for c, disc, half in zip(signs, discs, (vectors[:, :2], vectors[:, 2:])):
-        den = 2.0 * (s + c * s21)
-        singular = abs(den) < _DENOM_FLOOR * scale
-        den = np.where(singular, 1.0, den)  # the singular blocks are replaced below
-        r = np.sqrt(disc)
-        half[:, 0, 0], half[:, 1, 0] = (delta - r) / den, (r + delta) / den
-        half[:, :, 1] = c
-        if singular.any():
-            _, u = numkit.eig(m[singular, :2, :2] + c * m[singular, :2, 2:])
-            half[singular, :, :2] = u.swapaxes(1, 2)
-        half[:, :, 2:] = c * half[:, :, :2]
-        fallback |= singular
-    # each mode's vector as a row and as a column of its own, so every
-    # product rounds as the one-vector v @ m @ v / (v @ v) does; a
-    # (4, 4) @ (4, 4) product of all four modes rounds differently
-    rows, columns = vectors[:, :, None, :], vectors[:, :, :, None]
-    values = ((rows @ m[:, None]) @ columns / (rows @ columns))[:, :, 0, 0]
-    return values, vectors, fallback
+    c = np.array([-1.0, -1.0, 1.0, 1.0])
+    # the blocks A - sJ and A + sJ of each sample, in that order
+    blocks = m[:, None, :2, :2] + c[::2, None, None] * m[:, None, :2, 2:]
+    values, u = numkit.eig(blocks.reshape(-1, 2, 2))
+    u, singular = numkit.scale_vectors(u.reshape(-1, 4, 2), c * u[:, :, 1].reshape(-1, 4),
+                                       _DENOM_FLOOR)
+    vectors = np.concatenate((u, c[:, None] * u), axis=-1)
+    return values.reshape(-1, 4), vectors, singular.any(axis=1)
 
 
 # ---------------------------------------------------------------------------

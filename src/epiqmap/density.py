@@ -36,7 +36,7 @@ def _check_floor(p, t=None):
     """p as floats; below PROBABILITY_FLOOR, raise with t and the last-axis component."""
     p = np.asarray(p, dtype=float)
     # a Python min over one state's few entries costs a fraction of p.min()
-    low = min(p.tolist()) if p.ndim == 1 else p.min()
+    low = min(p.tolist()) if p.ndim == 1 else p.min(initial=np.inf)
     if low < PROBABILITY_FLOOR:
         raise FloorViolationError(
             "probability %.3e below floor %.3e" % (low, PROBABILITY_FLOOR),
@@ -250,8 +250,9 @@ def von_neumann_entropy(rho2):
     if rho2.shape[-2:] != (2, 2) or rho2.ndim not in (2, 3):
         raise ValueError("expected a 2x2 density matrix or a stack of them")
     lams = np.linalg.eigvalsh(0.5 * (rho2 + np.conj(rho2.swapaxes(-1, -2))))
-    if lams.min() < -1e-8:
-        raise ValueError("density matrix has significantly negative eigenvalue %.3e" % lams.min())
+    low = lams.min(initial=0.0)
+    if low < -1e-8:
+        raise ValueError("density matrix has significantly negative eigenvalue %.3e" % low)
     lams = np.maximum(lams, 0.0)
     # a zero eigenvalue adds 0 * log(0 + 1) = 0; any other, lam * log(lam)
     entropy = -(lams * np.log(lams + (lams == 0))).sum(axis=-1)

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import ComplexSpectrumError, DegenerateFrameError, FloorViolationError
+from .errors import DegenerateFrameError, FloorViolationError
 
-S21_FLOOR = 1e-10
 FRAME_SINE_FLOOR = 1e-12  # least sine between the frame vectors ensemble_decompose splits along
 _PREFACTOR_FLOOR = 1e-10
 _TAYLOR_WINDOW = 1e-6
@@ -140,10 +139,11 @@ class SpectralFrame2:
     """Eigenvalues, closed-form eigenvectors, and their squared norms.
 
     e1 carries the negative square-root branch, so e1 <= e2 always.  The
-    vectors keep the closed form's scale (components summing to one)
-    rather than unit norm; n1, n2 are their squared Euclidean norms.
-    numeric_fallback marks frames where the closed form was singular and
-    a numeric eigendecomposition was used instead.  The frame of n times
+    vectors keep the printed scale (components summing to one) rather
+    than unit norm; n1, n2 are their squared Euclidean norms.
+    numeric_fallback marks frames where that scale is singular, a
+    vector's components summing to nearly zero, so that the vector has
+    unit norm instead.  The frame of n times
     stacks every field: e1, e2, n1, n2 and numeric_fallback have shape
     (n,), v1 and v2 shape (n, 2).
     """
@@ -170,43 +170,20 @@ def spectral_frame(generator, t):
 def matrix_frame(m):
     """The spectral frame of an (n, 2, 2) stack of rate matrices or of one.
 
-    One 2x2 matrix is framed as a stack of one.  The closed form is
-    evaluated elementwise over the stack; only the samples where it is
-    singular go, as one stack, through numkit.eig.  A discriminant below
-    zero in any sample raises ComplexSpectrumError.
+    One 2x2 matrix is framed as a stack of one.  numkit.eig gives each
+    sample's eigenpairs, and each vector is divided by its component
+    sum; a vector whose sum is below _PREFACTOR_FLOOR of its norm has
+    unit norm instead (numkit.scale_vectors), and its sample is flagged
+    numeric_fallback.  A complex spectrum in any sample raises
+    ComplexSpectrumError.
     """
     m = np.asarray(m, dtype=float)
-    stack = m.reshape(-1, 2, 2)
-    entries = stack.reshape(-1, 4)
-    s11, s12, s21, s22 = entries.T
-    delta = s11 - s22
-    disc = delta * delta + 4.0 * s12 * s21
-    negative = disc < 0
-    if negative.any():
-        raise ComplexSpectrumError(disc[negative][0])
-    root = np.sqrt(disc)
-    e1 = 0.5 * (-root + s11 + s22)
-    e2 = 0.5 * (root + s11 + s22)
-    floor = _PREFACTOR_FLOOR * np.abs(entries).max(axis=-1, initial=1.0)
-    a1 = -root + s11 - s22
-    a2 = root + s11 - s22
-    b = 2.0 * s21
-    d1, d2 = a1 + b, a2 + b
-    fallback = (abs(s21) < S21_FLOOR) | (abs(d1) < floor) | (abs(d2) < floor)
-    numeric = fallback.any()
-    if numeric:
-        # the singular samples' closed form is replaced below
-        d1, d2 = np.where(fallback, 1.0, d1), np.where(fallback, 1.0, d2)
+    values, vectors = numkit.eig(m.reshape(-1, 2, 2))
     # vectors[:, 0] is v1 and vectors[:, 1] is v2
-    vectors = _stack_last(a1 / d1, b / d1, a2 / d2, b / d2).reshape(stack.shape)
-    if numeric:
-        _, columns = numkit.eig(stack[fallback])
-        rows = np.swapaxes(columns, 1, 2).copy()
-        # keep the closed form's components-sum-to-one scale when possible
-        total = rows.sum(axis=2, keepdims=True)
-        np.divide(rows, total, out=rows, where=np.abs(total) > 1e-8)
-        vectors[fallback] = rows
+    vectors, singular = numkit.scale_vectors(vectors, vectors.sum(axis=-1), _PREFACTOR_FLOOR)
+    fallback = singular.any(axis=1)
     norms = np.vecdot(vectors, vectors)
+    e1, e2 = values.T
     if m.ndim == 2:
         return SpectralFrame2(e1[0], e2[0], vectors[0, 0], vectors[0, 1],
                               float(norms[0, 0]), float(norms[0, 1]), bool(fallback[0]))

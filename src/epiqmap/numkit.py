@@ -1,14 +1,11 @@
 """Minimal dense numeric kernel shared by all simulation modules.
 
 Everything here targets the tiny matrices of this package (dimension at
-most 16): a series-based matrix exponential and a deterministic
-eigendecomposition, each of one real matrix or a stack of them (a
-complex matrix raises ValueError), a fixed-step RK4 integrator with
-dense output, and central finite differences.  The eigendecomposition
-is real: where the solver returns a complex basis its real parts are
-kept, which within a repeated eigenvalue are eigenvectors but not of
-unit norm, and a spectrum off the real axis, whose real parts are not
-eigenpairs, raises LinAlgError.  A run has one grid, which step_count
+most 16): a series-based matrix exponential of one real matrix or a
+stack of them, the closed-form eigenpairs of a stack of real 2x2
+matrices with a real spectrum (a complex matrix raises ValueError in
+both), a fixed-step RK4 integrator with dense output, and central
+finite differences.  A run has one grid, which step_count
 checks and rk4_chunks owns, stepped only as a stream of RUN_CHUNK-step
 chunks, each one rk4_path call; a whole Trajectory is that stream
 collected into arrays allocated once, beside which a run holds only its
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteStateError
+from .errors import ComplexSpectrumError, NonFiniteStateError
 
 MAX_DIM = 16
 
@@ -65,7 +62,7 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_square(m, max_dim=MAX_DIM, stacked=False):
+def _check_square(m, stacked=False):
     """m as an array if it is one finite real square matrix (or, stacked, an (n, d, d) stack)."""
     m = np.asarray(m)
     if np.iscomplexobj(m):
@@ -74,8 +71,8 @@ def _check_square(m, max_dim=MAX_DIM, stacked=False):
         raise ValueError(
             "expected a square matrix%s, got shape %r" % (" stack" if stacked else "", m.shape)
         )
-    if m.shape[-1] > max_dim:
-        raise ValueError("dimension %d exceeds supported maximum %d" % (m.shape[-1], max_dim))
+    if m.shape[-1] > MAX_DIM:
+        raise ValueError("dimension %d exceeds supported maximum %d" % (m.shape[-1], MAX_DIM))
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -137,102 +134,64 @@ def _refuse_overflow(finite, single, message):
         raise OverflowError(message + ("" if single else " in sample %d" % finite.argmin()))
 
 
-def _orient(values, vectors):
-    """Order, normalize and orient the eigenpairs of each sample of a stack.
-
-    Eigenvalues ascend by real part (ties: imaginary part); eigenvectors
-    become unit columns whose first component of nonnegligible size is
-    positive real.  The arithmetic stays in the dtype the solver returned,
-    so the real parts of a complex basis that eig takes are eigenvectors
-    but not of unit norm.
-    """
-    order = np.lexsort((values.imag, values.real), axis=-1)
-    samples = np.arange(len(values))[:, None]
-    values = values[samples, order]
-    # columns[k, j] is column j of sample k: contiguous, like one matrix's
-    # vectors[:, order], so each norm sums its components in the same order
-    columns = vectors.swapaxes(1, 2)[samples, order]
-    columns /= np.linalg.norm(columns, axis=2, keepdims=True)
-    size = np.abs(columns)
-    large = size > 1e-12 * np.maximum(1.0, size.max(axis=2, keepdims=True))
-    pivot = columns[samples, np.arange(columns.shape[1]), large.argmax(axis=2)][:, :, None]
-    if np.iscomplexobj(columns):
-        # hypot is abs() of one complex number; np.abs of a complex array
-        # can round differently
-        columns *= np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
-    else:
-        columns *= np.where(pivot < 0, -1.0, 1.0)
-    return values, columns.swapaxes(1, 2)
-
-
-def _solve(solver, m):
-    """Oriented real eigenpairs of each sample of the stack m, by eigh or eig.
-
-    eig makes the whole result complex when one sample's spectrum is, so
-    each sample's own eigenvalues' dtype decides its orientation.
-    """
-    w, v = solver(m)
-    if not np.iscomplexobj(w):
-        return _orient(w, v)
-    values, vectors = np.empty(w.shape), np.empty(v.shape)
-    real = (w.imag == 0).all(axis=1)
-    for take, w, v in ((real, w[real].real, v[real].real), (~real, w[~real], v[~real])):
-        w, v = _orient(w, v)
-        values[take], vectors[take] = w.real, v.real
-    return values, vectors
-
-
-def _residuals(m, values, vectors):
-    """max |m v - value v| over each sample's eigenpairs."""
-    defect = m @ vectors
-    defect -= vectors * values[:, None, :]
-    return np.abs(defect).max(axis=(1, 2))
-
-
 def eig(m):
-    """Real eigendecomposition with deterministic ordering and orientation.
+    """Eigenpairs of each real 2x2 matrix of an (n, 2, 2) stack, in closed form.
 
-    m is one real (d, d) matrix, d <= 8, or a real (n, d, d) stack; one
-    matrix is solved as a stack of one.  Returns real values (n, d),
-    ascending, and vectors (n, d, d) as columns whose first nonzero
-    component is positive.  Each sample takes eigh if it is symmetric to
-    1e-14 and eig if not, and is oriented as a real sample if its own
-    eigenvalues are exactly real, so sample k of a stack is exactly
-    eig(m[k]); any other sample keeps the real parts of its oriented
-    complex basis.  Only a sample whose eigenpairs leave a residual above
-    1e-10 * ||m||_inf (eigh of a matrix symmetric to 1e-14 only, balanced
-    eig of entries that span many decades) is solved again, by eig with
-    its entries below 2**-52 * ||m||_inf set to zero.  Raises
-    LinAlgError, naming the sample of a stack, where that still misses
-    the bound for m, as for a spectrum off the real axis.
+    Returns values (n, 2), ascending, and vectors (n, 2, 2), vectors[k, j]
+    the eigenvector of values[k, j], unnormalized: each caller scales it.
+    Each sample is scaled by the power of two that brings its largest
+    |entry| into [0.5, 1), which is exact, so the vectors of 2**k m are
+    those of m bit for bit and its values 2**k times m's (a value beyond
+    the float range is inf).  With delta = s11 - s22 and r the root of
+    delta**2 + 4 s12 s21, the values are (s11 + s22 -+ r) / 2.  Of
+    lambda - s11 and lambda - s22, whose product is s12 s21, the larger
+    is -+(|delta| + r) / 2 and the smaller is the product divided by it,
+    so neither cancels; the vector is the larger of the null vectors
+    (s12, lambda - s11) and (lambda - s22, s21), and a multiple of the
+    identity gets the unit vectors.  A negative scaled discriminant
+    raises ComplexSpectrumError for the first such sample, with its
+    unscaled value.  Sample k of a stack is exactly eig(m[k:k + 1]).
     """
-    m = np.asarray(m)
-    single = m.ndim == 2
-    m = _check_square(m[None] if single else m, max_dim=8, stacked=True)
-    symmetric = (np.abs(m - m.swapaxes(1, 2)) <= 1e-14).all(axis=(1, 2))
-    values, vectors = np.empty(m.shape[:2]), np.empty(m.shape)
-    for solver, take in ((np.linalg.eigh, symmetric), (np.linalg.eig, ~symmetric)):
-        if take.all():
-            values, vectors = _solve(solver, m)
-        elif take.any():
-            values[take], vectors[take] = _solve(solver, m[take])
-    # no floor: a matrix of subnormal entries is "symmetric to 1e-14", and
-    # its eigh pairs must still meet 1e-10 of its own norm or be solved again
-    scale = _inf_norms(m)
-    residual = _residuals(m, values, vectors)
-    retry = np.flatnonzero(residual > 1e-10 * scale)
-    if len(retry):
-        flushed = np.where(np.abs(m[retry]) < 2.0**-52 * scale[retry, None, None], 0.0, m[retry])
-        values[retry], vectors[retry] = _solve(np.linalg.eig, flushed)
-        residual[retry] = _residuals(m[retry], values[retry], vectors[retry])
-    bad = residual > 1e-10 * scale
-    if bad.any():
-        k = bad.argmax()
-        raise np.linalg.LinAlgError(
-            "eigendecomposition residual %.3e exceeds %.3e%s"
-            % (residual[k], 1e-10 * scale[k], "" if single else " in sample %d" % k)
-        )
-    return (values[0], vectors[0]) if single else (values, vectors)
+    m = _check_square(m, stacked=True)
+    if m.shape[1:] != (2, 2):
+        raise ValueError("expected an (n, 2, 2) stack, got shape %r" % (m.shape,))
+    _, e = np.frexp(np.abs(m).max(axis=(1, 2), initial=0.0))
+    s11, s12, s21, s22 = np.ldexp(m.reshape(-1, 4), -e[:, None]).T
+    delta = s11 - s22
+    disc = delta * delta + 4.0 * s12 * s21
+    negative = disc < 0
+    if negative.any():
+        k = negative.argmax()
+        with np.errstate(over="ignore"):
+            raise ComplexSpectrumError(np.ldexp(disc[k], 2 * e[k]))
+    root = np.sqrt(disc)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(0.5 * np.stack((-root + s11 + s22, root + s11 + s22), axis=1), e[:, None])
+    big = 0.5 * (np.abs(delta) + root)
+    small = np.divide(s12 * s21, big, out=np.zeros_like(big), where=big > 0)
+    # lambda - s11 is the larger for the lower value when delta >= 0, else for the upper
+    sign = np.array([-1.0, 1.0])
+    larger = (delta >= 0)[:, None] == (sign < 0)
+    big, small = sign * big[:, None], sign * small[:, None]
+    x, y = np.where(larger, big, small), np.where(larger, small, big)
+    s12, s21 = s12[:, None], s21[:, None]
+    first = np.abs(s12) + np.abs(x) >= np.abs(y) + np.abs(s21)
+    vectors = np.stack((np.where(first, s12, y), np.where(first, x, s21)), axis=-1)
+    return values, np.where((vectors == 0).all(axis=-1)[..., None], np.eye(2), vectors)
+
+
+def scale_vectors(vectors, scale, floor):
+    """Each 2-vector of a stack divided by its scale, or by its norm where the scale is singular.
+
+    A scale is singular where |scale| < floor * the vector's norm; such
+    a vector is divided by its norm instead, signed so that its first
+    component above 1e-12 of the norm is positive.  Returns the scaled
+    vectors and the mask of singular scales.
+    """
+    size = np.hypot(vectors[..., 0], vectors[..., 1])
+    singular = np.abs(scale) < floor * size
+    pivot = np.where(np.abs(vectors[..., 0]) > 1e-12 * size, vectors[..., 0], vectors[..., 1])
+    return vectors / np.where(singular, np.copysign(size, pivot), scale)[..., None], singular
 
 
 def step_count(t0, t1, dt):

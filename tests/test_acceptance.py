@@ -19,9 +19,9 @@ _TOTALS = {}
 VALUES = {
     ("propagator_closed_form", "closed form vs RK4, 100 seeded generators"):
         "1.7763568394002505e-15",
-    ("spectral_fidelity", "2x2 closed-form residual"): "2.842170943040401e-14",
+    ("spectral_fidelity", "2x2 closed-form residual"): "1.4210854715202004e-14",
     ("spectral_fidelity", "4x4 symmetric-coupled residual"): "1.4210854715202004e-14",
-    ("spectral_fidelity", "overlap when s12 = s21"): "1.804390181600247e-14",
+    ("spectral_fidelity", "overlap when s12 = s21"): "5.9822898008602635e-15",
     ("spectral_fidelity", "non-orthogonal witness overlap"): "0.4285714285714285",
     ("rabi_ratio", "fitted log-ratio slope error, 20 generators"):
         "np.float64(6.106226635438361e-16)",

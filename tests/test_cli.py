@@ -476,11 +476,13 @@ class TestValidation:
         (epidemic2_config(generator={"s11": 0.0, "s12": -1.0, "s21": 1.0, "s22": 0.0},
                           outputs=["probabilities", "ensemble_weights"]),
          "numeric failure: complex spectrum: discriminant = -4.0\n"),
-        # (s11 - s22)^2 overflows, so the frame norms are nan
-        (epidemic2_config(generator={"s11": 1e155, "s12": 0.4, "s21": 0.6, "s22": -1e155},
-                          t1=1e-160, dt=1e-160),
-         "numeric failure: eigen-ensemble norms vanished or are not finite\n"),
-    ], ids=["non_finite_state", "complex_spectrum", "overflowed_frame"])
+        # delta**2 + 4 s12 s21 underflows to 0, but is negative prescaled;
+        # its unscaled value underflows too
+        (epidemic2_config(generator={"s11": 0.0, "s12": -7.1e-301, "s21": 6.9e-301,
+                                     "s22": 5.6e-301},
+                          outputs=["probabilities", "ensemble_weights"]),
+         "numeric failure: complex spectrum: discriminant = -0.0\n"),
+    ], ids=["non_finite_state", "complex_spectrum", "subnormal_complex_spectrum"])
     def test_numeric_failure_message_prints_plain_numbers(self, tmp_path, capsys, config, message):
         # the message is the run's only output: NumPy warns nothing
         cfg = write_config(tmp_path, config)
@@ -489,6 +491,28 @@ class TestValidation:
             assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
+
+    # numkit.eig prescales each frame by a power of two, so neither an
+    # overflowing (s11 - s22)**2 nor overflowing row sums reach the weights;
+    # the all-1e308 generator's eigenvalue 2e308 is inf, and its vector
+    # (1, -1) sums to zero
+    @pytest.mark.parametrize("generator, t1, fallbacks", [
+        ({"s11": 1e155, "s12": 0.4, "s21": 0.6, "s22": -1e155}, 1e-160, 0.0),
+        ({"s11": 1e308, "s12": 1e308, "s21": 1e308, "s22": 1e308}, 1e-300, 2.0),
+    ], ids=["overflowed_frame", "overflowed_row_sums"])
+    def test_prescaled_frame_exits_0(self, tmp_path, capsys, generator, t1, fallbacks):
+        cfg = write_config(tmp_path, epidemic2_config(
+            generator=generator, t1=t1, dt=t1, outputs=["probabilities", "ensemble_weights"]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert [str(w.message) for w in caught] == [] and capsys.readouterr().err == ""
+        rows = (out / "series.csv").read_text().splitlines()
+        assert rows[0] == "t,p1,p2,pI,pII" and len(rows) == 3
+        assert np.isfinite([[float(x) for x in row.split(",")] for row in rows[1:]]).all()
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert checks["frame_fallbacks"]["value"] == fallbacks
 
     @pytest.mark.parametrize("config", [
         epidemic2_config(generator=ZERO_RATES, initial_state=[0, 0], seed=3,
@@ -522,9 +546,8 @@ class TestFrameFallbacks:
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         assert checks["frame_fallbacks"]["value"] == 0.0
 
-    # numkit.eig refused this fallback sample on its first solution
-    # (balanced eig on entries 300 decades apart) and solves it again with
-    # negligible entries zeroed
+    # entries 300 decades apart; both columns sum to zero, so the vector
+    # of the eigenvalue -1 - 1e-300 sums to zero and takes unit norm
     @pytest.mark.parametrize("generator", [
         {"s11": -1.0, "s12": 1e-300, "s21": 1.0, "s22": -1e-300},
     ], ids=["spread_entries"])
@@ -536,12 +559,10 @@ class TestFrameFallbacks:
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         assert checks["frame_fallbacks"]["value"] == 101.0
 
-    # defective spectra, whose two frame vectors are one line, so no
-    # weights rebuild (0.7, 0.3): numkit.eig solves the nilpotent fallback
-    # (eigh on a matrix symmetric only to 1e-14 refused it first) to
-    # (0, 1) and (-2e-277, 1), and the closed form gives (0, 1) twice
+    # defective spectra, a nilpotent matrix and a Jordan block, whose two
+    # frame vectors are one line, (0, 1) twice, so no weights rebuild (0.7, 0.3)
     @pytest.mark.parametrize("generator, sine", [
-        ({"s11": 0.0, "s12": 0.0, "s21": 1e-15, "s22": 0.0}, "2.004e-277"),
+        ({"s11": 0.0, "s12": 0.0, "s21": 1e-15, "s22": 0.0}, "0.000e+00"),
         ({"s11": 0.2, "s12": 0.0, "s21": 1e-10, "s22": 0.2}, "0.000e+00"),
     ], ids=["small_asymmetric", "closed_form"])
     def test_parallel_frame_vectors_exit_3(self, tmp_path, capsys, generator, sine):
@@ -819,7 +840,10 @@ class TestPinnedOutput:
     column's largest value.  Evaluating generators over
     blocks of stage times, dispatching models through cli.MODELS, or
     computing ensemble weights and entropies over whole stacks must not
-    move a single printed digit.  The mapping and lossy quantum2q
+    move a single printed digit.  The three epidemic2 digests with
+    ensemble weights were re-taken when numkit.eig became one prescaled
+    2x2 closed form: pI and pII moved by at most 1.2e-15 of their
+    columns' largest values.  The mapping and lossy quantum2q
     scenarios pin report.json too: its checks (which ones are listed
     follows from whether H is Hermitian) and their values.
     """
@@ -886,8 +910,8 @@ class TestPinnedOutput:
                     "p_test": [0.9, 0.1]}],
     }
 
-    # s12 = -s22 at every time makes the closed-form frame singular, so
-    # every ensemble weight comes from the numkit.eig fallback
+    # both columns sum to zero at every time, so one vector of every frame
+    # sums to zero and takes unit norm: every frame is a fallback
     FRAME_FALLBACK_TABLE = {
         "schema": 1,
         "model": "epidemic2",
@@ -961,13 +985,13 @@ class TestPinnedOutput:
     )
 
     @pytest.mark.parametrize("config, digest", [
-        (README_EXAMPLE, "075ac3c27a75bc264f73fd30b9bbd1b7584e38c3f1166bcec43d5c4b056b9ca8"),
+        (README_EXAMPLE, "ee7bc828ceeb07c64bb1aec1a840eefbe0c4aff3a68650a8a0b902e06e0c0647"),
         (KRON_SUM_TABLE, "9dd7b67343ca4252c204dc1d7034b8f3b41424a3cbc675f3d4654b5b67997922"),
         (EPIDEMIC_N_TABLE, "c75f5c9c027d5b1b3df57b96566168d81e2f4ed40a79797f798bd05896e4e35a"),
         (TRAFFIC_SAMPLED, "1ba77e8c4f0fd1936642fb388bed2ef529ec89055c783c02fe779d851afdc69d"),
-        (WEAK_EVENT, "6347d06e688614300c4d51abc0a9bd0a2a811caf061ba12d92d41a1358d90311"),
+        (WEAK_EVENT, "25ecfc59c285aa4a1d0ef0f33c8818d3a7f26bc40ae5afabb0a157f32167789c"),
         (FRAME_FALLBACK_TABLE,
-         "17c69bf43348886320a6bc838e6cdb44e582364e9e386cf0d6de478c013a5f02"),
+         "2482a45f5e466d632d9670aec26c04da93674eb5e044db432be14fac1ffab5be"),
         (QUANTUM_ENTROPIES, "abc64c13a43e40060f8e3c0f25ec0e7ec3f5f1670d651c5a49ea158a134a2814"),
         (KRON_SUM_EVENTS, "eee4bf0fc21b2ed65551635905ee6687a2c297a4330f7be303bea2199cdc492c"),
     ], ids=["readme_epidemic2", "coupled4_kron_sum_table", "epidemicN_4x4_table",

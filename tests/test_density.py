@@ -86,6 +86,8 @@ class TestAmplitudeRatios:
         stacked = density.amplitude_ratios(y)
         for k in range(6):
             assert np.array_equal(stacked[k], density.amplitude_ratios(y[k]))
+        empty = density.amplitude_ratios(np.empty((0, 5)))
+        assert empty.shape == (0, 5, 5) and empty.dtype == float
         y[4, 3] = 1e-7
         with pytest.raises(FloorViolationError, match="below floor") as info:
             density.amplitude_ratios(y, 2.5)
@@ -498,6 +500,8 @@ class TestEntropy:
         rhos = np.array([np.diag([lam, 1.0 - lam]) for lam in lams])
         stacked = density.von_neumann_entropy(rhos)
         assert stacked.tobytes() == np.array([density.von_neumann_entropy(r) for r in rhos]).tobytes()
+        empty = density.von_neumann_entropy(np.empty((0, 2, 2)))
+        assert empty.shape == (0,) and empty.dtype == float
 
     def test_classical_pair_entropies_recorded_without_relation(self):
         # the classical construction does not promise S_A == S_B; both

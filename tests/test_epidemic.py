@@ -131,7 +131,7 @@ class TestSpectralFrame:
         frame = epidemic.spectral_frame(gen, 0.0)
         assert frame.e1 == pytest.approx(1.0 - np.sqrt(1.25), abs=1e-14)
         assert frame.e2 == pytest.approx(1.0 + np.sqrt(1.25), abs=1e-14)
-        values, _ = numkit.eig(gen.matrix(0.0))
+        values = np.sort(np.linalg.eigvals(gen.matrix(0.0)))
         assert np.abs(np.array([frame.e1, frame.e2]) - values).max() < 1e-12
         m = gen.matrix(0.0)
         assert np.abs(m @ frame.v1 - frame.e1 * frame.v1).max() <= 1e-12
@@ -155,11 +155,15 @@ class TestSpectralFrame:
             epidemic.spectral_frame(constant_gen(0.0, -1.0, 1.0, 0.0), 0.0)
         assert info.value.discriminant == pytest.approx(-4.0)
 
-    def test_small_s21_falls_back_to_numeric(self):
+    def test_zero_s21_keeps_the_printed_scale(self):
+        # only a vector whose components sum to nearly zero falls back, and
+        # these, of a zero s21, sum to one
         frame = epidemic.spectral_frame(constant_gen(1.0, 0.5, 0.0, 0.2), 0.0)
-        assert frame.numeric_fallback
+        assert not frame.numeric_fallback
         m = constant_gen(1.0, 0.5, 0.0, 0.2).matrix(0.0)
-        assert np.abs(m @ frame.v1 - frame.e1 * frame.v1).max() < 1e-10
+        for value, v in ((frame.e1, frame.v1), (frame.e2, frame.v2)):
+            assert v.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.abs(m @ v - value * v).max() <= 1e-15
 
     def test_singular_prefactor_falls_back(self):
         # symmetric zero-diagonal case: the branch-1 denominator vanishes
@@ -198,8 +202,8 @@ class TestEnsembles:
             back = epidemic.ensemble_reconstruct(w, gen, 0.0)
             assert np.abs(back - p).max() <= 1e-12
 
-    # defective spectra: the nilpotent fallback's vectors are (0, 1) and
-    # (-2e-277, 1), the closed form's (0, 1) twice
+    # defective spectra, a nilpotent matrix and a Jordan block: each
+    # frame's two vectors are (0, 1)
     @pytest.mark.parametrize("rates", [(0.0, 0.0, 1e-15, 0.0), (0.2, 0.0, 1e-10, 0.2)],
                              ids=["fallback", "closed_form"])
     def test_parallel_frame_vectors_raise(self, rates):
@@ -235,9 +239,10 @@ def stack_generator(kind, seed):
     """A table-rate generator whose frames are closed-form, numeric or both.
 
     closed:   s12 and s21 positive, so the spectrum is real;
-    fallback: every rate is f(t) times (-0.2, 0.1, 0.2, -0.1), so s12 = -s22
-              makes the closed form singular at every time;
-    mixed:    s12 = s21 runs from -0.3 to 0.3, so t = 0.5 (s21 = 0) falls back.
+    fallback: every rate is f(t) times (-0.2, 0.1, 0.2, -0.1), so both columns
+              sum to zero and one vector sums to zero at every time;
+    mixed:    s11 runs through s12 + s22 - s21 at t = 0.5, where both columns
+              sum alike, so only there the other vector sums to zero and falls back.
     """
     rng = np.random.default_rng(seed)
     if kind == "closed":
@@ -247,8 +252,9 @@ def stack_generator(kind, seed):
     if kind == "fallback":
         f = table(rng, 0.5, 1.5)
         return epidemic.Generator2(*([[t, s * v] for t, v in f] for s in (-0.2, 0.1, 0.2, -0.1)))
-    crossing = [[0.0, -0.3], [1.0, 0.3]]
-    return epidemic.Generator2(rng.uniform(-1.0, 0.0), crossing, crossing, rng.uniform(-1.0, 0.0))
+    s12, s21, s22 = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), rng.uniform(-1.0, 0.0)
+    middle = s12 + s22 - s21
+    return epidemic.Generator2([[0.0, middle - 0.3], [1.0, middle + 0.3]], s12, s21, s22)
 
 
 def assert_bitwise(stacked, looped):
@@ -310,6 +316,11 @@ class TestStackedFrames:
         weights, frame = epidemic.ensemble_decompose(p, gen, times, return_frame=True)
         assert_bitwise(weights, epidemic.ensemble_decompose(p, gen, times))
         assert frame.numeric_fallback.sum() == 1
+
+    def test_empty_stack(self):
+        frame = epidemic.matrix_frame(np.zeros((0, 2, 2)))
+        assert frame.e1.shape == frame.n1.shape == frame.numeric_fallback.shape == (0,)
+        assert frame.v1.shape == frame.v2.shape == (0, 2)
 
     def test_scalar_time_keeps_scalar_fields(self):
         frame = epidemic.spectral_frame(stack_generator("fallback", 5), 0.25)
@@ -703,7 +714,7 @@ class TestFrameEvolve:
     @pytest.mark.parametrize("gen", [
         _ramped(0.01),
         epidemic.Generator2(0.3, [[0.0, 0.2], [0.4, 0.5], [1.0, 0.1]], 0.4, -0.2),
-        # s21 = 0: every frame comes from numkit.eig
+        # s21 = 0: a triangular generator, whose first vector is (1, 0)
         epidemic.Generator2([[-1.0, 0.4], [2.0, 0.7]], 0.2, 0.0, -0.1),
     ], ids=["ramped", "table", "fallback"])
     def test_stacked_frame_matrix_is_the_per_time_stack(self, gen):

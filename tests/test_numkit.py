@@ -184,122 +184,81 @@ class TestMatExpSpread:
 
 
 class TestEig:
+    """numkit.eig: the closed-form eigenpairs of an (n, 2, 2) real stack."""
+
     def test_diagonal_sorted(self):
-        values, vectors = numkit.eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(values, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
+        values, vectors = numkit.eig(np.diag([3.0, 1.0])[None])
+        assert values.tolist() == [[1.0, 3.0]]
+        # vectors[0, j] belongs to values[0, j], unnormalized: e2, then e1
+        assert np.array_equal(vectors[0] != 0, [[False, True], [True, False]])
 
     def test_symmetric_offdiagonal(self):
-        values, _ = numkit.eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(values, [-1.0, 1.0])
+        values, _ = numkit.eig(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        assert values.tolist() == [[-1.0, 1.0]]
 
     def test_sign_convention_deterministic(self):
-        m = np.array([[2.0, -1.0], [-1.0, 0.5]])
+        # eig's vectors are a function of m's bits; the caller's printed scale
+        # or its unit-norm fallback (first nonnegligible component positive) signs them
+        m = np.array([[[2.0, -1.0], [-1.0, 0.5]]])
         _, v1 = numkit.eig(m)
         _, v2 = numkit.eig(-(-m))
-        assert np.array_equal(v1, v2)
-        for j in range(2):
-            first = v1[np.argmax(np.abs(v1[:, j]) > 1e-12), j]
-            assert first > 0
+        assert v1.tobytes() == v2.tobytes()
+        units, singular = numkit.scale_vectors(-v1, np.zeros(v1.shape[:2]), 1e-10)
+        assert singular.all()
+        assert np.allclose(np.vecdot(units, units), 1.0, rtol=0.0, atol=1e-15)
+        for unit in units[0]:
+            assert unit[np.argmax(np.abs(unit) > 1e-12)] > 0
 
     def test_random_symmetric_vs_char_poly_oracle(self):
         rng = np.random.default_rng(17)
-        base = rng.uniform(-1.0, 1.0, size=(4, 4))
-        m = 0.5 * (base + base.T)
+        base = rng.uniform(-1.0, 1.0, size=(50, 2, 2))
+        m = 0.5 * (base + base.swapaxes(1, 2))
         values, vectors = numkit.eig(m)
-        scale = np.linalg.norm(m, np.inf)
-        for j in range(4):
-            resid = np.abs(m @ vectors[:, j] - values[j] * vectors[:, j]).max()
-            assert resid <= 1e-10 * scale
-        # companion-matrix roots of the characteristic polynomial
-        roots = np.sort(np.roots(char_poly_coefficients(m)).real)
-        assert np.abs(np.sort(values) - roots).max() < 1e-8
-
-    def test_residual_sweep_dims_2_4_8(self):
-        rng = np.random.default_rng(19)
-        for dim in (2, 4, 8):
-            for _ in range(1000):
-                m = real_spectrum_matrix(rng, dim)
-                values, vectors = numkit.eig(m)
-                scale = np.linalg.norm(m, np.inf)
-                resid = max(
-                    np.abs(m @ vectors[:, j] - values[j] * vectors[:, j]).max()
-                    for j in range(dim)
-                )
-                assert resid <= 1e-10 * scale
+        for sample, w, v in zip(m, values, vectors):
+            for value, vector in zip(w, v):
+                resid = np.abs(sample @ vector - value * vector).max()
+                assert resid <= 1e-14 * np.abs(sample).max() * np.abs(vector).max()
+            # companion-matrix roots of the characteristic polynomial
+            roots = np.sort(np.roots(char_poly_coefficients(sample)).real)
+            assert np.abs(w - roots).max() < 1e-12
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             numkit.eig(np.eye(9))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected an \(n, 2, 2\) stack, got shape \(3, 9, 9\)"):
             numkit.eig(np.zeros((3, 9, 9)))
 
 
-def real_spectrum_matrix(rng, d):
-    """A general d x d matrix Q diag(w) Q^-1 with well-separated real eigenvalues w."""
-    q = rng.uniform(-1.0, 1.0, (d, d)) + d * np.eye(d)
-    w = (rng.permutation(d) + rng.uniform(-0.25, 0.25, d)) * rng.choice([-1.0, 1.0])
-    return q @ np.diag(w) @ np.linalg.inv(q)
-
-
-def near_real_pair(rng, d):
-    """A general matrix whose eigenvalues a +- 1e-16 i eig returns as a complex pair."""
-    m = np.diag(rng.uniform(-1.0, 1.0, d))
-    m[1, 1] = m[0, 0]
-    m[0, 1], m[1, 0] = 1.0, -1e-32
-    return m
-
-
-def mixed_stack(seed, d, n):
-    """n seeded real d x d matrices of mixed kinds, every spectrum real to 1e-14."""
+def real_spectrum_stack(seed, n):
+    """n seeded real 2x2 matrices of mixed kinds, every spectrum real."""
     rng = np.random.default_rng(seed)
     stack = []
-    for kind in rng.integers(0, 5, n):
-        m = rng.uniform(-1.0, 1.0, (d, d))
+    for kind in rng.integers(0, 4, n):
+        m = rng.uniform(-1.0, 1.0, (2, 2))
         if kind == 0:
-            m = m + m.T  # symmetric: eigh
+            m = m + m.T
         elif kind == 1:
             m = np.triu(m)
         elif kind == 2:
-            m = np.diag(rng.uniform(-1.0, 1.0, d)) + 1e-15 * m  # symmetric within 1e-14
-        elif kind == 3:
-            m = real_spectrum_matrix(rng, d)
+            m = np.diag(rng.uniform(-1.0, 1.0, 2)) + 1e-15 * m
         else:
-            m = near_real_pair(rng, d)  # makes eig's whole result complex
-        stack.append(m)
+            m[0, 1], m[1, 0] = abs(m[0, 1]), abs(m[1, 0])
+        stack.append(m * 10.0 ** rng.uniform(-300.0, 300.0))
     return np.array(stack)
 
 
 class TestStackedEig:
-    """eig of an (n, d, d) stack is, bit for bit, the stack of per-matrix results."""
+    """eig of an (n, 2, 2) stack is, bit for bit, the stack of its samples' results."""
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4]), n=st.integers(1, 12))
-    def test_stack_is_the_per_matrix_stack(self, seed, d, n):
-        stack = mixed_stack(seed, d, n)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_stack_is_the_per_matrix_stack(self, seed, n):
+        stack = real_spectrum_stack(seed, n)
         values, vectors = numkit.eig(stack)
-        loop = [numkit.eig(m) for m in stack]
-        for stacked, looped in ((values, [w for w, _ in loop]), (vectors, [v for _, v in loop])):
+        loop = [numkit.eig(stack[k:k + 1]) for k in range(n)]
+        for stacked, looped in ((values, [w[0] for w, _ in loop]), (vectors, [v[0] for _, v in loop])):
             assert stacked.dtype == float and all(x.dtype == float for x in looped)
             assert stacked.tobytes() == np.array(looped).tobytes()
-
-    def test_real_spectra_of_a_general_stack_stay_real(self):
-        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
-        triangular = np.array([[1.0, 2.0], [0.0, 3.0]])
-        # the real parts of the rotation's eigenpairs are not eigenpairs
-        with pytest.raises(np.linalg.LinAlgError, match=r"residual 7\.071e-01 .* in sample 1$"):
-            numkit.eig(np.array([triangular, rotation]))
-        with pytest.raises(np.linalg.LinAlgError, match=r"residual 7\.071e-01 exceeds 1\.000e-10$"):
-            numkit.eig(rotation)
-        # eig's result for this stack is complex, and the triangular sample
-        # keeps the bits it gets alone
-        pair = near_real_pair(np.random.default_rng(3), 2)
-        assert np.iscomplexobj(np.linalg.eig(np.array([triangular, pair]))[0])
-        values, vectors = numkit.eig(np.array([triangular, pair]))
-        alone = numkit.eig(triangular)
-        assert values.dtype == vectors.dtype == float
-        assert values[0].tobytes() == alone[0].tobytes()
-        assert vectors[0].tobytes() == alone[1].tobytes()
 
     def test_stack_raises_like_the_loop(self):
         with pytest.raises(ValueError):
@@ -313,60 +272,122 @@ class TestStackedEig:
 
 
 class TestEigRetry:
-    """A refused sample is solved once more, with its negligible entries set to zero."""
+    """Matrices a general eigensolver misses on its first solution, solved at once.
 
-    # eigh reads one triangle of a matrix symmetric to 1e-14 only; balanced
-    # eig misses on entries that span 300 decades
+    Entries 300 decades apart defeat LAPACK's balanced eig, and a matrix
+    symmetric to 1e-14 only, eigh; the closed form meets its bound on both.
+    """
+
     @pytest.mark.parametrize("m", [
         [[0.0, 0.0], [1e-15, 0.0]],
         [[-1.0, 1e-300], [1.0, -1e-300]],
     ], ids=["small_asymmetric", "spread_entries"])
     def test_refused_samples_are_solved(self, m):
         m = np.array(m)
-        values, vectors = numkit.eig(m)
-        assert np.abs(m @ vectors - vectors * values).max() <= 1e-290
+        values, vectors = numkit.eig(m[None])
+        assert np.abs(m @ vectors[0].T - vectors[0].T * values[0]).max() <= 1e-290
         stack = np.array([np.diag([1.0, 2.0]), m, [[0.5, 0.2], [0.8, -0.3]]])
         stacked = numkit.eig(stack)
         for k in range(3):
-            alone = numkit.eig(stack[k])
-            assert stacked[0][k].tobytes() == alone[0].tobytes()
-            assert stacked[1][k].tobytes() == alone[1].tobytes()
+            alone = numkit.eig(stack[k:k + 1])
+            assert stacked[0][k].tobytes() == alone[0][0].tobytes()
+            assert stacked[1][k].tobytes() == alone[1][0].tobytes()
 
     def test_subnormal_sample_meets_its_own_norm(self):
-        # symmetric to 1e-14, so eigh answers +-s21 first; the bound has no floor
+        # a nilpotent matrix of one subnormal entry: both values 0, both vectors one line
         m = np.array([[0.0, 0.0], [2.22507386e-313, 0.0]])
-        values, vectors = numkit.eig(m)
-        assert values.tolist() == [0.0, 0.0]
-        assert np.abs(m @ vectors - vectors * values).max() <= 1e-10 * np.linalg.norm(m, np.inf)
-
-    def test_solved_samples_are_not_solved_again(self, monkeypatch):
-        solved = []
-
-        def counted(m):
-            solved.append(m.shape)
-            return solve(m)
-
-        solve = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", counted)
-        m = np.array([[[0.5, 0.2], [0.8, -0.3]], [[0.0, 0.0], [1e-15, 0.0]], [[0.1, 0.3], [0.7, 0.2]]])
-        numkit.eig(m)
-        # the two asymmetric samples, then the one eigh refused
-        assert solved == [(2, 2, 2), (1, 2, 2)]
+        values, vectors = numkit.eig(m[None])
+        assert values.tolist() == [[0.0, 0.0]]
+        assert np.abs(m @ vectors[0].T - vectors[0].T * values[0]).max() == 0.0
 
     def test_a_complex_spectrum_is_still_refused(self):
-        with pytest.raises(np.linalg.LinAlgError, match="in sample 1"):
+        with pytest.raises(ComplexSpectrumError, match=r"discriminant = -4\.0$"):
             numkit.eig(np.array([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]]))
 
 
-# A 2x2 entry is 0 or of any magnitude from 1e-300 to 1: numkit.eig solves
-# again the samples its first solution misses there (an inf-norm below about
-# 1e-4 with off-diagonal entries within 1e-14 of each other, which eigh
-# solves from one triangle, and entries far below the rest, on which LAPACK's
-# balanced eig leaves residuals up to ||m||_inf).  A traffic matrix's entries
-# are 0 or of magnitude [1e-3, 1], its diagonal rates nonzero, and s21 may be
-# tiny.  Left out, because numkit.eig still refuses some of those fallback
-# samples with LinAlgError: an inf-norm below 1e-3, other entries far below
-# the rest, and a zero diagonal rate beside a tiny nonzero s21.
+# the edge values of a 2x2 entry, each drawn with either sign
+EDGE_VALUES = [0.0, 1e-300, 1e-20, 1e-15, 1e-12, 1e-8, 1e-4, 0.3, 0.5, 1.0]
+edge_entry = st.tuples(st.sampled_from(EDGE_VALUES), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1])
+edge_matrix = st.lists(edge_entry, min_size=4, max_size=4).map(lambda e: np.reshape(e, (2, 2)))
+
+
+def prescaled_discriminant(m):
+    """delta**2 + 4 s12 s21 of m scaled by the power of two that brings max |entry| into [0.5, 1)."""
+    (s11, s12), (s21, s22) = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
+    delta = s11 - s22
+    return delta * delta + 4.0 * s12 * s21
+
+
+def assert_eigenpair(m, value, vector):
+    """m vector = value vector within 1e-14 of max |m| times max |vector|."""
+    assert np.isfinite(vector).all() and vector.dtype == float
+    residual = np.abs(m @ vector - value * vector).max()
+    assert residual <= 1e-14 * np.abs(m).max() * np.abs(vector).max()
+
+
+class TestEigClosedForm:
+    """The closed form on entries over 300 decades, prescaled by a power of two.
+
+    Every pair meets 1e-14 of max |m| |v|, the vectors of 2**k m are those
+    of m bit for bit and its values 2**k times m's, ComplexSpectrumError
+    is raised exactly where the prescaled discriminant is negative, and
+    sample k of a stack is sample k alone.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(draws=st.lists(edge_matrix, min_size=1, max_size=6), k=st.integers(-900, 900))
+    # the epidemic2 generator whose unscaled discriminant underflows to 0
+    @example(draws=[np.array([[0.0, -7.1e-301], [6.9e-301, 5.6e-301]])], k=0)
+    @example(draws=[np.full((2, 2), 1e-300)], k=3)
+    def test_closed_form(self, draws, k):
+        m = np.array(draws)
+        complex_ = np.array([prescaled_discriminant(sample) < 0 for sample in m])
+        if complex_.any():
+            with pytest.raises(ComplexSpectrumError) as stacked:
+                numkit.eig(m)
+            with pytest.raises(ComplexSpectrumError) as alone:
+                numkit.eig(m[complex_][:1])
+            assert str(stacked.value) == str(alone.value)
+            m = m[~complex_]
+        values, vectors = numkit.eig(m)
+        assert (values[:, 0] <= values[:, 1]).all()
+        for j in range(len(m)):
+            for value, vector in zip(values[j], vectors[j]):
+                assert_eigenpair(m[j], value, vector)
+            alone = numkit.eig(m[j:j + 1])
+            assert values[j].tobytes() == alone[0][0].tobytes()
+            assert vectors[j].tobytes() == alone[1][0].tobytes()
+        scaled = np.ldexp(m, k)
+        # only a scaling that loses no bit of any entry
+        assume(np.array_equal(np.ldexp(scaled, -k), m))
+        scaled_values, scaled_vectors = numkit.eig(scaled)
+        assert scaled_vectors.tobytes() == vectors.tobytes()
+        tiny = np.finfo(float).tiny
+        normal = ((values == 0) | (np.abs(values) >= tiny)) & (
+            (scaled_values == 0) | (np.abs(scaled_values) >= tiny))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(scaled_values[normal], np.ldexp(values[normal], k))
+
+    def test_underflowing_discriminant_is_complex(self):
+        # delta**2 + 4 s12 s21 is 0 at this scale, and -2.95 prescaled
+        m = np.array([[[0.0, -7.1e-301], [6.9e-301, 5.6e-301]]])
+        with pytest.raises(ComplexSpectrumError):
+            numkit.eig(m)
+
+    def test_overflowing_row_sums_warn_nothing(self):
+        m = np.array([[[1e308, 1e308], [1e308, 1e308]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, vectors = numkit.eig(m)
+        # the eigenvalues are 0 and 2e308, beyond the float range
+        assert values.tolist() == [[0.0, np.inf]]
+        assert np.isfinite(vectors).all()
+
+
+# A 2x2 entry is 0 or of any magnitude from 1e-300 to 1.  A traffic
+# matrix's entries are 0 or of magnitude [1e-3, 1], its diagonal rates
+# nonzero, and s21 may be tiny.
 nonzero = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
 unit = st.one_of(st.just(0.0), nonzero)
 
@@ -376,27 +397,27 @@ def signed(magnitudes):
 
 
 spread = st.one_of(unit, signed(st.floats(1e-300, 1e-3)))
-# below epidemic.S21_FLOOR, zero included
 tiny = signed(st.floats(0.0, 1e-11))
 
 
 @st.composite
 def frame_fallbacks(draw):
-    """A 2x2 rate matrix whose closed-form frame is singular."""
+    """A 2x2 rate matrix with a tiny s21, or with equal column sums, whose other vector sums to 0."""
     s11, s12, s22 = draw(spread), draw(spread), draw(spread)
     kind = draw(st.sampled_from(["s21", "denominator", "columns"]))
     if kind == "s21":
         return np.array([[s11, s12], [draw(tiny), s22]])
     if kind == "columns":
-        # columns summing to zero: s21 = s12 - (s11 - s22) zeroes a denominator
+        # columns summing to zero
         s12 = abs(s12)
         return np.array([[-abs(s11), s12], [abs(s11), -s12]])
+    # s21 = s12 - (s11 - s22): both columns sum to s12 + s22
     return np.array([[s11, s12], [s12 - (s11 - s22), s22]])
 
 
 @st.composite
 def traffic_fallbacks(draw):
-    """A symmetric traffic matrix whose cross rate s is +-s21, so a closed-form denominator vanishes."""
+    """A symmetric traffic matrix whose cross rate s is +-s21, so a block is triangular."""
     s11, s22 = draw(nonzero), draw(nonzero)
     s12, s21 = draw(unit), draw(st.one_of(unit, tiny))
     s = s21 * draw(st.sampled_from([1.0, -1.0]))
@@ -404,9 +425,7 @@ def traffic_fallbacks(draw):
 
 
 def in_domain(m):
-    """Whether m has nonnegative closed-form discriminants (and a 4x4 one an inf-norm of 1e-3)."""
-    if m.shape == (4, 4) and np.abs(m).max() < 1e-3:
-        return False
+    """Whether m has a real spectrum (a 4x4 one: two real block spectra)."""
     try:
         epidemic.matrix_frame(m) if m.shape == (2, 2) else coupled.matrix_modes(m[None])
     except ComplexSpectrumError:
@@ -417,34 +436,47 @@ def in_domain(m):
 FRAME_FIELDS = [f.name for f in dataclasses.fields(epidemic.SpectralFrame2)]
 
 
-def assert_eigenpairs(m, values, rows):
-    """Each row of rows is an eigenvector of m within the residual bound of numkit.eig."""
-    bound = 1e-10 * np.linalg.norm(m, np.inf)
-    for value, row in zip(values, rows):
-        assert np.isfinite(row).all() and row.dtype == float
-        assert np.abs(m @ row - value * row).max() <= bound * max(1.0, np.abs(row).max())
+def assert_printed(printed, raw, scale, floor):
+    """printed is raw / scale, or, where |scale| < floor |raw|, raw of unit norm, signed.
+
+    Returns whether the scale was singular.
+    """
+    size = np.hypot(*raw)
+    if abs(scale) >= floor * size:
+        assert printed.tobytes() == (raw / scale).tobytes()
+        return False
+    assert abs(printed @ printed - 1.0) <= 1e-15
+    assert printed[np.argmax(np.abs(printed) > 1e-12)] > 0
+    assert abs(printed[0] * raw[1] - printed[1] * raw[0]) <= 1e-15 * size
+    return True
 
 
 class TestCallerFallbacks:
-    """The singular closed-form samples of both callers have real eigenpairs.
+    """Each caller's printed scale, and the unit-norm fallback where that scale is singular.
 
-    Where the callers' discriminants are nonnegative, numkit.eig does not
-    raise on their fallback samples, every returned vector is an
-    eigenvector within 1e-10 * ||m||_inf, and a stack is its samples.
+    matrix_frame divides each vector of numkit.eig by its component sum,
+    matrix_modes each block vector u by c u[1], so that its second
+    component is c; a vector whose scale is below the caller's floor
+    (1e-10) of its norm has unit norm instead, its first nonnegligible
+    component positive, and flags its sample.  Every vector is an
+    eigenvector within 1e-14 of max |m| |v|, and a stack is its samples.
     """
 
     @settings(max_examples=150, deadline=None)
     @given(draws=st.lists(frame_fallbacks(), min_size=1, max_size=8))
-    # a subnormal s21 alone: eigh reads the matrix as symmetric
+    # a subnormal s21 alone
     @example(draws=[np.array([[0.0, 0.0], [2.22507386e-313, 0.0]])])
     def test_frame(self, draws):
         m = np.array([d for d in draws if in_domain(d)])
         assume(len(m))
         frame = epidemic.matrix_frame(m)
-        assert frame.numeric_fallback.all()
-        values, _ = numkit.eig(m)
+        values, raw = numkit.eig(m)
         for k in range(len(m)):
-            assert_eigenpairs(m[k], values[k], [frame.v1[k], frame.v2[k]])
+            singular = False
+            for value, v, r in ((frame.e1[k], frame.v1[k], raw[k, 0]), (frame.e2[k], frame.v2[k], raw[k, 1])):
+                assert_eigenpair(m[k], value, v)
+                singular |= assert_printed(v, r, r.sum(), 1e-10)
+            assert frame.numeric_fallback[k] == singular
             one = epidemic.matrix_frame(m[k])
             for name in FRAME_FIELDS:
                 assert np.asarray(getattr(frame, name))[k].tobytes() == np.asarray(getattr(one, name)).tobytes()
@@ -457,7 +489,16 @@ class TestCallerFallbacks:
         values, vectors, fallback = coupled.matrix_modes(m)
         assert fallback.all()
         for k in range(len(m)):
-            assert_eigenpairs(m[k], values[k], vectors[k])
+            singular = False
+            for j, c in enumerate((-1.0, -1.0, 1.0, 1.0)):
+                assert_eigenpair(m[k], values[k, j], vectors[k, j])
+                u = vectors[k, j, :2]
+                assert vectors[k, j, 2:].tobytes() == (c * u).tobytes()
+                if u[1] != c:
+                    assert abs(u @ u - 1.0) <= 1e-15
+                    assert u[np.argmax(np.abs(u) > 1e-12)] > 0
+                    singular = True
+            assert singular
             one = coupled.matrix_modes(m[k:k + 1])
             assert values[k].tobytes() == one[0][0].tobytes()
             assert vectors[k].tobytes() == one[1][0].tobytes()
@@ -1259,7 +1300,7 @@ class TestNumericDerivative:
         # eigenvectors of [[0, t], [t, 0]] do not depend on t, so the
         # derivative of the deterministically oriented eigenvector is 0
         def vec(t):
-            _, vectors = numkit.eig(np.array([[0.0, t], [t, 0.0]]))
+            _, vectors = np.linalg.eigh(np.array([[0.0, t], [t, 0.0]]))
             return vectors[:, 0]
 
         out = numkit.numeric_derivative(vec, 1.0, 1e-5)

@@ -330,6 +330,10 @@ class TestStackedEntropies:
         assert s_a.tobytes() == loop[:, 0].tobytes()
         assert s_b.tobytes() == loop[:, 1].tobytes()
 
+    def test_empty_stack(self):
+        s_a, s_b = quantum.pure_entropy_pair(np.empty((0, 4)))
+        assert s_a.shape == s_b.shape == (0,) and s_a.dtype == s_b.dtype == float
+
     def test_scalar_state_gives_floats(self):
         s_a, s_b = quantum.pure_entropy_pair(np.array([1.0, 0.0, 0.0, 1.0]))
         assert type(s_a) is float and type(s_b) is float
