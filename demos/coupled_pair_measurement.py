@@ -14,9 +14,10 @@ base = epidemic.Generator2(0.2, 0.3, 0.3, 0.2)
 # ---------------------------------------------------------------------------
 pair = coupled.symmetric_traffic_generator(base, 0.1)
 print("coupled rate matrix:\n", pair.matrix(0.0))
-for k, mode in enumerate(coupled.coupled_eigenvectors(base, 0.1, 0.0), start=1):
-    tag = "sign-indefinite" if mode.sign_indefinite else "occupancy-like"
-    print("mode %d: value %+.6f  vector %s  (%s)" % (k, mode.value, mode.vector, tag))
+values, vectors, _ = coupled.matrix_modes(pair.matrix(np.array([0.0])))
+for k, (value, vector) in enumerate(zip(values[0], vectors[0]), start=1):
+    tag = "sign-indefinite" if k <= 2 else "occupancy-like"
+    print("mode %d: value %+.6f  vector %s  (%s)" % (k, value, vector, tag))
 
 # ---------------------------------------------------------------------------
 # Measuring subsystem A nails its occupancies to (1, 0) while B passes

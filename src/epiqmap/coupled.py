@@ -18,8 +18,6 @@ from . import numkit
 from .epidemic import Generator2, RateMatrix
 from .errors import FloorViolationError
 
-_DENOM_FLOOR = 1e-10
-
 TRAFFIC_TARGETS = ("1A", "2A", "1B", "2B")
 PRODUCT_STATES = ("1A1B", "1A2B", "2A1B", "2A2B")
 
@@ -126,36 +124,6 @@ def interaction_generator(level_rates, couplings, frame_a, frame_b):
 # closed-form eigenvectors of the symmetric traffic form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoupledMode:
-    """One closed-form eigenpair of the symmetric 4-state generator.
-
-    physical marks the modes whose components carry one consistent sign
-    pattern for occupancies; the other two are kept for completeness but
-    flagged sign_indefinite.
-    """
-
-    value: float
-    vector: np.ndarray
-    sign_indefinite: bool
-    numeric_fallback: bool = False
-
-
-def coupled_eigenvectors(gen, coupling, t):
-    """The four closed-form eigenpairs of symmetric_traffic_generator(gen, coupling).
-
-    gen is the Generator2 of both subsystems and coupling their common
-    cross rate, both taken at the scalar time t.  The matrix is taken
-    through matrix_modes as a stack of one.
-    """
-    m = symmetric_traffic_generator(gen, coupling).matrix(t)
-    values, vectors, fallback = matrix_modes(m[None])
-    return [
-        CoupledMode(float(values[0, k]), vectors[0, k], k < 2, bool(fallback[0]))
-        for k in range(4)
-    ]
-
-
 def matrix_modes(m):
     """Closed-form eigenpairs of an (n, 4, 4) stack of symmetric traffic matrices.
 
@@ -167,8 +135,8 @@ def matrix_modes(m):
     (sign-indefinite) have c = -1, modes 2 and 3 have c = +1, each pair
     ascending.  numkit.eig solves all 2n blocks as one stack, and each u
     is scaled to its printed scale, second component c; a u whose second
-    component is below _DENOM_FLOOR of its norm has unit norm instead
-    (numkit.scale_vectors), and its sample is flagged in
+    component is below numkit.SCALE_FLOOR of its norm has unit norm
+    instead (numkit.scale_vectors), and its sample is flagged in
     numeric_fallback.  A complex block spectrum raises
     ComplexSpectrumError for the first such block of the first such
     sample.
@@ -178,8 +146,7 @@ def matrix_modes(m):
     # the blocks A - sJ and A + sJ of each sample, in that order
     blocks = m[:, None, :2, :2] + c[::2, None, None] * m[:, None, :2, 2:]
     values, u = numkit.eig(blocks.reshape(-1, 2, 2))
-    u, singular = numkit.scale_vectors(u.reshape(-1, 4, 2), c * u[:, :, 1].reshape(-1, 4),
-                                       _DENOM_FLOOR)
+    u, singular = numkit.scale_vectors(u.reshape(-1, 4, 2), c * u[:, :, 1].reshape(-1, 4))
     vectors = np.concatenate((u, c[:, None] * u), axis=-1)
     return values.reshape(-1, 4), vectors, singular.any(axis=1)
 

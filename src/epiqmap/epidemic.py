@@ -29,7 +29,6 @@ from . import numkit
 from .errors import DegenerateFrameError, FloorViolationError
 
 FRAME_SINE_FLOOR = 1e-12  # least sine between the frame vectors ensemble_decompose splits along
-_PREFACTOR_FLOOR = 1e-10
 _TAYLOR_WINDOW = 1e-6
 
 
@@ -172,7 +171,7 @@ def matrix_frame(m):
 
     One 2x2 matrix is framed as a stack of one.  numkit.eig gives each
     sample's eigenpairs, and each vector is divided by its component
-    sum; a vector whose sum is below _PREFACTOR_FLOOR of its norm has
+    sum; a vector whose sum is below numkit.SCALE_FLOOR of its norm has
     unit norm instead (numkit.scale_vectors), and its sample is flagged
     numeric_fallback.  A complex spectrum in any sample raises
     ComplexSpectrumError.
@@ -180,7 +179,7 @@ def matrix_frame(m):
     m = np.asarray(m, dtype=float)
     values, vectors = numkit.eig(m.reshape(-1, 2, 2))
     # vectors[:, 0] is v1 and vectors[:, 1] is v2
-    vectors, singular = numkit.scale_vectors(vectors, vectors.sum(axis=-1), _PREFACTOR_FLOOR)
+    vectors, singular = numkit.scale_vectors(vectors, vectors.sum(axis=-1))
     fallback = singular.any(axis=1)
     norms = np.vecdot(vectors, vectors)
     e1, e2 = values.T
@@ -376,14 +375,6 @@ def rabi_rate(generator):
     return frame.e1 / frame.n1 - frame.e2 / frame.n2
 
 
-def _frame_vectors(generator):
-    """t -> the frame vectors (v1, v2) stacked along the second-to-last axis."""
-    def f(t):
-        frame = spectral_frame(generator, t)
-        return np.stack((frame.v1, frame.v2), axis=-2)
-    return f
-
-
 def constant_occupancy_residual(generator, t, h):
     """Consistency defect of a constant-ensemble-weights ansatz at time t.
 
@@ -403,16 +394,21 @@ def frame_matrix(generator, e12, e21, t, h=1e-6):
 
     Diagonal: eigenvalue minus the same-vector connection <v_i|dv_i/dt>;
     off-diagonal: the cross couplings (numbers) minus the cross connections.
-    Follows the generator protocol: a scalar time gives the 2x2 matrix,
-    a 1-d array of n times the (n, 2, 2) stack.
+    dv_i/dt is the central difference (v_i(t + h) - v_i(t - h)) / 2h of
+    one spectral_frame of the times t, t + h and t - h, stacked; h must
+    be positive (ValueError).  Follows the generator protocol: a scalar
+    time gives the 2x2 matrix, a 1-d array of n times the (n, 2, 2) stack.
     """
-    frame = spectral_frame(generator, t)
-    # derivatives[..., i, :] is dv_{i+1}/dt
-    derivatives = numkit.numeric_derivative(_frame_vectors(generator), t, h)
-    d1, d2 = derivatives[..., 0, :], derivatives[..., 1, :]
+    if not h > 0:
+        raise ValueError("h must be positive")
+    frame = spectral_frame(generator, np.stack((t, t + h, t - h)).reshape(-1))
+    # each field's thirds: the frame at t, at t + h and at t - h
+    (e1, _, _), (e2, _, _) = frame.e1.reshape(3, -1), frame.e2.reshape(3, -1)
+    (v1, a1, b1), (v2, a2, b2) = frame.v1.reshape(3, -1, 2), frame.v2.reshape(3, -1, 2)
+    d1, d2 = (a1 - b1) / (2.0 * h), (a2 - b2) / (2.0 * h)
     return _stack_last(
-        frame.e1 - np.vecdot(frame.v1, d1), e21 - np.vecdot(frame.v1, d2),
-        e12 - np.vecdot(frame.v2, d1), frame.e2 - np.vecdot(frame.v2, d2),
+        e1 - np.vecdot(v1, d1), e21 - np.vecdot(v1, d2),
+        e12 - np.vecdot(v2, d1), e2 - np.vecdot(v2, d2),
     ).reshape(np.shape(t) + (2, 2))
 
 

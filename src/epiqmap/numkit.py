@@ -4,8 +4,9 @@ Everything here targets the tiny matrices of this package (dimension at
 most 16): a series-based matrix exponential of one real matrix or a
 stack of them, the closed-form eigenpairs of a stack of real 2x2
 matrices with a real spectrum (a complex matrix raises ValueError in
-both), a fixed-step RK4 integrator with dense output, and central
-finite differences.  A run has one grid, which step_count
+both), scale_vectors, the one rule that gives such vectors their
+printed scale, and a fixed-step RK4 integrator with dense output.  A
+run has one grid, which step_count
 checks and rk4_chunks owns, stepped only as a stream of RUN_CHUNK-step
 chunks, each one rk4_path call; a whole Trajectory is that stream
 collected into arrays allocated once, beside which a run holds only its
@@ -41,6 +42,9 @@ RUN_CHUNK = 8 * STAGE_BLOCK
 MAX_STEPS = 10_000_000
 
 _SERIES_FLOOR = 1e-18
+
+# the least |scale| / norm at which scale_vectors keeps a vector's printed scale
+SCALE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,8 @@ def eig(m):
     (s12, lambda - s11) and (lambda - s22, s21), and a multiple of the
     identity gets the unit vectors.  A negative scaled discriminant
     raises ComplexSpectrumError for the first such sample, with its
-    unscaled value.  Sample k of a stack is exactly eig(m[k:k + 1]).
+    value and the power of two that unscales it.  Sample k of a stack
+    is exactly eig(m[k:k + 1]).
     """
     m = _check_square(m, stacked=True)
     if m.shape[1:] != (2, 2):
@@ -162,8 +167,7 @@ def eig(m):
     negative = disc < 0
     if negative.any():
         k = negative.argmax()
-        with np.errstate(over="ignore"):
-            raise ComplexSpectrumError(np.ldexp(disc[k], 2 * e[k]))
+        raise ComplexSpectrumError(float(disc[k]), 2 * int(e[k]))
     root = np.sqrt(disc)
     with np.errstate(over="ignore"):
         values = np.ldexp(0.5 * np.stack((-root + s11 + s22, root + s11 + s22), axis=1), e[:, None])
@@ -180,16 +184,16 @@ def eig(m):
     return values, np.where((vectors == 0).all(axis=-1)[..., None], np.eye(2), vectors)
 
 
-def scale_vectors(vectors, scale, floor):
+def scale_vectors(vectors, scale):
     """Each 2-vector of a stack divided by its scale, or by its norm where the scale is singular.
 
-    A scale is singular where |scale| < floor * the vector's norm; such
+    A scale is singular where |scale| < SCALE_FLOOR * the vector's norm; such
     a vector is divided by its norm instead, signed so that its first
     component above 1e-12 of the norm is positive.  Returns the scaled
     vectors and the mask of singular scales.
     """
     size = np.hypot(vectors[..., 0], vectors[..., 1])
-    singular = np.abs(scale) < floor * size
+    singular = np.abs(scale) < SCALE_FLOOR * size
     pivot = np.where(np.abs(vectors[..., 0]) > 1e-12 * size, vectors[..., 0], vectors[..., 1])
     return vectors / np.where(singular, np.copysign(size, pivot), scale)[..., None], singular
 
@@ -472,14 +476,3 @@ def ode_chunks(generator, y0, t0, t1, dt):
 def ode_evolve(generator, y0, t0, t1, dt):
     """The Trajectory of ode_chunks' run, collected."""
     return collect(ode_chunks(generator, y0, t0, t1, dt), t0, t1, dt)
-
-
-def numeric_derivative(f, t, h):
-    """Central difference (f(t+h) - f(t-h)) / (2h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    hi = np.asarray(f(t + h), dtype=float)
-    lo = np.asarray(f(t - h), dtype=float)
-    if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
-        raise NonFiniteStateError(t, "non-finite evaluation in numeric_derivative")
-    return (hi - lo) / (2.0 * h)

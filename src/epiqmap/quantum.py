@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numkit
 from .density import reduced_density, von_neumann_entropy
+from .errors import FloorViolationError
 
 PHASE_HOLD_FLOOR = 1e-14
 
@@ -150,12 +151,17 @@ def pure_entropy_pair(psi):
     """Subsystem entropies (S_A, S_B) of a pure 4-component state.
 
     The state is on the basis (1A1B, 1A2B, 2A1B, 2A2B).  An (n, 4) stack
-    of states gives the pair as two (n,) arrays.
+    of states gives the pair as two (n,) arrays.  Each state is first scaled,
+    exactly, by the power of two that brings its largest |component| into
+    [0.5, 1), so no product underflows; a zero state raises FloorViolationError.
     """
     psi = np.asarray(psi, dtype=complex)
+    biggest = np.abs(psi).max(axis=-1, initial=0.0)
+    if not biggest.all():
+        raise FloorViolationError("state has zero norm")
+    shift = -np.frexp(biggest)[1][..., None, None]
+    psi = np.ldexp(np.stack((psi.real, psi.imag), axis=-1), shift).view(complex)[..., 0]
     norm_sq = np.vecdot(psi, psi).real
-    if (norm_sq <= 0).any():
-        raise ValueError("state has zero norm")
     rho = psi[..., :, None] * np.conj(psi)[..., None, :] / norm_sq[..., None, None]
     s_a = von_neumann_entropy(reduced_density(rho, "A"))
     s_b = von_neumann_entropy(reduced_density(rho, "B"))

@@ -477,11 +477,11 @@ class TestValidation:
                           outputs=["probabilities", "ensemble_weights"]),
          "numeric failure: complex spectrum: discriminant = -4.0\n"),
         # delta**2 + 4 s12 s21 underflows to 0, but is negative prescaled;
-        # its unscaled value underflows too
+        # its unscaled value underflows too, so the prescaled one is printed
         (epidemic2_config(generator={"s11": 0.0, "s12": -7.1e-301, "s21": 6.9e-301,
                                      "s22": 5.6e-301},
                           outputs=["probabilities", "ensemble_weights"]),
-         "numeric failure: complex spectrum: discriminant = -0.0\n"),
+         "numeric failure: complex spectrum: discriminant = -2.9528486319084735 * 2**-1994\n"),
     ], ids=["non_finite_state", "complex_spectrum", "subnormal_complex_spectrum"])
     def test_numeric_failure_message_prints_plain_numbers(self, tmp_path, capsys, config, message):
         # the message is the run's only output: NumPy warns nothing
@@ -528,6 +528,24 @@ class TestValidation:
         cfg = write_config(tmp_path, config)
         assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    # every component decays at exp(-40 t): by t = 9 the products of the
+    # state's components underflow, and by t = 30 the state is zero
+    @pytest.mark.parametrize("t1, code, err", [
+        (9.0, 0, ""), (30.0, 3, "numeric failure: state has zero norm\n"),
+    ], ids=["underflowing_products", "zero_state"])
+    def test_decayed_quantum_state_entropies(self, tmp_path, capsys, t1, code, err):
+        cfg = write_config(tmp_path, quantum_config(
+            t1=t1, dt=0.01, initial_state=[[0.5, 0.0]] * 4,
+            hamiltonian={"ep": [[1.0, -20.0]] * 4, "ts_a": 0.1, "ts_b": 0.1, "ec": [0, 0, 0, 0]},
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == code
+        assert capsys.readouterr().err == err
+        if code == 0:
+            checks = json.loads((out / "report.json").read_text())["checks"]
+            gap = next(c for c in checks if c["name"] == "entropy_symmetry_gap")
+            assert gap["passed"] and gap["value"] <= 1e-9
 
 
 class TestFrameFallbacks:

@@ -50,31 +50,40 @@ class TestTrafficGenerator:
         assert (m[0, 3], m[1, 2], m[2, 1], m[3, 0]) == (0.1, 0.2, 0.3, 0.4)
 
 
+def modes_of(gen, coupling, t):
+    """matrix_modes of symmetric_traffic_generator(gen, coupling) at time t, a stack of one."""
+    m = coupled.symmetric_traffic_generator(gen, coupling).matrix(np.array([t]))
+    values, vectors, fallback = coupled.matrix_modes(m)
+    return values[0], vectors[0], bool(fallback[0])
+
+
 class TestCoupledEigenvectors:
+    """matrix_modes on stacks of one symmetric traffic matrix."""
+
     def test_residuals(self):
         base = gen2(0.2, 0.3, 0.3, 0.2)
         m = coupled.symmetric_traffic_generator(base, 0.1).matrix(0.0)
-        for mode in coupled.coupled_eigenvectors(base, 0.1, 0.0):
-            resid = np.abs(m @ mode.vector - mode.value * mode.vector).max()
+        values, vectors, fallback = modes_of(base, 0.1, 0.0)
+        for value, vector in zip(values, vectors):
+            resid = np.abs(m @ vector - value * vector).max()
             assert resid <= 1e-10
-            assert not mode.numeric_fallback
+        assert not fallback
 
     def test_residuals_of_table_rates_at_a_later_time(self):
         base = gen2(0.2, [[0.0, 0.1], [1.0, 0.5]], 0.3, 0.2)
         coupling = [[0.0, 0.05], [1.0, 0.25]]
         m = coupled.symmetric_traffic_generator(base, coupling).matrix(0.5)
-        modes = coupled.coupled_eigenvectors(base, coupling, 0.5)
-        for mode in modes:
-            resid = np.abs(m @ mode.vector - mode.value * mode.vector).max()
+        values, vectors, fallback = modes_of(base, coupling, 0.5)
+        for value, vector in zip(values, vectors):
+            resid = np.abs(m @ vector - value * vector).max()
             assert resid <= 1e-10
-            assert not mode.numeric_fallback
+        assert not fallback
         # s12 = 0.3 and s = 0.15 at t = 0.5, so the modes differ from t = 0
-        at_zero = coupled.coupled_eigenvectors(base, coupling, 0.0)
-        assert not np.array_equal(modes[0].vector, at_zero[0].vector)
+        _, at_zero, _ = modes_of(base, coupling, 0.0)
+        assert not np.array_equal(vectors[0], at_zero[0])
 
     def test_component_sign_structure(self):
-        modes = coupled.coupled_eigenvectors(gen2(0.4, 0.25, 0.15, -0.1), 0.05, 0.0)
-        v1, v2, v3, v4 = [m.vector for m in modes]
+        _, (v1, v2, v3, v4), _ = modes_of(gen2(0.4, 0.25, 0.15, -0.1), 0.05, 0.0)
         for v in (v1, v2):
             assert v[0] == pytest.approx(-v[2], abs=1e-12)
             assert (v[1], v[3]) == (-1.0, 1.0)
@@ -83,30 +92,32 @@ class TestCoupledEigenvectors:
             assert (v[1], v[3]) == (1.0, 1.0)
 
     def test_sign_indefinite_tags(self):
-        modes = coupled.coupled_eigenvectors(gen2(0.2, 0.3, 0.3, 0.2), 0.1, 0.0)
-        assert [m.sign_indefinite for m in modes] == [True, True, False, False]
+        # modes 0 and 1 are (u, -u), the sign-indefinite family; 2 and 3 are (u, u)
+        _, vectors, _ = modes_of(gen2(0.2, 0.3, 0.3, 0.2), 0.1, 0.0)
+        indefinite = (vectors[:, 2:] == -vectors[:, :2]).all(axis=1)
+        assert indefinite.tolist() == [True, True, False, False]
 
     def test_zero_coupling_reduces_to_two_level_frame(self):
         base = gen2(1.0, 0.3, 0.4, 0.2)
-        modes = coupled.coupled_eigenvectors(base, 0.0, 0.0)
+        values, vectors, _ = modes_of(base, 0.0, 0.0)
         frame = epidemic.spectral_frame(base, 0.0)
         # stacked copies of the unnormalized 2-level eigenvectors: the
         # component ratio of (v3, v4) matches (v1, v2) of the frame
         ratio_low = frame.v1[0] / frame.v1[1]
         ratio_high = frame.v2[0] / frame.v2[1]
-        assert modes[2].vector[0] == pytest.approx(ratio_low, abs=1e-12)
-        assert modes[3].vector[0] == pytest.approx(ratio_high, abs=1e-12)
-        assert modes[2].value == pytest.approx(frame.e1, abs=1e-12)
-        assert modes[3].value == pytest.approx(frame.e2, abs=1e-12)
+        assert vectors[2, 0] == pytest.approx(ratio_low, abs=1e-12)
+        assert vectors[3, 0] == pytest.approx(ratio_high, abs=1e-12)
+        assert values[2] == pytest.approx(frame.e1, abs=1e-12)
+        assert values[3] == pytest.approx(frame.e2, abs=1e-12)
 
     def test_denominator_underflow_falls_back(self):
         # coupling equal to s21 makes the minus-family denominator vanish
         base = gen2(0.2, 0.3, 0.1, -0.2)
-        modes = coupled.coupled_eigenvectors(base, 0.1, 0.0)
-        assert all(m.numeric_fallback for m in modes)
+        values, vectors, fallback = modes_of(base, 0.1, 0.0)
+        assert fallback
         m = coupled.symmetric_traffic_generator(base, 0.1).matrix(0.0)
-        for mode in modes:
-            assert np.abs(m @ mode.vector - mode.value * mode.vector).max() <= 1e-9
+        for value, vector in zip(values, vectors):
+            assert np.abs(m @ vector - value * vector).max() <= 1e-9
 
 
 def block_parts(m, c):
@@ -171,7 +182,7 @@ def outcome(m):
 
 
 class TestMatrixModes:
-    """Sample k of coupled.matrix_modes is coupled_eigenvectors of sample k."""
+    """Sample k of coupled.matrix_modes is its block-by-block reference and its stack of one."""
 
     @settings(max_examples=150, deadline=None)
     @given(draws=st.lists(traffic_draw, min_size=1, max_size=8))
@@ -190,16 +201,10 @@ class TestMatrixModes:
         assume(not any(isinstance(o, Exception) for o in outcomes))
         values, vectors, fallback = coupled.matrix_modes(m)
         for k, reference in enumerate(outcomes):
-            scalar = coupled.coupled_eigenvectors(
-                gen2(*m[k, :2, :2].ravel()), m[k, 0, 3], 0.0
-            )
             assert fallback[k] == reference[0][3]
-            for j, (value, vector, indefinite, numeric) in enumerate(reference):
-                mode = scalar[j]
-                assert np.float64(mode.value).tobytes() == np.float64(value).tobytes()
+            for j, (value, vector, _, _) in enumerate(reference):
                 assert values[k, j].tobytes() == np.float64(value).tobytes()
-                assert mode.vector.tobytes() == vectors[k, j].tobytes() == vector.tobytes()
-                assert (mode.sign_indefinite, mode.numeric_fallback) == (indefinite, numeric)
+                assert vectors[k, j].tobytes() == vector.tobytes()
 
     def test_mixed_stack_with_fallback_samples(self):
         rows = [(0.2, 0.3, 0.3, 0.2, 0.1), (0.2, 0.3, 0.1, -0.2, 0.1),
@@ -207,17 +212,19 @@ class TestMatrixModes:
         m = np.array([traffic_matrix(*row) for row in rows])
         values, vectors, fallback = coupled.matrix_modes(m)
         assert fallback.tolist() == [False, True, False, True]
-        for k, row in enumerate(rows):
-            for j, mode in enumerate(coupled.coupled_eigenvectors(gen2(*row[:4]), row[4], 0.0)):
-                assert values[k, j] == mode.value
-                assert vectors[k, j].tobytes() == mode.vector.tobytes()
+        for k in range(len(rows)):
+            alone = coupled.matrix_modes(m[k:k + 1])
+            assert values[k].tobytes() == alone[0][0].tobytes()
+            assert vectors[k].tobytes() == alone[1][0].tobytes()
 
     def test_one_complex_sample_raises_as_the_scalar_call(self):
         rows = [(0.2, 0.3, 0.3, 0.2, 0.1), (0.0, -0.5, 0.5, 0.0, 0.0), (0.2, 0.3, 0.1, -0.2, 0.1)]
+        m = np.array([traffic_matrix(*row) for row in rows])
+        # the complex sample's stack of one
         with pytest.raises(ComplexSpectrumError) as scalar:
-            coupled.coupled_eigenvectors(gen2(*rows[1][:4]), rows[1][4], 0.0)
+            coupled.matrix_modes(m[1:2])
         with pytest.raises(ComplexSpectrumError) as stacked:
-            coupled.matrix_modes(np.array([traffic_matrix(*row) for row in rows]))
+            coupled.matrix_modes(m)
         assert str(stacked.value) == str(scalar.value)
         assert stacked.value.discriminant == scalar.value.discriminant
 

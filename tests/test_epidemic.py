@@ -701,13 +701,11 @@ class TestFrameEvolve:
 
     @staticmethod
     def _per_time_frame_matrix(gen, e12, e21, t, h=1e-6):
-        """frame_matrix at one time as five scalar frames and @ products."""
-        def vector(name):
-            return lambda s: getattr(epidemic.spectral_frame(gen, s), name)
-
+        """frame_matrix at one time as three scalar frames, central differences and @ products."""
         frame = epidemic.spectral_frame(gen, t)
-        d1 = numkit.numeric_derivative(vector("v1"), t, h)
-        d2 = numkit.numeric_derivative(vector("v2"), t, h)
+        ahead, behind = epidemic.spectral_frame(gen, t + h), epidemic.spectral_frame(gen, t - h)
+        d1 = (ahead.v1 - behind.v1) / (2.0 * h)
+        d2 = (ahead.v2 - behind.v2) / (2.0 * h)
         return np.array([[frame.e1 - frame.v1 @ d1, e21 - frame.v1 @ d2],
                          [e12 - frame.v2 @ d1, frame.e2 - frame.v2 @ d2]])
 
@@ -732,6 +730,19 @@ class TestFrameEvolve:
         m = epidemic.frame_matrix(gen, e12=0.25, e21=0.75, t=0.0)
         assert m[0, 1] == pytest.approx(0.75, abs=1e-9)
         assert m[1, 0] == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan")])
+    def test_frame_matrix_refuses_a_step_that_is_not_positive(self, h):
+        with pytest.raises(ValueError, match="h must be positive"):
+            epidemic.frame_matrix(self._ramped(0.01), 0.0, 0.0, 0.5, h)
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_scalar_frame_matrix_is_its_stack_of_one(self, t):
+        gen = epidemic.Generator2(0.3, [[0.0, 0.2], [0.4, 0.5], [1.0, 0.1]], 0.4, -0.2)
+        scalar = epidemic.frame_matrix(gen, 0.2, 0.05, t)
+        stacked = epidemic.frame_matrix(gen, 0.2, 0.05, np.array([t]))
+        assert scalar.shape == (2, 2) and stacked.shape == (1, 2, 2)
+        assert scalar.tobytes() == stacked[0].tobytes()
 
 
 class TestPropagateN:

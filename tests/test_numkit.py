@@ -203,7 +203,7 @@ class TestEig:
         _, v1 = numkit.eig(m)
         _, v2 = numkit.eig(-(-m))
         assert v1.tobytes() == v2.tobytes()
-        units, singular = numkit.scale_vectors(-v1, np.zeros(v1.shape[:2]), 1e-10)
+        units, singular = numkit.scale_vectors(-v1, np.zeros(v1.shape[:2]))
         assert singular.all()
         assert np.allclose(np.vecdot(units, units), 1.0, rtol=0.0, atol=1e-15)
         for unit in units[0]:
@@ -303,6 +303,18 @@ class TestEigRetry:
     def test_a_complex_spectrum_is_still_refused(self):
         with pytest.raises(ComplexSpectrumError, match=r"discriminant = -4\.0$"):
             numkit.eig(np.array([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]]))
+
+    @pytest.mark.parametrize("entry, discriminant, message", [
+        (1e308, -np.inf, "-1.2377384189530314 * 2**2048"),
+        (1e-310, -0.0, "-1.3237045686808908 * 2**-2058"),
+        (1e-160, -4e-320, "-1.9765845049542052 * 2**-1062"),
+    ], ids=["overflowing", "underflowing", "subnormal"])
+    def test_a_discriminant_beyond_the_normal_floats_is_named_prescaled(
+            self, entry, discriminant, message):
+        with pytest.raises(ComplexSpectrumError) as info:
+            numkit.eig(np.array([[[0.0, -entry], [entry, 0.0]]]))
+        assert str(info.value) == "complex spectrum: discriminant = " + message
+        assert np.float64(info.value.discriminant).tobytes() == np.float64(discriminant).tobytes()
 
 
 # the edge values of a 2x2 entry, each drawn with either sign
@@ -456,7 +468,7 @@ class TestCallerFallbacks:
 
     matrix_frame divides each vector of numkit.eig by its component sum,
     matrix_modes each block vector u by c u[1], so that its second
-    component is c; a vector whose scale is below the caller's floor
+    component is c; a vector whose scale is below numkit.SCALE_FLOOR
     (1e-10) of its norm has unit norm instead, its first nonnegligible
     component positive, and flags its sample.  Every vector is an
     eigenvector within 1e-14 of max |m| |v|, and a stack is its samples.
@@ -1285,27 +1297,3 @@ class TestStepBudget:
         with pytest.raises(ValueError, match="more than 50 steps"):
             numkit.ode_evolve(g if generator == "constant" else broadcast(g),
                               np.ones(2), 0.0, 1.0, 0.01)
-
-
-class TestNumericDerivative:
-    def test_constant_zero(self):
-        out = numkit.numeric_derivative(lambda t: np.array([4.0, 5.0]), 1.0, 1e-5)
-        assert np.abs(out).max() == 0.0
-
-    def test_polynomial(self):
-        out = numkit.numeric_derivative(lambda t: np.array([t * t, t]), 1.0, 1e-5)
-        assert np.abs(out - np.array([2.0, 1.0])).max() < 1e-8
-
-    def test_eigenvector_of_scaled_swap_is_constant(self):
-        # eigenvectors of [[0, t], [t, 0]] do not depend on t, so the
-        # derivative of the deterministically oriented eigenvector is 0
-        def vec(t):
-            _, vectors = np.linalg.eigh(np.array([[0.0, t], [t, 0.0]]))
-            return vectors[:, 0]
-
-        out = numkit.numeric_derivative(vec, 1.0, 1e-5)
-        assert np.abs(out).max() < 1e-10
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            numkit.numeric_derivative(lambda t: np.array([t]), 0.0, 0.0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from epiqmap import numkit, quantum
+from epiqmap.errors import FloorViolationError
 
 from test_numkit import assert_stream_is_run, chunk_steps, whole_grid_run
 
@@ -295,8 +296,26 @@ class TestPureEntropyPair:
             assert abs(s_a - oracle) <= 1e-9
 
     def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloorViolationError, match="state has zero norm"):
             quantum.pure_entropy_pair(np.zeros(4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=arrays(np.float64, st.tuples(st.integers(1, 6), st.just(4), st.just(2)),
+                        elements=st.floats(-1.0, 1.0)),
+           k=st.integers(-900, 900))
+    # a uniform state at 2**-600, whose products underflow unscaled
+    @example(parts=np.full((1, 4, 2), 0.5), k=-600)
+    def test_power_of_two_scale_keeps_the_bits(self, parts, k):
+        # each state is prescaled by a power of two, so 2**k psi has psi's entropies
+        parts = parts[np.abs(parts).max(axis=(1, 2)) > 0]
+        assume(len(parts))
+        scaled = np.ldexp(parts, k)
+        # only a scaling that loses no bit of any component
+        assume(np.array_equal(np.ldexp(scaled, -k), parts))
+        for state, scaled_state in ((parts, scaled), (parts[0], scaled[0])):
+            expected = quantum.pure_entropy_pair(state.view(complex)[..., 0])
+            got = quantum.pure_entropy_pair(scaled_state.view(complex)[..., 0])
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(parts=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(4), st.just(2)),
