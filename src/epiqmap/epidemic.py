@@ -239,29 +239,40 @@ def _cosh_sinhc(d):
 
     d is the squared argument and may be negative, in which case the
     trigonometric branch applies.  Near zero a 4-term Taylor expansion
-    removes the singularity of the sinc-like factor.
+    removes the singularity of the sinc-like factor.  A pair that is not
+    finite (cosh overflows past sqrt(d) ~ 1420) raises OverflowError.
     """
     if abs(d) < _TAYLOR_WINDOW:
         c = 1.0 + d / 8.0 + d * d / 384.0 + d * d * d / 46080.0
         s = 0.5 + d / 48.0 + d * d / 3840.0 + d * d * d / 645120.0
         return c, s
-    if d > 0:
-        q = np.sqrt(d)
-        return np.cosh(0.5 * q), np.sinh(0.5 * q) / q
-    w = np.sqrt(-d)
-    return np.cos(0.5 * w), np.sin(0.5 * w) / w
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d > 0:
+            q = np.sqrt(d)
+            c, s = np.cosh(0.5 * q), np.sinh(0.5 * q) / q
+        else:
+            w = np.sqrt(-d)
+            c, s = np.cos(0.5 * w), np.sin(0.5 * w) / w
+    return _finite((c, s), "cosh/sinh closed form overflows")
+
+
+def _finite(values, message):
+    """values, or OverflowError(message) if one of them is not finite."""
+    if not np.isfinite(values).all():
+        raise OverflowError(message)
+    return values
 
 
 def _expm2_closed(g):
-    """exp() of a 2x2 matrix through the sinh/cosh closed form."""
+    """exp() of a 2x2 matrix through the sinh/cosh closed form; OverflowError if not finite."""
     g11, g12 = g[0]
     g21, g22 = g[1]
     delta = g11 - g22
-    c, s = _cosh_sinhc(delta * delta + 4.0 * g12 * g21)
-    amp = np.exp(0.5 * (g11 + g22))
-    return amp * np.array(
-        [[c + delta * s, 2.0 * g12 * s], [2.0 * g21 * s, c - delta * s]]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = _cosh_sinhc(delta * delta + 4.0 * g12 * g21)
+        amp = np.exp(0.5 * (g11 + g22))
+        out = amp * np.array([[c + delta * s, 2.0 * g12 * s], [2.0 * g21 * s, c - delta * s]])
+    return _finite(out, "2x2 matrix exponential overflows")
 
 
 def propagate_closed_form(generator, p0, t0, t):
@@ -359,14 +370,17 @@ def eigenmode_evolve_const(generator, w0, t0, t):
     Each weight grows exponentially at its norm-scaled rate e_i / n_i,
     so log(pI/pII) is affine in time with slope e1/n1 - e2/n2 (the
     Rabi-like occupancy-transfer law).  A 1-d array of n times t gives
-    the (n, 2) weights at those times.  It refuses the frames ensemble_decompose does.
+    the (n, 2) weights at those times.  It refuses the frames ensemble_decompose does,
+    and raises OverflowError where a weight is not finite.
     """
     if not generator.is_constant:
         raise ValueError("eigenmode evolution requires a constant generator")
     frame = _spanning_frame(generator, t0)
     w0 = np.asarray(w0, dtype=float)
     rates = np.array([frame.e1 / frame.n1, frame.e2 / frame.n2])
-    return w0 * np.exp(rates * (np.asarray(t, dtype=float) - t0)[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = w0 * np.exp(rates * (np.asarray(t, dtype=float) - t0)[..., None])
+    return _finite(weights, "eigenmode weights overflow")
 
 
 def rabi_rate(generator):

@@ -155,8 +155,8 @@ class MappingReport:
     S(t) x at every interior sample whose split components clear the
     floor; samples that do not are listed in excluded_times (generic
     phase crossings, not failures).  Gap fields are max-norm over the
-    checked samples; phase recovery is relative on tan^2.  hermitian is
-    quantum.is_hermitian(H): H equals its conjugate transpose exactly.
+    checked samples.  hermitian is quantum.is_hermitian(H): H equals its
+    conjugate transpose exactly.
     """
 
     times: np.ndarray
@@ -165,7 +165,6 @@ class MappingReport:
     checked_samples: int
     excluded_times: np.ndarray
     split_consistency_gap: float
-    phase_recovery_gap: float
     hermitian: bool
     norm_drift: float
     monotonicity_defect: float
@@ -176,11 +175,11 @@ class MappingReport:
 def verify_equivalence(h, psi0, t0, t1, dt):
     """Run the quantum evolution of H and certify its classical 2N image.
 
-    Each chunk of quantum.schrodinger_chunks is split (the unwrap
-    carried), reduced and certified, its last four samples the halo of
-    the next chunk's five-point stencil, so the call holds one chunk
-    beside the report arrays it allocates from the sample count.  The
-    real form is built first: an H too large for it is refused at once.
+    Each chunk of quantum.schrodinger_chunks is split, reduced and
+    certified, its last four samples the halo of the next chunk's
+    five-point stencil, so the call holds one chunk beside the report
+    arrays it allocates from the sample count.  The real form is built
+    first: an H too large for it is refused at once.
     """
     a_form = real_form_generator(h)
     chunks = schrodinger_chunks(h, psi0, t0, t1, dt)
@@ -193,31 +192,26 @@ def verify_equivalence(h, psi0, t0, t1, dt):
     # running maxima: np.maximum, like one np.max over the run, keeps a nan
     split_gap = norm_drift = rise = -np.inf
     start = checked = 0
-    phase_gap = 0.0
-    carry = halo = None
+    halo = None
     for chunk in chunks:
-        polar = polar_split(chunk, carry)
-        carry = polar.carry
+        probs = polar_split(chunk).probabilities
         stop = start + len(chunk)
         times[start:stop] = chunk.times
         y = amplitudes_from_wave(chunk.states)
         x = y * y
-        probs = polar.probabilities
         split_gap = np.maximum(split_gap, np.abs(x[:, 0::2] + x[:, 1::2] - probs).max())
         total[start:stop] = probs.sum(axis=1)
         norm_drift = np.maximum(norm_drift, np.abs(total[start:stop] - total[0]).max())
         if stop > 1:
             rise = np.maximum(rise, np.diff(total[max(start - 1, 0):stop]).max())
-        window = (x, y, polar.phases)
         if halo is not None:
-            window = tuple(np.concatenate(pair) for pair in zip(halo, window))
-        x, y, phases = window
-        start, halo = stop, tuple(part[-4:] for part in window)
+            x, y = np.concatenate((halo * halo, x)), np.concatenate((halo, y))
+        start, halo = stop, y[-4:]
         # the window's centers, rows 2 .. len - 3, as rows 0 .. m - 1
         m = max(len(x) - 4, 0)
         h_step = times[1] - times[0] if n > 1 else 0.0
         dx = (-x[4:4 + m] + 8.0 * x[3:3 + m] - 8.0 * x[1:1 + m] + x[:m]) / (12.0 * h_step)
-        x, y, phases = x[2:2 + m], y[2:2 + m], phases[2:2 + m]
+        x, y = x[2:2 + m], y[2:2 + m]
         first_center = stop - m - 2  # the run's index of center row 0
         low = x.min(axis=1) < density.PROBABILITY_FLOOR
         if low.any():
@@ -232,10 +226,6 @@ def verify_equivalence(h, psi0, t0, t1, dt):
             residuals[checked:checked + len(i)] = np.abs(dx[rows] - s_x).max(axis=1)
             residual_times[checked:checked + len(i)] = times[first_center + i]
             checked += len(i)
-            tan2_true = np.tan(phases[rows]) ** 2
-            _, tan2_rec = phase_from_split(x[rows])
-            gap = np.abs(tan2_true - tan2_rec) / (1.0 + np.abs(tan2_rec))
-            phase_gap = max(phase_gap, float(gap.max()))
     residuals = residuals[:checked]
     return MappingReport(
         times=times,
@@ -244,7 +234,6 @@ def verify_equivalence(h, psi0, t0, t1, dt):
         checked_samples=checked,
         excluded_times=np.concatenate(excluded),
         split_consistency_gap=float(split_gap),
-        phase_recovery_gap=phase_gap,
         hermitian=is_hermitian(h),
         norm_drift=float(norm_drift),
         monotonicity_defect=float(max(0.0, rise)),

@@ -10,7 +10,7 @@ matrix is the only Hamiltonian the functions here and in mapping take.
 hbar = 1 throughout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,55 +96,43 @@ class PolarTrajectory:
     """Probabilities and unwrapped phases along a wave trajectory.
 
     held marks samples where the occupancy fell below PHASE_HOLD_FLOOR
-    and the phase was carried over from the last defined value.  carry,
-    (2, N), is each component's raw phase at its last defining sample and
-    its whole turns, for polar_split of the run's next chunk.
+    and the phase was carried over from the last defined value.
     """
 
     times: np.ndarray
     probabilities: np.ndarray
     phases: np.ndarray
     held: np.ndarray
-    carry: np.ndarray = field(repr=False)
 
 
-def polar_split(trajectory, carry=None):
+def polar_split(trajectory):
     """Split complex amplitudes into probabilities and continuous phases.
 
     Phases unwrap greedily: at each step the branch closest to the
     previous sample is chosen, so linear phase evolution continues past
     +/- pi.  Where p_k < PHASE_HOLD_FLOOR the phase is held and flagged.
-    Sample 0 of a run keeps its raw phase and, held or not, is the first
-    defining sample; carry, the previous chunk's PolarTrajectory.carry,
-    continues a run's unwrap chunk by chunk, to its phases bit for bit.
+    Sample 0 keeps its raw phase and, held or not, is the first defining
+    sample.  An empty trajectory gives empty (0, N) arrays.
 
     Whole-array form of that per-sample rule: a defining sample i takes
     raw[i] + 2 pi K[i], where K[i] - K[j] = round((raw[j] - raw[i]) / 2 pi)
     and j is the defining sample before it; a held sample copies the
-    phase of the last defining sample.  K sums whole numbers, exactly,
-    so carried turns plus a chunk's own sum is the run's cumulative sum.
+    phase of the last defining sample.
     """
     states = np.asarray(trajectory.states)
     probs = np.abs(states) ** 2
     held = probs < PHASE_HOLD_FLOOR
     raw = np.angle(states)
-    if carry is None:
-        carry = np.stack((raw[0], np.zeros(raw.shape[1])))
-    # row 0 stands for the last defining sample before the chunk (for a
-    # run's first chunk, sample 0 with no turns)
-    raw = np.concatenate((carry[:1], raw))
-    defining = np.concatenate((np.ones((1, raw.shape[1]), dtype=bool), ~held))
+    defining = ~held
+    defining[:1] = True
     rows = np.arange(len(raw))[:, None]
     cols = np.arange(raw.shape[1])
     last = np.maximum.accumulate(np.where(defining, rows, 0), axis=0)
     before = np.concatenate((last[:1], last[:-1]))
     two_pi = 2.0 * np.pi
     turns = np.where(defining, np.round((raw[before, cols] - raw) / two_pi), 0.0)
-    turns[0] = carry[1]
-    turns = np.cumsum(turns, axis=0)
-    phases = (raw + two_pi * turns)[last[1:], cols]
-    carry = np.stack((raw[last[-1], cols], turns[-1]))
-    return PolarTrajectory(trajectory.times, probs, phases, held, carry)
+    phases = (raw + two_pi * np.cumsum(turns, axis=0))[last, cols]
+    return PolarTrajectory(trajectory.times, probs, phases, held)
 
 
 def pure_entropy_pair(psi):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,31 @@ class TestOccupancyRatio:
         r = epidemic.occupancy_ratio(gen, p0, 0.0, 2.0)
         p = epidemic.propagate_closed_form(gen, p0, 0.0, 2.0)
         assert abs(r - p[0] / p[1]) <= 1e-10
+
+
+class TestClosedFormOverflow:
+    """A closed form whose result is not finite raises OverflowError; no warning escapes."""
+
+    @pytest.mark.parametrize("evaluate, message", [
+        # a frame vector's component sum passes near zero, so the eigenframe
+        # quadrature is large and cosh(sqrt(d)/2) overflows
+        (lambda: epidemic.frame_evolve(
+            epidemic.Generator2([[0.0, -0.13010489554971594], [0.5, 0.9483723865185107],
+                                 [1.0, 0.7953552162170976]], 0.9983522301301428,
+                                0.30473822317597543, -0.5309795966603521),
+            0.1, 0.0, [0.6, 0.4], 0.0, 0.2), "cosh/sinh"),
+        (lambda: epidemic.propagate_closed_form(constant_gen(400.0, 0.0, 0.0, 400.0),
+                                                [0.5, 0.5], 0.0, 2.0), "2x2 matrix exponential"),
+        (lambda: epidemic.occupancy_ratio(constant_gen(0.0, 1000.0, 1000.0, 0.0),
+                                          [0.5, 0.5], 0.0, 2.0), "cosh/sinh"),
+        (lambda: epidemic.eigenmode_evolve_const(constant_gen(1.0, 0.5, 0.5, 0.2),
+                                                 [0.7, 0.3], 0.0, [0.0, 1000.0]), "eigenmode"),
+    ], ids=["frame_evolve", "propagate_closed_form", "occupancy_ratio", "eigenmode_evolve_const"])
+    def test_non_finite_result_raises(self, evaluate, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                evaluate()
 
 
 class TestMeasurement:

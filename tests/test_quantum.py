@@ -181,70 +181,37 @@ class TestPolarSplit:
         assert np.array_equal(polar.phases, phases)
         assert np.array_equal(polar.held, held)
 
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
-           hold_rate=st.sampled_from([0.0, 0.2, 0.6, 0.95]))
-    def test_matches_per_sample_loop_with_held_runs(self, seed, n, hold_rate):
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           hold_rate=st.sampled_from([0.0, 0.2, 0.6, 0.95]), held_first=st.booleans())
+    def test_matches_per_sample_loop_with_held_runs(self, seed, n, hold_rate, held_first):
         # phases step by up to +/- 3 rad, so most samples need a turn; held
-        # samples come in runs (sample 0 included) with p far below the floor
+        # samples come in runs with p far below the floor, and held_first
+        # holds sample 0 of every component
         rng = np.random.default_rng(seed)
         phase = np.cumsum(rng.uniform(-3.0, 3.0, size=(n, 3)), axis=0)
         magnitude = rng.uniform(0.1, 1.0, size=(n, 3))
         low = np.repeat(rng.random((n // 4 + 1, 3)) < hold_rate, 4, axis=0)[:n]
+        low[0] |= held_first
         magnitude[low] = rng.choice([0.0, 1e-9, 1e-8], size=int(low.sum()))
         states = magnitude * np.exp(1j * phase)
-        polar = quantum.polar_split(numkit.Trajectory(np.arange(float(n)), states))
+        times = np.arange(float(n))
+        polar = quantum.polar_split(numkit.Trajectory(times, states))
         phases, held = polar_split_loop(states)
         assert np.array_equal(polar.held, held)
         assert np.array_equal(polar.phases, phases)
+        assert polar.times is times
+        assert np.array_equal(polar.probabilities, np.abs(states) ** 2)
+
+    def test_empty_trajectory_gives_empty_arrays(self):
+        polar = quantum.polar_split(numkit.Trajectory(np.empty(0), np.empty((0, 4), dtype=complex)))
+        for name in ("probabilities", "phases", "held"):
+            assert getattr(polar, name).shape == (0, 4)
+        assert polar.held.dtype == bool
 
     def test_wave_from_polar_rejects_negative(self):
         with pytest.raises(ValueError):
             quantum.wave_from_polar([-0.1, 1.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
-
-
-def split_in_chunks(trajectory, cuts):
-    """polar_split of the trajectory cut before each index in cuts, the unwrap carried."""
-    carry, parts = None, []
-    for start, stop in zip([0] + cuts, cuts + [len(trajectory)]):
-        part = numkit.Trajectory(trajectory.times[start:stop], trajectory.states[start:stop])
-        polar = quantum.polar_split(part, carry)
-        carry = polar.carry
-        parts.append(polar)
-    return parts
-
-
-class TestChunkedPolarSplit:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
-           hold_rate=st.sampled_from([0.0, 0.2, 0.6, 0.95]), data=st.data())
-    def test_carry_continues_the_whole_run(self, seed, n, hold_rate, data):
-        # phases step by up to +/- 3 rad, so most samples need a turn; held
-        # samples come in runs (sample 0 and whole chunks included)
-        rng = np.random.default_rng(seed)
-        phase = np.cumsum(rng.uniform(-3.0, 3.0, size=(n, 3)), axis=0)
-        magnitude = rng.uniform(0.1, 1.0, size=(n, 3))
-        low = np.repeat(rng.random((n // 4 + 1, 3)) < hold_rate, 4, axis=0)[:n]
-        magnitude[low] = rng.choice([0.0, 1e-9, 1e-8], size=int(low.sum()))
-        trajectory = numkit.Trajectory(np.arange(float(n)), magnitude * np.exp(1j * phase))
-        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else [])
-        whole = quantum.polar_split(trajectory)
-        parts = split_in_chunks(trajectory, list(cuts))
-        for field in ("times", "probabilities", "phases", "held"):
-            joined = np.concatenate([getattr(part, field) for part in parts])
-            assert joined.tobytes() == getattr(whole, field).tobytes()
-        assert parts[-1].carry.tobytes() == whole.carry.tobytes()
-        phases, held = polar_split_loop(trajectory.states)
-        assert np.array_equal(whole.phases, phases) and np.array_equal(whole.held, held)
-
-    def test_many_turns_across_chunks(self):
-        # 50,001 samples of the reference pair, cut at the stream's chunks
-        psi0 = quantum.wave_from_polar([0.3, 0.2, 0.25, 0.25], [0.3, 1.0, -0.4, 0.8])
-        trajectory = quantum.evolve_schrodinger(hermitian_h(), psi0, 0.0, 50.0, 1e-3)
-        cuts = list(range(numkit.RUN_CHUNK + 1, len(trajectory), numkit.RUN_CHUNK))
-        phases = np.concatenate([p.phases for p in split_in_chunks(trajectory, cuts)])
-        assert np.abs(phases[-1]).max() > 10.0 * np.pi
-        assert phases.tobytes() == quantum.polar_split(trajectory).phases.tobytes()
 
 
 class TestSchrodingerChunks:
