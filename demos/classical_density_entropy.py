@@ -38,11 +38,11 @@ rho = density.density_from_state(np.sqrt(p0))
 print("\nclassical density matrix:\n", rho)
 print("diagonal = probabilities:", np.diag(rho))
 
-generic = density.density_eom_residual(rates, p0, 1e-4)
+generic = density.density_eom_residual(rates, p0)
 print("\nEOM residual, transpose form   :", generic.transpose_form)
 print("EOM residual, anticommutator   :", generic.anticommutator, "(fails: H not symmetric)")
 
-sym = density.density_eom_residual(0.5 * (rates + rates.T), np.full(4, 0.25), 1e-4)
+sym = density.density_eom_residual(0.5 * (rates + rates.T), np.full(4, 0.25))
 print("symmetric case, anticommutator :", sym.anticommutator)
 
 # ---------------------------------------------------------------------------

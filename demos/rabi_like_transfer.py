@@ -56,6 +56,6 @@ print("with e12, e21 on   :", coupled_w)
 # joint rate/time rescaling of the machine.
 # ---------------------------------------------------------------------------
 print("\nconstant-weights defect (static rates):",
-      epidemic.constant_occupancy_residual(gen, 0.5, 1e-5))
+      epidemic.constant_occupancy_residual(gen, 0.5))
 print("|e1 * e2|                             :",
       abs(epidemic.spectral_frame(gen, 0.0).e1 * epidemic.spectral_frame(gen, 0.0).e2))

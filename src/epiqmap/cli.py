@@ -830,7 +830,7 @@ def main(argv=None):
         print("output error: %s" % exc, file=sys.stderr)
         return 2
     except (ComplexSpectrumError, DegenerateFrameError, FloorViolationError,
-            NonFiniteStateError, ZeroDivisionError, RuntimeError,
+            NonFiniteStateError, OverflowError, ZeroDivisionError, RuntimeError,
             np.linalg.LinAlgError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3

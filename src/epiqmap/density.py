@@ -45,26 +45,26 @@ def _check_floor(p, t=None):
     return p
 
 
-def amplitude_ratios(y, t=None):
+def amplitude_ratios(y):
     """R[..., i, j] = y_i / y_j of signed amplitudes y, one state or an (n, d) stack.
 
     D(y) M D(y)^-1 is M * R and D(y)^-1 M D(y) is M * R.T.  Each y_i * y_i
     (a probability p, or a split component x of the 2N image) must be at
-    or above PROBABILITY_FLOOR; t is the time a FloorViolationError reports.
+    or above PROBABILITY_FLOOR.
     """
     y = np.asarray(y, dtype=float)
-    _check_floor(y * y, t)
+    _check_floor(y * y)
     return y[..., :, None] / y[..., None, :]
 
 
-def sqrt_dynamics_generator(generator, p, t=0.0):
+def sqrt_dynamics_generator(generator, p):
     """The amplitude-space generator H with entries (1/2) sqrt(pj/pi) s_ij.
 
     H = (1/2) S * amplitude_ratios(sqrt(p)).T, singular at extinction: every
-    p_i must clear PROBABILITY_FLOOR; t is the time a FloorViolationError reports.
+    p_i must clear PROBABILITY_FLOOR.
     """
-    a = np.sqrt(_check_floor(p, t))  # p first: a negative p has no real root to check
-    return 0.5 * np.asarray(generator, dtype=float) * amplitude_ratios(a, t).T
+    a = np.sqrt(_check_floor(p))  # p first: a negative p has no real root to check
+    return 0.5 * np.asarray(generator, dtype=float) * amplitude_ratios(a).T
 
 
 # RK4 steps of da/dt = (1/2) (S p) / a in Python floats, their states
@@ -192,22 +192,21 @@ def density_from_state(a):
     return np.outer(a, a)
 
 
-def density_eom_residual(generator, p, h):
+def density_eom_residual(generator, p):
     """Finite-difference check of the density equation of motion at t = 0.
 
-    Evolves the amplitudes to +/- h around the given state (constant
-    generator, RK4 steps of h/16), forms drho/dt by central differences,
-    and compares it
-    against H rho + rho H^T and against the literal anticommutator
-    H rho + rho H.  Both residuals (max-norm) are returned; only the
-    transpose form is exact for asymmetric H.
+    Evolves the amplitudes to +/- 1e-4 around the given state (constant
+    generator, RK4 steps of 1e-4/16), forms drho/dt by central
+    differences, and compares it against H rho + rho H^T and against the
+    literal anticommutator H rho + rho H.  Both residuals (max-norm) are
+    returned; only the transpose form is exact for asymmetric H.
     """
-    dt = h / 16.0
+    h = 1e-4
     p = _check_floor(p)
-    fwd = evolve_sqrt_trajectory(generator, p, 0.0, h, dt).final
-    bwd = evolve_sqrt_trajectory(generator, p, 0.0, -h, dt).final
+    fwd = evolve_sqrt_trajectory(generator, p, 0.0, h, h / 16.0).final
+    bwd = evolve_sqrt_trajectory(generator, p, 0.0, -h, h / 16.0).final
     drho = (density_from_state(fwd) - density_from_state(bwd)) / (2.0 * h)
-    ham = sqrt_dynamics_generator(generator, p, 0.0)
+    ham = sqrt_dynamics_generator(generator, p)
     rho = density_from_state(np.sqrt(p))
     transpose_form = np.abs(drho - (ham @ rho + rho @ ham.T)).max()
     anticommutator = np.abs(drho - (ham @ rho + rho @ ham)).max()

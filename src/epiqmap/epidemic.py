@@ -63,8 +63,10 @@ class RateMatrix:
     stack of one and giving its (d, d) matrix.  Constant entries are
     stored once, and a fully constant stack of several times is a
     read-only broadcast of them; each table entry is one np.interp over
-    the n times, constant beyond its nodes.  Non-finite entries raise
-    ValueError.
+    the n times, constant beyond its nodes.  A constant entry that is not
+    finite raises ValueError here; a table whose interpolation is not
+    finite at some time (np.interp's slope times t - t_k can pass the
+    float range) raises OverflowError from matrix(t), naming that time.
     """
 
     def __init__(self, grid):
@@ -75,7 +77,8 @@ class RateMatrix:
         if d == 0 or any(len(row) != d for row in rates):
             raise ValueError("rate grid must be square")
         self._base = np.array([[r if isinstance(r, float) else 0.0 for r in row] for row in rates])
-        self._base_finite = bool(np.isfinite(self._base).all())
+        if not np.isfinite(self._base).all():
+            raise ValueError("constant rates must be finite")
         # (i, j, nodes, values) of each table entry, the last two contiguous
         self._varying = [(i, j, *r.T.copy()) for i, row in enumerate(rates)
                          for j, r in enumerate(row) if not isinstance(r, float)]
@@ -94,15 +97,15 @@ class RateMatrix:
             m[:] = self._base
             for i, j, nodes, values in self._varying:
                 m[:, i, j] = np.interp(flat, nodes, values)
+            if not np.isfinite(m).all():
+                first = np.isfinite(m).all(axis=(1, 2)).argmin()
+                raise OverflowError("rate table overflows at t = %r" % float(flat[first]))
         elif len(flat) == 1:
             # a writable stack of one, which a scalar time unpacks as it is;
             # np.broadcast_to plus a copy costs several times more
             m = self._base[None].copy()
         else:
             m = np.broadcast_to(self._base, flat.shape + self._base.shape)
-        if not (np.isfinite(m).all() if self._varying else self._base_finite):
-            first = np.isfinite(m).all(axis=(1, 2)).argmin()
-            raise ValueError("generator entries not finite at t = %r" % float(flat[first]))
         return m if times.ndim else m[0]
 
     def integrated(self, t0, t):
@@ -115,10 +118,11 @@ class RateMatrix:
             raise ValueError("t must be >= t0")
         if t == t0:
             return np.zeros(self._base.shape)
-        g = self._base * (t - t0)
-        for i, j, nodes, values in self._varying:
-            grid = np.concatenate(([t0], nodes[(nodes > t0) & (nodes < t)], [t]))
-            g[i, j] = np.trapezoid(np.interp(grid, nodes, values), grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
+            g = self._base * (t - t0)
+            for i, j, nodes, values in self._varying:
+                grid = np.concatenate(([t0], nodes[(nodes > t0) & (nodes < t)], [t]))
+                g[i, j] = np.trapezoid(np.interp(grid, nodes, values), grid)
         return g
 
 
@@ -298,10 +302,12 @@ def occupancy_ratio(generator, p0, t0, t):
     """
     p0 = np.asarray(p0, dtype=float)
     g = generator.integrated(t0, t)
-    delta = g[0, 0] - g[1, 1]
-    c, s = _cosh_sinhc(delta * delta + 4.0 * g[0, 1] * g[1, 0])
-    num = (delta * p0[0] + 2.0 * g[0, 1] * p0[1]) * s + p0[0] * c
-    den = (2.0 * g[1, 0] * p0[0] - delta * p0[1]) * s + p0[1] * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = g[0, 0] - g[1, 1]
+        c, s = _cosh_sinhc(delta * delta + 4.0 * g[0, 1] * g[1, 0])
+        num = (delta * p0[0] + 2.0 * g[0, 1] * p0[1]) * s + p0[0] * c
+        den = (2.0 * g[1, 0] * p0[0] - delta * p0[1]) * s + p0[1] * c
+    num, den = _finite((num, den), "occupancy ratio overflows")
     if abs(den) < 1e-14 * max(1.0, abs(num)):
         raise ZeroDivisionError("occupancy ratio denominator vanished")
     return num / den
@@ -389,32 +395,31 @@ def rabi_rate(generator):
     return frame.e1 / frame.n1 - frame.e2 / frame.n2
 
 
-def constant_occupancy_residual(generator, t, h):
+def constant_occupancy_residual(generator, t):
     """Consistency defect of a constant-ensemble-weights ansatz at time t.
 
     Returns |<v1|v2'> <v2|v1'> - (e1 - <v1|v1'>)(e2 - <v2|v2'>)|, the
     cross-multiplied difference of the two closed-ratio expressions, from
     the connection terms of frame_matrix with zero cross couplings.  For
-    a time-independent generator all derivative terms vanish and the
-    value reduces to |e1 * e2|.  This is a diagnostic, not a quantity
-    that must vanish.
+    a time-independent generator the frames at t and t +/- h are equal,
+    and the value is exactly |e1 * e2|.  This is a diagnostic, not a
+    quantity that must vanish.
     """
-    f = frame_matrix(generator, 0.0, 0.0, t, h)
+    f = frame_matrix(generator, 0.0, 0.0, t)
     return float(abs(f[0, 1] * f[1, 0] - f[0, 0] * f[1, 1]))
 
 
-def frame_matrix(generator, e12, e21, t, h=1e-6):
+def frame_matrix(generator, e12, e21, t):
     """Eigenframe evolution matrix acting on the weights (pI, pII).
 
     Diagonal: eigenvalue minus the same-vector connection <v_i|dv_i/dt>;
     off-diagonal: the cross couplings (numbers) minus the cross connections.
-    dv_i/dt is the central difference (v_i(t + h) - v_i(t - h)) / 2h of
-    one spectral_frame of the times t, t + h and t - h, stacked; h must
-    be positive (ValueError).  Follows the generator protocol: a scalar
-    time gives the 2x2 matrix, a 1-d array of n times the (n, 2, 2) stack.
+    dv_i/dt is the central difference (v_i(t + h) - v_i(t - h)) / 2h, with
+    h = 1e-6, of one spectral_frame of the times t, t + h and t - h,
+    stacked.  Follows the generator protocol: a scalar time gives the 2x2
+    matrix, a 1-d array of n times the (n, 2, 2) stack.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = 1e-6
     frame = spectral_frame(generator, np.stack((t, t + h, t - h)).reshape(-1))
     # each field's thirds: the frame at t, at t + h and at t - h
     (e1, _, _), (e2, _, _) = frame.e1.reshape(3, -1), frame.e2.reshape(3, -1)
@@ -444,5 +449,6 @@ def frame_evolve(generator, e12, e21, w0, t0, t):
     samples = frame_matrix(generator, e12, e21, grid)
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite eigenframe quadrature")
-    g = np.trapezoid(samples, grid, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf integral: _expm2_closed refuses it
+        g = np.trapezoid(samples, grid, axis=0)
     return _expm2_closed(g) @ w0

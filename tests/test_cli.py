@@ -45,6 +45,12 @@ EPIDEMIC_N = {
 }
 
 
+# finite nodes and slope that the parse accepts, but np.interp's
+# slope * (t - t_k) rounds past the float maximum at t = -1
+OVERFLOWING_TABLE = [[-1e20, 0.0], [0.0, -1.7976931348623157e308]]
+TABLE_OVERFLOW = "numeric failure: rate table overflows at t = -1.0\n"
+
+
 def quantum_config(**overrides):
     config = {
         "schema": 1,
@@ -482,7 +488,19 @@ class TestValidation:
                                      "s22": 5.6e-301},
                           outputs=["probabilities", "ensemble_weights"]),
          "numeric failure: complex spectrum: discriminant = -2.9528486319084735 * 2**-1994\n"),
-    ], ids=["non_finite_state", "complex_spectrum", "subnormal_complex_spectrum"])
+        (epidemic2_config(t0=-1.0, t1=0.0, generator={
+            "s11": -0.2, "s12": OVERFLOWING_TABLE, "s21": 0.2, "s22": -0.1}), TABLE_OVERFLOW),
+        (dict(EPIDEMIC_N, t0=-1.0, t1=0.0, generator={
+            "matrix": [[0.0, OVERFLOWING_TABLE, 0.0], [0.0, -0.2, 0.1], [0.0, 0.0, -0.1]]}),
+         TABLE_OVERFLOW),
+        ({"schema": 1, "model": "coupled4", "t0": -1.0, "t1": 0.0, "dt": 0.01,
+          "generator": {"form": "traffic",
+                        "sa": {"s11": 0.0, "s12": 0.4, "s21": 0.3, "s22": -0.1},
+                        "sb": {"s11": -0.2, "s12": 0.3, "s21": 0.5, "s22": 0.0},
+                        "cross": [OVERFLOWING_TABLE, 0.25, 0.35, 0.2]},
+          "initial_state": [0.6, 0.4, 0.5, 0.5]}, TABLE_OVERFLOW),
+    ], ids=["non_finite_state", "complex_spectrum", "subnormal_complex_spectrum",
+            "epidemic2_table_overflow", "epidemicN_table_overflow", "coupled4_cross_overflow"])
     def test_numeric_failure_message_prints_plain_numbers(self, tmp_path, capsys, config, message):
         # the message is the run's only output: NumPy warns nothing
         cfg = write_config(tmp_path, config)
@@ -491,6 +509,7 @@ class TestValidation:
             assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
+        assert not (tmp_path / "series.csv").exists()
 
     # numkit.eig prescales each frame by a power of two, so neither an
     # overflowing (s11 - s22)**2 nor overflowing row sums reach the weights;

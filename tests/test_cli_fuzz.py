@@ -246,10 +246,19 @@ OVERFLOWING_NORM = {
 }
 
 
+# a rate table the parse accepts whose interpolation overflows at t = -1
+OVERFLOWING_TABLE = {
+    "schema": 1, "model": "epidemic2", "t0": -1.0, "t1": 0.0, "dt": 0.01,
+    "generator": dict(RATES, s12=[[-1e20, 0.0], [0.0, -1.7976931348623157e308]]),
+    "initial_state": STATES["epidemic2"],
+}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=scenarios(), command=st.sampled_from(["simulate", "map"]))
 @example(config=OVERFLOWING_NORM, command="simulate")
 @example(config=dict(OVERFLOWING_NORM, model="mapping"), command="map")
+@example(config=OVERFLOWING_TABLE, command="simulate")
 def test_main_returns_a_contract_exit_code(config, command):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"

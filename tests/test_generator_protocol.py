@@ -5,6 +5,8 @@ evaluated one time at a time, so that integrating from precomputed stage
 matrices reproduces the per-time integration byte for byte.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,17 +86,28 @@ def test_constant_stack_is_broadcast_not_copied():
     assert not stack.flags.writeable
 
 
-def test_non_finite_entries_raise():
-    # a constant inf or nan entry, beside constant or table entries; the
-    # message names the first offending time, not the whole array
-    first = float(TIMES[0])
+def test_non_finite_constant_rates_are_refused_when_built():
+    # a constant inf or nan entry, beside constant or table entries
     for value in (np.inf, np.nan):
-        for gen in (epidemic.Generator2(value, 0.0, 0.0, 0.0),
-                    epidemic.Generator2(value, RAMP, 0.0, 0.0)):
-            with pytest.raises(ValueError, match=r"^generator entries not finite at t = %r$" % first):
-                gen.matrix(TIMES)
-            with pytest.raises(ValueError, match=r"at t = 0\.7$"):
-                gen.matrix(0.7)
+        for grid in ([[value, 0.0], [0.0, 0.0]], [[value, RAMP], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="^constant rates must be finite$"):
+                epidemic.RateMatrix(grid)
+
+
+def test_overflowing_table_names_the_first_time():
+    # finite nodes and slope, but np.interp's slope * (t - t_k) rounds past
+    # the float maximum before the last node at 0.5; from there on the
+    # rate is the finite last value.  The message names the first
+    # offending time of the stack, not the whole array.
+    gen = epidemic.Generator2(-0.2, [[0.5 - 1e20, 0.0], [0.5, -1.7976931348623157e308]], 0.2, 0.0)
+    times = TIMES[::-1]
+    assert times[0] > 0.5
+    first = float(times[times < 0.5][0])
+    with pytest.raises(OverflowError, match="^rate table overflows at t = %s$" % re.escape(repr(first))):
+        gen.matrix(times)
+    with pytest.raises(OverflowError, match=r"^rate table overflows at t = 0\.25$"):
+        gen.matrix(0.25)
+    assert np.isfinite(gen.matrix(times[times >= 0.5])).all()
 
 
 def test_rejects_multidimensional_times():
