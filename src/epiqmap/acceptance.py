@@ -330,7 +330,7 @@ def check_mapping_certificate():
         and mapping.real_form_generator(h4).shape == (8, 8)
     )
     return [
-        SubCheck("max ||dx/dt - S x|| outside crossings", report.max_residual, 1e-6),
+        SubCheck("max ||dx/dt - S x||, every sample", report.max_residual, 1e-6),
         SubCheck("split consistency x_re + x_im = p", report.split_consistency_gap, 1e-10),
         SubCheck("real-form embedding rebuilds psi (N=2,4)", worst_embed, 1e-8),
         SubCheck("generator dimension is 2N", float(dims_ok), 1.0, kind="min"),

@@ -18,6 +18,8 @@ autonomous classical model: closing it would need a phase-velocity law
 the embedding does not supply.  Every function here takes the
 Hamiltonian as its complex N x N matrix H.  The rate matrix is
 2 A * density.amplitude_ratios(y): the sqrt picture's similarity and floor.
+Its flow S x is 2 y * (A y) wherever S exists, so the certificate checks
+that product, which needs no division, at every sample.
 """
 
 from dataclasses import dataclass, field
@@ -26,9 +28,6 @@ import numpy as np
 
 from . import density, numkit
 from .quantum import is_hermitian, polar_split, schrodinger_chunks
-
-# samples per certificate chunk: bounds the (chunk, 2N, 2N) stack of S
-CERTIFICATE_CHUNK = 256
 
 _ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -152,11 +151,12 @@ class MappingReport:
     """Certificate of the 2N embedding along one quantum trajectory.
 
     Residuals compare a five-point finite-difference dx/dt against
-    S(t) x at every interior sample whose split components clear the
-    floor; samples that do not are listed in excluded_times (generic
-    phase crossings, not failures).  Gap fields are max-norm over the
-    checked samples.  hermitian is quantum.is_hermitian(H): H equals its
-    conjugate transpose exactly.
+    S(t) x = 2 y * (A y) at every interior sample, residual_times: all
+    checked_samples of them.  excluded_times lists the checked samples
+    where S(t) itself is undefined, a split component below
+    density.PROBABILITY_FLOOR (a phase crossing, not a failure).  Gap
+    fields are max-norm over the run.  hermitian is
+    quantum.is_hermitian(H): H equals its conjugate transpose exactly.
     """
 
     times: np.ndarray
@@ -185,10 +185,9 @@ def verify_equivalence(h, psi0, t0, t1, dt):
     chunks = schrodinger_chunks(h, psi0, t0, t1, dt)
     n = numkit.step_count(t0, t1, dt) + 1
     times, total = np.empty(n), np.empty(n)
-    # five-point central differences need two neighbors on each side;
-    # samples with a split component below the floor are excluded
-    residual_times, residuals = np.empty(max(n - 4, 0)), np.empty(max(n - 4, 0))
-    excluded = [np.empty(0)]
+    # five-point central differences need two neighbors on each side
+    residuals = np.empty(max(n - 4, 0))
+    undefined = [np.empty(0)]
     # running maxima: np.maximum, like one np.max over the run, keeps a nan
     split_gap = norm_drift = rise = -np.inf
     start = checked = 0
@@ -212,32 +211,23 @@ def verify_equivalence(h, psi0, t0, t1, dt):
         h_step = times[1] - times[0] if n > 1 else 0.0
         dx = (-x[4:4 + m] + 8.0 * x[3:3 + m] - 8.0 * x[1:1 + m] + x[:m]) / (12.0 * h_step)
         x, y = x[2:2 + m], y[2:2 + m]
-        first_center = stop - m - 2  # the run's index of center row 0
+        # S(t) x = 2 y * (A y) wherever S(t) exists, with no division
+        residuals[checked:checked + m] = np.abs(dx - 2.0 * y * (y @ a_form.T)).max(axis=1)
         low = x.min(axis=1) < density.PROBABILITY_FLOOR
         if low.any():
-            excluded.append(times[first_center + np.flatnonzero(low)])
-        centers = np.flatnonzero(~low)
-        for first in range(0, len(centers), CERTIFICATE_CHUNK):
-            i = centers[first:first + CERTIFICATE_CHUNK]
-            # consecutive centers (none excluded) are read as views, not gathered
-            rows = slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1 else i
-            s_matrix = 2.0 * a_form * density.amplitude_ratios(y[rows])
-            s_x = np.einsum("nij,nj->ni", s_matrix, x[rows])
-            residuals[checked:checked + len(i)] = np.abs(dx[rows] - s_x).max(axis=1)
-            residual_times[checked:checked + len(i)] = times[first_center + i]
-            checked += len(i)
-    residuals = residuals[:checked]
+            undefined.append(times[stop - m - 2 + np.flatnonzero(low)])
+        checked += m
     return MappingReport(
         times=times,
         total_probability=total,
         max_residual=float(residuals.max()) if checked else 0.0,
         checked_samples=checked,
-        excluded_times=np.concatenate(excluded),
+        excluded_times=np.concatenate(undefined),
         split_consistency_gap=float(split_gap),
         hermitian=is_hermitian(h),
         norm_drift=float(norm_drift),
         monotonicity_defect=float(max(0.0, rise)),
-        residual_times=residual_times[:checked],
+        residual_times=times[2:n - 2],
         residuals=residuals,
     )
 

@@ -36,7 +36,7 @@ VALUES = {
     ("entanglement_entropy", "S_A under non-interacting evolution"): "8.003298776841284e-15",
     ("quantum_unitarity", "norm drift over t in [0, 10]"): "1.7763568394002505e-14",
     ("quantum_unitarity", "energy drift over t in [0, 10]"): "8.881784197001252e-16",
-    ("mapping_certificate", "max ||dx/dt - S x|| outside crossings"): "1.8606449714297923e-11",
+    ("mapping_certificate", "max ||dx/dt - S x||, every sample"): "1.8606449714297923e-11",
     ("mapping_certificate", "split consistency x_re + x_im = p"): "3.3306690738754696e-16",
     ("mapping_certificate", "real-form embedding rebuilds psi (N=2,4)"): "5.064917260848194e-16",
     ("mapping_certificate", "generator dimension is 2N"): "1.0",

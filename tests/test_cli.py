@@ -168,25 +168,37 @@ class TestSimulate:
         assert checks["checked_samples"]["passed"] is None
 
     def test_certificate_that_checked_no_sample_fails(self, tmp_path, capsys):
-        # no hopping: every amplitude stays on a multiple of pi/2, so each
-        # sample has a split component below the floor and is excluded
-        hamiltonian = {"ep": [1.05, 0.95, 1.05, 0.95], "ts_a": 0.0, "ts_b": 0.0,
-                       "ec": [0.05, 0.1, 0.15, 0.2]}
+        # three samples leave no interior sample for the five-point stencil
         cfg = write_config(tmp_path, quantum_config(
-            model="mapping", outputs=["residuals"], hamiltonian=hamiltonian,
-            initial_state=[1, 0, 0, 0], t1=0.5, dt=0.05,
+            model="mapping", outputs=["residuals"], t1=0.002, dt=1e-3,
         ))
         out = tmp_path / "out"
         assert cli.main(["map", "--config", str(cfg), "--out-dir", str(out)]) == 1
-        # at dt = 0.05 the RK4 norm drift (2.1e-7) fails its 1e-9 check too
-        assert capsys.readouterr().err == (
-            "failed checks: mapping_residual, total_probability_drift\n"
-        )
+        assert capsys.readouterr().err == "failed checks: mapping_residual\n"
         report = json.loads((out / "report.json").read_text())
         checks = {c["name"]: c for c in report["checks"]}
         assert report["samples"] == checks["checked_samples"]["value"] == 0
         assert checks["mapping_residual"]["value"] == 0.0
         assert checks["mapping_residual"]["passed"] is False
+
+    def test_certificate_checks_samples_where_s_is_undefined(self, tmp_path):
+        # no hopping: every amplitude stays on a multiple of pi/2, so each
+        # sample has a split component below the floor, where S(t) is
+        # undefined; the division-free residual still checks all of them
+        hamiltonian = {"ep": [1.05, 0.95, 1.05, 0.95], "ts_a": 0.0, "ts_b": 0.0,
+                       "ec": [0.05, 0.1, 0.15, 0.2]}
+        cfg = write_config(tmp_path, quantum_config(
+            model="mapping", outputs=["residuals"], hamiltonian=hamiltonian,
+            initial_state=[1, 0, 0, 0], t1=2.0, dt=1e-3,
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["map", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert report["samples"] == checks["checked_samples"]["value"] == 1997
+        assert checks["excluded_samples"]["value"] == 1997
+        assert checks["mapping_residual"]["value"] <= 1e-6
+        assert checks["mapping_residual"]["passed"] is True
 
     def test_config_roundtrip_revalidates_to_same_digest(self, tmp_path):
         cfg = write_config(tmp_path, epidemic2_config())
@@ -882,7 +894,10 @@ class TestPinnedOutput:
     2x2 closed form: pI and pII moved by at most 1.2e-15 of their
     columns' largest values.  The mapping and lossy quantum2q
     scenarios pin report.json too: its checks (which ones are listed
-    follows from whether H is Hermitian) and their values.
+    follows from whether H is Hermitian) and their values.  The two map
+    digests were re-taken when the certificate became the division-free
+    |dx/dt - 2 y * (A y)|: each residual cell, and mapping_residual,
+    moved by at most 2.2e-16, and nothing else moved.
     """
 
     README_EXAMPLE = {
@@ -1042,11 +1057,11 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("command, config, series, report", [
         ("map", MAPPING_HERMITIAN,
-         "4b91b36e929d452126976efea3dd5b7f6ba9b47439e3f48336f85d76908b9b73",
-         "6fced8d3d43865b2203a9468c57ebd566fac91a652440892dd95486e0a595ecb"),
+         "497f1f19fe271ae8159711a6c45e23f4e89ffc74010348b2cdf022ec61ff7d87",
+         "f444d9ba0edd91a1d3f1b904c66ac14f12ee3c3c9fc947198f670c8729217652"),
         ("map", MAPPING_LOSSY,
-         "3365c2cffad6c6c95a56e641ddd4b467896db329fc0e7bc9d97a8bc0a0a3b16f",
-         "71219fe3c14fcad365a366b8142aeb170f0494b6da09e55b4f5c56efd3de61de"),
+         "772fad639cdc6346ae36f32a9e3ce1344ca93514cb71257b95aee74a11986454",
+         "9d466986612c90abc840b89d2393c27395542d9785df05d4a6e94d93aed1557a"),
         ("simulate", QUANTUM_LOSSY_ENTROPIES,
          "93e775c55433ad9a22ca6d6223b15e2df3f1f6b2931787f471a69dc6b86a0bfc",
          "987df8c9fbba26f5edb8bdf4801af938443f32dd04ac2e31e0ab822452481b74"),

@@ -1,13 +1,14 @@
 """No package module reads another package module's private names, and
 every public definition, and every defaulted parameter, of the package is
-used by a program.
+used by a program, and the programs vary every required parameter.
 
 A private name (one leading underscore, not a dunder) stays behind the
 module that defines it: the block and replay policy of numkit's RK4, for
 one, is reached only through numkit.rk4_path.  A public function or
 class that nothing in src, demos or benchmarks names is an unused
 helper, unless it is a paper quantity kept on purpose; a defaulted
-parameter that no call there sets is a module constant in disguise.
+parameter that no call there sets, or a required one that every call
+there sets to the same literal, is a module constant in disguise.
 """
 
 import ast
@@ -114,8 +115,8 @@ def test_use_scan_sees_reads_imports_and_attributes(tmp_path):
     assert "helper" not in named([module])
 
 
-def defaulted_parameters(path):
-    """(callee, position, name) of each defaulted parameter of path's functions and classes.
+def parameters(path):
+    """(callee, position, name, defaulted) of each parameter of path's functions and classes.
 
     A class is called for its __init__, or for a dataclass, its fields (a
     field(...) default only with default= or default_factory=); a method
@@ -132,10 +133,10 @@ def defaulted_parameters(path):
             fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
             for k, item in enumerate(fields):
                 value = item.value
-                if value is not None and not (
-                        isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
-                        and not {kw.arg for kw in value.keywords} & {"default", "default_factory"}):
-                    found.add((node.name, k, item.target.id))
+                defaulted = value is not None and not (
+                    isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                    and not {kw.arg for kw in value.keywords} & {"default", "default_factory"})
+                found.add((node.name, k, item.target.id, defaulted))
         elif isinstance(node, ast.FunctionDef):
             args, cls = node.args, owner.get(id(node))
             params = args.posonlyargs + args.args
@@ -143,18 +144,20 @@ def defaulted_parameters(path):
             if cls is not None and "staticmethod" not in map(ast.unparse, node.decorator_list):
                 pairs = pairs[1:]
             callee = cls.name if cls is not None and node.name == "__init__" else node.name
-            found |= {(callee, k, p.arg) for k, (p, d) in enumerate(pairs) if d is not None}
-            found |= {(callee, None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
-                      if d is not None}
+            found |= {(callee, k, p.arg, d is not None) for k, (p, d) in enumerate(pairs)}
+            found |= {(callee, None, p.arg, d is not None)
+                      for p, d in zip(args.kwonlyargs, args.kw_defaults)}
     return found
 
 
 def call_arguments(paths):
-    """callee name -> [(positional count, starred, keywords)] of every call in paths.
+    """callee name -> [(positional, starred, keywords)] of every call in paths.
 
     A call's callee is its bare name or attribute, as named() matches
-    definitions; starred is True for *args or **kwargs, which may set any
-    parameter after the positional ones.
+    definitions; positional lists the argument nodes before any *args,
+    keywords maps each named argument to its node, and starred is True
+    for *args or **kwargs, which may set any parameter after the
+    positional ones.
     """
     calls = {}
     for path in paths:
@@ -164,27 +167,69 @@ def call_arguments(paths):
                 positional = [a for a in node.args if not isinstance(a, ast.Starred)]
                 starred = len(positional) < len(node.args) or any(
                     kw.arg is None for kw in node.keywords)
-                keywords = {kw.arg for kw in node.keywords}
-                calls.setdefault(callee, []).append((len(positional), starred, keywords))
+                keywords = {kw.arg: kw.value for kw in node.keywords}
+                calls.setdefault(callee, []).append((positional, starred, keywords))
     return calls
 
 
 def unset_defaults(package_paths, program_paths):
     """'callee(name)' for each defaulted parameter that no call of the programs sets."""
     calls = call_arguments(program_paths)
-    defaulted = set().union(*(defaulted_parameters(path) for path in package_paths))
+    found = set().union(*(parameters(path) for path in package_paths))
     return {
-        "%s(%s)" % (callee, name) for callee, position, name in defaulted
-        if not any(starred or name in keywords or (position is not None and position < n)
-                   for n, starred, keywords in calls.get(callee, ()))
+        "%s(%s)" % (callee, name) for callee, position, name, defaulted in found
+        if defaulted and not any(
+            starred or name in keywords or (position is not None and position < len(positional))
+            for positional, starred, keywords in calls.get(callee, ()))
     }
 
 
+def literal(node):
+    """The source of node if it is a literal (a number, string, tuple...), else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.unparse(node)
+
+
+# the times and steps a caller runs at are inputs, even when every
+# program runs at the same ones
+RUN_INPUTS = {"t0", "t", "t1", "dt"}
+
+
+def constant_arguments(package_paths, program_paths):
+    """'callee(name) = value' of each required public parameter every call sets to one literal.
+
+    The run inputs are left out.
+    """
+    calls = call_arguments(program_paths)
+    found = set()
+    for callee, position, name, defaulted in set().union(
+            *(parameters(path) for path in package_paths)):
+        if defaulted or callee.startswith("_") or callee not in calls or name in RUN_INPUTS:
+            continue
+        values = set()
+        for positional, _, keywords in calls[callee]:
+            if name in keywords:
+                values.add(literal(keywords[name]))
+            elif position is not None and position < len(positional):
+                values.add(literal(positional[position]))
+            else:  # through *args or **kwargs, or not at all
+                values.add(None)
+        if len(values) == 1 and None not in values:
+            found.add("%s(%s) = %s" % (callee, name, values.pop()))
+    return found
+
+
 def test_every_defaulted_parameter_is_set_by_a_program():
-    # a parameter no caller outside the tests sets is a module constant
+    # a defaulted parameter no caller outside the tests sets, or a required
+    # one every caller sets to the same literal, is a module constant
     programs = [path for folder in ("src", "demos", "benchmarks")
                 for path in sorted((ROOT / folder).rglob("*.py"))]
-    assert unset_defaults(sorted(PACKAGE.glob("*.py")), programs) == set()
+    package = sorted(PACKAGE.glob("*.py"))
+    assert unset_defaults(package, programs) == set()
+    assert constant_arguments(package, programs) == set()
 
 
 def test_default_scan_sees_positions_keywords_methods_and_dataclasses(tmp_path):
@@ -204,7 +249,7 @@ def test_default_scan_sees_positions_keywords_methods_and_dataclasses(tmp_path):
         "def run(x, steps=None, *, floor=1e-12):\n"
         "    return Report(x, 'min'), Error(x).scaled(2.0), run(x, floor=0.0)\n"
     )
-    assert defaulted_parameters(module) == {
+    assert {p[:3] for p in parameters(module) if p[3]} == {
         ("Report", 1, "kind"), ("Report", 3, "extra"), ("Error", 1, "message"),
         ("scaled", 0, "factor"), ("scaled", None, "offset"),
         ("run", 1, "steps"), ("run", None, "floor"),
@@ -214,3 +259,36 @@ def test_default_scan_sees_positions_keywords_methods_and_dataclasses(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("run(1, *rest)\nError(1, **options)\nReport('a', 'b', [], extra=[])\n")
     assert unset_defaults([module], [module, caller]) == {"scaled(offset)"}
+
+
+def test_constant_scan_sees_required_parameters_set_to_one_literal(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "@dataclass\n"
+        "class Span:\n"
+        "    start: float\n"
+        "    width: float = 1.0\n"
+        "class Stepper:\n"
+        "    def step(self, h, *, order):\n"
+        "        return h\n"
+        "def residual(generator, h, t1):\n"
+        "    return Stepper().step(h, order=4), Span(0.0)\n"
+        "def _helper(h):\n"
+        "    return h\n"
+    )
+    assert {p for p in parameters(module) if not p[3]} == {
+        ("Span", 0, "start", False), ("step", 0, "h", False), ("step", None, "order", False),
+        ("residual", 0, "generator", False), ("residual", 1, "h", False),
+        ("residual", 2, "t1", False), ("_helper", 0, "h", False),
+    }
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "residual(g, 1e-5, 2.0)\nresidual(s, h=1e-5, t1=2.0)\n_helper(0.5)\n"
+        "Stepper().step(0.1, order=4)\nSpan(start=-0.0)\n"
+    )
+    # t1 is a run input; the module's own call sets step's h to a name,
+    # and Span's start to 0.0
+    assert constant_arguments([module], [module, caller]) == {"residual(h) = 1e-05",
+                                                                "step(order) = 4"}
+    assert constant_arguments([module], [caller]) == {
+        "residual(h) = 1e-05", "step(h) = 0.1", "step(order) = 4", "Span(start) = -0.0"}
