@@ -54,8 +54,8 @@ sb = epidemic.Generator2(0.1, 0.3, 0.2, -0.4)
 joint = coupled.kron_sum_generator(sa, sb)
 product0 = coupled.product_from_marginals([0.3, 0.7], [0.6, 0.4])
 traj = numkit.ode_evolve(joint.matrix, product0, 0.0, 5.0, 1e-2)
-defects = [coupled.factorization_defect(p) for p in traj.states[::50]]
-print("\nmax factorization defect over [0, 5]:", max(defects))
+defects = coupled.factorization_defect(traj.states[::50])
+print("\nmax factorization defect over [0, 5]:", defects.max())
 
 p_a = epidemic.propagate_closed_form(sa, np.array([0.3, 0.7]), 0.0, 5.0)
 p_b = epidemic.propagate_closed_form(sb, np.array([0.6, 0.4]), 0.0, 5.0)

@@ -24,7 +24,7 @@ print("\nnorm drift over [0, 10]:", np.abs(norms - 1.0).max())
 e0 = quantum.expectation_energy(h, psi0).real
 print("energy at t=0          :", e0)
 print("energy drift           :",
-      max(abs(quantum.expectation_energy(h, s).real - e0) for s in traj.states[::500]))
+      np.abs(quantum.expectation_energy(h, traj.states[::500]).real - e0).max())
 
 # ---------------------------------------------------------------------------
 # The Coulomb terms entangle the qubits: subsystem entropy grows from

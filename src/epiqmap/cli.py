@@ -359,7 +359,7 @@ def _segmented_evolution(generator, state, scenario):
     """
     apply_event = MODELS[scenario.model].events
     times = [np.array([scenario.t0])]
-    states = [state[None, :]]
+    states = [state[None, :].copy()]  # an event at t0 rewrites this row, not the scenario's
     rng = np.random.default_rng(scenario.seed) if scenario.seed is not None else None
     cuts = [e.time for e in scenario.events]
     jumps = []
@@ -374,7 +374,6 @@ def _segmented_evolution(generator, state, scenario):
             before = _total_probability(state)
             state = apply_event[event.kind](state, event, rng, scenario.source)
             jumps.append(abs(_total_probability(state) - before))
-            states[-1] = states[-1].copy()
             states[-1][-1] = state
     checks = [_check("max_event_probability_jump", max(jumps))] if jumps else []
     return np.concatenate(times), np.concatenate(states), checks

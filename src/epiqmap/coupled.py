@@ -236,9 +236,13 @@ def subsystem_marginals(p, basis="traffic"):
 # ---------------------------------------------------------------------------
 
 def factorization_defect(p):
-    """|p1 p4 - p2 p3| for a product-basis state; zero iff it factorizes."""
+    """|p1 p4 - p2 p3| of each product-basis state of an (n, 4) stack; zero iff it factorizes.
+
+    One state (4,) gives a Python float.
+    """
     p = np.asarray(p, dtype=float)
-    return float(abs(p[0] * p[3] - p[1] * p[2]))
+    defect = np.abs(p[..., 0] * p[..., 3] - p[..., 1] * p[..., 2])
+    return float(defect) if p.ndim == 1 else defect
 
 
 def product_from_marginals(p_a, p_b):

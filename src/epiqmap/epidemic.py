@@ -267,15 +267,19 @@ def _finite(values, message):
     return values
 
 
-def _expm2_closed(g):
-    """exp() of a 2x2 matrix through the sinh/cosh closed form; OverflowError if not finite."""
+def _bracket(g):
+    """exp(g) / exp(tr g / 2) of a 2x2 matrix by the sinh/cosh closed form, unchecked."""
     g11, g12 = g[0]
     g21, g22 = g[1]
     delta = g11 - g22
+    c, s = _cosh_sinhc(delta * delta + 4.0 * g12 * g21)
+    return np.array([[c + delta * s, 2.0 * g12 * s], [2.0 * g21 * s, c - delta * s]])
+
+
+def _expm2_closed(g):
+    """exp() of a 2x2 matrix through the sinh/cosh closed form; OverflowError if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c, s = _cosh_sinhc(delta * delta + 4.0 * g12 * g21)
-        amp = np.exp(0.5 * (g11 + g22))
-        out = amp * np.array([[c + delta * s, 2.0 * g12 * s], [2.0 * g21 * s, c - delta * s]])
+        out = np.exp(0.5 * (g[0, 0] + g[1, 1])) * _bracket(g)
     return _finite(out, "2x2 matrix exponential overflows")
 
 
@@ -294,19 +298,15 @@ def propagate_closed_form(generator, p0, t0, t):
 
 
 def occupancy_ratio(generator, p0, t0, t):
-    """Closed-form ratio p1(t)/p2(t), sharing the propagator's kernel.
+    """Closed-form ratio p1(t)/p2(t), of the propagator's bracket applied to p0.
 
-    Evaluated as [ (dS p1 + 2 S12 p2) sinh-term + p1 cosh-term ] over
-    [ (2 S21 p1 - dS p2) sinh-term + p2 cosh-term ], which the common
-    exponential prefactor cancels out of.
+    _bracket(g) @ p0, with g the integrated rates, is p(t) without the
+    prefactor exp(tr g / 2), which cancels out of the ratio.
     """
     p0 = np.asarray(p0, dtype=float)
     g = generator.integrated(t0, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = g[0, 0] - g[1, 1]
-        c, s = _cosh_sinhc(delta * delta + 4.0 * g[0, 1] * g[1, 0])
-        num = (delta * p0[0] + 2.0 * g[0, 1] * p0[1]) * s + p0[0] * c
-        den = (2.0 * g[1, 0] * p0[0] - delta * p0[1]) * s + p0[1] * c
+        num, den = _bracket(g) @ p0
     num, den = _finite((num, den), "occupancy ratio overflows")
     if abs(den) < 1e-14 * max(1.0, abs(num)):
         raise ZeroDivisionError("occupancy ratio denominator vanished")

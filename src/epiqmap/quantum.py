@@ -157,9 +157,16 @@ def pure_entropy_pair(psi):
 
 
 def expectation_energy(h, psi):
-    """<psi|H|psi> / <psi|psi>."""
+    """<psi|H|psi> / <psi|psi> of each state of an (n, N) stack, as an (n,) array.
+
+    One state (N,) is a stack of one, unpacked to a Python complex, so
+    sample k of a stack is sample k alone, bit for bit.  A state of zero
+    norm raises ValueError.
+    """
     psi = np.asarray(psi, dtype=complex)
-    norm_sq = float(np.vdot(psi, psi).real)
-    if norm_sq <= 0:
+    states = psi[None] if psi.ndim == 1 else psi
+    norm_sq = np.vecdot(states, states).real
+    if not np.all(norm_sq > 0):
         raise ValueError("state has zero norm")
-    return complex(np.vdot(psi, h @ psi)) / norm_sq
+    energy = np.vecdot(states, (h @ states[..., None])[..., 0]) / norm_sq
+    return complex(energy[0]) if psi.ndim == 1 else energy

@@ -13,25 +13,24 @@ from epiqmap import acceptance, coupled, epidemic
 
 _TOTALS = {}
 
-# repr of every subcheck value, by (criterion, label), as NumPy 2 prints
-# them: a change that moves a last digit of the numerical contract is a
-# declared change of its own, which re-takes this table
+# repr of every subcheck value, a Python float, by (criterion, label): a
+# change that moves a last digit of the numerical contract is a declared
+# change of its own, which re-takes this table
 VALUES = {
-    ("propagator_closed_form", "closed form vs RK4, 100 seeded generators"):
-        "1.7763568394002505e-15",
+    ("propagator_closed_form", "closed form vs matrix exponential, 100 seeded generators"):
+        "3.1086244689504383e-15",
     ("spectral_fidelity", "2x2 closed-form residual"): "1.4210854715202004e-14",
     ("spectral_fidelity", "4x4 symmetric-coupled residual"): "1.4210854715202004e-14",
     ("spectral_fidelity", "overlap when s12 = s21"): "5.9822898008602635e-15",
     ("spectral_fidelity", "non-orthogonal witness overlap"): "0.4285714285714285",
-    ("rabi_ratio", "fitted log-ratio slope error, 20 generators"):
-        "np.float64(6.106226635438361e-16)",
+    ("rabi_ratio", "fitted log-ratio slope error, 20 generators"): "6.106226635438361e-16",
     ("ensemble_roundtrip", "roundtrip error, 1000 seeded states"): "3.3306690738754696e-16",
     ("sqrt_transform", "squared sqrt-flow vs matrix-exponential flow"): "1.3100631690576847e-14",
     ("sqrt_transform", "probabilities stayed above 1e-6"): "0.1",
     ("density_eom", "transpose-form residual, generic rates"): "5.515388146193345e-11",
     ("density_eom", "anticommutator residual, symmetric case"): "6.875111591142513e-12",
     ("entanglement_entropy", "|S_A - S_B| over random pure states"): "7.91033905045424e-16",
-    ("entanglement_entropy", "Bell-analog entropy vs ln 2"): "np.float64(0.0)",
+    ("entanglement_entropy", "Bell-analog entropy vs ln 2"): "0.0",
     ("entanglement_entropy", "product-state entropy"): "3.634514974501746e-15",
     ("entanglement_entropy", "S_A under non-interacting evolution"): "8.003298776841284e-15",
     ("quantum_unitarity", "norm drift over t in [0, 10]"): "1.7763568394002505e-14",
@@ -63,6 +62,7 @@ def test_criterion(name, func, description):
     passed = all(s.passed for s in subchecks)
     print("[%s] %s - %s" % ("PASS" if passed else "FAIL", name, description))
     for sub in subchecks:
+        assert type(sub.value) is float, sub.label
         op = "<=" if sub.kind == "max" else ">="
         assert sub.passed, "%s: %s: %.6e %s %.6e" % (
             name, sub.label, sub.value, op, sub.tolerance,

@@ -104,6 +104,22 @@ class TestSimulate:
         jump = [r for r in rows[1:] if float(r[0]) == 0.5]
         assert jump and float(jump[0][1]) == 1.0 and float(jump[0][2]) == 0.0
 
+    def test_events_leave_the_initial_state_alone(self, tmp_path):
+        # an event at t0 rewrites the run's first row, and two events at
+        # one time rewrite one row twice
+        scenario = cli.parse_scenario(epidemic2_config(events=[
+            {"time": 0.0, "type": "projective", "target": 1},
+            {"time": 0.5, "type": "projective", "target": 2},
+            {"time": 0.5, "type": "projective", "target": 1},
+        ]))
+        initial = scenario.initial_state.copy()
+        with np.errstate(divide="ignore"):  # r12 of a collapsed state is inf, as under main
+            assert cli.run_scenario(scenario, tmp_path / "out") == 0
+        assert np.array_equal(scenario.initial_state, initial)
+        rows = read_rows(tmp_path / "out" / "series.csv")
+        assert [float(p) for p in rows[1][1:3]] == [1.0, 0.0]
+        assert [float(p) for p in rows[51][1:3]] == [1.0, 0.0]
+
     def test_weak_event_update(self, tmp_path):
         cfg = write_config(tmp_path, epidemic2_config(
             generator={"s11": 0.0, "s12": 0.0, "s21": 0.0, "s22": 0.0},

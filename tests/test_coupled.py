@@ -450,6 +450,12 @@ class TestFactorization:
     def test_maximally_non_factoring(self):
         assert coupled.factorization_defect(np.array([0.5, 0.0, 0.0, 0.5])) == 0.25
 
+    def test_defect_of_a_stack_is_the_per_state_loop(self):
+        p = np.random.default_rng(6).uniform(0.0, 1.0, size=(50, 4))
+        loop = [coupled.factorization_defect(state) for state in p]
+        assert {type(defect) for defect in loop} == {float}
+        assert np.array_equal(coupled.factorization_defect(p), loop)
+
     def test_kron_sum_flow_preserves_products(self):
         sa = gen2(0.0, 0.4, 0.6, -0.2)
         sb = gen2(0.1, 0.3, 0.2, -0.4)

@@ -4,7 +4,8 @@ used by a program, and the programs vary every required parameter.
 
 A private name (one leading underscore, not a dunder) stays behind the
 module that defines it: the block and replay policy of numkit's RK4, for
-one, is reached only through numkit.rk4_path.  A public function or
+one, is reached only through numkit.rk4_path, and other modules step a
+run only through numkit's streams.  A public function or
 class that nothing in src, demos or benchmarks names is an unused
 helper, unless it is a paper quantity kept on purpose; a defaulted
 parameter that no call there sets, or a required one that every call
@@ -23,8 +24,12 @@ def is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_reads(path):
-    """(line, 'module._name') for each private name path reads from a sibling module."""
+def sibling_reads(path):
+    """(line, 'module.name') for each name path reads from a sibling module.
+
+    A read is an import from a sibling, or an attribute of a sibling
+    module imported by name.
+    """
     tree = ast.parse(path.read_text(), str(path))
     siblings = {}
     reads = []
@@ -33,13 +38,19 @@ def private_reads(path):
             for alias in node.names:
                 if node.module is None:
                     siblings[alias.asname or alias.name] = alias.name
-                elif is_private(alias.name):
+                else:
                     reads.append((node.lineno, "%s.%s" % (node.module, alias.name)))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in siblings and is_private(node.attr)):
+                and node.value.id in siblings):
             reads.append((node.lineno, "%s.%s" % (siblings[node.value.id], node.attr)))
     return sorted(reads)
+
+
+def private_reads(path):
+    """(line, 'module._name') for each private name path reads from a sibling module."""
+    return [(line, name) for line, name in sibling_reads(path)
+            if is_private(name.split(".", 1)[1])]
 
 
 def test_no_module_reads_a_sibling_private_name():
@@ -55,6 +66,47 @@ def test_scan_sees_attribute_and_import_reads(tmp_path):
         "nk._rk4_block, nk.rk4_path, nk.__name__, __version__\n"
     )
     assert private_reads(module) == [(2, "numkit._sample_times"), (3, "numkit._rk4_block")]
+
+
+# the package's one RK4: a module other than numkit steps a run through
+# numkit's streams (ode_chunks, and for the sqrt flow's own fast pass,
+# density's rk4_chunks), never by a step matrix or an rk4_path call
+RK4_ENTRIES = ("numkit.rk4_step_matrix", "numkit.rk4_path", "numkit.rk4_chunks")
+
+
+def rk4_readers(paths):
+    """{entry: modules} of the modules other than numkit that read each RK4_ENTRIES name."""
+    readers = {entry: set() for entry in RK4_ENTRIES}
+    for path in paths:
+        if path.stem != "numkit":
+            for _, name in sibling_reads(path):
+                if name in readers:
+                    readers[name].add(path.stem)
+    return readers
+
+
+def test_only_numkit_steps_rk4():
+    assert rk4_readers(sorted(PACKAGE.glob("*.py"))) == {
+        "numkit.rk4_step_matrix": set(), "numkit.rk4_path": set(),
+        "numkit.rk4_chunks": {"density"},
+    }
+
+
+def test_rk4_scan_sees_attribute_and_import_reads(tmp_path):
+    (tmp_path / "acceptance.py").write_text(
+        "from . import numkit as nk\n"
+        "nk.rk4_step_matrix(a, a, a)\n"
+    )
+    (tmp_path / "density.py").write_text(
+        "from .numkit import rk4_path\n"
+        "from . import numkit\n"
+        "numkit.rk4_chunks, numkit.ode_chunks\n"
+    )
+    (tmp_path / "numkit.py").write_text("from . import numkit\nnumkit.rk4_path\n")
+    assert rk4_readers(sorted(tmp_path.glob("*.py"))) == {
+        "numkit.rk4_step_matrix": {"acceptance"}, "numkit.rk4_path": {"density"},
+        "numkit.rk4_chunks": {"density"},
+    }
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -110,6 +110,18 @@ class TestEvolveSchrodinger:
         for psi in traj.states[::250]:
             assert abs(quantum.expectation_energy(h, psi).real - e0) <= 1e-8
 
+    def test_energy_of_a_stack_is_the_per_state_loop(self):
+        # a lossy site, so the energies are complex
+        h = hermitian_h(ep_1a=1.05 - 0.1j)
+        parts = np.random.default_rng(5).normal(size=(2, 101, 4))
+        psi = parts[0] + 1j * parts[1]
+        loop = [quantum.expectation_energy(h, state) for state in psi]
+        assert {type(energy) for energy in loop} == {complex}
+        assert np.array_equal(quantum.expectation_energy(h, psi), loop)
+        psi[7] = 0.0
+        with pytest.raises(ValueError, match="zero norm"):
+            quantum.expectation_energy(h, psi)
+
     def test_dissipation_decreases_norm_everywhere(self):
         h = quantum.build_hamiltonian(
             1.0 - 0.05j, 1.0 - 0.05j, 1.0 - 0.05j, 1.0 - 0.05j, 0.1, 0.1, 0.05, 0.10, 0.15, 0.20,
